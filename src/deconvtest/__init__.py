@@ -7,21 +7,18 @@ expansion coefficients with their null values, and selecting the number of
 compared coefficients from the data by a Schwarz-type penalty.
 """
 
-from .engines import QuadratureError, expect_1d, expect_conv, mc_expect
+from .engines import QuadratureError
 from .measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
-    density_m, pdf_or_pmf, sample,
 )
 from .nullmodel import (
-    NullCoefficients, NullSpec, compute_alphas, compute_coefficients,
-    compute_sigma, eigen_floor_diagnostics,
+    NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
 )
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
     addition_split_meixner, certify_orthonormality, eval_laguerre,
-    eval_laguerre_scaled, eval_meixner, eval_meixner_scaled,
-    eval_shifted_legendre,
+    eval_laguerre_scaled, eval_meixner_scaled, eval_shifted_legendre,
 )
 from .simlab import (
     ScenarioSpec, SimReport, build_scenario, level_power_table,

@@ -275,10 +275,6 @@ def cmd_test(args) -> int:
     null = build_null(cfg.get("null", {}))
     test = build_test_config(_apply_test_overrides(args, cfg.get("test", {})))
     data = read_data_file(args.data)
-    if null.ref.discrete and not np.all(null.ref.in_support(data)):
-        bad = np.flatnonzero(~null.ref.in_support(data))
-        raise DataDomainError(bad.tolist(),
-                              "discrete reference requires nonnegative integers")
     coeffs = None
     if args.coeffs_cache:
         coeffs = _load_coeffs_cache(args.coeffs_cache, null)
@@ -335,9 +331,7 @@ def cmd_coeffs(args) -> int:
         "config_hash": config_hash(null.config()),
         "null": null.config(),
         **coeffs.to_dict(),
-        "basis": {"definition": null.basis.definition,
-                  "gram_residual": null.basis.gram_residual,
-                  "notes": list(null.basis.notes)},
+        "basis": {"gram_residual": null.basis.gram_residual},
     }, args.out)
     return EXIT_OK
 

@@ -1,30 +1,20 @@
-"""Deterministic and Monte Carlo expectation engines.
+"""Expectation rules and joint samplers for the coefficient engines.
 
-The deterministic engines integrate against truncated supports (at most
-1e-12 probability mass dropped per axis) with composite Gauss-Legendre
-panels, doubling the panel count until successive estimates agree to the
-requested tolerance.  A gamma-type axis with shape below 1 is integrated in
-the square-root variable ``x = t**2``, which removes the integrable
-singularity of the density at the origin.  Discrete axes use exact truncated
-sums over the integer support, extended per refinement level.
-
-The Monte Carlo engine is the generic fallback (required for dependent
-component pairs) and doubles as a cross-check oracle for the deterministic
-paths.
+``expectation_rule`` integrates against supports truncated at 1e-12
+probability mass per axis: composite Gauss-Legendre panels whose count
+doubles per refinement level, in the variable ``x = t**2`` for gamma-type
+axes with shape below 1 (which removes the density's singularity at the
+origin), and exact truncated sums, extended per level, on integer supports.
+``independent_sampler`` is the joint sampler of an independent pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .measures import (
-    ChiSquared, Distribution, Gamma, Mixture, PointMass, RngStream,
-)
+from .measures import ChiSquared, Distribution, Gamma, Mixture, PointMass
 
 TAIL_MASS = 1e-12
-DEFAULT_TOL = 1e-10
 _BASE_PANELS = 8
 _PANEL_ORDER = 20
 
@@ -85,67 +75,6 @@ def expectation_rule(dist: Distribution, level: int) -> tuple[np.ndarray, np.nda
         return t ** 2, wt * dist.pdf(t ** 2) * 2.0 * t
     x, wx = _panel_nodes(lo, hi, panels)
     return x, wx * dist.pdf(x)
-
-
-def expect_1d(dist: Distribution,
-              integrand: Callable[[np.ndarray], np.ndarray],
-              tol: float = DEFAULT_TOL,
-              max_level: int = 9) -> float:
-    """Deterministic E[integrand(X)] to absolute tolerance ``tol``."""
-    if isinstance(dist, PointMass):
-        return float(np.asarray(integrand(np.array([float(dist.value)])))[0])
-    prev, delta = None, np.inf
-    for level in range(max_level + 1):
-        x, w = expectation_rule(dist, level)
-        est = float(np.dot(w, np.asarray(integrand(x), dtype=float)))
-        if prev is not None:
-            delta = abs(est - prev)
-            if delta <= tol:
-                return est
-        prev = est
-    raise QuadratureError(prev, delta)
-
-
-def expect_conv(dist_y: Distribution, dist_z: Distribution,
-                integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                tol: float = DEFAULT_TOL,
-                max_level: int = 5) -> float:
-    """Deterministic E[integrand(Y, Z)] for independent Y, Z.
-
-    Tensor rule over both truncated axes; refined jointly until two
-    successive estimates agree within ``tol`` absolutely.
-    """
-    prev, delta = None, np.inf
-    for level in range(max_level + 1):
-        y, wy = expectation_rule(dist_y, level)
-        z, wz = expectation_rule(dist_z, level)
-        vals = np.broadcast_to(
-            np.asarray(integrand(y[:, None], z[None, :]), dtype=float),
-            (y.size, z.size))
-        est = float(wy @ vals @ wz)
-        if prev is not None:
-            delta = abs(est - prev)
-            if delta <= tol:
-                return est
-        prev = est
-    raise QuadratureError(prev, delta)
-
-
-def mc_expect(joint_sampler: Callable[[np.random.Generator, int],
-                                      tuple[np.ndarray, np.ndarray]],
-              integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-              n: int, rng: RngStream) -> tuple[float, float]:
-    """Monte Carlo E[integrand(Y, Z)] over a joint sampler.
-
-    Returns (sample mean, standard error).  This is the production engine
-    for dependent component pairs and the cross-check oracle elsewhere.
-    """
-    if n < 2:
-        raise ValueError("Monte Carlo expectation needs n >= 2")
-    y, z = joint_sampler(rng.generator(), n)
-    vals = np.asarray(integrand(np.asarray(y, dtype=float),
-                                np.asarray(z, dtype=float)), dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
 
 def independent_sampler(dist_y: Distribution, dist_z: Distribution):

@@ -24,8 +24,7 @@ from scipy.special import gammaincinv, pdtr
 __all__ = [
     "Exponential", "Gamma", "ChiSquared", "Poisson", "Geometric",
     "Uniform01", "Mixture", "PointMass",
-    "Exponential1Ref", "Uniform01Ref", "GeometricRef",
-    "RngStream", "density_m", "sample", "pdf_or_pmf",
+    "Exponential1Ref", "Uniform01Ref", "GeometricRef", "RngStream",
 ]
 
 _TAIL_MASS = 1e-12  # per-axis truncation mass for deterministic engines
@@ -371,19 +370,6 @@ class Mixture(Distribution):
                 "a": self.a.config(), "b": self.b.config()}
 
 
-def sample(dist: Distribution, rng: RngStream, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. values from ``dist`` on the given stream."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return dist.draw(rng.generator(), count)
-
-
-def pdf_or_pmf(dist: Distribution, x) -> np.ndarray | float:
-    """Density against Lebesgue or counting measure; 0 outside the support."""
-    out = dist.pdf(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Reference measures
 # ---------------------------------------------------------------------------
@@ -416,7 +402,8 @@ class Exponential1Ref(ReferenceMeasure):
         return np.where(x >= 0, np.exp(-np.clip(x, 0, None)), 0.0)
 
     def in_support(self, x):
-        return np.asarray(x, dtype=float) >= 0
+        x = np.asarray(x, dtype=float)
+        return np.isfinite(x) & (x >= 0)
 
     def support(self):
         return (0.0, inf)
@@ -463,16 +450,10 @@ class GeometricRef(ReferenceMeasure):
 
     def in_support(self, x):
         x = np.asarray(x, dtype=float)
-        return (x >= 0) & (x == np.floor(x))
+        return np.isfinite(x) & (x >= 0) & (x == np.floor(x))
 
     def support(self):
         return (0.0, inf)
 
     def config(self):
         return {"kind": self.kind, "p": self.p}
-
-
-def density_m(ref: ReferenceMeasure, x) -> np.ndarray | float:
-    """Reference density/mass at x; 0 outside the support."""
-    out = ref.density(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out

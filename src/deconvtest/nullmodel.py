@@ -102,14 +102,9 @@ class NullSpec:
             raise NullSpecError(
                 f"support of Y + Z [{lo_y + lo_z}, {hi_y + hi_z}] is not "
                 f"contained in the reference support [{lo_r}, {hi_r}]")
-        if self.ref.discrete and not (self._integer_supported(self.y)
-                                      and self._integer_supported(self.z)):
+        if self.ref.discrete and not (self.y.discrete and self.z.discrete):
             raise NullSpecError(
                 "a discrete reference requires integer-supported components")
-
-    @staticmethod
-    def _integer_supported(dist: Distribution) -> bool:
-        return bool(dist.discrete)
 
     @property
     def independent(self) -> bool:
@@ -131,8 +126,7 @@ class NullSpec:
             "reference": self.ref.config(),
             "dependence": "independent" if self.independent else "joint_sampler",
             "basis": {"kind": self.basis.family.kind,
-                      "shape": self.basis.family.shape,
-                      "definition": self.basis.definition},
+                      "shape": self.basis.family.shape},
         }
 
 
@@ -407,9 +401,6 @@ def compute_coefficients(null: NullSpec, k: int, method: str | None = None,
         full_a, full_s = _deterministic_coefficients(null, k, method, u_split, tol)
         # deterministic paths carry the degree-0 row; drop it
         alphas, sigma = full_a[1:], full_s[1:, 1:]
-    if null.basis.definition == "standard":
-        notes = notes + ("basis: standard Meixner definition substituted for "
-                         "the seeded recurrence",)
     note = _alpha_growth_note(np.asarray(alphas[:k]))
     if note:
         notes = notes + (note,)
@@ -435,18 +426,6 @@ def _alpha_growth_note(alphas: np.ndarray) -> str | None:
                 f"head {head:.3e}; the density may not be square integrable "
                 "against the reference measure")
     return None
-
-
-def compute_alphas(null: NullSpec, k: int, method: str | None = None,
-                   **kwargs) -> np.ndarray:
-    """Null expansion coefficients alpha_1..alpha_k."""
-    return compute_coefficients(null, k, method, **kwargs).alphas
-
-
-def compute_sigma(null: NullSpec, k: int, method: str | None = None,
-                  **kwargs) -> np.ndarray:
-    """Null covariance matrix of the centered empirical coefficients."""
-    return compute_coefficients(null, k, method, **kwargs).sigma
 
 
 # ---------------------------------------------------------------------------

@@ -185,19 +185,6 @@ def shifted_legendre_coefficients(max_degree: int) -> list[np.ndarray]:
     return coefs
 
 
-def _meixner_seeded_table(max_degree: int, p: float, x) -> np.ndarray:
-    """Meixner values from the b = 1 recurrence seeded with M1 = 1 - p - x/p."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((max_degree + 1,) + x.shape)
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = 1.0 - p - x / p
-    for n in range(1, max_degree):
-        out[n + 1] = (((p - 1) * x + (1 + p) * n + p) * out[n]
-                      - (1 - p) * n * n * out[n - 1]) * (1 - p) / p
-    return out
-
-
 def meixner_scaled_table(max_degree: int, b: float, p: float, x) -> np.ndarray:
     """Meixner values in the convolution scale ``(b)_n (1-p)**n M(n; b, p)``.
 
@@ -220,21 +207,6 @@ def meixner_scaled_table(max_degree: int, b: float, p: float, x) -> np.ndarray:
         out[n + 1] = (((p - 1) * x + n + (n + b) * p) * out[n]
                       - (1 - p) * n * (b + n - 1) * out[n - 1]) * (1 - p) / p
     return out
-
-
-def eval_meixner(degree: int, p: float, x) -> float | np.ndarray:
-    """Meixner value from the b = 1 recurrence seeded with M1 = 1 - p - x/p.
-
-    Note: this degree-1 seed is not orthogonal to constants under the
-    geometric weight, so certified tables substitute the standard
-    hypergeometric family (see ``certify_orthonormality``).  This function
-    keeps the seeded definition available.
-    """
-    _check_degree(degree)
-    if not 0 < p < 1:
-        raise DomainError("Meixner parameter p must lie in (0, 1)")
-    vals = _meixner_seeded_table(degree, p, x)[degree]
-    return float(vals) if vals.ndim == 0 else vals
 
 
 def eval_meixner_scaled(degree: int, b: float, p: float, x) -> float | np.ndarray:
@@ -348,7 +320,7 @@ def _geometric_support(p: float, max_degree: int) -> tuple[np.ndarray, np.ndarra
     return xs, (1 - p) * p ** xs
 
 
-def _raw_values_and_weights(spec: PolynomialFamilySpec, definition: str):
+def _raw_values_and_weights(spec: PolynomialFamilySpec):
     n_nodes = 2 * spec.max_degree + 2
     if spec.kind == LAGUERRE:
         x, w = _gamma_weight_rule(spec.shape, n_nodes)
@@ -357,8 +329,6 @@ def _raw_values_and_weights(spec: PolynomialFamilySpec, definition: str):
         x, w = _uniform01_rule(n_nodes)
         return shifted_legendre_table(spec.max_degree, x), w
     x, w = _geometric_support(spec.shape, spec.max_degree)
-    if definition == "seeded-recurrence":
-        return _meixner_seeded_table(spec.max_degree, spec.shape, x), w
     return meixner_scaled_table(spec.max_degree, 1.0, spec.shape, x), w
 
 
@@ -367,16 +337,12 @@ class BasisTable:
     """Certified orthonormal polynomial system for one family.
 
     ``norms`` are the numerically computed L2 norms of the raw family under
-    its weight; normalized evaluations divide by them.  ``definition``
-    records which evaluation rule survived certification.
+    its weight; normalized evaluations divide by them.
     """
 
     family: PolynomialFamilySpec
     norms: np.ndarray
     gram_residual: float
-    definition: str
-    notes: tuple[str, ...] = ()
-    orthonormal: bool = True
 
     def eval_raw(self, x, max_degree: int | None = None) -> np.ndarray:
         k = self.family.max_degree if max_degree is None else max_degree
@@ -387,8 +353,6 @@ class BasisTable:
             return laguerre_table(k, self.family.shape, x)
         if self.family.kind == SHIFTED_LEGENDRE:
             return shifted_legendre_table(k, x)
-        if self.definition == "seeded-recurrence":
-            return _meixner_seeded_table(k, self.family.shape, x)
         return meixner_scaled_table(k, 1.0, self.family.shape, x)
 
     def eval_normalized(self, x, max_degree: int | None = None) -> np.ndarray:
@@ -416,35 +380,22 @@ def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
 
     Norms come from quadrature (continuous weights) or truncated summation
     (geometric weight).  The Gram matrix of the normalized system must match
-    the identity within 1e-8; for the Meixner family the seeded recurrence
-    is tried first and the standard hypergeometric definition is
-    substituted (and recorded) if certification fails.
+    the identity within 1e-8, otherwise ``BasisInconsistencyError`` names
+    the worst entry.
     """
-    definitions = ["recurrence"]
-    if family.kind == MEIXNER:
-        definitions = ["seeded-recurrence", "standard"]
-    notes: list[str] = []
-    last_err: BasisInconsistencyError | None = None
-    for definition in definitions:
-        values, weights = _raw_values_and_weights(family, definition)
-        norms_sq = np.einsum("in,n->i", values ** 2, weights)
-        if np.any(norms_sq <= 0):
-            bad = int(np.argmin(norms_sq))
-            last_err = BasisInconsistencyError(family.kind, (bad, bad),
-                                               float(norms_sq[bad]))
-            notes.append(f"{definition}: nonpositive norm at degree {bad}")
-            continue
-        norms = np.sqrt(norms_sq)
-        gram = _gram(values / norms[:, None], weights)
-        resid = np.abs(gram - np.eye(len(norms)))
-        i, j = np.unravel_index(np.argmax(resid), resid.shape)
-        worst = float(resid[i, j])
-        if worst < GRAM_TOL:
-            table = BasisTable(family=family, norms=norms,
-                               gram_residual=worst, definition=definition,
-                               notes=tuple(notes))
-            _validate_splits(table)
-            return table
-        notes.append(f"{definition}: |Gram - I| = {worst:.3e} at ({i}, {j})")
-        last_err = BasisInconsistencyError(family.kind, (int(i), int(j)), worst)
-    raise last_err
+    values, weights = _raw_values_and_weights(family)
+    norms_sq = np.einsum("in,n->i", values ** 2, weights)
+    if np.any(norms_sq <= 0):
+        bad = int(np.argmin(norms_sq))
+        raise BasisInconsistencyError(family.kind, (bad, bad),
+                                      float(norms_sq[bad]))
+    norms = np.sqrt(norms_sq)
+    gram = _gram(values / norms[:, None], weights)
+    resid = np.abs(gram - np.eye(len(norms)))
+    i, j = np.unravel_index(np.argmax(resid), resid.shape)
+    worst = float(resid[i, j])
+    if worst >= GRAM_TOL:
+        raise BasisInconsistencyError(family.kind, (int(i), int(j)), worst)
+    table = BasisTable(family=family, norms=norms, gram_residual=worst)
+    _validate_splits(table)
+    return table

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 from .measures import RngStream
 from .nullmodel import (
@@ -112,8 +112,10 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
                  coeffs: NullCoefficients, k: int) -> np.ndarray:
     """Centered, sqrt(n)-scaled empirical coefficients bhat_1..bhat_k.
 
-    Each observation is centered by alpha_j before averaging, so the vector
-    has mean zero under the null.
+    ``data`` of shape (n,) or (reps, n) gives shape (k,) or (k, reps).  Each
+    observation is centered by alpha_j before averaging, so the vector has
+    mean zero under the null.  Data outside the reference support, non-finite
+    values included, raise ``DataDomainError`` with flat indices.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -126,7 +128,8 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
                               "data outside the reference support")
     q = null.basis.eval_normalized(data, k)
     v = q[1:] * null.ref.density(data)
-    return np.sqrt(data.size) * (v.mean(axis=1) - coeffs.alphas[:k])
+    alphas = coeffs.alphas[:k].reshape((k,) + (1,) * (data.ndim - 1))
+    return np.sqrt(data.shape[-1]) * (v.mean(axis=-1) - alphas)
 
 
 def inv_sqrt_psd(sigma: np.ndarray, condition_cap: float = 1e12) -> np.ndarray:
@@ -151,36 +154,53 @@ def inv_sqrt_psd(sigma: np.ndarray, condition_cap: float = 1e12) -> np.ndarray:
     return (vk / np.sqrt(w[keep])) @ vk.T
 
 
+def _prefix_roots(sigma: np.ndarray, condition_cap: float) -> list[np.ndarray]:
+    """``inv_sqrt_psd`` of each leading block sigma[:k, :k], k = 1..K."""
+    return [inv_sqrt_psd(sigma[:k, :k], condition_cap)
+            for k in range(1, sigma.shape[0] + 1)]
+
+
 def t_sequence(bhat: np.ndarray, sigma: np.ndarray,
-               condition_cap: float = 1e12) -> np.ndarray:
-    """Whitened squared norms T_1..T_k over nested prefixes."""
+               condition_cap: float = 1e12,
+               roots: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """Whitened squared norms T_1..T_k over nested prefixes.
+
+    Shaped like ``bhat``, (k,) or (k, reps); ``roots`` may pass precomputed
+    ``_prefix_roots(sigma, condition_cap)``.
+    """
     bhat = np.asarray(bhat, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (bhat.size, bhat.size):
+    k = bhat.shape[0]
+    if sigma.shape != (k, k):
         raise ValueError("bhat and sigma dimensions disagree")
-    out = np.empty(bhat.size)
-    for k in range(1, bhat.size + 1):
-        root = inv_sqrt_psd(sigma[:k, :k], condition_cap)
-        u = root @ bhat[:k]
-        out[k - 1] = float(u @ u)
+    if roots is None:
+        roots = _prefix_roots(sigma, condition_cap)
+    out = np.empty(bhat.shape)
+    for j in range(1, k + 1):
+        u = roots[j - 1] @ bhat[:j]
+        out[j - 1] = np.einsum("i...,i...->...", u, u)
     return out
 
 
-def select_order(t_seq: np.ndarray, n: int) -> int:
+def select_order(t_seq: np.ndarray, n: int) -> int | np.ndarray:
     """Smallest maximizer of the penalized sequence T_k - k*log(n).
 
-    Ties (and near-ties at floating-point resolution) resolve to the
-    smallest order.
+    ``t_seq`` has shape (k,), giving an int, or (k, reps), giving one order
+    per column.  Ties (and near-ties at floating-point resolution) resolve
+    to the smallest order.
     """
     t_seq = np.asarray(t_seq, dtype=float)
     if t_seq.size == 0:
         raise ValueError("t_sequence must be nonempty")
     if n < 2:
         raise ValueError("sample size must be at least 2")
-    pen = t_seq - np.arange(1, t_seq.size + 1) * math.log(n)
-    top = float(pen.max())
-    tol = _TIE_REL_TOL * (1.0 + abs(top))
-    return int(np.argmax(pen >= top - tol)) + 1
+    k = t_seq.shape[0]
+    pen = t_seq - (np.arange(1, k + 1) * math.log(n)).reshape(
+        (k,) + (1,) * (t_seq.ndim - 1))
+    top = pen.max(axis=0)
+    tol = _TIE_REL_TOL * (1.0 + np.abs(top))
+    s_n = np.argmax(pen >= top - tol, axis=0) + 1
+    return int(s_n) if t_seq.ndim == 1 else s_n
 
 
 def default_kmax(n: int, diagnostics: EigenDiagnostics | None = None) -> int:
@@ -243,10 +263,9 @@ class TestEngine:
             self.used_k_max = max(1, min(policy_k, self.diagnostics.usable_k_max))
         else:
             self.used_k_max = policy_k
-        self._roots = [inv_sqrt_psd(coeffs.sigma[:k, :k],
-                                    config.eigen_condition_cap)
-                       for k in range(1, self.used_k_max + 1)]
-        self._penalty = np.arange(1, self.used_k_max + 1) * math.log(n)
+        self._roots = _prefix_roots(
+            coeffs.sigma[:self.used_k_max, :self.used_k_max],
+            config.eigen_condition_cap)
         self._critical = None
         self._calibration_values = None
 
@@ -261,19 +280,10 @@ class TestEngine:
         samples = np.asarray(samples, dtype=float)
         reps, n = samples.shape
         k = self.used_k_max
-        q = self.null.basis.eval_normalized(samples, k)
-        v = q[1:] * self.null.ref.density(samples)
-        b = np.sqrt(n) * (v.mean(axis=2) - self.coeffs.alphas[:k, None])
-        t_seq = np.empty((k, reps))
-        for j in range(1, k + 1):
-            u = self._roots[j - 1] @ b[:j]
-            t_seq[j - 1] = np.einsum("ir,ir->r", u, u)
-        pen = t_seq - self._penalty[:, None]
-        top = pen.max(axis=0)
-        tol = _TIE_REL_TOL * (1.0 + np.abs(top))
-        s_n = np.argmax(pen >= (top - tol)[None, :], axis=0) + 1
-        t_stat = t_seq[s_n - 1, np.arange(reps)]
-        return t_seq.T, s_n, t_stat
+        b = compute_bhat(samples, self.null, self.coeffs, k)
+        t_seq = t_sequence(b, self.coeffs.sigma[:k, :k], roots=self._roots)
+        s_n = select_order(t_seq, n)
+        return t_seq.T, s_n, t_seq[s_n - 1, np.arange(reps)]
 
     def sample_null_batch(self, reps: int, base: RngStream) -> np.ndarray:
         """reps x n matrix of null samples; row r uses child stream r."""
@@ -303,7 +313,7 @@ class TestEngine:
 
     def p_value(self, t_stat: float) -> float:
         if self.config.calibration == "asymptotic":
-            return 1.0 - chi2_cdf(t_stat, 1)
+            return float(gammaincc(0.5, t_stat / 2.0))
         cal = self.calibration_values()
         return (1.0 + int(np.sum(cal >= t_stat))) / (cal.size + 1.0)
 
@@ -311,10 +321,6 @@ class TestEngine:
         data = np.asarray(data, dtype=float)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("data must be a nonempty vector")
-        ok = self.null.ref.in_support(data)
-        if not np.all(ok):
-            raise DataDomainError(np.flatnonzero(~ok).tolist(),
-                                  "data outside the reference support")
         if data.size != self.n:
             raise ValueError(f"engine prepared for n={self.n}, got {data.size}")
         t_seq, s_n, t_stat = self.statistic_batch(data[None, :])

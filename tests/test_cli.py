@@ -67,6 +67,10 @@ class TestCmdTest:
         f = tmp_path / "neg.txt"
         f.write_text("1.0\n-2.0\n")
         assert run_cli(["test", f, "--calibration", "asymptotic"]) == EXIT_DATA
+        capsys.readouterr()
+        f.write_text("1.0\n2.0\n0.5\ninf\n")
+        assert run_cli(["test", f, "--calibration", "asymptotic"]) == EXIT_DATA
+        assert "[3]" in capsys.readouterr().err
 
     def test_discrete_reference_requires_integers(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

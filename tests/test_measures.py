@@ -8,37 +8,36 @@ import pytest
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
-    density_m, pdf_or_pmf, sample,
 )
 
 
 class TestDensityM:
     def test_exponential_at_zero(self):
-        assert density_m(Exponential1Ref(), 0.0) == pytest.approx(1.0)
+        assert Exponential1Ref().density(0.0) == pytest.approx(1.0)
 
     def test_geometric_mass(self):
-        assert density_m(GeometricRef(0.5), 3) == pytest.approx(0.0625)
+        assert GeometricRef(0.5).density(3) == pytest.approx(0.0625)
 
     def test_uniform(self):
-        assert density_m(Uniform01Ref(), 0.7) == pytest.approx(1.0)
+        assert Uniform01Ref().density(0.7) == pytest.approx(1.0)
 
     def test_out_of_support_is_zero(self):
-        assert density_m(Exponential1Ref(), -1.0) == 0.0
-        assert density_m(Uniform01Ref(), 1.5) == 0.0
-        assert density_m(GeometricRef(0.5), 2.5) == 0.0
-        assert density_m(GeometricRef(0.5), -3) == 0.0
+        assert Exponential1Ref().density(-1.0) == 0.0
+        assert Uniform01Ref().density(1.5) == 0.0
+        assert GeometricRef(0.5).density(2.5) == 0.0
+        assert GeometricRef(0.5).density(-3) == 0.0
 
 
 class TestRngStream:
     def test_bit_exact_reproducibility(self):
-        a = sample(Exponential(1.0), RngStream(123, 7), 1000)
-        b = sample(Exponential(1.0), RngStream(123, 7), 1000)
+        a = Exponential(1.0).draw(RngStream(123, 7).generator(), 1000)
+        b = Exponential(1.0).draw(RngStream(123, 7).generator(), 1000)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample(Exponential(1.0), RngStream(123, 7), 100)
-        b = sample(Exponential(1.0), RngStream(123, 8), 100)
-        c = sample(Exponential(1.0), RngStream(124, 7), 100)
+        a = Exponential(1.0).draw(RngStream(123, 7).generator(), 100)
+        b = Exponential(1.0).draw(RngStream(123, 8).generator(), 100)
+        c = Exponential(1.0).draw(RngStream(124, 7).generator(), 100)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -51,50 +50,47 @@ class TestRngStream:
 
 class TestSampling:
     def test_point_mass(self):
-        np.testing.assert_array_equal(sample(PointMass(2.0), RngStream(1), 3),
-                                      [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(
+            PointMass(2.0).draw(RngStream(1).generator(), 3), [2.0, 2.0, 2.0])
 
     def test_exponential_mean(self):
-        x = sample(Exponential(1.0), RngStream(2024, 1), 10 ** 6)
+        x = Exponential(1.0).draw(RngStream(2024, 1).generator(), 10 ** 6)
         assert abs(x.mean() - 1.0) < 4e-3
 
     def test_geometric_mean(self):
-        x = sample(Geometric(1.0), RngStream(2024, 2), 10 ** 6)
+        x = Geometric(1.0).draw(RngStream(2024, 2).generator(), 10 ** 6)
         assert abs(x.mean() - 1.0) < 5e-3
         assert np.all(x == np.floor(x)) and np.all(x >= 0)
 
     def test_chi_squared_one_is_squared_normal(self):
         # same stream drawn manually must reproduce the pinned algorithm
-        x = sample(ChiSquared(1), RngStream(9, 9), 500)
+        x = ChiSquared(1).draw(RngStream(9, 9).generator(), 500)
         manual = RngStream(9, 9).generator().standard_normal(500) ** 2
         np.testing.assert_array_equal(x, manual)
 
     def test_poisson_inversion_matches_cdf(self):
-        x = sample(Poisson(1.0), RngStream(77, 1), 200_000)
+        x = Poisson(1.0).draw(RngStream(77, 1).generator(), 200_000)
         assert abs(x.mean() - 1.0) < 0.01
         assert abs((x == 0).mean() - math.exp(-1)) < 0.005
 
     def test_mixture_component_selection(self):
         mix = Mixture(1.0, PointMass(1.0), PointMass(2.0))
-        np.testing.assert_array_equal(sample(mix, RngStream(3), 4), np.ones(4))
+        np.testing.assert_array_equal(mix.draw(RngStream(3).generator(), 4),
+                                      np.ones(4))
 
     def test_count_zero(self):
-        assert sample(Exponential(1.0), RngStream(5), 0).size == 0
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            sample(Exponential(1.0), RngStream(5), -1)
+        assert Exponential(1.0).draw(RngStream(5).generator(), 0).size == 0
 
 
 class TestPdfOrPmf:
     def test_poisson_at_zero(self):
-        assert pdf_or_pmf(Poisson(1.0), 0) == pytest.approx(math.exp(-1.0))
+        assert Poisson(1.0).pdf(0) == pytest.approx(math.exp(-1.0))
 
     def test_chi_squared_against_cdf_differentiation(self):
         from scipy.stats import chi2
         h = 1e-6
         oracle = (chi2.cdf(1.0 + h, 1) - chi2.cdf(1.0 - h, 1)) / (2 * h)
-        assert pdf_or_pmf(ChiSquared(1), 1.0) == pytest.approx(oracle, rel=1e-6)
+        assert ChiSquared(1).pdf(1.0) == pytest.approx(oracle, rel=1e-6)
 
     def test_chi_squared_equals_gamma(self):
         x = np.linspace(0.1, 8.0, 40)
@@ -104,11 +100,11 @@ class TestPdfOrPmf:
     def test_mixture_value(self):
         mix = Mixture(0.5, Poisson(2.0), Geometric(2.0))
         expected = 0.5 * math.exp(-2.0) + 0.5 * (1.0 / 3.0)
-        assert pdf_or_pmf(mix, 0) == pytest.approx(expected)
+        assert mix.pdf(0) == pytest.approx(expected)
 
     def test_off_support_zero(self):
-        assert pdf_or_pmf(Poisson(1.0), 2.5) == 0.0
-        assert pdf_or_pmf(Exponential(1.0), -0.5) == 0.0
+        assert Poisson(1.0).pdf(2.5) == 0.0
+        assert Exponential(1.0).pdf(-0.5) == 0.0
 
     @pytest.mark.parametrize("dist", [
         Exponential(1.0), Gamma(2.0, 1.5), ChiSquared(1), Uniform01(),
@@ -147,4 +143,4 @@ class TestValidation:
     def test_geometric_structure(self):
         g = Geometric(2.0)
         assert g.q == pytest.approx(2.0 / 3.0)
-        assert pdf_or_pmf(g, 0) == pytest.approx(1.0 / 3.0)
+        assert g.pdf(0) == pytest.approx(1.0 / 3.0)

@@ -10,21 +10,20 @@ from deconvtest.measures import (
 )
 from deconvtest.nullmodel import (
     EigenDiagnostics, NullCoefficients, NullSpec, NullSpecError,
-    compute_alphas, compute_coefficients, compute_sigma,
-    eigen_floor_diagnostics,
+    compute_coefficients, eigen_floor_diagnostics,
 )
 
 
 class TestDegenerateNull:
     def test_point_mass_alpha(self):
         null = NullSpec(y=PointMass(0.0), z=PointMass(0.0), ref=Exponential1Ref())
-        alphas = compute_alphas(null, 1, method="closed_form")
+        alphas = compute_coefficients(null, 1, method="closed_form").alphas
         # Q1(0) * m(0): the degree-1 orthonormal polynomial is 1 - x
         assert alphas[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_sigma_vanishes(self):
         null = NullSpec(y=PointMass(0.0), z=PointMass(0.0), ref=Exponential1Ref())
-        sigma = compute_sigma(null, 3, method="closed_form")
+        sigma = compute_coefficients(null, 3, method="closed_form").sigma
         np.testing.assert_allclose(sigma, 0.0, atol=1e-12)
 
 

@@ -7,7 +7,7 @@ from deconvtest.orthopoly import (
     HARD_DEGREE_CAP, BasisInconsistencyError, DegreeOverflowError,
     DomainError, PolynomialFamilySpec, addition_split_laguerre,
     addition_split_meixner, certify_orthonormality, eval_laguerre,
-    eval_laguerre_scaled, eval_meixner, eval_meixner_scaled,
+    eval_laguerre_scaled, eval_meixner_scaled,
     eval_shifted_legendre, laguerre_table, shifted_legendre_coefficients,
 )
 
@@ -79,18 +79,11 @@ class TestEvalShiftedLegendre:
 
 
 class TestEvalMeixner:
-    def test_degree_zero(self):
-        assert eval_meixner(0, 0.5, 4) == 1.0
-
-    def test_degree_one_seeded_form(self):
-        # seeded initial condition 1 - p - x/p at x = 0
-        assert eval_meixner(1, 0.5, 0) == pytest.approx(0.5)
-
     def test_bad_parameter(self):
         with pytest.raises(DomainError):
-            eval_meixner(1, 1.5, 0)
+            eval_meixner_scaled(1, 1.0, 1.5, 0)
         with pytest.raises(DomainError):
-            eval_meixner(1, 0.0, 0)
+            eval_meixner_scaled(1, 1.0, 0.0, 0)
 
     def test_certified_degree_two_matches_gram_schmidt(self, meixner_table):
         nodes, weights = geometric_nodes(0.5)
@@ -116,17 +109,10 @@ class TestCertification:
         np.testing.assert_allclose(legendre_table.norms ** 2, 1.0 / (2 * n + 1),
                                    rtol=1e-12)
 
-    def test_meixner_falls_back_to_standard(self, meixner_table):
-        assert meixner_table.definition == "standard"
-        assert any("seeded-recurrence" in note for note in meixner_table.notes)
-        # the seeded degree-1 polynomial is not orthogonal to constants
-        assert any("(0, 1)" in note for note in meixner_table.notes)
-
     def test_generalized_laguerre_certifies(self):
         table = certify_orthonormality(
             PolynomialFamilySpec("laguerre", 2.5, max_degree=8))
         assert table.gram_residual < 1e-8
-        assert table.definition == "recurrence"
 
     def test_half_shape_laguerre_certifies(self):
         # shape below 1 exercises the square-root substitution weight
@@ -147,10 +133,17 @@ class TestCertification:
         assert np.max(np.abs(gram - np.eye(9))) < 1e-8
 
     def test_failure_names_offending_pair(self, monkeypatch):
-        # force both Meixner definitions onto the non-orthogonal recurrence
+        # shifting the degree-1 polynomial by a constant breaks only its
+        # orthogonality to constants
         from deconvtest import orthopoly as op
-        monkeypatch.setattr(op, "meixner_scaled_table",
-                            lambda k, b, p, x: op._meixner_seeded_table(k, p, x))
+        original = op.meixner_scaled_table
+
+        def shifted(k, b, p, x):
+            table = original(k, b, p, x)
+            table[1] += 1.0
+            return table
+
+        monkeypatch.setattr(op, "meixner_scaled_table", shifted)
         with pytest.raises(BasisInconsistencyError) as err:
             certify_orthonormality(PolynomialFamilySpec("meixner", 0.5, 6))
         assert err.value.pair == (0, 1)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deconvtest.measures import RngStream
 from deconvtest.nullmodel import EigenDiagnostics, NullCoefficients
+from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
     DataDomainError, TestConfig, TestEngine, chi2_cdf, chi2_quantile,
     compute_bhat, critical_value, default_kmax, inv_sqrt_psd, run_test,
@@ -54,11 +57,23 @@ class TestComputeBhat:
         stderr = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean()) < 4 * stderr
 
-    def test_domain_violation_lists_indices(self, mod1_null, mod1_coeffs8):
+    def test_domain_violation_lists_indices(self, mod1_null, mod1_coeffs8,
+                                            mod2_null, mod2_coeffs8):
         data = np.array([0.5, -1.0, 2.0, -3.0])
         with pytest.raises(DataDomainError) as err:
             compute_bhat(data, mod1_null, mod1_coeffs8, 2)
         assert err.value.indices == [1, 3]
+        # non-finite observations are outside every reference support
+        for null, coeffs in ((mod1_null, mod1_coeffs8),
+                             (mod2_null, mod2_coeffs8)):
+            data = np.array([0.0, 1.0, 2.0, np.inf])
+            with pytest.raises(DataDomainError) as err:
+                compute_bhat(data, null, coeffs, 2)
+            assert err.value.indices == [3]
+        with pytest.raises(DataDomainError) as err:
+            run_test(np.array([0.5, 1.0, 2.0, np.inf]), mod1_null,
+                     TestConfig(calibration="asymptotic"))
+        assert err.value.indices == [3]
 
 
 class TestInvSqrtPsd:
@@ -183,6 +198,14 @@ class TestChi2:
         assert chi2_quantile(0.95, 1) == pytest.approx(3.8415, abs=1e-4)
         assert chi2_quantile(0.5, 1) == pytest.approx(0.4549, abs=1e-3)
 
+    def test_asymptotic_p_value_far_tail(self, mod1_null, mod1_coeffs8):
+        # 1 - cdf rounds to exactly 0 from T of about 75 on
+        engine = TestEngine(mod1_null, 100, TestConfig(calibration="asymptotic"),
+                            coeffs=mod1_coeffs8)
+        p = engine.p_value(80.0)
+        assert p > 0.0
+        assert p == pytest.approx(math.erfc(math.sqrt(40.0)), rel=1e-12)
+
 
 class TestCriticalValue:
     def test_asymptotic_level(self, mod1_null, mod1_coeffs8):
@@ -277,3 +300,42 @@ class TestScaleInvariance:
             seq_scaled = t_sequence(scale * bhat,
                                     sigma * np.outer(scale, scale))
             np.testing.assert_allclose(seq_scaled, seq, atol=1e-8)
+
+
+@pytest.fixture(scope="module")
+def batch_engines():
+    cfg = TestConfig(calibration="asymptotic")
+    return {(model, n): TestEngine(build_scenario(model).null, n, cfg)
+            for model in ("Mod1", "Mod2") for n in (20, 60)}
+
+
+class TestBatchMatchesFreePipeline:
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=st.sampled_from(["Mod1", "Alt1", "Alt3",
+                                     "Mod2", "Alt4", "Alt6"]),
+           n=st.sampled_from([20, 60]), reps=st.integers(2, 20),
+           seed=st.integers(0, 2 ** 63 - 1))
+    def test_rows_match(self, batch_engines, scenario, n, reps, seed):
+        spec = build_scenario(scenario)
+        engine = batch_engines["Mod1" if scenario in ("Mod1", "Alt1", "Alt3")
+                               else "Mod2", n]
+        samples = np.stack([spec.sample(RngStream(seed, r).generator(), n)
+                            for r in range(reps)])
+        t_seq, s_n, t_stat = engine.statistic_batch(samples)
+        k = engine.used_k_max
+        # batch and single rows reach |Sigma_k^-1/2 b|^2 through different
+        # BLAS kernels, whose rounding differs by up to about
+        # k**1.5 * eps * sqrt(cond_k) relative; 1e-12 where that is smaller
+        cond = engine.diagnostics.condition_numbers[:k]
+        orders = np.arange(1, k + 1)
+        rtol = np.maximum(1e-12, 4.0 * orders ** 1.5 * np.finfo(float).eps
+                          * np.sqrt(cond))
+        for r, row in enumerate(samples):
+            bhat = compute_bhat(row, engine.null, engine.coeffs, k)
+            seq = t_sequence(bhat, engine.coeffs.sigma[:k, :k],
+                             engine.config.eigen_condition_cap)
+            order = select_order(seq, n)
+            assert np.all(np.abs(t_seq[r] - seq) <= rtol * np.abs(seq))
+            assert s_n[r] == order
+            assert abs(t_stat[r] - seq[order - 1]) <= (
+                rtol[order - 1] * seq[order - 1])
