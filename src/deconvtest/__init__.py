@@ -17,8 +17,8 @@ from .nullmodel import (
 )
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
-    addition_split_meixner, certify_orthonormality, eval_laguerre,
-    eval_laguerre_scaled, eval_meixner_scaled, eval_shifted_legendre,
+    addition_split_meixner, certify_orthonormality, eval_laguerre_scaled,
+    eval_meixner_scaled,
 )
 from .simlab import (
     ScenarioSpec, SimReport, build_scenario, level_power_table,

@@ -3,8 +3,9 @@
 Sampling algorithms are fixed and documented so that a (master seed, stream
 index) pair reproduces draws bit-exactly:
 
-* streams are counter-based Philox generators keyed by the 128-bit pair
+* streams are counter-based Philox generators keyed by the pair
   ``(master_seed, stream_index)``; distinct keys give independent streams,
+  but a stream index of 2**63 or more is rounded to 53 bits in the key,
 * exponential draws use inverse-CDF on one uniform,
 * chi-squared with 1 degree of freedom is the square of a standard normal,
 * Poisson and geometric draws use inverse-CDF (table walk / closed form),
@@ -16,6 +17,7 @@ index) pair reproduces draws bit-exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import exp, inf, lgamma, log
 
 import numpy as np
@@ -207,13 +209,14 @@ class Poisson(Distribution):
                          - gammaln(k + 1.0))
         return out
 
+    @cached_property
     def _cdf_table(self) -> np.ndarray:
         hi = int(self.upper_quantile(_TAIL_MASS * 1e-3)) + 2
         return pdtr(np.arange(hi), self.mean_value)
 
     def draw(self, gen, size):
-        cdf = self._cdf_table()
-        return np.searchsorted(cdf, gen.random(size), side="left").astype(float)
+        return np.searchsorted(self._cdf_table, gen.random(size),
+                               side="left").astype(float)
 
     def mean(self):
         return self.mean_value

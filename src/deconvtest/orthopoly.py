@@ -112,13 +112,6 @@ def laguerre_table(max_degree: int, shape: float, x) -> np.ndarray:
     return out
 
 
-def eval_laguerre(degree: int, shape: float, x) -> float | np.ndarray:
-    """Generalized Laguerre polynomial value at x (recurrence scale)."""
-    _check_degree(degree)
-    vals = laguerre_table(degree, shape, x)[degree]
-    return float(vals) if vals.ndim == 0 else vals
-
-
 def laguerre_scaled_table(max_degree: int, shape: float, x) -> np.ndarray:
     """Laguerre values in the convolution scale ``n! * shape**-n * L_n``.
 
@@ -158,13 +151,6 @@ def shifted_legendre_table(max_degree: int, x) -> np.ndarray:
     for n in range(1, max_degree):
         out[n + 1] = ((2 * n + 1) * t * out[n] - n * out[n - 1]) / (n + 1)
     return out
-
-
-def eval_shifted_legendre(degree: int, x) -> float | np.ndarray:
-    """Shifted Legendre polynomial value at x in [0, 1]."""
-    _check_degree(degree)
-    vals = shifted_legendre_table(degree, x)[degree]
-    return float(vals) if vals.ndim == 0 else vals
 
 
 def shifted_legendre_coefficients(max_degree: int) -> list[np.ndarray]:
@@ -359,7 +345,8 @@ class BasisTable:
         """Orthonormal values Q(0..k) at x, shape ``(k + 1,) + x.shape``."""
         raw = self.eval_raw(x, max_degree)
         scale = self.norms[: raw.shape[0]]
-        return raw / scale.reshape((raw.shape[0],) + (1,) * (raw.ndim - 1))
+        raw /= scale.reshape((raw.shape[0],) + (1,) * (raw.ndim - 1))
+        return raw
 
     def normalized_monomial_coefficients(self) -> list[np.ndarray]:
         """Ascending monomial coefficients of each orthonormal polynomial."""

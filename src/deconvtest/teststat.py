@@ -30,6 +30,7 @@ from .nullmodel import (
 DEFAULT_MC_SEED = 202608
 _CALIBRATION_TAG = 0xCA1
 _TIE_REL_TOL = 1e-12
+_BLOCK_VALUES = 1 << 18  # basis values per block of rows in compute_bhat
 
 K_MIN, K_CLAMP_MAX = 3, 15
 
@@ -115,7 +116,10 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     ``data`` of shape (n,) or (reps, n) gives shape (k,) or (k, reps).  Each
     observation is centered by alpha_j before averaging, so the vector has
     mean zero under the null.  Data outside the reference support, non-finite
-    values included, raise ``DataDomainError`` with flat indices.
+    values included, raise ``DataDomainError`` with flat indices.  Rows are
+    evaluated in blocks of about ``_BLOCK_VALUES`` basis values, so memory
+    stays bounded for any number of rows; each row's arithmetic is the same
+    as for that row alone.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -126,10 +130,17 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     if not np.all(ok):
         raise DataDomainError(np.flatnonzero(~ok).tolist(),
                               "data outside the reference support")
-    q = null.basis.eval_normalized(data, k)
-    v = q[1:] * null.ref.density(data)
-    alphas = coeffs.alphas[:k].reshape((k,) + (1,) * (data.ndim - 1))
-    return np.sqrt(data.shape[-1]) * (v.mean(axis=-1) - alphas)
+    n = data.shape[-1]
+    rows = data.reshape(-1, n)
+    step = max(1, _BLOCK_VALUES // (n * (k + 1)))
+    means = np.empty((k, rows.shape[0]))
+    for lo in range(0, rows.shape[0], step):
+        blk = rows[lo:lo + step]
+        v = null.basis.eval_normalized(blk, k)[1:]
+        v *= null.ref.density(blk)
+        means[:, lo:lo + step] = v.mean(axis=-1)
+    bhat = np.sqrt(n) * (means - coeffs.alphas[:k, None])
+    return bhat.reshape((k,) + data.shape[:-1])
 
 
 def inv_sqrt_psd(sigma: np.ndarray, condition_cap: float = 1e12) -> np.ndarray:

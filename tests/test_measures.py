@@ -9,6 +9,10 @@ from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
 )
+from deconvtest.simlab import _replication_matrix, build_scenario
+from deconvtest.teststat import (
+    _CALIBRATION_TAG, DEFAULT_MC_SEED, TestConfig, TestEngine,
+)
 
 
 class TestDensityM:
@@ -80,6 +84,51 @@ class TestSampling:
 
     def test_count_zero(self):
         assert Exponential(1.0).draw(RngStream(5).generator(), 0).size == 0
+
+    def test_poisson_cdf_table_built_once(self):
+        p = Poisson(2.0)
+        assert p._cdf_table is p._cdf_table
+        assert p == Poisson(2.0) and hash(p) == hash(Poisson(2.0))
+
+
+class TestGoldenDraws:
+    """First draws of fixed streams, pinned so that sampler changes keep
+    the stream contract bit for bit (row r uses child stream r)."""
+
+    CALIBRATION = {
+        ("Mod1", 0): ["1.5928277954767593", "0.0010056761163651983",
+                      "1.0581251251196246", "7.380344061018079"],
+        ("Mod1", 1): ["7.035866772986562", "0.8676270873828942",
+                      "1.714237463122614", "0.8932487272594647"],
+        ("Mod1", 1999): ["2.075021320334133", "1.020513103074542",
+                         "0.8362914242174255", "2.472811160854941"],
+        ("Mod2", 0): ["3.0", "0.0", "1.0", "1.0"],
+        ("Mod2", 1): ["2.0", "2.0", "0.0", "0.0"],
+        ("Mod2", 1999): ["2.0", "1.0", "2.0", "0.0"],
+    }
+    ALT4 = {1: ["2.0", "3.0", "0.0", "1.0"],
+            200: ["4.0", "1.0", "2.0", "0.0"]}
+
+    @pytest.mark.parametrize("model", ["Mod1", "Mod2"])
+    def test_calibration_rows(self, model):
+        n = 50
+        engine = TestEngine(build_scenario(model).null, n,
+                            TestConfig(calibration="asymptotic"))
+        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, n)
+        samples = engine.sample_null_batch(2000, base)
+        for (name, r), want in self.CALIBRATION.items():
+            if name == model:
+                assert [repr(float(v)) for v in samples[r, :4]] == want
+
+    def test_pins_cover_high_stream_indices(self):
+        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, 50)
+        assert any(base.child(r).stream_index >= 2 ** 63
+                   for _, r in self.CALIBRATION)
+
+    def test_alt4_replication_rows(self):
+        data = _replication_matrix(build_scenario("Alt4"), 50, 201, 20260809)
+        for r, want in self.ALT4.items():
+            assert [repr(float(v)) for v in data[r, :4]] == want
 
 
 class TestPdfOrPmf:

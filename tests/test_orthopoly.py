@@ -6,9 +6,9 @@ import pytest
 from deconvtest.orthopoly import (
     HARD_DEGREE_CAP, BasisInconsistencyError, DegreeOverflowError,
     DomainError, PolynomialFamilySpec, addition_split_laguerre,
-    addition_split_meixner, certify_orthonormality, eval_laguerre,
-    eval_laguerre_scaled, eval_meixner_scaled,
-    eval_shifted_legendre, laguerre_table, shifted_legendre_coefficients,
+    addition_split_meixner, certify_orthonormality, eval_laguerre_scaled,
+    eval_meixner_scaled, laguerre_table, shifted_legendre_coefficients,
+    shifted_legendre_table,
 )
 
 from .oracles import (
@@ -19,51 +19,52 @@ from .oracles import (
 
 class TestEvalLaguerre:
     def test_degree_zero_is_one(self):
-        assert eval_laguerre(0, 1.0, 7.3) == 1.0
+        assert laguerre_table(0, 1.0, 7.3)[0] == 1.0
 
     def test_degree_one(self):
         # L1(x) = 1 - x at shape 1
-        assert eval_laguerre(1, 1.0, 2.0) == pytest.approx(-1.0)
+        assert laguerre_table(1, 1.0, 2.0)[1] == pytest.approx(-1.0)
 
     def test_degree_two_hand_unrolled(self):
         # recurrence gives L2(x) = (x^2 - 4x + 2) / 2 at shape 1
-        assert eval_laguerre(2, 1.0, 0.0) == pytest.approx(1.0)
+        assert laguerre_table(2, 1.0, 0.0)[2] == pytest.approx(1.0)
         x = 1.7
-        assert eval_laguerre(2, 1.0, x) == pytest.approx((x * x - 4 * x + 2) / 2)
+        assert laguerre_table(2, 1.0, x)[2] == pytest.approx(
+            (x * x - 4 * x + 2) / 2)
 
     def test_vectorized(self):
         x = np.array([0.0, 1.0, 2.0])
-        np.testing.assert_allclose(eval_laguerre(1, 1.0, x), 1.0 - x)
+        np.testing.assert_allclose(laguerre_table(1, 1.0, x)[1], 1.0 - x)
 
     def test_degree_above_cap(self):
         with pytest.raises(DegreeOverflowError):
-            eval_laguerre(HARD_DEGREE_CAP + 1, 1.0, 0.5)
+            laguerre_table(HARD_DEGREE_CAP + 1, 1.0, 0.5)
 
     def test_negative_degree(self):
         with pytest.raises(DomainError):
-            eval_laguerre(-1, 1.0, 0.5)
+            laguerre_table(-1, 1.0, 0.5)
 
     def test_bad_shape(self):
         with pytest.raises(DomainError):
-            eval_laguerre(2, 0.0, 0.5)
+            laguerre_table(2, 0.0, 0.5)
 
 
 class TestEvalShiftedLegendre:
     def test_root_of_degree_one(self):
-        assert eval_shifted_legendre(1, 0.5) == pytest.approx(0.0)
+        assert shifted_legendre_table(1, 0.5)[1] == pytest.approx(0.0)
 
     def test_value_one_at_right_edge(self):
-        assert eval_shifted_legendre(2, 1.0) == pytest.approx(1.0)
+        assert shifted_legendre_table(2, 1.0)[2] == pytest.approx(1.0)
 
     def test_value_at_left_edge(self):
         # degree-2 orthogonal polynomial on [0, 1] is 6x^2 - 6x + 1
-        assert eval_shifted_legendre(2, 0.0) == pytest.approx(1.0)
+        assert shifted_legendre_table(2, 0.0)[2] == pytest.approx(1.0)
 
     def test_degree_two_matches_gram_schmidt(self):
         nodes, weights = uniform01_nodes()
         oracle = gram_schmidt_polynomials(3, nodes, weights)
         idx = 1234
-        mine = eval_shifted_legendre(2, nodes[idx])
+        mine = shifted_legendre_table(2, nodes[idx])[2]
         # oracle rows are orthonormal; rescale by the known norm sqrt(5)
         assert mine == pytest.approx(oracle[2, idx] / np.sqrt(5.0), abs=1e-9)
 
@@ -73,9 +74,15 @@ class TestEvalShiftedLegendre:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            eval_shifted_legendre(2, 1.2)
+            shifted_legendre_table(2, 1.2)
         with pytest.raises(DomainError):
-            eval_shifted_legendre(2, -0.1)
+            shifted_legendre_table(2, -0.1)
+
+    def test_degree_above_cap(self):
+        with pytest.raises(DegreeOverflowError):
+            shifted_legendre_table(HARD_DEGREE_CAP + 1, 0.5)
+        with pytest.raises(DomainError):
+            shifted_legendre_table(-1, 0.5)
 
 
 class TestEvalMeixner:

@@ -1,6 +1,7 @@
 """Statistic assembly, order selection, calibration, and the full test."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from deconvtest.measures import RngStream
 from deconvtest.nullmodel import EigenDiagnostics, NullCoefficients
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
-    DataDomainError, TestConfig, TestEngine, chi2_cdf, chi2_quantile,
-    compute_bhat, critical_value, default_kmax, inv_sqrt_psd, run_test,
-    select_order, t_sequence,
+    _BLOCK_VALUES, DataDomainError, TestConfig, TestEngine, chi2_cdf,
+    chi2_quantile, compute_bhat, critical_value, default_kmax, inv_sqrt_psd,
+    run_test, select_order, t_sequence,
 )
 
 from .oracles import chi2_cdf_by_quadrature
@@ -74,6 +75,16 @@ class TestComputeBhat:
             run_test(np.array([0.5, 1.0, 2.0, np.inf]), mod1_null,
                      TestConfig(calibration="asymptotic"))
         assert err.value.indices == [3]
+        # a batch spanning several row blocks still reports flat indices,
+        # here one violation in the first block and one in the last
+        reps, n, k = 13, 4000, 8
+        assert _BLOCK_VALUES // (n * (k + 1)) < reps
+        data = np.ones((reps, n))
+        data[0, 5] = -1.0
+        data[reps - 1, 17] = -2.0
+        with pytest.raises(DataDomainError) as err:
+            compute_bhat(data, mod1_null, mod1_coeffs8, k)
+        assert err.value.indices == [5, (reps - 1) * n + 17]
 
 
 class TestInvSqrtPsd:
@@ -339,3 +350,41 @@ class TestBatchMatchesFreePipeline:
             assert s_n[r] == order
             assert abs(t_stat[r] - seq[order - 1]) <= (
                 rtol[order - 1] * seq[order - 1])
+
+
+@pytest.fixture(scope="module")
+def large_n_engines():
+    cfg = TestConfig(calibration="asymptotic")
+    return {model: TestEngine(build_scenario(model).null, 4000, cfg)
+            for model in ("Mod1", "Mod2")}
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("model", ["Mod1", "Mod2"])
+    def test_rows_match_across_block_boundaries(self, large_n_engines, model):
+        engine = large_n_engines[model]
+        n, k, reps = engine.n, engine.used_k_max, 13
+        step = _BLOCK_VALUES // (n * (k + 1))
+        # several full blocks and a partial last one
+        assert 1 < step < reps and reps % step != 0
+        spec = build_scenario(model)
+        batch = np.stack([spec.sample(RngStream(4242, r).generator(), n)
+                          for r in range(reps)])
+        got = compute_bhat(batch, engine.null, engine.coeffs, k)
+        assert got.shape == (k, reps)
+        for r in range(reps):
+            assert np.array_equal(
+                got[:, r], compute_bhat(batch[r], engine.null, engine.coeffs, k))
+
+    def test_memory_bounded_by_block(self):
+        spec = build_scenario("Mod1")
+        engine = TestEngine(spec.null, 2000, TestConfig(calibration="asymptotic"))
+        data = np.stack([spec.sample(RngStream(77, r).generator(), 2000)
+                         for r in range(400)])
+        tracemalloc.start()
+        try:
+            compute_bhat(data, engine.null, engine.coeffs, engine.used_k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * data.nbytes
