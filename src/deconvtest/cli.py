@@ -12,7 +12,8 @@ Subcommands
     document round-trips into ``test --coeffs-cache``.
 
 ``deconvtest simulate``
-    Run the level/power study and write a CSV table plus a JSON twin.
+    Run the level/power study and write a CSV table, to standard output or,
+    with ``--out``, to that file plus a JSON twin beside it.
 
 Configuration is a JSON document with optional ``null``, ``test``, and
 ``sim`` sections; unknown keys are rejected and the fully resolved
@@ -366,8 +367,6 @@ def cmd_simulate(args) -> int:
     rows = level_power_table(sim["scenarios"], sim["n"], int(sim["reps"]),
                              test, int(sim["master_seed"]))
 
-    out_csv = Path(args.out or "simulation.csv")
-    out_json = out_csv.with_suffix(".json")
     lines = [CSV_HEADER]
     json_rows = []
     timing = {}
@@ -386,7 +385,13 @@ def cmd_simulate(args) -> int:
         doc["seconds"] = round(seconds_cell, 3)
         doc.pop("config")
         json_rows.append(doc)
-    out_csv.write_text("\n".join(lines) + "\n")
+    csv_text = "\n".join(lines) + "\n"
+    if not args.out:
+        sys.stdout.write(csv_text)
+        return EXIT_OK
+    out_csv = Path(args.out)
+    out_json = out_csv.with_suffix(".json")
+    out_csv.write_text(csv_text)
     twin = {
         "schema": SIM_SCHEMA,
         "rows": json_rows,
@@ -457,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (QuadratureError, BasisInconsistencyError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,10 +1,13 @@
 """Expectation rules and joint samplers for the coefficient engines.
 
-``expectation_rule`` integrates against supports truncated at 1e-12
-probability mass per axis: composite Gauss-Legendre panels whose count
-doubles per refinement level, in the variable ``x = t**2`` for gamma-type
-axes with shape below 1 (which removes the density's singularity at the
-origin), and exact truncated sums, extended per level, on integer supports.
+``expectation_rule`` gives nodes and weights for ``E[f(X) exp(-rate X)]``,
+one Gauss rule per axis kind (Golub & Welsch 1969), doubling its node count
+per refinement level: the generalized Gauss-Laguerre rule of the tilted law
+``Gamma(a, scale / (1 + rate * scale))`` on gamma-type axes, so that the
+gamma density and the reference's exponential weight are both carried by
+the rule; Gauss-Legendre on the unit interval; and exact sums truncated at
+1e-12 probability mass, extended per level, on integer supports.  The same
+Laguerre and Legendre rules certify the bases in ``orthopoly``.
 ``independent_sampler`` is the joint sampler of an independent pair.
 """
 
@@ -12,11 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measures import ChiSquared, Distribution, Gamma, Mixture, PointMass
+from .measures import (
+    ChiSquared, Distribution, Exponential, Gamma, Mixture, PointMass, Uniform01,
+)
+from .orthopoly import _gamma_weight_rule, _uniform01_rule
 
 TAIL_MASS = 1e-12
-_BASE_PANELS = 8
-_PANEL_ORDER = 20
+_BASE_NODES = 40
 
 
 class QuadratureError(RuntimeError):
@@ -30,51 +35,51 @@ class QuadratureError(RuntimeError):
         super().__init__(msg + (f" ({detail})" if detail else ""))
 
 
-def _needs_sqrt_substitution(dist: Distribution) -> bool:
+def _gamma_parameters(dist: Distribution) -> tuple[float, float] | None:
+    """(shape, scale) of a gamma-type law, or None."""
     if isinstance(dist, Gamma):
-        return dist.shape < 1
+        return dist.shape, dist.scale
+    if isinstance(dist, Exponential):
+        return 1.0, dist.mean_value
     if isinstance(dist, ChiSquared):
-        return dist.df < 2
-    return False
+        return dist.df / 2.0, 2.0
+    return None
 
 
-def _panel_nodes(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + half[:, None] * xs[None, :]).ravel(),
-            (half[:, None] * ws[None, :]).ravel())
+def expectation_rule(dist: Distribution, level: int,
+                     rate: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with ``sum(w * f(x)) ~ E[f(X) exp(-rate X)]``.
 
-
-def expectation_rule(dist: Distribution, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights w with ``sum(w * f(x)) ~ E[f(X)]``.
-
-    Weights absorb the density/mass, so callers evaluate bare integrands.
-    ``level`` refines the rule: panel counts double (continuous) or the
-    summation range grows (discrete).
+    Weights absorb the density/mass and the exponential tilt, so callers
+    evaluate bare integrands.  ``level`` refines the rule: continuous axes
+    use ``40 * 2**level`` nodes, discrete axes a longer summation range.
     """
     if isinstance(dist, PointMass):
-        return np.array([float(dist.value)]), np.array([1.0])
+        return (np.array([float(dist.value)]),
+                np.array([np.exp(-rate * float(dist.value))]))
     if isinstance(dist, Mixture):
         # recurse so atoms and disjoint supports inside mixtures stay exact
-        xa, wa = expectation_rule(dist.a, level)
-        xb, wb = expectation_rule(dist.b, level)
+        xa, wa = expectation_rule(dist.a, level, rate)
+        xb, wb = expectation_rule(dist.b, level, rate)
         return (np.concatenate([xa, xb]),
                 np.concatenate([dist.weight * wa, (1 - dist.weight) * wb]))
     if dist.discrete:
         hi = int(dist.upper_quantile(TAIL_MASS))
         hi = hi + 8 + (hi // 2 + 8) * level
         x = np.arange(hi + 1, dtype=float)
-        return x, dist.pdf(x)
-    lo, _ = dist.support()
-    hi = dist.upper_quantile(TAIL_MASS)
-    panels = _BASE_PANELS * 2 ** level
-    if _needs_sqrt_substitution(dist):
-        t, wt = _panel_nodes(np.sqrt(max(lo, 0.0)), np.sqrt(hi), panels)
-        return t ** 2, wt * dist.pdf(t ** 2) * 2.0 * t
-    x, wx = _panel_nodes(lo, hi, panels)
-    return x, wx * dist.pdf(x)
+        w = dist.pdf(x)
+        return x, (w * np.exp(-rate * x) if rate else w)
+    n_nodes = _BASE_NODES * 2 ** level
+    gamma = _gamma_parameters(dist)
+    if gamma is not None:
+        shape, scale = gamma
+        t, w = _gamma_weight_rule(shape, n_nodes)
+        return (t * (scale / (1.0 + rate * scale)),
+                w * (1.0 + rate * scale) ** -shape)
+    if isinstance(dist, Uniform01):
+        x, w = _uniform01_rule(n_nodes)
+        return x, w * np.exp(-rate * x)
+    raise TypeError(f"no expectation rule for {type(dist).__name__}")
 
 
 def independent_sampler(dist_y: Distribution, dist_z: Distribution):

@@ -21,7 +21,7 @@ from functools import cached_property
 from math import exp, inf, lgamma, log
 
 import numpy as np
-from scipy.special import gammaincinv, pdtr
+from scipy.special import pdtr
 
 __all__ = [
     "Exponential", "Gamma", "ChiSquared", "Poisson", "Geometric",
@@ -82,7 +82,10 @@ class Distribution:
         raise NotImplementedError
 
     def upper_quantile(self, tail: float = _TAIL_MASS) -> float:
-        """Point with at most ``tail`` probability above it."""
+        """Point with at most ``tail`` probability above it.
+
+        Integer-supported laws only: the engines truncate their sums there.
+        """
         raise NotImplementedError
 
     def config(self) -> dict:
@@ -112,9 +115,6 @@ class Exponential(Distribution):
 
     def support(self):
         return (0.0, inf)
-
-    def upper_quantile(self, tail=_TAIL_MASS):
-        return -self.mean_value * log(tail)
 
     def config(self):
         return {"kind": "exponential", "mean": self.mean_value}
@@ -149,9 +149,6 @@ class Gamma(Distribution):
     def support(self):
         return (0.0, inf)
 
-    def upper_quantile(self, tail=_TAIL_MASS):
-        return self.scale * float(gammaincinv(self.shape, 1.0 - tail))
-
     def config(self):
         return {"kind": "gamma", "shape": self.shape, "scale": self.scale}
 
@@ -182,9 +179,6 @@ class ChiSquared(Distribution):
 
     def support(self):
         return (0.0, inf)
-
-    def upper_quantile(self, tail=_TAIL_MASS):
-        return self._gamma().upper_quantile(tail)
 
     def config(self):
         return {"kind": "chi_squared", "df": self.df}
@@ -294,9 +288,6 @@ class Uniform01(Distribution):
     def support(self):
         return (0.0, 1.0)
 
-    def upper_quantile(self, tail=_TAIL_MASS):
-        return 1.0
-
     def config(self):
         return {"kind": "uniform01"}
 
@@ -321,9 +312,6 @@ class PointMass(Distribution):
 
     def support(self):
         return (float(self.value), float(self.value))
-
-    def upper_quantile(self, tail=_TAIL_MASS):
-        return float(self.value)
 
     def config(self):
         return {"kind": "point_mass", "value": self.value}
@@ -365,9 +353,6 @@ class Mixture(Distribution):
         lo_b, hi_b = self.b.support()
         return (min(lo_a, lo_b), max(hi_a, hi_b))
 
-    def upper_quantile(self, tail=_TAIL_MASS):
-        return max(self.a.upper_quantile(tail), self.b.upper_quantile(tail))
-
     def config(self):
         return {"kind": "mixture", "weight": self.weight,
                 "a": self.a.config(), "b": self.b.config()}
@@ -378,10 +363,15 @@ class Mixture(Distribution):
 # ---------------------------------------------------------------------------
 
 class ReferenceMeasure:
-    """Probability measure whose density m() weights the polynomial basis."""
+    """Probability measure whose density m() weights the polynomial basis.
+
+    On its support every reference density is ``m(0) * exp(-rate * x)``;
+    the coefficient engines fold that exponential into their rules.
+    """
 
     kind = ""
     discrete = False
+    rate = 0.0
 
     def density(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -399,6 +389,7 @@ class ReferenceMeasure:
 @dataclass(frozen=True)
 class Exponential1Ref(ReferenceMeasure):
     kind = "exponential1"
+    rate = 1.0
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -443,6 +434,10 @@ class GeometricRef(ReferenceMeasure):
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError("geometric reference parameter must lie in (0, 1)")
+
+    @property
+    def rate(self) -> float:  # type: ignore[override]
+        return -log(self.p)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)

@@ -6,25 +6,30 @@ the test statistic whitens empirical coefficient estimates with
 
     sigma_ij = E[Q_i(X) Q_j(X) m(X)**2] - alpha_i * alpha_j.
 
-Three computation paths exist:
+Every reference density is ``m(0) * exp(-rate * x)`` on its support, so
+both deterministic paths integrate with ``engines.expectation_rule`` at the
+reference's rate: one Gauss rule per axis kind that already carries the
+exponential weight.  Three computation paths exist:
 
-* ``closed_form`` (independent components): the polynomial of the sum is
-  split by the convolution addition identities into products of
-  one-dimensional expectations over Y and Z separately (Laguerre and
-  Meixner), or into joint moments through monomial expansion (shifted
-  Legendre),
-* ``quadrature``: direct tensor integration of the bivariate integrand,
+* ``closed_form`` (independent components, Laguerre and Meixner): the
+  polynomial of the sum is split by the convolution addition identities
+  into products of one-dimensional expectations over Y and Z separately;
+  shifted Legendre has no such split, so a ``closed_form`` request there is
+  served by the tensor rule and recorded as ``quadrature``,
+* ``quadrature``: tensor integration of the bivariate integrand,
 * ``monte_carlo``: sample moments over a joint sampler; the only path
   available when Y and Z are dependent.
 
-All deterministic paths refine until successive estimates agree to an
-absolute tolerance, so coefficient sets are reproducible.
+Both deterministic paths refine, up to ``_MAX_LEVEL`` times, until
+successive estimates agree to an absolute tolerance, so coefficient sets
+are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf, sqrt
+from functools import partial
+from math import inf, sqrt
 from typing import Callable
 
 import numpy as np
@@ -33,8 +38,9 @@ from . import orthopoly
 from .engines import QuadratureError, expectation_rule, independent_sampler
 from .measures import Distribution, GeometricRef, ReferenceMeasure, RngStream
 from .orthopoly import (
-    BasisTable, PolynomialFamilySpec, certify_orthonormality,
-    laguerre_table, meixner_scaled_table,
+    BasisTable, PolynomialFamilySpec, addition_split_laguerre,
+    addition_split_meixner, certify_orthonormality, laguerre_table,
+    meixner_scaled_table,
 )
 
 CLOSED_FORM = "closed_form"
@@ -45,6 +51,9 @@ PSD_SLACK = 1e-10
 DEFAULT_COEFF_TOL = 1e-10
 DEFAULT_MC_DRAWS = 1_000_000
 DEFAULT_MC_STREAM = RngStream(861221509, 0)
+# Refinement levels of both deterministic paths; a gamma axis reaches
+# 40 * 2**3 = 320 Gauss-Laguerre nodes, below SciPy's NaN limit near 380.
+_MAX_LEVEL = 3
 
 _REF_FAMILY = {
     "exponential1": orthopoly.LAGUERRE,
@@ -195,162 +204,80 @@ class NullCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form assembly
+# Deterministic paths
 # ---------------------------------------------------------------------------
 
-def _split_pieces_laguerre(dist: Distribution, shape: float, k: int, level: int):
-    """One-dimensional expectations of split factors against exp weights.
+def _split_pieces(dist: Distribution, table, ref: ReferenceMeasure, level: int):
+    """One-dimensional expectations of one axis's split factors.
 
-    Returns (a1, a2): a1[s] = E[L(s, shape, X) e^-X] and
-    a2[s, t] = E[L(s, shape, X) L(t, shape, X) e^-2X], in the recurrence
-    scale, where the convolution split of the shape-1 family carries unit
-    weights.
+    With ``P = table(x)`` and the rule for ``E[f(X) exp(-rate X)]`` at the
+    reference's rate, a1[s] = sqrt(m(0)) E[P_s(X) e^(-rate X)] and
+    a2[s, t] = E[P_s(X) P_t(X) m(X) e^(-rate X)]; products of the pieces of
+    Y and Z then carry m(Y + Z) and m(Y + Z)**2.
     """
-    x, w = expectation_rule(dist, level)
-    table = laguerre_table(k, shape, x)
-    a1 = table @ (w * np.exp(-x))
-    a2 = np.einsum("sn,tn,n->st", table, table, w * np.exp(-2.0 * x))
+    x, w = expectation_rule(dist, level, ref.rate)
+    values = table(x)
+    a1 = sqrt(float(ref.density(0.0))) * (values @ w)
+    a2 = np.einsum("sn,tn,n->st", values, values, w * ref.density(x))
     return a1, a2
-
-
-def _split_pieces_meixner(dist: Distribution, b: float, p: float, k: int, level: int):
-    """Analogous split factors against geometric weights.
-
-    a1[s] = E[Ms(s, b, p, X) p**X sqrt(1-p)],
-    a2[s, t] = E[Ms(s, b, p, X) Ms(t, b, p, X) p**(2X) (1-p)].
-    """
-    x, w = expectation_rule(dist, level)
-    table = meixner_scaled_table(k, b, p, x)
-    a1 = table @ (w * p ** x * sqrt(1.0 - p))
-    a2 = np.einsum("sn,tn,n->st", table, table, w * p ** (2.0 * x) * (1.0 - p))
-    return a1, a2
-
-
-def _assemble_convolution(a1, a2, b1, b2, weights, norms, k):
-    """Combine split pieces into normalized alphas and sigma.
-
-    ``weights[i][s]`` multiplies the pairing of degree s (from Y) with
-    degree i - s (from Z); ``norms`` rescale the raw family to the
-    orthonormal one.
-    """
-    alphas = np.empty(k + 1)
-    m2 = np.empty((k + 1, k + 1))
-    for i in range(k + 1):
-        wi = weights[i]
-        alphas[i] = sum(wi[s] * a1[s] * b1[i - s] for s in range(i + 1))
-        for j in range(i + 1):
-            wj = weights[j]
-            acc = 0.0
-            for s in range(i + 1):
-                row = a2[s]
-                acc += wi[s] * sum(wj[t] * row[t] * b2[i - s, j - t]
-                                   for t in range(j + 1))
-            m2[i, j] = m2[j, i] = acc
-    alphas = alphas / norms[: k + 1]
-    m2 = m2 / np.outer(norms[: k + 1], norms[: k + 1])
-    sigma = m2 - np.outer(alphas, alphas)
-    return alphas, sigma
 
 
 def _closed_form_once(null: NullSpec, k: int, u: float, level: int):
-    fam = null.basis.family
-    if fam.kind == orthopoly.LAGUERRE:
-        v = fam.shape - u
-        if not (0 < u < fam.shape):
-            raise NullSpecError("split parameter u must lie in (0, shape)")
-        a1, a2 = _split_pieces_laguerre(null.y, u, k, level)
-        b1, b2 = _split_pieces_laguerre(null.z, v, k, level)
-        weights = [np.ones(i + 1) for i in range(k + 1)]
-        alphas, sigma = _assemble_convolution(a1, a2, b1, b2, weights,
-                                              null.basis.norms, k)
-        return alphas, sigma, 0.0
-    if fam.kind == orthopoly.MEIXNER:
-        p = fam.shape
-        v = 1.0 - u
-        if not 0 < u < 1:
-            raise NullSpecError("split parameter u must lie in (0, 1)")
-        a1, a2 = _split_pieces_meixner(null.y, u, p, k, level)
-        b1, b2 = _split_pieces_meixner(null.z, v, p, k, level)
-        weights = [np.array([comb(i, s) for s in range(i + 1)], dtype=float)
-                   for i in range(k + 1)]
-        alphas, sigma = _assemble_convolution(a1, a2, b1, b2, weights,
-                                              null.basis.norms, k)
-        return alphas, sigma, 0.0
-    return _legendre_closed_form_once(null, k, level)
+    """Laguerre and Meixner coefficients through the addition splits.
 
-
-def _legendre_closed_form_once(null: NullSpec, k: int, level: int):
-    """Moment route: expand Q_i into monomials and use E[Y^s] E[Z^t].
-
-    The monomial coefficients grow like a central binomial in the degree,
-    so the assembly cancels catastrophically at higher orders; the returned
-    noise floor tracks that roundoff scale and bounds the achievable
-    accuracy of this route.
+    ``split[i, s, r]`` is the weight of P_s(y) P_r(z) in P_i(y + z), with
+    the parameter of the family divided as u + v = 1 between Y and Z.
     """
-    coefs = null.basis.normalized_monomial_coefficients()[: k + 1]
-    y, wy = expectation_rule(null.y, level)
-    z, wz = expectation_rule(null.z, level)
-    powers = np.arange(2 * k + 1)
-    mu_y = (y[None, :] ** powers[:, None]) @ wy
-    mu_z = (z[None, :] ** powers[:, None]) @ wz
-    abs_mu_y = (np.abs(y)[None, :] ** powers[:, None]) @ np.abs(wy)
-    abs_mu_z = (np.abs(z)[None, :] ** powers[:, None]) @ np.abs(wz)
-    # G_i[s, t] = monomial coefficient of y^s z^t in Q_i(y + z)
-    G = []
+    fam = null.basis.family
+    if not 0 < u < 1:
+        raise NullSpecError("split parameter u must lie in (0, 1)")
+    v = 1.0 - u
+    if fam.kind == orthopoly.LAGUERRE:
+        table_y = partial(laguerre_table, k, u)
+        table_z = partial(laguerre_table, k, v)
+        terms = partial(addition_split_laguerre, u=u, v=v)
+    else:
+        p = fam.shape
+        table_y = partial(meixner_scaled_table, k, u, p)
+        table_z = partial(meixner_scaled_table, k, v, p)
+        terms = partial(addition_split_meixner, u=u, v=v, p=p)
+    split = np.zeros((k + 1,) * 3)
     for i in range(k + 1):
-        gi = np.zeros((i + 1, i + 1))
-        for m, c in enumerate(coefs[i]):
-            for s in range(m + 1):
-                gi[s, m - s] = c * comb(m, s)
-        G.append(gi)
-    alphas = np.array([mu_y[: i + 1] @ G[i] @ mu_z[: i + 1]
-                       for i in range(k + 1)])
-    hank_y = mu_y[np.add.outer(np.arange(k + 1), np.arange(k + 1))]
-    hank_z = mu_z[np.add.outer(np.arange(k + 1), np.arange(k + 1))]
-    abs_hank_y = abs_mu_y[np.add.outer(np.arange(k + 1), np.arange(k + 1))]
-    abs_hank_z = abs_mu_z[np.add.outer(np.arange(k + 1), np.arange(k + 1))]
-    sigma = np.empty((k + 1, k + 1))
-    magnitude = 0.0
-    for i in range(k + 1):
-        absgi = np.abs(G[i])
-        magnitude = max(magnitude, float(
-            abs_mu_y[: i + 1] @ absgi @ abs_mu_z[: i + 1]))
-        for j in range(i + 1):
-            inner = G[i].T @ hank_y[: i + 1, : j + 1] @ G[j]
-            sigma[i, j] = sigma[j, i] = float(
-                np.sum(inner * hank_z[: i + 1, : j + 1]))
-            rough = np.abs(G[i]).T @ abs_hank_y[: i + 1, : j + 1] @ np.abs(G[j])
-            magnitude = max(magnitude, float(
-                np.sum(rough * abs_hank_z[: i + 1, : j + 1])))
-    sigma -= np.outer(alphas, alphas)
-    return alphas, sigma, 64.0 * np.finfo(float).eps * magnitude
+        for s, w in terms(i):
+            split[i, s, i - s] = w
+    a1, a2 = _split_pieces(null.y, table_y, null.ref, level)
+    b1, b2 = _split_pieces(null.z, table_z, null.ref, level)
+    norms = null.basis.norms[: k + 1]
+    alphas = np.einsum("isr,s,r->i", split, a1, b1) / norms
+    m2 = np.einsum("isr,jtq,st,rq->ij", split, split, a2, b2, optimize=True)
+    return alphas, m2 / np.outer(norms, norms) - np.outer(alphas, alphas)
 
 
 def _quadrature_once(null: NullSpec, k: int, level: int):
-    y, wy = expectation_rule(null.y, level)
-    z, wz = expectation_rule(null.z, level)
+    """Tensor rule: alpha = m(0) sum(w q), m2 = m(0) sum(w q q m) at y + z."""
+    rate = null.ref.rate
+    y, wy = expectation_rule(null.y, level, rate)
+    z, wz = expectation_rule(null.z, level, rate)
     x = y[:, None] + z[None, :]
-    w = wy[:, None] * wz[None, :]
+    w = float(null.ref.density(0.0)) * wy[:, None] * wz[None, :]
     q = null.basis.eval_normalized(x, k)
-    m = null.ref.density(x)
-    alphas = np.tensordot(q * m, w, axes=([1, 2], [0, 1]))
-    m2 = np.einsum("iab,jab,ab->ij", q, q, w * m * m)
-    return alphas, m2 - np.outer(alphas, alphas), 0.0
+    alphas = np.tensordot(q, w, axes=([1, 2], [0, 1]))
+    m2 = np.einsum("iab,jab,ab->ij", q, q, w * null.ref.density(x))
+    return alphas, m2 - np.outer(alphas, alphas)
 
 
 def _deterministic_coefficients(null: NullSpec, k: int, method: str,
                                 u_split: float, tol: float):
     prev, delta = None, np.inf
-    max_level = 9 if method == CLOSED_FORM else 5
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         if method == CLOSED_FORM:
-            alphas, sigma, floor = _closed_form_once(null, k, u_split, level)
+            alphas, sigma = _closed_form_once(null, k, u_split, level)
         else:
-            alphas, sigma, floor = _quadrature_once(null, k, level)
+            alphas, sigma = _quadrature_once(null, k, level)
         if prev is not None:
             delta = max(np.max(np.abs(alphas - prev[0])),
                         np.max(np.abs(sigma - prev[1])))
-            if delta <= max(tol, floor):
+            if delta <= tol:
                 return alphas, sigma
         prev = (alphas, sigma)
     raise QuadratureError(float(alphas[1]) if k else 0.0, float(delta),
@@ -377,7 +304,8 @@ def compute_coefficients(null: NullSpec, k: int, method: str | None = None,
 
     ``method`` is one of ``closed_form``, ``quadrature``, ``monte_carlo``;
     by default the closed form is used for independent pairs and Monte
-    Carlo for dependent ones.
+    Carlo for dependent ones.  On the shifted-Legendre basis the closed
+    form is the tensor rule, and the result records ``quadrature``.
     """
     if k < 1:
         raise ValueError("order k must be at least 1")
@@ -391,6 +319,8 @@ def compute_coefficients(null: NullSpec, k: int, method: str | None = None,
     if not null.independent and method != MONTE_CARLO:
         raise NullSpecError(
             "dependent component pairs only support the monte_carlo method")
+    if method == CLOSED_FORM and null.basis.family.kind == orthopoly.SHIFTED_LEGENDRE:
+        method = QUADRATURE
     notes: tuple[str, ...] = ()
     if method == MONTE_CARLO:
         full_a, full_s = _monte_carlo_coefficients(null, k, mc_draws, mc_stream)

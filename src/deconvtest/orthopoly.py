@@ -7,12 +7,13 @@ measure used as the reference weight of the fit test:
 * shifted Legendre -- uniform weight on [0, 1],
 * Meixner ``M(n, p)`` -- geometric weight ``p**x * (1 - p)`` on {0, 1, ...}.
 
-Norms are always established numerically at table construction and the
-resulting orthonormal system is certified against its Gram matrix; printed
-closed-form norm constants are never trusted.  For each of the Laguerre and
-Meixner families there is a second, rescaled evaluation in which the
-polynomial of a sum ``y + z`` splits exactly into binomial-weighted products
-of lower-degree polynomials of ``y`` and ``z``; those splits are what make
+Norms are always established numerically at table construction, with the
+Gauss-Laguerre and Gauss-Legendre rules that the coefficient engines also
+use, and the resulting orthonormal system is certified against its Gram
+matrix; printed closed-form norm constants are never trusted.  For the
+Laguerre family (raw scale) and the Meixner family (convolution scale) the
+polynomial of a sum ``y + z`` splits exactly into weighted products of
+lower-degree polynomials of ``y`` and ``z``; those splits are what make
 closed-form convolution coefficients possible.
 """
 
@@ -112,26 +113,6 @@ def laguerre_table(max_degree: int, shape: float, x) -> np.ndarray:
     return out
 
 
-def laguerre_scaled_table(max_degree: int, shape: float, x) -> np.ndarray:
-    """Laguerre values in the convolution scale ``n! * shape**-n * L_n``.
-
-    This is the scale in which ``addition_split_laguerre`` weights apply.
-    """
-    out = laguerre_table(max_degree, shape, x)
-    fac = 1.0
-    for n in range(1, max_degree + 1):
-        fac *= n / shape
-        out[n] *= fac
-    return out
-
-
-def eval_laguerre_scaled(degree: int, shape: float, x) -> float | np.ndarray:
-    """Convolution-scale Laguerre value at x."""
-    _check_degree(degree)
-    vals = laguerre_scaled_table(degree, shape, x)[degree]
-    return float(vals) if vals.ndim == 0 else vals
-
-
 def shifted_legendre_table(max_degree: int, x) -> np.ndarray:
     """Shifted Legendre values P(0..max_degree) on [0, 1].
 
@@ -151,24 +132,6 @@ def shifted_legendre_table(max_degree: int, x) -> np.ndarray:
     for n in range(1, max_degree):
         out[n + 1] = ((2 * n + 1) * t * out[n] - n * out[n - 1]) / (n + 1)
     return out
-
-
-def shifted_legendre_coefficients(max_degree: int) -> list[np.ndarray]:
-    """Monomial coefficients (ascending powers) of each shifted Legendre P_n."""
-    _check_degree(max_degree)
-    coefs = [np.array([1.0])]
-    if max_degree >= 1:
-        coefs.append(np.array([-1.0, 2.0]))
-    for n in range(1, max_degree):
-        prev, cur = coefs[n - 1], coefs[n]
-        # multiply cur by (2x - 1), then combine per the recurrence
-        shifted = np.zeros(n + 2)
-        shifted[1:] = 2.0 * cur
-        shifted[:-1] -= cur
-        nxt = (2 * n + 1) * shifted
-        nxt[: n] -= n * prev
-        coefs.append(nxt / (n + 1))
-    return coefs
 
 
 def meixner_scaled_table(max_degree: int, b: float, p: float, x) -> np.ndarray:
@@ -207,21 +170,19 @@ def eval_meixner_scaled(degree: int, b: float, p: float, x) -> float | np.ndarra
 # ---------------------------------------------------------------------------
 
 def addition_split_laguerre(n: int, u: float, v: float) -> list[tuple[int, float]]:
-    """Split weights for a convolution-scale Laguerre polynomial of a sum.
+    """Split weights for a raw Laguerre polynomial of a sum.
 
-    Returns terms ``(s, w_s)`` such that, writing ``Ls(n, a, x)`` for
-    ``eval_laguerre_scaled``,
+    Returns terms ``(s, 1.0)`` such that, writing ``L(n, a, x)`` for
+    ``laguerre_table(n, a, x)[n]``,
 
-        Ls(n, u + v, y + z) = sum_s w_s * Ls(s, u, y) * Ls(n - s, v, z)
+        L(n, u + v, y + z) = sum_s L(s, u, y) * L(n - s, v, z)
 
-    with ``w_s = C(n, s) * u**s * v**(n-s) / (u + v)**n``.  The divisor is 1
-    in the default use ``u + v = 1``.
+    for any positive shapes u, v.
     """
     _check_degree(n)
     if not (u > 0 and v > 0):
         raise DomainError("split parameters u, v must be positive")
-    a = u + v
-    return [(s, comb(n, s) * u ** s * v ** (n - s) / a ** n) for s in range(n + 1)]
+    return [(s, 1.0) for s in range(n + 1)]
 
 
 def addition_split_meixner(n: int, u: float, v: float, p: float) -> list[tuple[int, float]]:
@@ -251,8 +212,9 @@ def _validate_splits(table: "BasisTable", n_max: int = 5) -> None:
         if spec.kind == LAGUERRE:
             y = rng.uniform(0.0, 8.0, 4)
             z = rng.uniform(0.0, 8.0, 4)
-            lhs = eval_laguerre_scaled(n, u + v, y + z)
-            rhs = sum(w * eval_laguerre_scaled(s, u, y) * eval_laguerre_scaled(n - s, v, z)
+            lhs = laguerre_table(n, u + v, y + z)[n]
+            ty, tz = laguerre_table(n, u, y), laguerre_table(n, v, z)
+            rhs = sum(w * ty[s] * tz[n - s]
                       for s, w in addition_split_laguerre(n, u, v))
         elif spec.kind == MEIXNER:
             y = rng.integers(0, 12, 4).astype(float)
@@ -347,15 +309,6 @@ class BasisTable:
         scale = self.norms[: raw.shape[0]]
         raw /= scale.reshape((raw.shape[0],) + (1,) * (raw.ndim - 1))
         return raw
-
-    def normalized_monomial_coefficients(self) -> list[np.ndarray]:
-        """Ascending monomial coefficients of each orthonormal polynomial."""
-        if self.family.kind != SHIFTED_LEGENDRE:
-            raise DomainError(
-                "monomial coefficients are only maintained for the "
-                "shifted Legendre family")
-        raw = shifted_legendre_coefficients(self.family.max_degree)
-        return [c / self.norms[n] for n, c in enumerate(raw)]
 
 
 def _gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

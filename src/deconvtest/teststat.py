@@ -116,10 +116,12 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     ``data`` of shape (n,) or (reps, n) gives shape (k,) or (k, reps).  Each
     observation is centered by alpha_j before averaging, so the vector has
     mean zero under the null.  Data outside the reference support, non-finite
-    values included, raise ``DataDomainError`` with flat indices.  Rows are
-    evaluated in blocks of about ``_BLOCK_VALUES`` basis values, so memory
-    stays bounded for any number of rows; each row's arithmetic is the same
-    as for that row alone.
+    values included, raise ``DataDomainError`` with flat indices.  Where the
+    density m(x) underflows to 0 the product Q_j(x) m(x) is 0, so the basis
+    is evaluated at 0 there instead of at an x where it may overflow.  Rows
+    are evaluated in blocks of about ``_BLOCK_VALUES`` basis values, so
+    memory stays bounded for any number of rows; each row's arithmetic is
+    the same as for that row alone.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -136,8 +138,11 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     means = np.empty((k, rows.shape[0]))
     for lo in range(0, rows.shape[0], step):
         blk = rows[lo:lo + step]
+        m = null.ref.density(blk)
+        if not m.all():
+            blk = np.where(m > 0, blk, 0.0)
         v = null.basis.eval_normalized(blk, k)[1:]
-        v *= null.ref.density(blk)
+        v *= m
         means[:, lo:lo + step] = v.mean(axis=-1)
     bhat = np.sqrt(n) * (means - coeffs.alphas[:k, None])
     return bhat.reshape((k,) + data.shape[:-1])
@@ -198,11 +203,14 @@ def select_order(t_seq: np.ndarray, n: int) -> int | np.ndarray:
 
     ``t_seq`` has shape (k,), giving an int, or (k, reps), giving one order
     per column.  Ties (and near-ties at floating-point resolution) resolve
-    to the smallest order.
+    to the smallest order.  A non-finite entry raises ``FloatingPointError``,
+    since it would otherwise select order 1.
     """
     t_seq = np.asarray(t_seq, dtype=float)
     if t_seq.size == 0:
         raise ValueError("t_sequence must be nonempty")
+    if not np.all(np.isfinite(t_seq)):
+        raise FloatingPointError("the T sequence holds non-finite values")
     if n < 2:
         raise ValueError("sample size must be at least 2")
     k = t_seq.shape[0]

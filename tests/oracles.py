@@ -35,6 +35,56 @@ def geometric_nodes(p: float, n_points: int = 2000):
     return x, (1.0 - p) * p ** x
 
 
+def _tilted_moments(law, c: float, r_max: int) -> np.ndarray:
+    """E[Y**r * exp(-c * Y)] for r = 0..r_max, in closed form.
+
+    ``law`` is plain data: ("gamma", a, theta) gives
+    Gamma(a + r) / Gamma(a) * theta**r * (1 + c * theta)**-(a + r);
+    ("point", v) gives v**r * exp(-c * v); ("mix", w, A, B) is the weighted
+    sum of its two components.
+    """
+    r = np.arange(r_max + 1)
+    if law[0] == "gamma":
+        _, a, theta = law
+        rising = np.concatenate(([1.0], np.cumprod(a + r[:-1])))
+        return rising * theta ** r * (1.0 + c * theta) ** -(a + r)
+    if law[0] == "point":
+        return float(law[1]) ** r * np.exp(-c * law[1])
+    _, w, first, second = law
+    return (w * _tilted_moments(first, c, r_max)
+            + (1.0 - w) * _tilted_moments(second, c, r_max))
+
+
+def gamma_tilted_coefficients(y, z, k: int):
+    """alpha_1..alpha_k and Sigma of Y + Z on the exponential reference.
+
+    No quadrature: the tilted moments E[X**m exp(-c X)] of X = Y + Z
+    (c = 1 for alpha, c = 2 for the second moments, since m(x) = exp(-x))
+    come from the closed forms of ``_tilted_moments`` and a binomial
+    convolution, and are combined with the monomial coefficients of the
+    Laguerre polynomials L_n(x) = sum_j C(n, j) (-x)**j / j!, which are
+    orthonormal under exp(-x).  The monomial route cancels as k grows, so
+    it is kept to k <= 6.
+    """
+    from math import comb, factorial
+
+    if not 1 <= k <= 6:
+        raise ValueError("the moment oracle covers 1 <= k <= 6")
+
+    def moments_of_sum(c):
+        my, mz = _tilted_moments(y, c, 2 * k), _tilted_moments(z, c, 2 * k)
+        return np.array([sum(comb(m, r) * my[r] * mz[m - r]
+                             for r in range(m + 1)) for m in range(2 * k + 1)])
+
+    coef = np.array([[comb(n, j) * (-1.0) ** j / factorial(j) if j <= n else 0.0
+                      for j in range(k + 1)] for n in range(k + 1)])
+    alphas = coef @ moments_of_sum(1.0)[: k + 1]
+    mu2 = moments_of_sum(2.0)
+    m2 = coef @ mu2[np.add.outer(np.arange(k + 1), np.arange(k + 1))] @ coef.T
+    sigma = m2 - np.outer(alphas, alphas)
+    return alphas[1:], sigma[1:, 1:]
+
+
 def gram_schmidt_polynomials(max_degree: int, nodes: np.ndarray,
                              weights: np.ndarray) -> np.ndarray:
     """Orthonormal polynomial values at the nodes via monomial Gram-Schmidt.

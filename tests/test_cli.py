@@ -157,6 +157,15 @@ class TestCmdSimulate:
         assert len(lines) == 2
         assert lines[1].startswith("Mod1,50,40,")
 
+    def test_csv_to_stdout_without_out(self, tmp_path, monkeypatch, capsys):
+        cfg = self._config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["simulate", "--config", cfg]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 2 and lines[1].startswith("Mod1,50,40,")
+
     def test_json_twin_matches(self, tmp_path):
         cfg = self._config(tmp_path)
         out = tmp_path / "sim.csv"
@@ -213,18 +222,26 @@ class TestCmdSimulate:
 
 
 class TestNumericalFailure:
-    def test_nonintegrable_axis_exits_4(self, tmp_path, capsys):
-        # a gamma signal with tiny shape defeats the square-root
-        # substitution, so the coefficient quadrature reports failure
-        from deconvtest.cli import EXIT_NUMERIC
+    @staticmethod
+    def _run(tmp_path, test_section):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "null": {"y": {"kind": "gamma", "shape": 0.18, "scale": 1.0},
                      "z": {"kind": "exponential", "mean": 1.0}},
-            "test": {"calibration": "asymptotic"}}))
+            "test": test_section}))
         f = tmp_path / "d.txt"
         f.write_text("\n".join(str(v) for v in np.linspace(0.1, 5, 60)))
-        assert run_cli(["test", f, "--config", cfg]) == EXIT_NUMERIC
+        return run_cli(["test", f, "--config", cfg])
+
+    def test_small_gamma_shape_converges(self, tmp_path):
+        # the Gauss-Laguerre rule of the axis carries x**(shape - 1)
+        assert self._run(tmp_path, {"calibration": "asymptotic"}) == EXIT_OK
+
+    def test_unreachable_tolerance_exits_4(self, tmp_path, capsys):
+        from deconvtest.cli import EXIT_NUMERIC
+        code = self._run(tmp_path, {"calibration": "asymptotic",
+                                    "coeff_tol": 1e-30})
+        assert code == EXIT_NUMERIC
         assert "quadrature" in capsys.readouterr().err
 
 

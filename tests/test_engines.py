@@ -75,9 +75,9 @@ class TestExpect1d:
         assert expect_1d(Exponential(1.0), lambda x: x) == pytest.approx(1.0)
 
     def test_chi_squared_second_moment(self):
-        # var 2 + mean^2 1, and the shape-1/2 axis runs through the
-        # square-root substitution; a growing integrand weights the 1e-12
-        # truncated tail by ~x_max^2, so expect ~1e-8 absolute accuracy
+        # var 2 + mean^2 1; the generalized Gauss-Laguerre rule of the
+        # shape-1/2 axis carries the x**-0.5 density factor, so it
+        # integrates this polynomial exactly up to rounding
         assert expect_1d(ChiSquared(1), lambda x: x * x) == pytest.approx(3.0, abs=1e-8)
 
     def test_point_mass(self):

@@ -1,17 +1,24 @@
 """Null coefficient computation and covariance diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deconvtest.engines import independent_sampler
 from deconvtest.measures import (
-    ChiSquared, Exponential, Exponential1Ref, Geometric, GeometricRef,
+    ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
 )
 from deconvtest.nullmodel import (
     EigenDiagnostics, NullCoefficients, NullSpec, NullSpecError,
     compute_coefficients, eigen_floor_diagnostics,
 )
+from deconvtest.teststat import TestConfig, default_kmax, run_test
+
+from .oracles import gamma_tilted_coefficients
 
 
 class TestDegenerateNull:
@@ -69,10 +76,103 @@ class TestLegendreNull:
         null = NullSpec(y=Mixture(0.5, PointMass(0.2), PointMass(0.6)),
                         z=Mixture(0.3, PointMass(0.1), PointMass(0.3)),
                         ref=Uniform01Ref())
-        closed = compute_coefficients(null, 6, method="closed_form")
-        quad = compute_coefficients(null, 6, method="quadrature")
-        np.testing.assert_allclose(closed.alphas, quad.alphas, atol=1e-8)
-        np.testing.assert_allclose(closed.sigma, quad.sigma, atol=1e-8)
+        # finite-sum oracle over the four atoms of X, with the orthonormal
+        # shifted Legendre values sqrt(2n + 1) P_n(2x - 1) and m = 1
+        x = np.add.outer([0.2, 0.6], [0.1, 0.3]).ravel()
+        prob = np.outer([0.5, 0.5], [0.3, 0.7]).ravel()
+        q = (np.polynomial.legendre.legvander(2.0 * x - 1.0, 6)
+             * np.sqrt(2.0 * np.arange(7) + 1.0)).T[1:]
+        alphas = q @ prob
+        sigma = (q * prob) @ q.T - np.outer(alphas, alphas)
+        for method in ("closed_form", "quadrature"):
+            coeffs = compute_coefficients(null, 6, method=method)
+            assert coeffs.method == "quadrature"
+            np.testing.assert_allclose(coeffs.alphas, alphas, atol=1e-12)
+            np.testing.assert_allclose(coeffs.sigma, sigma, atol=1e-12)
+
+
+# Laws as (oracle data, distribution) pairs: gamma-type axes with shapes
+# below 1 and non-integer, point masses, and two-component mixtures (whose
+# atoms are off the integers, as a mixture may not mix in a discrete law).
+_SCALES = st.floats(0.2, 8.0)
+_GAMMA_TYPE = st.one_of(
+    st.builds(lambda a, t: (("gamma", a, t), Gamma(a, t)),
+              st.floats(0.15, 4.0), _SCALES),
+    st.builds(lambda m: (("gamma", 1.0, m), Exponential(m)), _SCALES),
+    st.builds(lambda d: (("gamma", d / 2.0, 2.0), ChiSquared(d)),
+              st.integers(1, 6).map(float)),
+)
+_POINTS = st.floats(0.0, 3.0).map(lambda v: (("point", v), PointMass(v)))
+_GAMMA_LEAVES = st.one_of(
+    _GAMMA_TYPE, _POINTS.filter(lambda law: not law[1].discrete))
+_GAMMA_LAWS = st.one_of(_GAMMA_TYPE, _POINTS, st.builds(
+    lambda w, a, b: (("mix", w, a[0], b[0]), Mixture(w, a[1], b[1])),
+    st.floats(0.1, 0.9), _GAMMA_LEAVES, _GAMMA_LEAVES))
+_COUNT_LEAVES = st.one_of(
+    st.floats(0.2, 4.0).map(Poisson), st.floats(0.2, 3.0).map(Geometric),
+    st.integers(0, 3).map(lambda v: PointMass(float(v))))
+_COUNT_LAWS = st.one_of(_COUNT_LEAVES, st.builds(
+    Mixture, st.floats(0.1, 0.9), _COUNT_LEAVES, _COUNT_LEAVES))
+_NULLS = st.one_of(
+    st.builds(lambda y, z: NullSpec(y[1], z[1], Exponential1Ref()),
+              _GAMMA_LAWS, _GAMMA_LAWS),
+    st.builds(lambda y, z, p: NullSpec(y, z, GeometricRef(p)),
+              _COUNT_LAWS, _COUNT_LAWS, st.sampled_from([0.3, 0.5, 0.7])))
+
+# The null families that failed before the rules carried the reference
+# weight, with the sample size that sets their order (default_kmax).
+KNOWN_DEFECTS = [
+    (Uniform01(), PointMass(0.0), Uniform01Ref(), 300),
+    (Uniform01(), PointMass(0.0), Uniform01Ref(), 1000),
+    (Mixture(0.3, Exponential(0.5), Exponential(2.0)), ChiSquared(3.0),
+     Exponential1Ref(), 100),
+    (Gamma(0.7, 0.8), PointMass(0.5), Exponential1Ref(), 100),
+]
+
+
+class TestGaussRules:
+    @settings(deadline=None, max_examples=40)
+    @given(y=_GAMMA_LAWS, z=_GAMMA_LAWS, k=st.integers(1, 6))
+    def test_matches_tilted_moment_oracle(self, y, z, k):
+        alphas, sigma = gamma_tilted_coefficients(y[0], z[0], k)
+        null = NullSpec(y=y[1], z=z[1], ref=Exponential1Ref())
+        for method in ("closed_form", "quadrature"):
+            coeffs = compute_coefficients(null, k, method=method)
+            np.testing.assert_allclose(coeffs.alphas, alphas, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(coeffs.sigma, sigma, rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(null=_NULLS, k=st.integers(1, 15))
+    def test_closed_form_agrees_with_quadrature(self, null, k):
+        closed = compute_coefficients(null, k, method="closed_form")
+        quad = compute_coefficients(null, k, method="quadrature")
+        np.testing.assert_allclose(closed.alphas, quad.alphas, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(closed.sigma, quad.sigma, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("y, z, ref, n", KNOWN_DEFECTS,
+                             ids=["unif-k12", "unif-k14", "expmix+chi3", "gamma0.7+point"])
+    def test_known_defect_nulls_pass(self, y, z, ref, n):
+        null = NullSpec(y=y, z=z, ref=ref)
+        k = default_kmax(n)
+        coeffs = compute_coefficients(null, k)
+        if isinstance(ref, Uniform01Ref):
+            # X is uniform itself: alpha = 0 and sigma = I
+            np.testing.assert_allclose(coeffs.alphas, 0.0, atol=1e-12)
+            np.testing.assert_allclose(coeffs.sigma, np.eye(k), atol=1e-12)
+        x = null.sample_x(RngStream(7, n).generator(), n)
+        res = run_test(x, null, TestConfig(calibration="asymptotic"), coeffs)
+        assert 0.0 < res.p_value <= 1.0
+
+    def test_quadrature_memory_bounded(self):
+        y, z, ref, _ = KNOWN_DEFECTS[2]
+        tracemalloc.start()
+        try:
+            compute_coefficients(NullSpec(y=y, z=z, ref=ref), 10,
+                                 method="quadrature")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestStructure:

@@ -6,9 +6,8 @@ import pytest
 from deconvtest.orthopoly import (
     HARD_DEGREE_CAP, BasisInconsistencyError, DegreeOverflowError,
     DomainError, PolynomialFamilySpec, addition_split_laguerre,
-    addition_split_meixner, certify_orthonormality, eval_laguerre_scaled,
-    eval_meixner_scaled, laguerre_table, shifted_legendre_coefficients,
-    shifted_legendre_table,
+    addition_split_meixner, certify_orthonormality, eval_meixner_scaled,
+    laguerre_table, shifted_legendre_table,
 )
 
 from .oracles import (
@@ -67,10 +66,6 @@ class TestEvalShiftedLegendre:
         mine = shifted_legendre_table(2, nodes[idx])[2]
         # oracle rows are orthonormal; rescale by the known norm sqrt(5)
         assert mine == pytest.approx(oracle[2, idx] / np.sqrt(5.0), abs=1e-9)
-
-    def test_coefficients_degree_two(self):
-        np.testing.assert_allclose(shifted_legendre_coefficients(2)[2],
-                                   [1.0, -6.0, 6.0], atol=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -169,28 +164,29 @@ class TestAdditionSplitLaguerre:
         assert addition_split_laguerre(0, 0.5, 0.5) == [(0, 1.0)]
 
     def test_degree_one_half_half(self):
+        # L(1, 1, y + z) = 1 - y - z = (0.5 - y) + (0.5 - z)
         terms = addition_split_laguerre(1, 0.5, 0.5)
         assert [s for s, _ in terms] == [0, 1]
-        np.testing.assert_allclose([w for _, w in terms], [0.5, 0.5])
+        np.testing.assert_allclose([w for _, w in terms], [1.0, 1.0])
 
     def test_identity_degree_three(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             y, z = rng.uniform(0.0, 10.0, 2)
-            lhs = eval_laguerre_scaled(3, 1.0, y + z)
-            rhs = sum(w * eval_laguerre_scaled(s, 0.5, y)
-                      * eval_laguerre_scaled(3 - s, 0.5, z)
+            lhs = laguerre_table(3, 1.0, y + z)[3]
+            ty, tz = laguerre_table(3, 0.5, y), laguerre_table(3, 0.5, z)
+            rhs = sum(w * ty[s] * tz[3 - s]
                       for s, w in addition_split_laguerre(3, 0.5, 0.5))
             assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
 
     def test_identity_general_shape(self):
-        # u + v = 2, so the weights carry the (u + v)**-n normalization
+        # unit weights hold for any shapes, here u + v = 2
         rng = np.random.default_rng(4)
         for n in range(7):
             y, z = rng.uniform(0.0, 6.0, 2)
-            lhs = eval_laguerre_scaled(n, 2.0, y + z)
-            rhs = sum(w * eval_laguerre_scaled(s, 0.7, y)
-                      * eval_laguerre_scaled(n - s, 1.3, z)
+            lhs = laguerre_table(n, 2.0, y + z)[n]
+            ty, tz = laguerre_table(n, 0.7, y), laguerre_table(n, 1.3, z)
+            rhs = sum(w * ty[s] * tz[n - s]
                       for s, w in addition_split_laguerre(n, 0.7, 1.3))
             assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
 

@@ -87,6 +87,22 @@ class TestComputeBhat:
         assert err.value.indices == [5, (reps - 1) * n + 17]
 
 
+    @pytest.mark.parametrize("model, far", [("Mod1", 800.0), ("Mod2", 1e6)])
+    def test_far_observation_gives_finite_sequence(self, model, far):
+        # m(x) underflows to 0 at `far` already; beyond it the basis
+        # overflowed and 0 * inf turned T_k into nan, which selected order 1
+        null = build_scenario(model).null
+        engine = TestEngine(null, 100, TestConfig(calibration="asymptotic",
+                                                  k_max=10))
+        data = null.sample_x(RngStream(5, 1).generator(), 100)
+        data[3] = far
+        want = engine.run(data).t_sequence
+        assert np.all(np.isfinite(want))
+        for big in (1e40, 1e300):
+            data[3] = big
+            np.testing.assert_array_equal(engine.run(data).t_sequence, want)
+
+
 class TestInvSqrtPsd:
     def test_identity(self):
         np.testing.assert_allclose(inv_sqrt_psd(np.eye(3)), np.eye(3))
@@ -165,6 +181,13 @@ class TestSelectOrder:
     def test_small_n(self):
         with pytest.raises(ValueError):
             select_order(np.array([1.0]), 1)
+
+    def test_non_finite_sequence_raises(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(FloatingPointError):
+                select_order(np.array([1.0, bad, 3.0]), 100)
+            with pytest.raises(FloatingPointError):
+                select_order(np.array([[1.0, 2.0], [bad, 3.0]]), 100)
 
 
 class TestDefaultKmax:
