@@ -38,7 +38,9 @@ from .measures import (
     GeometricRef, Mixture, PointMass, Poisson, ReferenceMeasure, Uniform01,
     Uniform01Ref,
 )
-from .nullmodel import NullCoefficients, NullSpec, compute_coefficients
+from .nullmodel import (
+    NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
+)
 from .orthopoly import BasisInconsistencyError
 from .simlab import SCENARIO_NAMES, level_power_table
 from .teststat import DataDomainError, TestConfig, TestEngine
@@ -287,7 +289,7 @@ def cmd_test(args) -> int:
         "coefficients": {
             "k": engine.coeffs.k,
             "method": engine.coeffs.method,
-            "lambda_trace": engine.coeffs.lambda_trace.tolist(),
+            "lambda_trace": engine.diagnostics.lambda_mins.tolist(),
             "notes": list(engine.coeffs.notes),
             "cache": args.coeffs_cache,
         },
@@ -327,11 +329,14 @@ def cmd_coeffs(args) -> int:
         raise ConfigError("--kmax must be at least 1")
     coeffs = compute_coefficients(null, k, method=test.coeff_method,
                                   u_split=test.u_split, tol=test.coeff_tol)
+    lam = eigen_floor_diagnostics(coeffs, test.eigen_condition_cap).lambda_mins
     _emit({
         "schema": COEFFS_SCHEMA,
         "config_hash": config_hash(null.config()),
         "null": null.config(),
         **coeffs.to_dict(),
+        "min_eigen": float(lam[-1]),
+        "lambda_trace": lam.tolist(),
         "basis": {"gram_residual": null.basis.gram_residual},
     }, args.out)
     return EXIT_OK
@@ -345,23 +350,17 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     test_doc = _apply_test_overrides(args, cfg.get("test", {}))
     test = build_test_config(test_doc)
-    sim = build_sim_section(cfg.get("sim", {}))
+    sim_doc = dict(cfg.get("sim", {}))
     if args.scenarios:
-        names = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-        for name in names:
-            if name not in SCENARIO_NAMES:
-                raise ConfigError(f"unknown scenario {name!r} in --scenarios")
-        sim["scenarios"] = names
+        sim_doc["scenarios"] = [s.strip() for s in args.scenarios.split(",")
+                                if s.strip()]
     if args.reps is not None:
-        if args.reps < 1:
-            raise ConfigError("--reps must be at least 1")
-        sim["reps"] = args.reps
+        sim_doc["reps"] = args.reps
     if args.seed is not None:
-        sim["master_seed"] = args.seed
+        sim_doc["master_seed"] = args.seed
     if args.n:
-        sim["n"] = [int(v) for v in args.n.split(",")]
-        if any(v < 2 for v in sim["n"]):
-            raise ConfigError("--n entries must be >= 2")
+        sim_doc["n"] = [int(v) for v in args.n.split(",")]
+    sim = build_sim_section(sim_doc)
 
     started = time.perf_counter()
     rows = level_power_table(sim["scenarios"], sim["n"], int(sim["reps"]),

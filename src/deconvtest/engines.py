@@ -20,7 +20,6 @@ from .measures import (
 )
 from .orthopoly import _gamma_weight_rule, _uniform01_rule
 
-TAIL_MASS = 1e-12
 _BASE_NODES = 40
 
 
@@ -64,7 +63,7 @@ def expectation_rule(dist: Distribution, level: int,
         return (np.concatenate([xa, xb]),
                 np.concatenate([dist.weight * wa, (1 - dist.weight) * wb]))
     if dist.discrete:
-        hi = int(dist.upper_quantile(TAIL_MASS))
+        hi = int(dist.upper_quantile())
         hi = hi + 8 + (hi // 2 + 8) * level
         x = np.arange(hi + 1, dtype=float)
         w = dist.pdf(x)

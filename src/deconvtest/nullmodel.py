@@ -27,7 +27,7 @@ are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from math import inf, sqrt
 from typing import Callable
@@ -147,8 +147,6 @@ class NullCoefficients:
     alphas: np.ndarray
     sigma: np.ndarray
     method: str
-    min_eigen: float = 0.0
-    lambda_trace: np.ndarray = field(default_factory=lambda: np.array([]))
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -159,28 +157,15 @@ class NullCoefficients:
         asym = float(np.max(np.abs(self.sigma - self.sigma.T))) if self.k else 0.0
         if asym > 1e-12:
             raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
-        if self.lambda_trace.size == 0:
-            self.lambda_trace = np.array(
-                [np.linalg.eigvalsh(self.sigma[:j, :j])[0]
-                 for j in range(1, self.k + 1)])
-        self.min_eigen = float(self.lambda_trace[-1]) if self.k else 0.0
-        if self.min_eigen < -PSD_SLACK:
-            raise ValueError(
-                f"sigma has eigenvalue {self.min_eigen:.3e} below the "
+        min_eigen = float(np.linalg.eigvalsh(self.sigma)[0]) if self.k else 0.0
+        if min_eigen < -PSD_SLACK:
+            raise np.linalg.LinAlgError(
+                f"sigma has eigenvalue {min_eigen:.3e} below the "
                 f"-{PSD_SLACK:.0e} positive-semidefiniteness slack")
-        if self.min_eigen < 0 and "psd-clip" not in " ".join(self.notes):
+        if min_eigen < 0 and "psd-clip" not in " ".join(self.notes):
             self.notes = self.notes + (
-                f"psd-clip: eigenvalue {self.min_eigen:.3e} in "
+                f"psd-clip: eigenvalue {min_eigen:.3e} in "
                 f"(-{PSD_SLACK:.0e}, 0) treated as zero",)
-
-    def truncated(self, k: int) -> "NullCoefficients":
-        """Exact nested sub-object of order k."""
-        if not 1 <= k <= self.k:
-            raise ValueError(f"truncation order {k} outside [1, {self.k}]")
-        return NullCoefficients(
-            k=k, alphas=self.alphas[:k].copy(), sigma=self.sigma[:k, :k].copy(),
-            method=self.method, lambda_trace=self.lambda_trace[:k].copy(),
-            notes=self.notes)
 
     def to_dict(self) -> dict:
         return {
@@ -188,8 +173,6 @@ class NullCoefficients:
             "alphas": self.alphas.tolist(),
             "sigma": self.sigma.tolist(),
             "method": self.method,
-            "min_eigen": self.min_eigen,
-            "lambda_trace": self.lambda_trace.tolist(),
             "notes": list(self.notes),
         }
 
@@ -199,7 +182,6 @@ class NullCoefficients:
                    alphas=np.asarray(doc["alphas"], dtype=float),
                    sigma=np.asarray(doc["sigma"], dtype=float),
                    method=str(doc["method"]),
-                   lambda_trace=np.asarray(doc["lambda_trace"], dtype=float),
                    notes=tuple(doc.get("notes", ())))
 
 
@@ -364,44 +346,64 @@ def _alpha_growth_note(alphas: np.ndarray) -> str | None:
 
 @dataclass(frozen=True)
 class EigenDiagnostics:
-    """Spectral health of the nested covariance blocks."""
+    """Spectral health and whitening roots of the nested covariance blocks.
+
+    Entry j - 1 of each field describes the leading block sigma[:j, :j];
+    ``roots[j - 1]`` is its ``inv_sqrt_psd``.  ``usable_k_max`` is the
+    longest run of blocks whose root keeps every eigenvalue (full rank).
+    """
 
     lambda_mins: np.ndarray
     lambda_maxs: np.ndarray
     condition_numbers: np.ndarray
     usable_k_max: int
     condition_cap: float
+    roots: tuple[np.ndarray, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_mins": self.lambda_mins.tolist(),
-            "lambda_maxs": self.lambda_maxs.tolist(),
-            "condition_numbers": self.condition_numbers.tolist(),
-            "usable_k_max": self.usable_k_max,
-            "condition_cap": self.condition_cap,
-        }
+
+def _eigen_root(sigma: np.ndarray, condition_cap: float):
+    """``inv_sqrt_psd`` unchecked: ascending eigenvalues, kept mask, root."""
+    w, vec = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    keep = w > max(w[-1] / condition_cap, 0.0)
+    if not np.any(keep):
+        raise np.linalg.LinAlgError(
+            "all eigenvalues fall below the condition floor")
+    vk = vec[:, keep]
+    return w, keep, (vk / np.sqrt(w[keep])) @ vk.T
+
+
+def inv_sqrt_psd(sigma: np.ndarray, condition_cap: float = 1e12) -> np.ndarray:
+    """Symmetric pseudo-inverse square root of a PSD matrix.
+
+    Eigenvalues at or below ``max_eigenvalue / condition_cap`` are projected
+    out rather than amplified; keeping none raises ``LinAlgError``.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ValueError("sigma must be a square matrix")
+    asym = float(np.max(np.abs(sigma - sigma.T)))
+    if asym > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
+        raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
+    return _eigen_root(sigma, condition_cap)[2]
 
 
 def eigen_floor_diagnostics(coeffs: NullCoefficients,
                             condition_cap: float = 1e12) -> EigenDiagnostics:
-    """Per-order smallest eigenvalues, condition numbers, and the usable cap.
+    """One symmetric eigendecomposition per leading block of ``coeffs.sigma``.
 
-    The usable cap is the largest order whose nested covariance block stays
-    below the condition cap; orders beyond it would whiten against noise.
+    It gives each order's extreme eigenvalues, condition number and
+    whitening root, and the usable cap: beyond it a root would drop a
+    direction of the covariance.  Raises ``LinAlgError`` if sigma_11 <= 0.
     """
-    lam_min = np.empty(coeffs.k)
-    lam_max = np.empty(coeffs.k)
-    for j in range(1, coeffs.k + 1):
-        eig = np.linalg.eigvalsh(coeffs.sigma[:j, :j])
-        lam_min[j - 1], lam_max[j - 1] = eig[0], eig[-1]
+    parts = [_eigen_root(coeffs.sigma[:j, :j], condition_cap)
+             for j in range(1, coeffs.k + 1)]
+    lam_min = np.array([w[0] for w, _, _ in parts])
+    lam_max = np.array([w[-1] for w, _, _ in parts])
+    full_rank = [keep.all() for _, keep, _ in parts] + [False]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(lam_min > 0, lam_max / np.maximum(lam_min, 1e-300), inf)
-    usable = 0
-    for j in range(coeffs.k):
-        if cond[j] <= condition_cap:
-            usable = j + 1
-        else:
-            break
     return EigenDiagnostics(lambda_mins=lam_min, lambda_maxs=lam_max,
-                            condition_numbers=cond, usable_k_max=usable,
-                            condition_cap=condition_cap)
+                            condition_numbers=cond,
+                            usable_k_max=full_rank.index(False),
+                            condition_cap=condition_cap,
+                            roots=tuple(root for _, _, root in parts))

@@ -23,8 +23,8 @@ from scipy.special import gammainc, gammaincc, gammaincinv
 
 from .measures import RngStream
 from .nullmodel import (
-    EigenDiagnostics, NullCoefficients, NullSpec, compute_coefficients,
-    eigen_floor_diagnostics,
+    NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
+    inv_sqrt_psd,
 )
 
 DEFAULT_MC_SEED = 202608
@@ -74,6 +74,9 @@ class TestConfig:
             raise ValueError("Monte Carlo calibration needs at least 100 reps")
         if not 0 < self.u_split < 1:
             raise ValueError("u_split must lie in (0, 1)")
+        if not self.eigen_condition_cap > 1:
+            # a cap of 1 or less keeps no eigenvalue of any covariance block
+            raise ValueError("eigen_condition_cap must exceed 1")
 
     def to_dict(self) -> dict:
         return {
@@ -148,41 +151,15 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     return bhat.reshape((k,) + data.shape[:-1])
 
 
-def inv_sqrt_psd(sigma: np.ndarray, condition_cap: float = 1e12) -> np.ndarray:
-    """Symmetric pseudo-inverse square root of a PSD matrix.
-
-    Eigenvalues below ``max_eigenvalue / condition_cap`` are excluded from
-    inversion, so near-singular directions are projected out rather than
-    amplified.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("sigma must be a square matrix")
-    asym = float(np.max(np.abs(sigma - sigma.T)))
-    if asym > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
-        raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
-    w, vec = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    floor = w[-1] / condition_cap
-    keep = w > max(floor, 0.0)
-    if not np.any(keep):
-        raise ValueError("all eigenvalues fall below the condition floor")
-    vk = vec[:, keep]
-    return (vk / np.sqrt(w[keep])) @ vk.T
-
-
-def _prefix_roots(sigma: np.ndarray, condition_cap: float) -> list[np.ndarray]:
-    """``inv_sqrt_psd`` of each leading block sigma[:k, :k], k = 1..K."""
-    return [inv_sqrt_psd(sigma[:k, :k], condition_cap)
-            for k in range(1, sigma.shape[0] + 1)]
-
-
 def t_sequence(bhat: np.ndarray, sigma: np.ndarray,
                condition_cap: float = 1e12,
                roots: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Whitened squared norms T_1..T_k over nested prefixes.
 
-    Shaped like ``bhat``, (k,) or (k, reps); ``roots`` may pass precomputed
-    ``_prefix_roots(sigma, condition_cap)``.
+    Shaped like ``bhat``, (k,) or (k, reps).  ``roots[j - 1]`` whitens the
+    prefix of order j; by default it is ``inv_sqrt_psd(sigma[:j, :j],
+    condition_cap)``, and ``EigenDiagnostics.roots`` holds the same roots
+    precomputed.
     """
     bhat = np.asarray(bhat, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -190,7 +167,8 @@ def t_sequence(bhat: np.ndarray, sigma: np.ndarray,
     if sigma.shape != (k, k):
         raise ValueError("bhat and sigma dimensions disagree")
     if roots is None:
-        roots = _prefix_roots(sigma, condition_cap)
+        roots = [inv_sqrt_psd(sigma[:j, :j], condition_cap)
+                 for j in range(1, k + 1)]
     out = np.empty(bhat.shape)
     for j in range(1, k + 1):
         u = roots[j - 1] @ bhat[:j]
@@ -222,14 +200,11 @@ def select_order(t_seq: np.ndarray, n: int) -> int | np.ndarray:
     return int(s_n) if t_seq.ndim == 1 else s_n
 
 
-def default_kmax(n: int, diagnostics: EigenDiagnostics | None = None) -> int:
-    """Order budget: clamp(ceil(2 ln n), 3, 15), capped by the usable order."""
+def default_kmax(n: int) -> int:
+    """Order budget clamp(ceil(2 ln n), 3, 15), before the usable-order cap."""
     if n < 2:
         raise ValueError("sample size must be at least 2")
-    k = min(max(math.ceil(2.0 * math.log(n)), K_MIN), K_CLAMP_MAX)
-    if diagnostics is not None:
-        k = min(k, diagnostics.usable_k_max)
-    return k
+    return min(max(math.ceil(2.0 * math.log(n)), K_MIN), K_CLAMP_MAX)
 
 
 def _mc_threshold(values: np.ndarray, alpha: float) -> float:
@@ -279,12 +254,10 @@ class TestEngine:
         self.diagnostics = eigen_floor_diagnostics(
             coeffs, config.eigen_condition_cap)
         if config.k_max == "auto":
-            self.used_k_max = max(1, min(policy_k, self.diagnostics.usable_k_max))
+            self.used_k_max = min(policy_k, self.diagnostics.usable_k_max)
         else:
             self.used_k_max = policy_k
-        self._roots = _prefix_roots(
-            coeffs.sigma[:self.used_k_max, :self.used_k_max],
-            config.eigen_condition_cap)
+        self._roots = self.diagnostics.roots[:self.used_k_max]
         self._critical = None
         self._calibration_values = None
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from deconvtest.cli import (
-    CSV_HEADER, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_distribution,
-    config_hash, main, read_data_file,
+    CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+    build_distribution, config_hash, main, read_data_file,
 )
 
 FIXTURE = Path(__file__).parent / "data" / "mod1_h0_n500.txt"
@@ -97,6 +97,14 @@ class TestCmdTest:
         cfg.write_text(json.dumps({"null": {"why": 1}}))
         assert run_cli(["test", FIXTURE, "--config", cfg]) == EXIT_USAGE
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", [-1, 0, 1])
+    def test_condition_cap_must_exceed_one(self, tmp_path, capsys, cap):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"test": {"eigen_condition_cap": cap}}))
+        assert run_cli(["test", FIXTURE, "--config", cfg,
+                        "--calibration", "asymptotic"]) == EXIT_USAGE
+        assert "eigen_condition_cap" in capsys.readouterr().err
 
 
 class TestCmdCoeffs:
@@ -198,6 +206,13 @@ class TestCmdSimulate:
         assert run_cli(["simulate", "--config", cfg, "--scenarios", "Alt9",
                         "--out", tmp_path / "x.csv"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--n", "1")])
+    def test_out_of_range_flag_rejected(self, tmp_path, capsys, flag, value):
+        cfg = self._config(tmp_path)
+        assert run_cli(["simulate", "--config", cfg, flag, value,
+                        "--out", tmp_path / "x.csv"]) == EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
+
     def test_single_scenario_keeps_default_sizes(self, tmp_path):
         # no sim.n in the config: the default grid is {50, 100, 500}
         cfg = tmp_path / "cfg.json"
@@ -238,11 +253,24 @@ class TestNumericalFailure:
         assert self._run(tmp_path, {"calibration": "asymptotic"}) == EXIT_OK
 
     def test_unreachable_tolerance_exits_4(self, tmp_path, capsys):
-        from deconvtest.cli import EXIT_NUMERIC
         code = self._run(tmp_path, {"calibration": "asymptotic",
                                     "coeff_tol": 1e-30})
         assert code == EXIT_NUMERIC
         assert "quadrature" in capsys.readouterr().err
+
+    def test_degenerate_covariance_exits_4(self, tmp_path, capsys):
+        # X = 1 + 2 is constant under this null, so Sigma = 0 and no
+        # order can be whitened
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "null": {"y": {"kind": "point_mass", "value": 1},
+                     "z": {"kind": "point_mass", "value": 2}}}))
+        f = tmp_path / "d.txt"
+        f.write_text("3\n" * 20)
+        code = run_cli(["test", f, "--config", cfg, "--calibration",
+                        "asymptotic"])
+        assert code == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestConfigHelpers:

@@ -176,11 +176,6 @@ class TestGaussRules:
 
 
 class TestStructure:
-    def test_nesting_is_exact(self, mod1_coeffs8):
-        sub = mod1_coeffs8.truncated(5)
-        np.testing.assert_array_equal(sub.alphas, mod1_coeffs8.alphas[:5])
-        np.testing.assert_array_equal(sub.sigma, mod1_coeffs8.sigma[:5, :5])
-
     def test_orders_built_separately_agree(self, mod1_null, mod1_coeffs8):
         small = compute_coefficients(mod1_null, 5, method="closed_form")
         np.testing.assert_allclose(small.alphas, mod1_coeffs8.alphas[:5],
@@ -194,11 +189,6 @@ class TestStructure:
         assert all(b > a for a, b in zip(traces, traces[1:]))
         assert traces[-1] < 2.0
 
-    def test_lambda_min_nonincreasing(self, mod1_null):
-        coeffs = compute_coefficients(mod1_null, 10, method="closed_form")
-        lam = coeffs.lambda_trace
-        assert np.all(np.diff(lam) <= 1e-15)
-
     def test_sigma_symmetry_validated(self):
         with pytest.raises(ValueError, match="symmetric"):
             NullCoefficients(k=2, alphas=np.zeros(2),
@@ -207,7 +197,7 @@ class TestStructure:
 
     def test_psd_violation_rejected(self):
         bad = np.diag([1.0, -1e-6])
-        with pytest.raises(ValueError, match="semidefiniteness"):
+        with pytest.raises(np.linalg.LinAlgError, match="semidefiniteness"):
             NullCoefficients(k=2, alphas=np.zeros(2), sigma=bad,
                              method="closed_form")
 
@@ -245,6 +235,32 @@ class TestEigenDiagnostics:
         coeffs = compute_coefficients(mod1_null, 13, method="closed_form")
         diag = eigen_floor_diagnostics(coeffs)
         assert diag.usable_k_max == 10
+
+    def test_block_at_the_cap_is_not_usable(self):
+        # its root drops the 1e-12 direction, so T_2 would equal T_1
+        diag = eigen_floor_diagnostics(
+            self._coeffs_with_sigma(np.diag([1.0, 1e-12])), 1e12)
+        assert diag.usable_k_max == 1
+        assert diag.roots[1][1, 1] == 0.0
+
+    @pytest.mark.parametrize("model", ["mod1", "mod2"])
+    def test_usable_roots_have_full_rank(self, model, request):
+        coeffs = compute_coefficients(request.getfixturevalue(f"{model}_null"), 15)
+        diag = eigen_floor_diagnostics(coeffs)
+        assert diag.usable_k_max < 15
+        ranks = []
+        for root in diag.roots[:diag.usable_k_max + 1]:
+            # kept singular values of a root are at least its largest over
+            # sqrt(cap); the dropped ones are rounding, about eps times it
+            top = np.linalg.norm(root, 2)
+            ranks.append(np.linalg.matrix_rank(root, tol=top / diag.condition_cap))
+        usable = diag.usable_k_max
+        assert ranks[:usable] == list(range(1, usable + 1))
+        assert ranks[usable] < usable + 1
+
+    def test_no_usable_order_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="floor"):
+            eigen_floor_diagnostics(self._coeffs_with_sigma(np.zeros((2, 2))))
 
 
 class TestValidation:

@@ -117,7 +117,8 @@ class TestCertification:
         assert table.gram_residual < 1e-8
 
     def test_half_shape_laguerre_certifies(self):
-        # shape below 1 exercises the square-root substitution weight
+        # shape below 1: the Gauss rule's weight x**(shape - 1) carries
+        # the singularity at 0
         table = certify_orthonormality(
             PolynomialFamilySpec("laguerre", 0.5, max_degree=8))
         assert table.gram_residual < 1e-8

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deconvtest.measures import RngStream
-from deconvtest.nullmodel import EigenDiagnostics, NullCoefficients
+from deconvtest.nullmodel import NullCoefficients
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
     _BLOCK_VALUES, DataDomainError, TestConfig, TestEngine, chi2_cdf,
@@ -203,12 +203,6 @@ class TestDefaultKmax:
     def test_large_n_clamped(self):
         assert default_kmax(10 ** 6) == 15
 
-    def test_diagnostics_cap_dominates(self):
-        diag = EigenDiagnostics(lambda_mins=np.ones(5), lambda_maxs=np.ones(5),
-                                condition_numbers=np.ones(5), usable_k_max=5,
-                                condition_cap=1e12)
-        assert default_kmax(500, diag) == 5
-
 
 class TestChi2:
     def test_zero(self):
@@ -343,18 +337,29 @@ def batch_engines():
             for model in ("Mod1", "Mod2") for n in (20, 60)}
 
 
+_MOD1_FAMILY = ("Mod1", "Alt1", "Alt3")
+# rows drawn from a null or an alternative of Mod1 or Mod2
+_ROWS = {"scenario": st.sampled_from(["Mod1", "Alt1", "Alt3",
+                                      "Mod2", "Alt4", "Alt6"]),
+         "n": st.sampled_from([20, 60]), "reps": st.integers(2, 20),
+         "seed": st.integers(0, 2 ** 63 - 1)}
+_EPS = np.finfo(float).eps
+
+
+def _draw_rows(scenario, n, reps, seed):
+    """The engine key of the scenario's null and a (reps, n) batch of rows."""
+    spec = build_scenario(scenario)
+    samples = np.stack([spec.sample(RngStream(seed, r).generator(), n)
+                        for r in range(reps)])
+    return ("Mod1" if scenario in _MOD1_FAMILY else "Mod2", n), samples
+
+
 class TestBatchMatchesFreePipeline:
     @settings(max_examples=40, deadline=None)
-    @given(scenario=st.sampled_from(["Mod1", "Alt1", "Alt3",
-                                     "Mod2", "Alt4", "Alt6"]),
-           n=st.sampled_from([20, 60]), reps=st.integers(2, 20),
-           seed=st.integers(0, 2 ** 63 - 1))
+    @given(**_ROWS)
     def test_rows_match(self, batch_engines, scenario, n, reps, seed):
-        spec = build_scenario(scenario)
-        engine = batch_engines["Mod1" if scenario in ("Mod1", "Alt1", "Alt3")
-                               else "Mod2", n]
-        samples = np.stack([spec.sample(RngStream(seed, r).generator(), n)
-                            for r in range(reps)])
+        key, samples = _draw_rows(scenario, n, reps, seed)
+        engine = batch_engines[key]
         t_seq, s_n, t_stat = engine.statistic_batch(samples)
         k = engine.used_k_max
         # batch and single rows reach |Sigma_k^-1/2 b|^2 through different
@@ -362,8 +367,7 @@ class TestBatchMatchesFreePipeline:
         # k**1.5 * eps * sqrt(cond_k) relative; 1e-12 where that is smaller
         cond = engine.diagnostics.condition_numbers[:k]
         orders = np.arange(1, k + 1)
-        rtol = np.maximum(1e-12, 4.0 * orders ** 1.5 * np.finfo(float).eps
-                          * np.sqrt(cond))
+        rtol = np.maximum(1e-12, 4.0 * orders ** 1.5 * _EPS * np.sqrt(cond))
         for r, row in enumerate(samples):
             bhat = compute_bhat(row, engine.null, engine.coeffs, k)
             seq = t_sequence(bhat, engine.coeffs.sigma[:k, :k],
@@ -373,6 +377,92 @@ class TestBatchMatchesFreePipeline:
             assert s_n[r] == order
             assert abs(t_stat[r] - seq[order - 1]) <= (
                 rtol[order - 1] * seq[order - 1])
+
+
+@pytest.fixture(scope="module")
+def mc_engines(batch_engines):
+    cfg = TestConfig(mc_reps=100, mc_seed=17)
+    return {key: TestEngine(e.null, e.n, cfg, coeffs=e.coeffs)
+            for key, e in batch_engines.items()}
+
+
+class TestStatisticProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(**_ROWS)
+    def test_sequence_nondecreasing(self, batch_engines, scenario, n, reps,
+                                    seed):
+        # Exact T_j never decreases over full-rank prefixes.  Each root is
+        # the exact root of Sigma_j + E, |E| <= j * eps * |Sigma_j| (backward
+        # stable eigh), which moves T_j by at most j * eps * cond_j * T_j;
+        # the factor 4 covers the eigenvectors' loss of orthogonality and
+        # the matrix products, each of order j * eps * sqrt(cond_j) * T_j.
+        key, samples = _draw_rows(scenario, n, reps, seed)
+        engine = batch_engines[key]
+        t_seq = engine.statistic_batch(samples)[0]
+        k = engine.used_k_max
+        assert k <= engine.diagnostics.usable_k_max
+        cond = engine.diagnostics.condition_numbers[:k]
+        tol = 4.0 * np.arange(1, k + 1) * _EPS * cond * t_seq
+        assert np.all(np.diff(t_seq, axis=1) >= -(tol[:, 1:] + tol[:, :-1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_ROWS)
+    def test_permutation_moves_t_within_rounding(self, batch_engines, scenario,
+                                                 n, reps, seed):
+        key, samples = _draw_rows(scenario, n, reps, seed)
+        engine = batch_engines[key]
+        shuffled = np.random.default_rng(seed).permuted(samples, axis=1)
+        k = engine.used_k_max
+        t_a = engine.statistic_batch(samples)[0]
+        t_b = engine.statistic_batch(shuffled)[0]
+        null, orders = engine.null, np.arange(1, k + 1)
+        lam_min = engine.diagnostics.lambda_mins[:k]
+        for r, row in enumerate(samples):
+            v = null.basis.eval_normalized(row, k)[1:] * null.ref.density(row)
+            b = compute_bhat(row, null, engine.coeffs, k)
+            # A mean of n terms, summed in any order, is within
+            # (n + 1) * eps * mean|v_j| of the exact one, and bhat_j adds
+            # two roundings of its own; so the two orders' bhat differ by
+            # at most db_j.  |Sigma_j^-1/2| = lam_min_j**-0.5, and each
+            # side's matrix-vector product errs by j * eps * sqrt(j) * that
+            # times |b|, which bounds the change of sqrt(T_j) by d_j; then
+            # |dT_j| <= d_j * (2 * sqrt(max T_j) + d_j), plus each side's
+            # rounding of the squared norm, j * eps * T_j.
+            db = (2.0 * (n + 1) * _EPS * np.sqrt(n) * np.abs(v).mean(axis=1)
+                  + 4.0 * _EPS * np.abs(b))
+            db_norm = np.sqrt(np.cumsum(db ** 2))
+            b_norm = np.sqrt(np.cumsum(b ** 2))
+            d = (db_norm + 2.0 * orders ** 1.5 * _EPS * b_norm) / np.sqrt(lam_min)
+            top = np.maximum(t_a[r], t_b[r])
+            bound = d * (2.0 * np.sqrt(top) + d) + 2.0 * orders * _EPS * top
+            assert np.all(np.abs(t_a[r] - t_b[r]) <= bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_ROWS, far=st.one_of(st.sampled_from([1e40, 1e300]),
+                                  st.floats(0.0, 1e300)))
+    def test_finite_in_support_sample_gives_finite_t(self, batch_engines,
+                                                     scenario, n, reps, seed,
+                                                     far):
+        key, samples = _draw_rows(scenario, n, reps, seed)
+        engine = batch_engines[key]
+        # the geometric reference is supported on the integers
+        samples[:, 3] = far if scenario in _MOD1_FAMILY else math.floor(far)
+        t_seq, _, t_stat = engine.statistic_batch(samples)
+        assert np.all(np.isfinite(t_seq)) and np.all(np.isfinite(t_stat))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_ROWS)
+    def test_p_values(self, batch_engines, mc_engines, scenario, n, reps,
+                      seed):
+        key, samples = _draw_rows(scenario, n, reps, seed)
+        engine = batch_engines[key]
+        for t in engine.statistic_batch(samples)[2]:
+            assert 0.0 < mc_engines[key].p_value(t) <= 1.0
+            # the chi-squared(1) tail is erfc(sqrt(T/2)); SciPy's gammaincc
+            # returns 0 once the tail leaves the normal doubles (T > ~1416)
+            assert engine.p_value(t) == pytest.approx(
+                math.erfc(math.sqrt(t / 2.0)), rel=1e-12,
+                abs=np.finfo(float).tiny)
 
 
 @pytest.fixture(scope="module")
