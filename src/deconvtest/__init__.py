@@ -17,7 +17,7 @@ from .nullmodel import (
 )
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
-    addition_split_meixner, certify_orthonormality, eval_meixner_scaled,
+    addition_split_meixner, certify_orthonormality,
 )
 from .simlab import (
     ScenarioSpec, SimReport, build_scenario, level_power_table,

@@ -17,8 +17,11 @@ Subcommands
 
 Configuration is a JSON document with optional ``null``, ``test``, and
 ``sim`` sections; unknown keys are rejected and the fully resolved
-configuration is echoed into every output.  Exit codes: 0 success, 2 usage
-or configuration error, 3 data error, 4 numerical failure.
+configuration is echoed into every output.  The keys of a law or reference
+document are ``kind`` plus the fields of its class in ``measures``, and
+those of the ``test`` section are the fields of ``TestConfig``.  Exit
+codes: 0 success, 2 usage or configuration error, 3 data error, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -28,16 +31,13 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from .engines import QuadratureError
-from .measures import (
-    ChiSquared, Distribution, Exponential, Exponential1Ref, Gamma, Geometric,
-    GeometricRef, Mixture, PointMass, Poisson, ReferenceMeasure, Uniform01,
-    Uniform01Ref,
-)
+from .measures import LAWS, REFERENCES, Distribution, ReferenceMeasure
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
 )
@@ -69,49 +69,42 @@ class DataFileError(ValueError):
 # Configuration documents
 # ---------------------------------------------------------------------------
 
-_DIST_KEYS = {
-    "exponential": {"mean"},
-    "gamma": {"shape", "scale"},
-    "chi_squared": {"df"},
-    "poisson": {"mean"},
-    "geometric": {"mean"},
-    "uniform01": set(),
-    "point_mass": {"value"},
-    "mixture": {"weight", "a", "b"},
-}
-
-
 def _check_keys(section: dict, allowed: set, where: str):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _document_keys(cls) -> set:
+    return {f.name for f in fields(cls)} | {"kind"}
+
+
+def _construct(cls, doc: dict, where: str):
+    """``cls`` from a document keyed by its fields; absent ones default.
+
+    A field annotated as a law (the string ``"Distribution"``, since
+    ``measures`` postpones annotations) is read as a nested document,
+    every other value through ``float()``.  A missing field without a
+    default raises ``KeyError``.
+    """
+    args = {}
+    for f in fields(cls):
+        if f.name in doc or f.default is MISSING:
+            value = doc[f.name]
+            args[f.name] = (build_distribution(value, f"{where}.{f.name}")
+                            if f.type == "Distribution" else float(value))
+    return cls(**args)
+
+
 def build_distribution(doc: dict, where: str = "distribution") -> Distribution:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"{where} must be an object with a 'kind' key")
     kind = doc["kind"]
-    if kind not in _DIST_KEYS:
+    if kind not in LAWS:
         raise ConfigError(f"unknown distribution kind {kind!r} in {where}")
-    _check_keys(doc, _DIST_KEYS[kind] | {"kind"}, where)
+    _check_keys(doc, _document_keys(LAWS[kind]), where)
     try:
-        if kind == "exponential":
-            return Exponential(float(doc.get("mean", 1.0)))
-        if kind == "gamma":
-            return Gamma(float(doc["shape"]), float(doc.get("scale", 1.0)))
-        if kind == "chi_squared":
-            return ChiSquared(float(doc["df"]))
-        if kind == "poisson":
-            return Poisson(float(doc.get("mean", 1.0)))
-        if kind == "geometric":
-            return Geometric(float(doc.get("mean", 1.0)))
-        if kind == "uniform01":
-            return Uniform01()
-        if kind == "point_mass":
-            return PointMass(float(doc.get("value", 0.0)))
-        return Mixture(float(doc["weight"]),
-                       build_distribution(doc["a"], where + ".a"),
-                       build_distribution(doc["b"], where + ".b"))
+        return _construct(LAWS[kind], doc, where)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc} for {kind} in {where}") from None
     except ValueError as exc:
@@ -120,19 +113,13 @@ def build_distribution(doc: dict, where: str = "distribution") -> Distribution:
 
 def build_reference(doc: dict) -> ReferenceMeasure:
     kind = doc.get("kind", "exponential1")
-    if kind == "exponential1":
-        _check_keys(doc, {"kind"}, "null.reference")
-        return Exponential1Ref()
-    if kind == "uniform01":
-        _check_keys(doc, {"kind"}, "null.reference")
-        return Uniform01Ref()
-    if kind == "geometric":
-        _check_keys(doc, {"kind", "p"}, "null.reference")
-        try:
-            return GeometricRef(float(doc.get("p", 0.5)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown reference measure kind {kind!r}")
+    if not isinstance(kind, str) or kind not in REFERENCES:
+        raise ConfigError(f"unknown reference measure kind {kind!r}")
+    _check_keys(doc, _document_keys(REFERENCES[kind]), "null.reference")
+    try:
+        return _construct(REFERENCES[kind], doc, "null.reference")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_null(doc: dict) -> NullSpec:
@@ -155,12 +142,8 @@ def build_null(doc: dict) -> NullSpec:
         raise ConfigError(f"invalid null specification: {exc}") from None
 
 
-_TEST_KEYS = {"alpha", "k_max", "calibration", "mc_reps", "mc_seed",
-              "eigen_condition_cap", "u_split", "coeff_method", "coeff_tol"}
-
-
 def build_test_config(doc: dict) -> TestConfig:
-    _check_keys(doc, _TEST_KEYS, "test")
+    _check_keys(doc, {f.name for f in fields(TestConfig)}, "test")
     kwargs = dict(doc)
     if "k_max" in kwargs and kwargs["k_max"] != "auto":
         kwargs["k_max"] = int(kwargs["k_max"])
@@ -371,17 +354,15 @@ def cmd_simulate(args) -> int:
     timing = {}
     for row in rows:
         # measured wall time goes to the timing map; the tabulated seconds
-        # column stays deterministic so equal seeds give equal bytes
-        seconds_cell = row.seconds if args.timed_csv else 0.0
+        # column stays 0 so equal seeds give equal bytes
         lines.append(",".join([
             row.scenario, str(row.n), str(row.reps),
             _format_float(row.rejection_rate),
-            _format_float(row.ci_low), _format_float(row.ci_high),
-            f"{seconds_cell:.3f}",
+            _format_float(row.ci_low), _format_float(row.ci_high), "0.000",
         ]))
         timing[f"{row.scenario}:{row.n}"] = row.seconds
         doc = row.to_dict()
-        doc["seconds"] = round(seconds_cell, 3)
+        doc["seconds"] = 0.0
         doc.pop("config")
         json_rows.append(doc)
     csv_text = "\n".join(lines) + "\n"
@@ -442,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run the level/power study")
     p_sim.add_argument("--scenarios", help="comma-separated scenario names")
     p_sim.add_argument("--n", help="comma-separated sample sizes")
-    p_sim.add_argument("--timed-csv", action="store_true",
-                       help="write measured wall-clock seconds into the CSV "
-                            "(breaks byte-for-byte reproducibility)")
     return parser
 
 

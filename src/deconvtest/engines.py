@@ -39,7 +39,7 @@ def _gamma_parameters(dist: Distribution) -> tuple[float, float] | None:
     if isinstance(dist, Gamma):
         return dist.shape, dist.scale
     if isinstance(dist, Exponential):
-        return 1.0, dist.mean_value
+        return 1.0, dist.mean
     if isinstance(dist, ChiSquared):
         return dist.df / 2.0, 2.0
     return None

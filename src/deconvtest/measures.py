@@ -12,13 +12,19 @@ index) pair reproduces draws bit-exactly:
 * other gammas use the generator's gamma method,
 * mixtures draw a component indicator, then both component vectors, and
   select elementwise.
+
+Every law and reference measure is a frozen dataclass with a class-level
+``kind``; its configuration document is ``{"kind": kind}`` plus its fields
+by name, and ``LAWS`` and ``REFERENCES`` map each kind back to its class.
+Laws carry no densities for the engines: continuous axes are integrated
+with Gauss rules, so ``pdf`` exists only as the mass function of counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from math import exp, inf, lgamma, log
+from math import exp, inf, log
 
 import numpy as np
 from scipy.special import pdtr
@@ -27,6 +33,7 @@ __all__ = [
     "Exponential", "Gamma", "ChiSquared", "Poisson", "Geometric",
     "Uniform01", "Mixture", "PointMass",
     "Exponential1Ref", "Uniform01Ref", "GeometricRef", "RngStream",
+    "LAWS", "REFERENCES",
 ]
 
 _TAIL_MASS = 1e-12  # per-axis truncation mass for deterministic engines
@@ -60,22 +67,31 @@ class RngStream:
         return RngStream(self.master_seed, idx)
 
 
+def _document(obj) -> dict:
+    """``{"kind": obj.kind}`` plus every dataclass field, laws as documents."""
+    doc = {"kind": obj.kind}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        doc[f.name] = value.config() if isinstance(value, Distribution) else value
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 # ---------------------------------------------------------------------------
 
 class Distribution:
-    """Common surface: density/mass, sampling, support, tail truncation."""
+    """Common surface: sampling, support, tail truncation, document form.
 
+    The count laws (Poisson, Geometric) also give their mass function
+    ``pdf``, which ``engines.expectation_rule`` sums over the truncated
+    support; point masses and mixtures get their rules without one.
+    """
+
+    kind = ""
     discrete = False
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def draw(self, gen: np.random.Generator, size) -> np.ndarray:
-        raise NotImplementedError
-
-    def mean(self) -> float:
         raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
@@ -89,39 +105,28 @@ class Distribution:
         raise NotImplementedError
 
     def config(self) -> dict:
-        raise NotImplementedError
+        return _document(self)
 
 
 @dataclass(frozen=True)
 class Exponential(Distribution):
-    mean_value: float = 1.0
+    kind = "exponential"
+    mean: float = 1.0
 
     def __post_init__(self):
-        if not self.mean_value > 0:
+        if not self.mean > 0:
             raise ValueError("exponential mean must be positive")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        ok = x >= 0
-        out[ok] = np.exp(-x[ok] / self.mean_value) / self.mean_value
-        return out
-
     def draw(self, gen, size):
-        return -self.mean_value * np.log1p(-gen.random(size))
-
-    def mean(self):
-        return self.mean_value
+        return -self.mean * np.log1p(-gen.random(size))
 
     def support(self):
         return (0.0, inf)
 
-    def config(self):
-        return {"kind": "exponential", "mean": self.mean_value}
-
 
 @dataclass(frozen=True)
 class Gamma(Distribution):
+    kind = "gamma"
     shape: float
     scale: float = 1.0
 
@@ -129,68 +134,41 @@ class Gamma(Distribution):
         if not (self.shape > 0 and self.scale > 0):
             raise ValueError("gamma shape and scale must be positive")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        lg = ((self.shape - 1) * np.log(x[pos]) - x[pos] / self.scale
-              - lgamma(self.shape) - self.shape * log(self.scale))
-        out[pos] = np.exp(lg)
-        if self.shape == 1:
-            out[x == 0] = 1.0 / self.scale
-        return out
-
     def draw(self, gen, size):
         return gen.gamma(self.shape, self.scale, size)
 
-    def mean(self):
-        return self.shape * self.scale
-
     def support(self):
         return (0.0, inf)
-
-    def config(self):
-        return {"kind": "gamma", "shape": self.shape, "scale": self.scale}
 
 
 @dataclass(frozen=True)
 class ChiSquared(Distribution):
     """Chi-squared law; identical to Gamma(df / 2, 2) with pinned sampling."""
 
+    kind = "chi_squared"
     df: float
 
     def __post_init__(self):
         if not self.df > 0:
             raise ValueError("degrees of freedom must be positive")
 
-    def _gamma(self) -> Gamma:
-        return Gamma(self.df / 2.0, 2.0)
-
-    def pdf(self, x):
-        return self._gamma().pdf(x)
-
     def draw(self, gen, size):
         if self.df == 1:
             return gen.standard_normal(size) ** 2
         return gen.gamma(self.df / 2.0, 2.0, size)
 
-    def mean(self):
-        return self.df
-
     def support(self):
         return (0.0, inf)
-
-    def config(self):
-        return {"kind": "chi_squared", "df": self.df}
 
 
 @dataclass(frozen=True)
 class Poisson(Distribution):
+    kind = "poisson"
     discrete = True
-    mean_value: float = 1.0
+    mean: float = 1.0
 
     def __post_init__(self):
-        if not self.mean_value > 0:
+        if not self.mean > 0:
             raise ValueError("Poisson mean must be positive")
 
     def pdf(self, x):
@@ -199,36 +177,29 @@ class Poisson(Distribution):
         out = np.zeros_like(x)
         ok = (x >= 0) & (x == np.floor(x))
         k = x[ok]
-        out[ok] = np.exp(k * log(self.mean_value) - self.mean_value
-                         - gammaln(k + 1.0))
+        out[ok] = np.exp(k * log(self.mean) - self.mean - gammaln(k + 1.0))
         return out
 
     @cached_property
     def _cdf_table(self) -> np.ndarray:
         hi = int(self.upper_quantile(_TAIL_MASS * 1e-3)) + 2
-        return pdtr(np.arange(hi), self.mean_value)
+        return pdtr(np.arange(hi), self.mean)
 
     def draw(self, gen, size):
         return np.searchsorted(self._cdf_table, gen.random(size),
                                side="left").astype(float)
 
-    def mean(self):
-        return self.mean_value
-
     def support(self):
         return (0.0, inf)
 
     def upper_quantile(self, tail=_TAIL_MASS):
-        lam = self.mean_value
+        lam = self.mean
         k, cum, term = 0, exp(-lam), exp(-lam)
         while cum < 1.0 - tail and k < 100_000:
             k += 1
             term *= lam / k
             cum += term
         return float(k)
-
-    def config(self):
-        return {"kind": "poisson", "mean": self.mean_value}
 
 
 @dataclass(frozen=True)
@@ -239,16 +210,17 @@ class Geometric(Distribution):
     P(x) = (1 - q) * q**x.
     """
 
+    kind = "geometric"
     discrete = True
-    mean_value: float = 1.0
+    mean: float = 1.0
 
     def __post_init__(self):
-        if not self.mean_value > 0:
+        if not self.mean > 0:
             raise ValueError("geometric mean must be positive")
 
     @property
     def q(self) -> float:
-        return self.mean_value / (1.0 + self.mean_value)
+        return self.mean / (1.0 + self.mean)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -260,67 +232,45 @@ class Geometric(Distribution):
     def draw(self, gen, size):
         return np.floor(np.log1p(-gen.random(size)) / log(self.q))
 
-    def mean(self):
-        return self.mean_value
-
     def support(self):
         return (0.0, inf)
 
     def upper_quantile(self, tail=_TAIL_MASS):
         return float(np.ceil(log(tail) / log(self.q)))
 
-    def config(self):
-        return {"kind": "geometric", "mean": self.mean_value}
-
 
 @dataclass(frozen=True)
 class Uniform01(Distribution):
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= 0) & (x <= 1), 1.0, 0.0)
+    kind = "uniform01"
 
     def draw(self, gen, size):
         return gen.random(size)
 
-    def mean(self):
-        return 0.5
-
     def support(self):
         return (0.0, 1.0)
-
-    def config(self):
-        return {"kind": "uniform01"}
 
 
 @dataclass(frozen=True)
 class PointMass(Distribution):
+    kind = "point_mass"
     value: float = 0.0
 
     @property
     def discrete(self):  # type: ignore[override]
         return float(self.value).is_integer() and self.value >= 0
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x == self.value, 1.0, 0.0)
-
     def draw(self, gen, size):
         return np.full(size, float(self.value))
 
-    def mean(self):
-        return float(self.value)
-
     def support(self):
         return (float(self.value), float(self.value))
-
-    def config(self):
-        return {"kind": "point_mass", "value": self.value}
 
 
 @dataclass(frozen=True)
 class Mixture(Distribution):
     """Two-component mixture; components must agree on discreteness."""
 
+    kind = "mixture"
     weight: float
     a: Distribution
     b: Distribution
@@ -336,26 +286,20 @@ class Mixture(Distribution):
     def discrete(self):  # type: ignore[override]
         return self.a.discrete
 
-    def pdf(self, x):
-        return self.weight * self.a.pdf(x) + (1 - self.weight) * self.b.pdf(x)
-
     def draw(self, gen, size):
         pick = gen.random(size) < self.weight
         xa = self.a.draw(gen, size)
         xb = self.b.draw(gen, size)
         return np.where(pick, xa, xb)
 
-    def mean(self):
-        return self.weight * self.a.mean() + (1 - self.weight) * self.b.mean()
-
     def support(self):
         lo_a, hi_a = self.a.support()
         lo_b, hi_b = self.b.support()
         return (min(lo_a, lo_b), max(hi_a, hi_b))
 
-    def config(self):
-        return {"kind": "mixture", "weight": self.weight,
-                "a": self.a.config(), "b": self.b.config()}
+
+LAWS = {cls.kind: cls for cls in (Exponential, Gamma, ChiSquared, Poisson,
+                                  Geometric, Uniform01, PointMass, Mixture)}
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +327,7 @@ class ReferenceMeasure:
         raise NotImplementedError
 
     def config(self) -> dict:
-        raise NotImplementedError
+        return _document(self)
 
 
 @dataclass(frozen=True)
@@ -402,9 +346,6 @@ class Exponential1Ref(ReferenceMeasure):
     def support(self):
         return (0.0, inf)
 
-    def config(self):
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class Uniform01Ref(ReferenceMeasure):
@@ -420,9 +361,6 @@ class Uniform01Ref(ReferenceMeasure):
 
     def support(self):
         return (0.0, 1.0)
-
-    def config(self):
-        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -453,5 +391,6 @@ class GeometricRef(ReferenceMeasure):
     def support(self):
         return (0.0, inf)
 
-    def config(self):
-        return {"kind": self.kind, "p": self.p}
+
+REFERENCES = {cls.kind: cls for cls in (Exponential1Ref, Uniform01Ref,
+                                        GeometricRef)}

@@ -27,7 +27,7 @@ are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from math import inf, sqrt
 from typing import Callable
@@ -64,6 +64,12 @@ _REF_FAMILY = {
 
 class NullSpecError(ValueError):
     """Inconsistent pairing of component laws, reference, and basis."""
+
+
+def plain_dict(obj) -> dict:
+    """``dataclasses.asdict`` with arrays written as lists, for JSON."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in asdict(obj).items()}
 
 
 def default_basis_for(ref: ReferenceMeasure, max_degree: int = 16) -> BasisTable:
@@ -168,13 +174,7 @@ class NullCoefficients:
                 f"(-{PSD_SLACK:.0e}, 0) treated as zero",)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "alphas": self.alphas.tolist(),
-            "sigma": self.sigma.tolist(),
-            "method": self.method,
-            "notes": list(self.notes),
-        }
+        return plain_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NullCoefficients":

@@ -158,13 +158,6 @@ def meixner_scaled_table(max_degree: int, b: float, p: float, x) -> np.ndarray:
     return out
 
 
-def eval_meixner_scaled(degree: int, b: float, p: float, x) -> float | np.ndarray:
-    """Convolution-scale Meixner value at x."""
-    _check_degree(degree)
-    vals = meixner_scaled_table(degree, b, p, x)[degree]
-    return float(vals) if vals.ndim == 0 else vals
-
-
 # ---------------------------------------------------------------------------
 # Addition splits
 # ---------------------------------------------------------------------------
@@ -189,7 +182,7 @@ def addition_split_meixner(n: int, u: float, v: float, p: float) -> list[tuple[i
     """Split weights for a convolution-scale Meixner polynomial of a sum.
 
     Returns terms ``(s, C(n, s))`` such that, writing ``Ms(n, b, p, x)`` for
-    ``eval_meixner_scaled``,
+    ``meixner_scaled_table(n, b, p, x)[n]``,
 
         Ms(n, u + v, p, y + z) = sum_s C(n, s) * Ms(s, u, p, y) * Ms(n - s, v, p, z)
 
@@ -214,17 +207,18 @@ def _validate_splits(table: "BasisTable", n_max: int = 5) -> None:
             z = rng.uniform(0.0, 8.0, 4)
             lhs = laguerre_table(n, u + v, y + z)[n]
             ty, tz = laguerre_table(n, u, y), laguerre_table(n, v, z)
-            rhs = sum(w * ty[s] * tz[n - s]
-                      for s, w in addition_split_laguerre(n, u, v))
+            terms = addition_split_laguerre(n, u, v)
         elif spec.kind == MEIXNER:
             y = rng.integers(0, 12, 4).astype(float)
             z = rng.integers(0, 12, 4).astype(float)
             p = spec.shape
-            lhs = eval_meixner_scaled(n, u + v, p, y + z)
-            rhs = sum(w * eval_meixner_scaled(s, u, p, y) * eval_meixner_scaled(n - s, v, p, z)
-                      for s, w in addition_split_meixner(n, u, v, p))
+            lhs = meixner_scaled_table(n, u + v, p, y + z)[n]
+            ty = meixner_scaled_table(n, u, p, y)
+            tz = meixner_scaled_table(n, v, p, z)
+            terms = addition_split_meixner(n, u, v, p)
         else:
             return
+        rhs = sum(w * ty[s] * tz[n - s] for s, w in terms)
         err = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))
         if err > 1e-8:
             raise BasisInconsistencyError(spec.kind, (n, n), float(err))

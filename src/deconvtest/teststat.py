@@ -15,7 +15,7 @@ noise at finite n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy.special import gammainc, gammaincc, gammaincinv
 from .measures import RngStream
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
-    inv_sqrt_psd,
+    inv_sqrt_psd, plain_dict,
 )
 
 DEFAULT_MC_SEED = 202608
@@ -79,17 +79,7 @@ class TestConfig:
             raise ValueError("eigen_condition_cap must exceed 1")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "k_max": self.k_max,
-            "calibration": self.calibration,
-            "mc_reps": self.mc_reps,
-            "mc_seed": self.mc_seed,
-            "eigen_condition_cap": self.eigen_condition_cap,
-            "u_split": self.u_split,
-            "coeff_method": self.coeff_method,
-            "coeff_tol": self.coeff_tol,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +219,9 @@ class TestEngine:
 
     Preparing an engine is the expensive step; evaluating the statistic on
     a batch of samples is a few vectorized passes, which keeps Monte Carlo
-    calibration and power studies fast.
+    calibration and power studies fast.  Both order policies are capped at
+    ``usable_k_max``, beyond which a whitening root would drop a direction;
+    a fixed order that is cut leaves a note in ``notes``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -241,22 +233,23 @@ class TestEngine:
         self.null = null
         self.n = n
         self.config = config
-        policy_k = (default_kmax(n) if config.k_max == "auto"
-                    else int(config.k_max))
+        policy_k = default_kmax(n) if config.k_max == "auto" else config.k_max
         policy_k = min(policy_k, null.basis.family.max_degree)
         if coeffs is None:
             coeffs = compute_coefficients(
                 null, policy_k, method=config.coeff_method,
                 u_split=config.u_split, tol=config.coeff_tol)
-        if coeffs.k < policy_k:
-            policy_k = coeffs.k
         self.coeffs = coeffs
         self.diagnostics = eigen_floor_diagnostics(
             coeffs, config.eigen_condition_cap)
-        if config.k_max == "auto":
-            self.used_k_max = min(policy_k, self.diagnostics.usable_k_max)
-        else:
-            self.used_k_max = policy_k
+        # usable_k_max <= coeffs.k, so a shorter cached set also caps here
+        self.used_k_max = min(policy_k, self.diagnostics.usable_k_max)
+        self.notes = tuple(coeffs.notes)
+        if config.k_max != "auto" and self.used_k_max < config.k_max:
+            self.notes += (
+                f"order-cut: fixed k_max {config.k_max} requested, "
+                f"{self.used_k_max} used (usable order "
+                f"{self.diagnostics.usable_k_max})",)
         self._roots = self.diagnostics.roots[:self.used_k_max]
         self._critical = None
         self._calibration_values = None
@@ -331,7 +324,7 @@ class TestEngine:
             alpha=self.config.alpha,
             calibration=self.config.calibration,
             coefficient_method=self.coeffs.method,
-            notes=tuple(self.coeffs.notes),
+            notes=self.notes,
         )
 
 
@@ -360,21 +353,7 @@ class TestResult:
             raise ValueError("selected order outside [1, used_k_max]")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t_sequence": np.asarray(self.t_sequence).tolist(),
-            "s_n": self.s_n,
-            "t_stat": self.t_stat,
-            "critical_value": self.critical_value,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "lambda_mins": np.asarray(self.lambda_mins).tolist(),
-            "used_k_max": self.used_k_max,
-            "alpha": self.alpha,
-            "calibration": self.calibration,
-            "coefficient_method": self.coefficient_method,
-            "notes": list(self.notes),
-        }
+        return plain_dict(self)
 
 
 def critical_value(config: TestConfig, null: NullSpec, n: int,

@@ -18,7 +18,7 @@ from deconvtest.measures import RngStream
 from deconvtest.nullmodel import compute_coefficients
 from deconvtest.orthopoly import (
     PolynomialFamilySpec, addition_split_laguerre, addition_split_meixner,
-    certify_orthonormality, eval_meixner_scaled, laguerre_table,
+    certify_orthonormality, laguerre_table, meixner_scaled_table,
 )
 from deconvtest.simlab import build_scenario, run_replications
 from deconvtest.teststat import (
@@ -94,9 +94,10 @@ def test_criterion_02_addition_theorems():
     yy, zz = np.meshgrid(grid, grid)
     for n in range(7):
         terms = addition_split_meixner(n, 0.5, 0.5, 0.5)
-        lhs = eval_meixner_scaled(n, 1.0, 0.5, yy + zz)
-        rhs = sum(w * eval_meixner_scaled(s, 0.5, 0.5, yy)
-                  * eval_meixner_scaled(n - s, 0.5, 0.5, zz) for s, w in terms)
+        lhs = meixner_scaled_table(n, 1.0, 0.5, yy + zz)[n]
+        ty = meixner_scaled_table(n, 0.5, 0.5, yy)
+        tz = meixner_scaled_table(n, 0.5, 0.5, zz)
+        rhs = sum(w * ty[s] * tz[n - s] for s, w in terms)
         worst_disc = max(worst_disc,
                          float(np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs)))))
     elapsed = time.perf_counter() - start

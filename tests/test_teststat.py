@@ -297,6 +297,17 @@ class TestRunTest:
         assert res.used_k_max == 4
         assert res.t_sequence.size == 4
 
+    def test_fixed_order_capped_at_usable_order(self, mod1_null):
+        # Mod1's roots of orders 11..15 drop directions (ranks 10, 11, 11,
+        # 12, 12), so a fixed order 15 runs at the usable order 10
+        data = mod1_null.sample_x(RngStream(42, 4).generator(), 500)
+        res = run_test(data, mod1_null,
+                       TestConfig(k_max=15, calibration="asymptotic"))
+        assert res.used_k_max == 10
+        assert res.t_sequence.size == 10
+        assert ("order-cut: fixed k_max 15 requested, 10 used "
+                "(usable order 10)") in res.notes
+
     def test_mc_p_value_never_zero(self, mod1_null, mod1_coeffs8):
         data = np.full(100, 25.0)
         res = run_test(data, mod1_null, TestConfig(mc_reps=200),
