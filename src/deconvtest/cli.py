@@ -75,6 +75,29 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    return doc
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float; a boolean is not a number."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _integer(value, where: str) -> int:
+    """A JSON number with an integral value, as an int."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
 def _document_keys(cls) -> set:
     return {f.name for f in fields(cls)} | {"kind"}
 
@@ -84,15 +107,15 @@ def _construct(cls, doc: dict, where: str):
 
     A field annotated as a law (the string ``"Distribution"``, since
     ``measures`` postpones annotations) is read as a nested document,
-    every other value through ``float()``.  A missing field without a
+    every other value as a finite number.  A missing field without a
     default raises ``KeyError``.
     """
     args = {}
     for f in fields(cls):
         if f.name in doc or f.default is MISSING:
-            value = doc[f.name]
-            args[f.name] = (build_distribution(value, f"{where}.{f.name}")
-                            if f.type == "Distribution" else float(value))
+            value, at = doc[f.name], f"{where}.{f.name}"
+            args[f.name] = (build_distribution(value, at)
+                            if f.type == "Distribution" else _number(value, at))
     return cls(**args)
 
 
@@ -100,24 +123,28 @@ def build_distribution(doc: dict, where: str = "distribution") -> Distribution:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"{where} must be an object with a 'kind' key")
     kind = doc["kind"]
-    if kind not in LAWS:
+    if not isinstance(kind, str) or kind not in LAWS:
         raise ConfigError(f"unknown distribution kind {kind!r} in {where}")
     _check_keys(doc, _document_keys(LAWS[kind]), where)
     try:
         return _construct(LAWS[kind], doc, where)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc} for {kind} in {where}") from None
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad {kind} parameters in {where}: {exc}") from None
 
 
 def build_reference(doc: dict) -> ReferenceMeasure:
-    kind = doc.get("kind", "exponential1")
+    kind = _object(doc, "null.reference").get("kind", "exponential1")
     if not isinstance(kind, str) or kind not in REFERENCES:
         raise ConfigError(f"unknown reference measure kind {kind!r}")
     _check_keys(doc, _document_keys(REFERENCES[kind]), "null.reference")
     try:
         return _construct(REFERENCES[kind], doc, "null.reference")
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -143,10 +170,21 @@ def build_null(doc: dict) -> NullSpec:
 
 
 def build_test_config(doc: dict) -> TestConfig:
+    """``TestConfig`` from the ``test`` section, read by field annotation.
+
+    ``float`` fields take finite numbers, ``int`` fields integral ones, and
+    ``k_max`` also ``"auto"``; the string fields are checked by
+    ``TestConfig`` and the coefficient engines.
+    """
     _check_keys(doc, {f.name for f in fields(TestConfig)}, "test")
     kwargs = dict(doc)
-    if "k_max" in kwargs and kwargs["k_max"] != "auto":
-        kwargs["k_max"] = int(kwargs["k_max"])
+    for f in fields(TestConfig):
+        if f.name not in doc or (f.name == "k_max" and doc[f.name] == "auto"):
+            continue
+        if f.type == "float":
+            kwargs[f.name] = _number(doc[f.name], f"test.{f.name}")
+        elif f.type.startswith("int"):
+            kwargs[f.name] = _integer(doc[f.name], f"test.{f.name}")
     try:
         return TestConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -162,12 +200,19 @@ def build_sim_section(doc: dict) -> dict:
     _check_keys(doc, _SIM_KEYS, "sim")
     sim = dict(_SIM_DEFAULTS)
     sim.update(doc)
+    if not isinstance(sim["scenarios"], list):
+        raise ConfigError("sim.scenarios must be a list of scenario names")
     for name in sim["scenarios"]:
         if name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {name!r} in sim.scenarios")
-    if not sim["n"] or any(int(n) < 2 for n in sim["n"]):
+    if not isinstance(sim["n"], list):
+        raise ConfigError("sim.n must be a list of sample sizes")
+    sim["n"] = [_integer(n, "sim.n") for n in sim["n"]]
+    if not sim["n"] or any(n < 2 for n in sim["n"]):
         raise ConfigError("sim.n must list sample sizes >= 2")
-    if int(sim["reps"]) < 1:
+    sim["reps"] = _integer(sim["reps"], "sim.reps")
+    sim["master_seed"] = _integer(sim["master_seed"], "sim.master_seed")
+    if sim["reps"] < 1:
         raise ConfigError("sim.reps must be at least 1")
     return sim
 
@@ -181,9 +226,10 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys(doc, {"null", "test", "sim"}, "config")
+    _check_keys(_object(doc, "config document"), {"null", "test", "sim"},
+                "config")
+    for section, value in doc.items():
+        _object(value, section)
     return doc
 
 
@@ -444,6 +490,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # e.g. an mc_reps or --reps whose sample matrix cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -4,8 +4,12 @@ Sampling algorithms are fixed and documented so that a (master seed, stream
 index) pair reproduces draws bit-exactly:
 
 * streams are counter-based Philox generators keyed by the pair
-  ``(master_seed, stream_index)``; distinct keys give independent streams,
-  but a stream index of 2**63 or more is rounded to 53 bits in the key,
+  ``(master_seed, stream_index)`` (``RngStream.key``); distinct keys give
+  independent streams, but a seed or stream index of 2**63 or more is
+  rounded to 53 bits in the key,
+* a Philox key names a stream and its counter is the position within it,
+  so ``rekeyed`` re-keys one generator from stream to stream (zero counter,
+  empty buffers) and draws exactly what a fresh ``generator()`` would,
 * exponential draws use inverse-CDF on one uniform,
 * chi-squared with 1 degree of freedom is the square of a standard normal,
 * Poisson and geometric draws use inverse-CDF (table walk / closed form),
@@ -15,13 +19,15 @@ index) pair reproduces draws bit-exactly:
 
 Every law and reference measure is a frozen dataclass with a class-level
 ``kind``; its configuration document is ``{"kind": kind}`` plus its fields
-by name, and ``LAWS`` and ``REFERENCES`` map each kind back to its class.
+by name, numbers as floats, and ``LAWS`` and ``REFERENCES`` map each kind
+back to its class.
 Laws carry no densities for the engines: continuous axes are integrated
 with Gauss rules, so ``pdf`` exists only as the mass function of counts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from math import exp, inf, log
@@ -33,7 +39,7 @@ __all__ = [
     "Exponential", "Gamma", "ChiSquared", "Poisson", "Geometric",
     "Uniform01", "Mixture", "PointMass",
     "Exponential1Ref", "Uniform01Ref", "GeometricRef", "RngStream",
-    "LAWS", "REFERENCES",
+    "rekeyed", "LAWS", "REFERENCES",
 ]
 
 _TAIL_MASS = 1e-12  # per-axis truncation mass for deterministic engines
@@ -54,10 +60,19 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
 
+    def key(self) -> np.ndarray:
+        """The two-word Philox key: NumPy's conversion of ``[seed, index]``.
+
+        A Python list holding a word of 2**63 or more becomes float64, so
+        both words keep 53 bits then (and 2**64 - 1 wraps to 0).
+        """
+        words = [self.master_seed & 0xFFFFFFFFFFFFFFFF,
+                 self.stream_index & 0xFFFFFFFFFFFFFFFF]
+        with np.errstate(invalid="ignore"):
+            return np.asarray(words).astype(np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = [self.master_seed & 0xFFFFFFFFFFFFFFFF,
-               self.stream_index & 0xFFFFFFFFFFFFFFFF]
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key()))
 
     def child(self, *tags: int) -> "RngStream":
         """Derive an independent stream by mixing tags into the index."""
@@ -67,12 +82,35 @@ class RngStream:
         return RngStream(self.master_seed, idx)
 
 
+def rekeyed(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
+    """One Generator, re-keyed to each stream in turn.
+
+    Each yielded state is that of a fresh ``stream.generator()``: the
+    stream's key, a zero counter, an empty buffer and no pending 32-bit
+    half, so the draws are the same bit for bit.  The generator is shared:
+    finish with one stream before advancing to the next.
+    """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    for stream in streams:
+        fresh["state"]["key"] = stream.key()
+        bits.state = fresh
+        yield gen
+
+
 def _document(obj) -> dict:
-    """``{"kind": obj.kind}`` plus every dataclass field, laws as documents."""
+    """``{"kind": obj.kind}`` plus every dataclass field, laws as documents.
+
+    Numbers are written as floats, as the configuration reader reads them,
+    so ``ChiSquared(1)`` and ``ChiSquared(1.0)`` give one document (and one
+    ``config_hash``).
+    """
     doc = {"kind": obj.kind}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        doc[f.name] = value.config() if isinstance(value, Distribution) else value
+        doc[f.name] = (value.config() if isinstance(value, Distribution)
+                       else float(value))
     return doc
 
 

@@ -232,9 +232,13 @@ def _gamma_weight_rule(shape: float, n_nodes: int) -> tuple[np.ndarray, np.ndarr
     """Nodes/weights integrating polynomials against the Gamma(shape, 1) law.
 
     Generalized Gauss-Laguerre with the weights renormalized by Gamma(shape),
-    exact for polynomial degree <= 2 * n_nodes - 1.
+    exact for polynomial degree <= 2 * n_nodes - 1.  Past a shape of about
+    170 the raw weights overflow, which raises ``FloatingPointError``.
     """
     nodes, weights = roots_genlaguerre(n_nodes, shape - 1.0)
+    if not (np.all(np.isfinite(weights)) and lgamma(shape) < 709.0):
+        raise FloatingPointError(
+            f"the Gauss-Laguerre rule overflows at gamma shape {shape:g}")
     return nodes, weights / exp(lgamma(shape))
 
 def _uniform01_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

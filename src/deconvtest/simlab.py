@@ -22,7 +22,7 @@ import numpy as np
 
 from .measures import (
     ChiSquared, Distribution, Exponential, Exponential1Ref, Geometric,
-    GeometricRef, Mixture, Poisson, RngStream,
+    GeometricRef, Mixture, Poisson, RngStream, rekeyed,
 )
 from .nullmodel import NullSpec
 from .teststat import TestConfig, TestEngine
@@ -142,8 +142,9 @@ class SimReport:
 def _replication_matrix(scenario: ScenarioSpec, n: int, reps: int,
                         master_seed: int) -> np.ndarray:
     out = np.empty((reps, n))
-    for r in range(1, reps + 1):
-        out[r - 1] = scenario.sample(RngStream(master_seed, r).generator(), n)
+    streams = (RngStream(master_seed, r) for r in range(1, reps + 1))
+    for r, gen in enumerate(rekeyed(streams)):
+        out[r] = scenario.sample(gen, n)
     return out
 
 

@@ -10,6 +10,12 @@ Schwarz-penalized sequence T_k - k*log(n), and reject for large T_{S_n}.
 Critical values come either from the limiting chi-squared(1) law or from a
 Monte Carlo calibration under the null (the default, exact to resampling
 noise at finite n).
+
+The calibration draws its null rows from one Philox generator re-keyed to
+each row's child stream (``measures.rekeyed``).  On a count reference the
+empirical coefficients come from each row's value counts, with the basis
+evaluated once per distinct value; elsewhere the basis is evaluated at
+every observation.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaincinv
 
-from .measures import RngStream
+from .measures import RngStream, rekeyed
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
     inv_sqrt_psd, plain_dict,
@@ -111,10 +117,13 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     mean zero under the null.  Data outside the reference support, non-finite
     values included, raise ``DataDomainError`` with flat indices.  Where the
     density m(x) underflows to 0 the product Q_j(x) m(x) is 0, so the basis
-    is evaluated at 0 there instead of at an x where it may overflow.  Rows
-    are evaluated in blocks of about ``_BLOCK_VALUES`` basis values, so
-    memory stays bounded for any number of rows; each row's arithmetic is
-    the same as for that row alone.
+    is evaluated at 0 there instead of at an x where it may overflow.
+
+    Rows are taken in blocks of about ``_BLOCK_VALUES`` values, so memory
+    stays bounded for any number of rows and any observation.  On a count
+    reference each row's values are counted (``_count_means``); otherwise
+    the basis is evaluated at every point (``_point_means``).  Either way a
+    row's arithmetic is the same as for that row alone.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -127,18 +136,77 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
                               "data outside the reference support")
     n = data.shape[-1]
     rows = data.reshape(-1, n)
-    step = max(1, _BLOCK_VALUES // (n * (k + 1)))
-    means = np.empty((k, rows.shape[0]))
-    for lo in range(0, rows.shape[0], step):
-        blk = rows[lo:lo + step]
-        m = null.ref.density(blk)
-        if not m.all():
-            blk = np.where(m > 0, blk, 0.0)
-        v = null.basis.eval_normalized(blk, k)[1:]
-        v *= m
-        means[:, lo:lo + step] = v.mean(axis=-1)
+    means = (_count_means if null.ref.discrete else _point_means)(rows, null, k)
     bhat = np.sqrt(n) * (means - coeffs.alphas[:k, None])
     return bhat.reshape((k,) + data.shape[:-1])
+
+
+def _basis_terms(x: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
+    """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows."""
+    m = null.ref.density(x)
+    if not m.all():
+        x = np.where(m > 0, x, 0.0)
+    v = null.basis.eval_normalized(x, k)[1:]
+    v *= m
+    return v
+
+
+def _point_means(rows: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
+    """Row means of Q_j(x) m(x), the basis evaluated at every point."""
+    reps, n = rows.shape
+    step = max(1, _BLOCK_VALUES // (n * (k + 1)))
+    means = np.empty((k, reps))
+    for lo in range(0, reps, step):
+        means[:, lo:lo + step] = _basis_terms(
+            rows[lo:lo + step], null, k).mean(axis=-1)
+    return means
+
+
+def _count_means(rows: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
+    """Row means of Q_j(x) m(x) on integer data, from each row's value counts.
+
+    A block's values are counted with one ``bincount`` on ``value * b +
+    row``, or, when the largest value is too wide for that, one row at a
+    time with ``np.unique``.  The basis is evaluated once per distinct
+    value, and a row's sum runs over the values in ascending order, one
+    ``count * Q_j(v) m(v)`` term after another (``cumsum``).  Values absent
+    from a row add exact zeros, so each row's sum does not depend on the
+    rows beside it.  Values from ``_zero_from`` on, where m is 0, are
+    clipped to it and add 0.
+    """
+    reps, n = rows.shape
+    top = min(float(rows.max()), _zero_from(null.ref))
+    width = int(top) + 1
+    step = max(1, _BLOCK_VALUES // max(n, k * width))
+    means = np.empty((k, reps))
+    for lo in range(0, reps, step):
+        blk = np.minimum(rows[lo:lo + step], top).astype(np.intp)
+        b = blk.shape[0]
+        if width <= _BLOCK_VALUES:
+            keys = blk * b + np.arange(b)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=width * b)
+            counts = counts.reshape(width, b)
+            values = np.flatnonzero(counts.any(axis=1))
+            counts = counts[values]
+        else:  # here b == 1, since k * width > _BLOCK_VALUES
+            values, counts = np.unique(blk, return_counts=True)
+            counts = counts[:, None]
+        terms = _basis_terms(values.astype(float), null, k)[:, :, None] * counts
+        means[:, lo:lo + b] = np.cumsum(terms, axis=1)[:, -1] / n
+    return means
+
+
+def _zero_from(ref) -> float:
+    """An integer at and beyond which the count reference's m(x) is 0.
+
+    It starts where m(0) exp(-rate x) drops below half the least subnormal
+    double and steps past any rounding of ``density`` there.
+    """
+    x = math.ceil((1075.0 * math.log(2.0) + math.log(float(ref.density(0.0))))
+                  / ref.rate)
+    while ref.density(float(x)) > 0:
+        x += 1
+    return float(x)
 
 
 def t_sequence(bhat: np.ndarray, sigma: np.ndarray,
@@ -271,10 +339,15 @@ class TestEngine:
         return t_seq.T, s_n, t_seq[s_n - 1, np.arange(reps)]
 
     def sample_null_batch(self, reps: int, base: RngStream) -> np.ndarray:
-        """reps x n matrix of null samples; row r uses child stream r."""
+        """reps x n matrix of null samples; row r uses child stream r.
+
+        One generator is re-keyed from row to row; the draws equal those of
+        ``base.child(r).generator()``.
+        """
         out = np.empty((reps, self.n))
-        for r in range(reps):
-            out[r] = self.null.sample_x(base.child(r).generator(), self.n)
+        streams = (base.child(r) for r in range(reps))
+        for r, gen in enumerate(rekeyed(streams)):
+            out[r] = self.null.sample_x(gen, self.n)
         return out
 
     # -- calibration ---------------------------------------------------

@@ -139,6 +139,44 @@ def geometric_masses(mean: float, x: np.ndarray) -> np.ndarray:
     return (1.0 - q) * q ** x
 
 
+def meixner_orthonormal(max_degree: int, p: float, x) -> np.ndarray:
+    """Orthonormal Meixner polynomials Q_0..Q_max_degree at x, one row each.
+
+    Under the geometric masses (1 - p) p**x the Meixner polynomials
+    M_n(x; 1, p), scaled to M_n(0) = 1, satisfy the three-term recurrence
+    (p - 1) x M_n = p (n + 1) M_{n+1} - (n + (n + 1) p) M_n + n M_{n-1} and
+    have squared norms p**-n (Koekoek & Swarttouw, section 1.9), so
+    Q_n = p**(n / 2) M_n.
+    """
+    x = np.asarray(x, dtype=float)
+    m = [np.ones_like(x), 1.0 - x * (1.0 - p) / p]
+    for n in range(1, max_degree):
+        m.append(((p - 1.0) * x * m[n] + (n + (n + 1) * p) * m[n]
+                  - n * m[n - 1]) / (p * (n + 1)))
+    return np.array([p ** (n / 2.0) * m[n] for n in range(max_degree + 1)])
+
+
+def count_bhat(rows: np.ndarray, p: float, alphas: np.ndarray) -> np.ndarray:
+    """sqrt(n) (mean_i Q_j(x_i) m(x_i) - alpha_j) for rows of counts.
+
+    The reference mass is m(x) = (1 - p) p**x; where it underflows to 0
+    the term is 0.  Each row's mean is an exactly rounded sum (``fsum``)
+    of its n terms, point by point, divided by n.  Shape (k, reps).
+    """
+    from math import fsum, sqrt
+
+    k = len(alphas)
+    out = np.empty((k, len(rows)))
+    for r, row in enumerate(np.asarray(rows, dtype=float)):
+        m = (1.0 - p) * p ** row
+        live = m > 0
+        terms = np.zeros((k, row.size))
+        terms[:, live] = meixner_orthonormal(k, p, row[live])[1:] * m[live]
+        out[:, r] = [sqrt(row.size) * (fsum(t) / row.size - a)
+                     for t, a in zip(terms, alphas)]
+    return out
+
+
 def alt4_first_order_power(n: int, critical: float, ref_p: float = 0.5) -> dict:
     """First-order power oracle for Alt4 against the Mod2 null.
 

@@ -1,10 +1,13 @@
 """Command-line interface: formats, exit codes, caching, determinism."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deconvtest.cli import (
     CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
@@ -16,6 +19,8 @@ from deconvtest.measures import (
     Geometric, GeometricRef, Mixture, PointMass, Poisson, Uniform01,
     Uniform01Ref,
 )
+from deconvtest.simlab import build_scenario
+from deconvtest.teststat import TestConfig, TestEngine
 
 FIXTURE = Path(__file__).parent / "data" / "mod1_h0_n500.txt"
 
@@ -25,6 +30,45 @@ FAST_TEST = ["--calibration", "mc", "--reps", "300"]
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+# JSON configuration documents: the schema's sections, kinds and keys plus
+# noise, valued by scalars, lists and nested objects
+_WORDS = sorted(set(LAWS) | set(REFERENCES) | {
+    "auto", "mc", "asymptotic", "closed_form", "quadrature", "independent",
+    "zzz"})
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20), st.floats(),
+    st.sampled_from([0.5, 2.5, 100, 1e300, 2 ** 70]), st.sampled_from(_WORDS))
+_JSON = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "mean", "p", "zzz"]), inner, max_size=3),
+    max_leaves=6)
+
+
+def _kind_docs(table, depth=0):
+    """Documents of a law or reference kind, each field optional."""
+    def of_kind(kind):
+        optional = {f.name: (_kind_docs(LAWS, depth + 1)
+                             if f.type == "Distribution" and depth < 2
+                             else _SCALARS)
+                    for f in fields(table[kind])}
+        return st.fixed_dictionaries({"kind": st.just(kind)},
+                                     optional=optional)
+    return st.sampled_from(sorted(table)).flatmap(of_kind) | _JSON
+
+
+_CONFIG_DOCS = st.fixed_dictionaries({}, optional={
+    "null": st.fixed_dictionaries({}, optional={
+        "y": _kind_docs(LAWS), "z": _kind_docs(LAWS),
+        "reference": _kind_docs(REFERENCES),
+        "dependence": st.sampled_from(["independent", "joint_sampler"]),
+    }) | _JSON,
+    "test": st.fixed_dictionaries(
+        {}, optional={f.name: _SCALARS for f in fields(TestConfig)}) | _JSON,
+    "sim": _JSON,
+}) | st.dictionaries(st.sampled_from(["null", "test", "sim", "zzz"]), _JSON,
+                     max_size=3)
 
 
 class TestDataFile:
@@ -264,6 +308,15 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERIC
         assert "quadrature" in capsys.readouterr().err
 
+    def test_gamma_rule_overflow_exits_4(self, tmp_path, capsys):
+        # the Gauss-Laguerre weights overflow past a shape of about 170
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"null": {"y": {"kind": "chi_squared", "df": 344}}}))
+        assert run_cli(["test", FIXTURE, "--config", cfg,
+                        "--calibration", "asymptotic"]) == EXIT_NUMERIC
+        assert "gamma shape 172" in capsys.readouterr().err
+
     def test_degenerate_covariance_exits_4(self, tmp_path, capsys):
         # X = 1 + 2 is constant under this null, so Sigma = 0 and no
         # order can be whitened
@@ -313,8 +366,76 @@ class TestConfigHelpers:
         assert config_hash(build_null({}).config()) == (
             "e313149d105d5aa8d3c25811f83964023a153ebd7f97b6a082a14f9aa290207a")
 
+    def test_library_null_hashes_like_the_cli_null(self):
+        # numbers are written as floats, as the reader reads them
+        library = build_scenario("Mod1").null.config()
+        assert library["z"] == {"kind": "chi_squared", "df": 1.0}
+        assert config_hash(library) == config_hash(build_null({}).config())
+
     def test_config_hash_is_stable_and_sensitive(self):
         a = {"y": {"kind": "exponential", "mean": 1.0}}
         assert config_hash(a) == config_hash(json.loads(json.dumps(a)))
         assert config_hash(a) != config_hash(
             {"y": {"kind": "exponential", "mean": 2.0}})
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("doc, where", [
+        ({"null": 3}, "null must be an object"),
+        ({"test": 3}, "test must be an object"),
+        ({"sim": 3}, "sim must be an object"),
+        ({"null": {"reference": 3}}, "null.reference must be an object"),
+        ({"null": {"y": {"kind": ["exponential"]}}}, "unknown distribution"),
+        ({"test": {"k_max": 2.5}}, "test.k_max must be an integer"),
+        ({"test": {"mc_reps": 300.5}}, "test.mc_reps must be an integer"),
+        ({"test": {"mc_seed": "7"}}, "test.mc_seed must be an integer"),
+        ({"test": {"k_max": True}}, "test.k_max must be an integer"),
+        ({"test": {"alpha": True}}, "test.alpha must be a finite number"),
+        ({"null": {"y": {"kind": "exponential", "mean": True}}},
+         "null.y.mean must be a finite number"),
+        ({"null": {"z": {"kind": "poisson", "mean": "1"}}},
+         "null.z.mean must be a finite number"),
+        ({"null": {"y": {"kind": "gamma", "shape": 10 ** 400}}},
+         "null.y.shape must be a finite number"),
+    ])
+    def test_malformed_sections_exit_2(self, tmp_path, capsys, doc, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["test", FIXTURE, "--config", cfg,
+                        "--calibration", "asymptotic"]) == EXIT_USAGE
+        assert where in capsys.readouterr().err
+
+    def test_unallocatable_calibration_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        # what mc_reps = 10**9 at n = 500 (3.6 TiB) raises, without
+        # asking the machine for it
+        def refuse(engine, reps, base):
+            raise MemoryError(f"Unable to allocate a ({reps}, {engine.n}) array")
+        monkeypatch.setattr(TestEngine, "sample_null_batch", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"test": {"mc_reps": 10 ** 9}}))
+        assert run_cli(["test", FIXTURE, "--config", cfg]) == EXIT_USAGE
+        assert "out of memory" in capsys.readouterr().err
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"test": {"k_max": 4.0, "mc_reps": 100.0}}))
+        out = tmp_path / "r.json"
+        assert run_cli(["test", FIXTURE, "--config", cfg, "--out", out]) == EXIT_OK
+        echo = json.loads(out.read_text())["config"]["test"]
+        assert (echo["k_max"], echo["mc_reps"]) == (4, 100)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_CONFIG_DOCS, command=st.sampled_from(["test", "coeffs"]))
+    def test_every_document_gets_a_documented_exit(self, tmp_path, doc,
+                                                   command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        # 0/1 counts lie in every reference's support
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(["0", "1", "1", "0", "1"] * 6))
+        args = (["test", data] if command == "test"
+                else ["coeffs", "--kmax", "4"])
+        assert run_cli([*args, "--config", cfg]) in (
+            EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)

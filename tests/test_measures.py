@@ -1,13 +1,14 @@
 """Distribution zoo, reference measures, and RNG stream reproducibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
-    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
+    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref, rekeyed,
 )
 from deconvtest.simlab import _replication_matrix, build_scenario
 from deconvtest.teststat import (
@@ -50,6 +51,66 @@ class TestRngStream:
         assert base.child(3, 9) == base.child(3, 9)
         assert base.child(3, 9) != base.child(9, 3)
         assert base.child(1) != base.child(2)
+
+
+def _philox_state(gen):
+    state = gen.bit_generator.state
+    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+            "buffer": state["buffer"].tolist()}
+
+
+class TestStreamKeys:
+    """``RngStream.key`` is NumPy's conversion of the list ``[seed, index]``,
+    and ``rekeyed`` draws exactly what fresh generators draw."""
+
+    INDICES = [0, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1000,
+               2 ** 64 - 1025, 2 ** 64 - 1]
+
+    @pytest.mark.parametrize("seed", [0, DEFAULT_MC_SEED, 2 ** 63 + 12345])
+    @pytest.mark.parametrize("idx", INDICES)
+    def test_key_is_numpys_list_conversion(self, seed, idx):
+        with warnings.catch_warnings():
+            # the list [1, 2**64 - 1] becomes float64 2**64, outside uint64
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = np.random.Philox(key=[seed, idx]).state["state"]["key"]
+        got = RngStream(seed, idx).key()
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+
+    def test_high_indices_keep_53_bits(self):
+        # the FOUND in CHANGES.md: these two streams share a key
+        assert np.array_equal(RngStream(1, 2 ** 63).key(),
+                              RngStream(1, 2 ** 63 + 1000).key())
+
+    STREAMS = [RngStream(7, 3), RngStream(7, 2 ** 63 + 5),
+               RngStream(2 ** 63 + 12345, 1), RngStream(7, 3),
+               RngStream(DEFAULT_MC_SEED).child(_CALIBRATION_TAG, 500, 1999)]
+
+    @pytest.mark.parametrize("law", [
+        Exponential(1.3), Gamma(2.7, 0.8), ChiSquared(1), ChiSquared(3),
+        Poisson(1.0), Geometric(1.0), Uniform01(),
+        Mixture(0.4, Poisson(2.0), Geometric(2.0)),
+        Mixture(0.5, Exponential(2.0), ChiSquared(2)),
+    ], ids=lambda law: f"{law.kind}{getattr(law, 'df', '')}")
+    def test_rekeyed_draws_equal_fresh_generators(self, law):
+        # 257 doubles leave Philox's four-word buffer partly used
+        for stream, gen in zip(self.STREAMS, rekeyed(self.STREAMS)):
+            assert _philox_state(gen) == _philox_state(stream.generator())
+            np.testing.assert_array_equal(law.draw(gen, 257),
+                                          law.draw(stream.generator(), 257))
+
+    def test_rekey_drops_a_half_used_32_bit_word(self):
+        first, second = RngStream(11, 1), RngStream(11, 2)
+        streams = rekeyed([first, second])
+        gen = next(streams)
+        gen.integers(0, 10, size=3, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        gen = next(streams)
+        fresh = second.generator()
+        np.testing.assert_array_equal(
+            gen.integers(0, 10, size=5, dtype=np.uint32),
+            fresh.integers(0, 10, size=5, dtype=np.uint32))
+        np.testing.assert_array_equal(gen.random(9), fresh.random(9))
 
 
 class TestSampling:

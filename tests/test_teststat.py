@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deconvtest.measures import RngStream
-from deconvtest.nullmodel import NullCoefficients
+from deconvtest.measures import Geometric, GeometricRef, Poisson, RngStream
+from deconvtest.nullmodel import NullCoefficients, NullSpec
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
     _BLOCK_VALUES, DataDomainError, TestConfig, TestEngine, chi2_cdf,
@@ -17,7 +17,7 @@ from deconvtest.teststat import (
     run_test, select_order, t_sequence,
 )
 
-from .oracles import chi2_cdf_by_quadrature
+from .oracles import chi2_cdf_by_quadrature, count_bhat
 
 
 def _coeffs(alphas, sigma):
@@ -512,3 +512,62 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 3 * data.nbytes
+
+
+def _count_null(p):
+    return NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(p))
+
+
+@pytest.fixture(scope="module")
+def count_nulls():
+    return {p: _count_null(p) for p in (0.3, 0.5, 0.7, 0.99)}
+
+
+# rows of counts, mostly small, some past the point where m(x) underflows
+_COUNT_ROWS = st.tuples(st.integers(1, 4), st.integers(1, 30)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.one_of(st.integers(0, 40),
+                           st.sampled_from([1e3, 1e6, 1e300])),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+class TestCountKernel:
+    """On a count reference ``compute_bhat`` contracts value counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([0.3, 0.5, 0.7, 0.99]), rows=_COUNT_ROWS,
+           k=st.integers(1, 8))
+    def test_matches_pointwise_sum(self, count_nulls, p, rows, k):
+        null = count_nulls[p]
+        alphas = np.linspace(-0.1, 0.2, 8)
+        coeffs = _coeffs(alphas, np.eye(8))
+        data = np.array(rows, dtype=float)
+        got = compute_bhat(data, null, coeffs, k)
+        # the per-observation means agree to 1e-12
+        n = data.shape[1]
+        np.testing.assert_allclose(got, count_bhat(data, p, alphas[:k]),
+                                   rtol=0, atol=1e-12 * math.sqrt(n))
+        for r, row in enumerate(data):
+            assert np.array_equal(got[:, r], compute_bhat(row, null, coeffs, k))
+
+    def test_memory_bounded_for_wide_values(self):
+        # m(x) of GeometricRef(0.999) underflows only past 737,857, so
+        # 1e5 and 1e6 stay distinct values: dense counts one row at a time,
+        # then np.unique; neither may grow with the value
+        p, k = 0.999, 8
+        null = _count_null(p)
+        coeffs = _coeffs(np.zeros(k), np.eye(k))
+        data = np.stack([null.sample_x(RngStream(77, r).generator(), 2000)
+                         for r in range(50)])
+        for far in (1e5, 1e6):
+            data[7, 11] = far
+            tracemalloc.start()
+            try:
+                got = compute_bhat(data, null, coeffs, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * data.nbytes
+            np.testing.assert_allclose(got, count_bhat(data, p, np.zeros(k)),
+                                       rtol=0, atol=1e-12 * math.sqrt(2000))
