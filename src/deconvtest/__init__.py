@@ -14,6 +14,7 @@ from .measures import (
 )
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
+    inv_sqrt_psd,
 )
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
@@ -25,7 +26,7 @@ from .simlab import (
 )
 from .teststat import (
     TestConfig, TestEngine, TestResult, chi2_cdf, chi2_quantile,
-    compute_bhat, critical_value, default_kmax, inv_sqrt_psd, run_test,
+    compute_bhat, critical_value, default_kmax, run_test,
     select_order, t_sequence,
 )
 

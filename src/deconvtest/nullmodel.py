@@ -346,11 +346,11 @@ def _alpha_growth_note(alphas: np.ndarray) -> str | None:
 
 @dataclass(frozen=True)
 class EigenDiagnostics:
-    """Spectral health and whitening roots of the nested covariance blocks.
+    """Spectral health of the nested covariance blocks.
 
-    Entry j - 1 of each field describes the leading block sigma[:j, :j];
-    ``roots[j - 1]`` is its ``inv_sqrt_psd``.  ``usable_k_max`` is the
-    longest run of blocks whose root keeps every eigenvalue (full rank).
+    Entry j - 1 of each field describes the leading block sigma[:j, :j].
+    ``usable_k_max`` is the longest run of blocks whose every eigenvalue
+    lies above ``lambda_max / condition_cap`` (full rank under the cap).
     """
 
     lambda_mins: np.ndarray
@@ -358,18 +358,6 @@ class EigenDiagnostics:
     condition_numbers: np.ndarray
     usable_k_max: int
     condition_cap: float
-    roots: tuple[np.ndarray, ...]
-
-
-def _eigen_root(sigma: np.ndarray, condition_cap: float):
-    """``inv_sqrt_psd`` unchecked: ascending eigenvalues, kept mask, root."""
-    w, vec = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    keep = w > max(w[-1] / condition_cap, 0.0)
-    if not np.any(keep):
-        raise np.linalg.LinAlgError(
-            "all eigenvalues fall below the condition floor")
-    vk = vec[:, keep]
-    return w, keep, (vk / np.sqrt(w[keep])) @ vk.T
 
 
 def inv_sqrt_psd(sigma: np.ndarray, condition_cap: float = 1e12) -> np.ndarray:
@@ -384,26 +372,36 @@ def inv_sqrt_psd(sigma: np.ndarray, condition_cap: float = 1e12) -> np.ndarray:
     asym = float(np.max(np.abs(sigma - sigma.T)))
     if asym > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
         raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
-    return _eigen_root(sigma, condition_cap)[2]
+    w, vec = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    keep = w > max(w[-1] / condition_cap, 0.0)
+    if not np.any(keep):
+        raise np.linalg.LinAlgError(
+            "all eigenvalues fall below the condition floor")
+    vk = vec[:, keep]
+    return (vk / np.sqrt(w[keep])) @ vk.T
 
 
 def eigen_floor_diagnostics(coeffs: NullCoefficients,
                             condition_cap: float = 1e12) -> EigenDiagnostics:
-    """One symmetric eigendecomposition per leading block of ``coeffs.sigma``.
+    """One symmetric eigenvalue solve per leading block of ``coeffs.sigma``.
 
-    It gives each order's extreme eigenvalues, condition number and
-    whitening root, and the usable cap: beyond it a root would drop a
-    direction of the covariance.  Raises ``LinAlgError`` if sigma_11 <= 0.
+    It gives each order's extreme eigenvalues and condition number, and the
+    usable cap: beyond it a block has an eigenvalue at or below the floor
+    ``lambda_max / condition_cap``.  Raises ``LinAlgError`` if sigma_11 <= 0.
     """
-    parts = [_eigen_root(coeffs.sigma[:j, :j], condition_cap)
-             for j in range(1, coeffs.k + 1)]
-    lam_min = np.array([w[0] for w, _, _ in parts])
-    lam_max = np.array([w[-1] for w, _, _ in parts])
-    full_rank = [keep.all() for _, keep, _ in parts] + [False]
+    sigma = 0.5 * (coeffs.sigma + coeffs.sigma.T)
+    spectra = [np.linalg.eigvalsh(sigma[:j, :j])
+               for j in range(1, coeffs.k + 1)]
+    lam_min = np.array([w[0] for w in spectra])
+    lam_max = np.array([w[-1] for w in spectra])
+    full_rank = lam_min > np.maximum(lam_max / condition_cap, 0.0)
+    if not full_rank[0]:
+        raise np.linalg.LinAlgError(
+            "all eigenvalues fall below the condition floor")
+    usable = int(np.argmin(np.append(full_rank, False)))  # first False
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(lam_min > 0, lam_max / np.maximum(lam_min, 1e-300), inf)
     return EigenDiagnostics(lambda_mins=lam_min, lambda_maxs=lam_max,
                             condition_numbers=cond,
-                            usable_k_max=full_rank.index(False),
-                            condition_cap=condition_cap,
-                            roots=tuple(root for _, _, root in parts))
+                            usable_k_max=usable,
+                            condition_cap=condition_cap)

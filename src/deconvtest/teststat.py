@@ -4,7 +4,7 @@ From a sample X_1..X_n and null coefficients, form
 
     bhat_j = n**-0.5 * sum_i (Q_j(X_i) m(X_i) - alpha_j),       j = 1..k,
 
-whiten nested prefixes with the inverse square root of the null covariance
+whiten nested prefixes with one Cholesky factor of the null covariance
 to get T_k, select the order S_n as the smallest maximizer of the
 Schwarz-penalized sequence T_k - k*log(n), and reject for large T_{S_n}.
 Critical values come either from the limiting chi-squared(1) law or from a
@@ -21,6 +21,7 @@ every observation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -30,7 +31,7 @@ from scipy.special import gammainc, gammaincc, gammaincinv
 from .measures import RngStream, rekeyed
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
-    inv_sqrt_psd, plain_dict,
+    plain_dict,
 )
 
 DEFAULT_MC_SEED = 202608
@@ -50,6 +51,11 @@ class DataDomainError(ValueError):
         more = ", ..." if len(self.indices) > 10 else ""
         super().__init__(
             f"{detail}: offending observation indices [{shown}{more}]")
+
+
+def _is_integer(value) -> bool:
+    """An integral type that is not ``bool`` (a flag is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,11 @@ class TestConfig:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         if self.k_max != "auto":
-            if not (isinstance(self.k_max, int) and self.k_max >= 1):
+            if not (_is_integer(self.k_max) and self.k_max >= 1):
                 raise ValueError("fixed k_max must be an integer >= 1")
+        for name in ("mc_reps", "mc_seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.calibration not in ("mc", "asymptotic"):
             raise ValueError("calibration must be 'mc' or 'asymptotic'")
         if self.calibration == "mc" and self.mc_reps < 100:
@@ -83,6 +92,9 @@ class TestConfig:
         if not self.eigen_condition_cap > 1:
             # a cap of 1 or less keeps no eigenvalue of any covariance block
             raise ValueError("eigen_condition_cap must exceed 1")
+        if not self.coeff_tol > 0:
+            # a tolerance of 0 or less (or NaN) is never met
+            raise ValueError("coeff_tol must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -209,29 +221,27 @@ def _zero_from(ref) -> float:
     return float(x)
 
 
-def t_sequence(bhat: np.ndarray, sigma: np.ndarray,
-               condition_cap: float = 1e12,
-               roots: Sequence[np.ndarray] | None = None) -> np.ndarray:
+def t_sequence(bhat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Whitened squared norms T_1..T_k over nested prefixes.
 
-    Shaped like ``bhat``, (k,) or (k, reps).  ``roots[j - 1]`` whitens the
-    prefix of order j; by default it is ``inv_sqrt_psd(sigma[:j, :j],
-    condition_cap)``, and ``EigenDiagnostics.roots`` holds the same roots
-    precomputed.
+    Shaped like ``bhat``, (k,) or (k, reps).  With ``sigma = L L'`` the
+    innovations ``e = L^-1 bhat`` give T_j = e_1**2 + ... + e_j**2, so T
+    never decreases; forward substitution sums each inner product in
+    ascending order (``cumsum``), so a column's bits do not depend on the
+    batch.  A ``sigma`` that is not positive definite raises ``LinAlgError``.
     """
     bhat = np.asarray(bhat, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     k = bhat.shape[0]
     if sigma.shape != (k, k):
         raise ValueError("bhat and sigma dimensions disagree")
-    if roots is None:
-        roots = [inv_sqrt_psd(sigma[:j, :j], condition_cap)
-                 for j in range(1, k + 1)]
-    out = np.empty(bhat.shape)
-    for j in range(1, k + 1):
-        u = roots[j - 1] @ bhat[:j]
-        out[j - 1] = np.einsum("i...,i...->...", u, u)
-    return out
+    low = np.linalg.cholesky(sigma)
+    b = bhat.reshape(k, -1)
+    e = np.empty(b.shape)
+    for j in range(k):
+        dot = np.cumsum(low[j, :j, None] * e[:j], axis=0)[-1] if j else 0.0
+        e[j] = (b[j] - dot) / low[j, j]
+    return np.cumsum(e * e, axis=0).reshape(bhat.shape)
 
 
 def select_order(t_seq: np.ndarray, n: int) -> int | np.ndarray:
@@ -283,13 +293,14 @@ def _mc_threshold(values: np.ndarray, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 class TestEngine:
-    """Null coefficients, whitening roots, and calibration for one (null, n).
+    """Null coefficients, order cap, and calibration for one (null, n).
 
     Preparing an engine is the expensive step; evaluating the statistic on
     a batch of samples is a few vectorized passes, which keeps Monte Carlo
     calibration and power studies fast.  Both order policies are capped at
-    ``usable_k_max``, beyond which a whitening root would drop a direction;
-    a fixed order that is cut leaves a note in ``notes``.
+    ``usable_k_max``, beyond which a block falls below the condition floor;
+    a fixed order that is cut leaves a note in ``notes``.  A used covariance
+    block without a Cholesky factor raises ``LinAlgError``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -318,7 +329,14 @@ class TestEngine:
                 f"order-cut: fixed k_max {config.k_max} requested, "
                 f"{self.used_k_max} used (usable order "
                 f"{self.diagnostics.usable_k_max})",)
-        self._roots = self.diagnostics.roots[:self.used_k_max]
+        try:
+            np.linalg.cholesky(coeffs.sigma[:self.used_k_max, :self.used_k_max])
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                f"the covariance block of order {self.used_k_max} keeps every "
+                f"eigenvalue under eigen_condition_cap "
+                f"{config.eigen_condition_cap:g} but has no Cholesky factor;"
+                " lower the cap") from None
         self._critical = None
         self._calibration_values = None
 
@@ -334,7 +352,7 @@ class TestEngine:
         reps, n = samples.shape
         k = self.used_k_max
         b = compute_bhat(samples, self.null, self.coeffs, k)
-        t_seq = t_sequence(b, self.coeffs.sigma[:k, :k], roots=self._roots)
+        t_seq = t_sequence(b, self.coeffs.sigma[:k, :k])
         s_n = select_order(t_seq, n)
         return t_seq.T, s_n, t_seq[s_n - 1, np.arange(reps)]
 

@@ -177,35 +177,24 @@ def count_bhat(rows: np.ndarray, p: float, alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def alt4_first_order_power(n: int, critical: float, ref_p: float = 0.5) -> dict:
-    """First-order power oracle for Alt4 against the Mod2 null.
+def _first_order_power(n: int, critical: float, alpha_null: float,
+                       alpha_alt: float, sigma_11: float, tau2: float) -> dict:
+    """P(T_1 > critical) under an alternative, from the moments of Q_1 m.
 
-    Mod2 is X = Poisson(1) + geometric(mean 1); Alt4 draws X from the 50/50
-    mixture of Poisson(2) and geometric(mean 2).  Both masses are summed on
-    the geometric(ref_p) reference nodes, and Q_1 is the degree-1 polynomial
-    orthonormal under the reference mass m.  With the weighted coefficient
-    Q_1(X) m(X):
+    With the weighted coefficient Q_1(X) m(X):
 
         delta_1 = E_alt[Q_1 m] - E_null[Q_1 m],
         sigma_11 = Var_null(Q_1 m),   tau2 = Var_alt(Q_1 m),
         lambda_1 = n * delta_1**2 / sigma_11.
 
-    Under Alt4, b_1 = sqrt(n) (mean(Q_1 m) - alpha_1) is approximately
-    N(sqrt(n) delta_1, tau2), so P(T_1 > c) with T_1 = b_1**2 / sigma_11 is
-    the returned ``power_t1``.  Whenever the whitened prefix norms T_k are
-    nondecreasing, T_{S_n} >= T_1 and this is a lower bound on the power.
+    Under the alternative, b_1 = sqrt(n) (mean(Q_1 m) - alpha_1) is
+    approximately N(sqrt(n) delta_1, tau2), so P(T_1 > c) with
+    T_1 = b_1**2 / sigma_11 is the returned ``power_t1``.  T_k is a running
+    sum of squared innovations, so T_{S_n} >= T_1 and this is a lower bound
+    on the power.
     """
     from math import erfc, sqrt
 
-    x, m = geometric_nodes(ref_p)
-    q1 = gram_schmidt_polynomials(1, x, m)[1]
-    null = np.convolve(poisson_masses(1.0, x), geometric_masses(1.0, x))[: x.size]
-    alt = 0.5 * poisson_masses(2.0, x) + 0.5 * geometric_masses(2.0, x)
-    v = q1 * m
-    alpha_null = float(np.dot(null, v))
-    alpha_alt = float(np.dot(alt, v))
-    sigma_11 = float(np.dot(null, v * v)) - alpha_null ** 2
-    tau2 = float(np.dot(alt, v * v)) - alpha_alt ** 2
     delta_1 = alpha_alt - alpha_null
     shift = sqrt(n) * abs(delta_1)
     edge = sqrt(critical * sigma_11)
@@ -219,3 +208,46 @@ def alt4_first_order_power(n: int, critical: float, ref_p: float = 0.5) -> dict:
     return {"alpha_null": alpha_null, "alpha_alt": alpha_alt,
             "delta_1": delta_1, "sigma_11": sigma_11, "tau2": tau2,
             "lambda_1": n * delta_1 ** 2 / sigma_11, "power_t1": power_t1}
+
+
+def alt4_first_order_power(n: int, critical: float, ref_p: float = 0.5) -> dict:
+    """First-order power oracle for Alt4 against the Mod2 null.
+
+    Mod2 is X = Poisson(1) + geometric(mean 1); Alt4 draws X from the 50/50
+    mixture of Poisson(2) and geometric(mean 2).  Both masses are summed on
+    the geometric(ref_p) reference nodes, and Q_1 is the degree-1 polynomial
+    orthonormal under the reference mass m; ``_first_order_power`` turns
+    the moments of Q_1(X) m(X) into P(T_1 > critical).
+    """
+    x, m = geometric_nodes(ref_p)
+    q1 = gram_schmidt_polynomials(1, x, m)[1]
+    null = np.convolve(poisson_masses(1.0, x), geometric_masses(1.0, x))[: x.size]
+    alt = 0.5 * poisson_masses(2.0, x) + 0.5 * geometric_masses(2.0, x)
+    v = q1 * m
+    alpha_null = float(np.dot(null, v))
+    alpha_alt = float(np.dot(alt, v))
+    sigma_11 = float(np.dot(null, v * v)) - alpha_null ** 2
+    tau2 = float(np.dot(alt, v * v)) - alpha_alt ** 2
+    return _first_order_power(n, critical, alpha_null, alpha_alt, sigma_11,
+                              tau2)
+
+
+def alt1_first_order_power(n: int, critical: float) -> dict:
+    """First-order power oracle for Alt1 against the Mod1 null.
+
+    Mod1 is X = exponential(mean 1) + chi-squared(1), where chi-squared(1)
+    is gamma(1/2, 2); Alt1 draws X from the 50/50 mixture of
+    exponential(mean 2) and chi-squared(2), both gamma(1, 2), so X is
+    exponential with mean 2.  On the exponential reference the moments of
+    Q_1(X) m(X) come from the closed-form tilted moments of
+    ``gamma_tilted_coefficients``, not from quadrature; ``_first_order_power``
+    turns them into P(T_1 > critical).
+    """
+    alpha_null, sigma = gamma_tilted_coefficients(
+        ("gamma", 1.0, 1.0), ("gamma", 0.5, 2.0), 1)
+    alpha_alt, tau = gamma_tilted_coefficients(
+        ("mix", 0.5, ("gamma", 1.0, 2.0), ("gamma", 1.0, 2.0)),
+        ("point", 0.0), 1)
+    return _first_order_power(n, critical, float(alpha_null[0]),
+                              float(alpha_alt[0]), float(sigma[0, 0]),
+                              float(tau[0, 0]))

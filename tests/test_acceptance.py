@@ -15,18 +15,20 @@ import pytest
 
 from deconvtest.cli import main as cli_main
 from deconvtest.measures import RngStream
-from deconvtest.nullmodel import compute_coefficients
+from deconvtest.nullmodel import compute_coefficients, inv_sqrt_psd
 from deconvtest.orthopoly import (
     PolynomialFamilySpec, addition_split_laguerre, addition_split_meixner,
     certify_orthonormality, laguerre_table, meixner_scaled_table,
 )
 from deconvtest.simlab import build_scenario, run_replications
 from deconvtest.teststat import (
-    TestConfig, TestEngine, chi2_cdf, chi2_quantile, inv_sqrt_psd, t_sequence,
+    TestConfig, TestEngine, chi2_cdf, chi2_quantile, t_sequence,
 )
 
 from .conftest import ACCEPTANCE_LINES
-from .oracles import alt4_first_order_power, chi2_cdf_by_quadrature
+from .oracles import (
+    alt1_first_order_power, alt4_first_order_power, chi2_cdf_by_quadrature,
+)
 
 STUDY_CONFIG = TestConfig()          # alpha 0.05, MC calibration, 2000 reps
 STUDY_REPS = 2000
@@ -231,7 +233,7 @@ def test_criterion_08b_alt4_very_low_power(engines):
 
     Alt4 and Mod2 share the mean 2, yet the m-weighted first coefficient
     separates them (lambda_1 = 0.80 / 1.61 / 8.04 at n = 50 / 100 / 500).
-    With full-rank prefixes T_k is nondecreasing, so T_{S_n} >= T_1 and the
+    T_k is a running sum of squared innovations, so T_{S_n} >= T_1 and the
     power is at least the oracle's P(T_1 > c_n).  Below lambda_1 = 1 the
     power must stay under 0.3.
     """
@@ -259,21 +261,37 @@ def test_criterion_08b_alt4_very_low_power(engines):
 
 
 def test_criterion_08c_alt1_power_monotone(engines):
+    """Alt1's power grows with n and is at least its first-order power.
+
+    T_k is a running sum of squared innovations, so T_{S_n} >= T_1 and the
+    power is at least the oracle's P(T_1 > c_n), less two Wilson
+    half-widths.  The oracle's null alpha_1 and sigma_11 must match the
+    engine's to 1e-9.
+    """
     rows = {}
-    for n in (50, 100, 500):
-        rep = run_replications(build_scenario("Alt1"), n, STUDY_REPS,
-                               STUDY_CONFIG, EVAL_SEED,
-                               engine=engines[("Mod1", n)])
-        rows[n] = rep
     ok = True
+    parts = []
+    for n in (50, 100, 500):
+        engine = engines[("Mod1", n)]
+        oracle = alt1_first_order_power(n, engine.critical_value())
+        ok &= abs(abs(engine.coeffs.alphas[0])
+                  - abs(oracle["alpha_null"])) < 1e-9
+        ok &= abs(engine.coeffs.sigma[0, 0] - oracle["sigma_11"]) < 1e-9
+        rep = run_replications(build_scenario("Alt1"), n, STUDY_REPS,
+                               STUDY_CONFIG, EVAL_SEED, engine=engine)
+        assert rep.errors == 0
+        floor = oracle["power_t1"] - (rep.ci_high - rep.ci_low)
+        ok &= rep.rejection_rate >= floor
+        rows[n] = rep
+        parts.append(f"n={n}: {rep.rejection_rate:.4f} (lambda_1 "
+                     f"{oracle['lambda_1']:.2f}, need >= {floor:.4f})")
     for a, b in ((50, 100), (100, 500)):
         half_a = (rows[a].ci_high - rows[a].ci_low) / 2
         half_b = (rows[b].ci_high - rows[b].ci_low) / 2
         slack = 2.0 * max(half_a, half_b)
         ok &= rows[b].rejection_rate >= rows[a].rejection_rate - slack
     report("criterion 08c Alt1 power monotone", ok,
-           ", ".join(f"n={n}: {r.rejection_rate:.4f}" for n, r in rows.items())
-           + " (nondecreasing within 2 CI half-widths)")
+           ", ".join(parts) + " (nondecreasing within 2 CI half-widths)")
     assert ok
 
 

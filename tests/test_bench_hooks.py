@@ -1,0 +1,40 @@
+"""The benchmark's span targets exist in the package.
+
+``perfbench/spans.py`` wraps package functions and methods by name.  A
+rename there would fail every benchmark run; here it fails the suite.  The
+file is only read, never imported.
+"""
+
+import re
+from pathlib import Path
+
+import deconvtest
+import deconvtest.cli  # noqa: F401  (not imported by the package itself)
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_TARGET = re.compile(r'patch_(function|method)\(([\w.]+), "(\w+)"')
+
+
+def _resolve(path: str):
+    obj = deconvtest
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_patch_target_resolves():
+    targets = _TARGET.findall(SPANS.read_text())
+    assert len(targets) >= 10, "no patch targets found in perfbench/spans.py"
+    missing = []
+    for kind, owner, attr in targets:
+        try:
+            obj = _resolve(owner)
+        except AttributeError:
+            missing.append(f"{owner} (owner of {attr})")
+            continue
+        # patch_method reads the class __dict__; patch_function getattr
+        found = (attr in vars(obj)) if kind == "method" else callable(
+            getattr(obj, attr, None))
+        if not found:
+            missing.append(f"{owner}.{attr}")
+    assert not missing, f"perfbench patch targets not in the package: {missing}"

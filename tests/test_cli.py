@@ -332,6 +332,23 @@ class TestNumericalFailure:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    def test_usable_block_without_factor_exits_4(self, tmp_path, capsys):
+        # under a cap of 1e300 Mod2's usable order is 12, where the
+        # condition number is 2.2e17 and Cholesky breaks down
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "null": {"y": {"kind": "poisson", "mean": 1},
+                     "z": {"kind": "geometric", "mean": 1},
+                     "reference": {"kind": "geometric", "p": 0.5}},
+            "test": {"eigen_condition_cap": 1e300, "k_max": 15,
+                     "calibration": "asymptotic"}}))
+        f = tmp_path / "d.txt"
+        f.write_text("\n".join(["0", "1", "2", "1"] * 125))
+        assert run_cli(["test", f, "--config", cfg]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "order 12" in err and "eigen_condition_cap 1e+300" in err
+
+
 class TestConfigHelpers:
     def test_distribution_builder_rejects_unknown_keys(self):
         with pytest.raises(Exception, match="unknown key"):
@@ -397,6 +414,8 @@ class TestConfigBoundary:
          "null.z.mean must be a finite number"),
         ({"null": {"y": {"kind": "gamma", "shape": 10 ** 400}}},
          "null.y.shape must be a finite number"),
+        ({"test": {"coeff_tol": 0}}, "coeff_tol must be positive"),
+        ({"test": {"coeff_tol": -1}}, "coeff_tol must be positive"),
     ])
     def test_malformed_sections_exit_2(self, tmp_path, capsys, doc, where):
         cfg = tmp_path / "cfg.json"

@@ -237,26 +237,25 @@ class TestEigenDiagnostics:
         assert diag.usable_k_max == 10
 
     def test_block_at_the_cap_is_not_usable(self):
-        # its root drops the 1e-12 direction, so T_2 would equal T_1
+        # its 1e-12 eigenvalue sits on the floor lambda_max / cap
         diag = eigen_floor_diagnostics(
             self._coeffs_with_sigma(np.diag([1.0, 1e-12])), 1e12)
         assert diag.usable_k_max == 1
-        assert diag.roots[1][1, 1] == 0.0
 
     @pytest.mark.parametrize("model", ["mod1", "mod2"])
-    def test_usable_roots_have_full_rank(self, model, request):
+    def test_usable_blocks_factor_above_the_floor(self, model, request):
         coeffs = compute_coefficients(request.getfixturevalue(f"{model}_null"), 15)
         diag = eigen_floor_diagnostics(coeffs)
-        assert diag.usable_k_max < 15
-        ranks = []
-        for root in diag.roots[:diag.usable_k_max + 1]:
-            # kept singular values of a root are at least its largest over
-            # sqrt(cap); the dropped ones are rounding, about eps times it
-            top = np.linalg.norm(root, 2)
-            ranks.append(np.linalg.matrix_rank(root, tol=top / diag.condition_cap))
         usable = diag.usable_k_max
-        assert ranks[:usable] == list(range(1, usable + 1))
-        assert ranks[usable] < usable + 1
+        assert usable < 15
+        for j in range(1, usable + 1):
+            block = coeffs.sigma[:j, :j]
+            np.linalg.cholesky(block)
+            w = np.linalg.eigvalsh(block)
+            assert np.all(w > w[-1] / diag.condition_cap)
+        # the next block fails the eigenvalue rule
+        w = np.linalg.eigvalsh(coeffs.sigma[:usable + 1, :usable + 1])
+        assert w[0] <= w[-1] / diag.condition_cap
 
     def test_no_usable_order_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="floor"):
