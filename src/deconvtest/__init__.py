@@ -7,7 +7,6 @@ expansion coefficients with their null values, and selecting the number of
 compared coefficients from the data by a Schwarz-type penalty.
 """
 
-from .engines import QuadratureError
 from .measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,

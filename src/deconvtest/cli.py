@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .engines import QuadratureError
 from .measures import LAWS, REFERENCES, Distribution, ReferenceMeasure
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
@@ -357,7 +356,7 @@ def cmd_coeffs(args) -> int:
     if k < 1:
         raise ConfigError("--kmax must be at least 1")
     coeffs = compute_coefficients(null, k, method=test.coeff_method,
-                                  u_split=test.u_split, tol=test.coeff_tol)
+                                  u_split=test.u_split)
     lam = eigen_floor_diagnostics(coeffs, test.eigen_condition_cap).lambda_mins
     _emit({
         "schema": COEFFS_SCHEMA,
@@ -484,8 +483,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFileError, DataDomainError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (QuadratureError, BasisInconsistencyError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (BasisInconsistencyError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,37 +1,32 @@
 """Expectation rules and joint samplers for the coefficient engines.
 
 ``expectation_rule`` gives nodes and weights for ``E[f(X) exp(-rate X)]``,
-one Gauss rule per axis kind (Golub & Welsch 1969), doubling its node count
-per refinement level: the generalized Gauss-Laguerre rule of the tilted law
-``Gamma(a, scale / (1 + rate * scale))`` on gamma-type axes, so that the
-gamma density and the reference's exponential weight are both carried by
-the rule; Gauss-Legendre on the unit interval; and exact sums truncated at
-1e-12 probability mass, extended per level, on integer supports.  The same
-Laguerre and Legendre rules certify the bases in ``orthopoly``.
-``independent_sampler`` is the joint sampler of an independent pair.
+one Gauss rule per axis kind (Golub & Welsch 1969).  Every tilt of a law
+in the zoo is again a law of the same kind times a constant, so with
+``nodes`` nodes the rule is exact for polynomials f of degree up to
+``2 * nodes - 1``: generalized Gauss-Laguerre for the tilted law
+``Gamma(a, scale / (1 + rate * scale))`` on gamma-type axes,
+Gauss-Charlier for the tilted Poisson mean ``mean * exp(-rate)``, and
+Gauss-Meixner (beta = 1) for the tilted geometric ratio ``q * exp(-rate)``
+(Koekoek & Swarttouw, sections 1.9 and 1.12).  The one exception is the
+unit interval, where ``exp(-rate x)`` is not a polynomial: its
+Gauss-Legendre rule takes as many extra nodes as the Taylor remainder of
+that factor needs to fall below rounding.  The same Laguerre and Legendre
+rules certify the bases in ``orthopoly``.  ``independent_sampler`` is the
+joint sampler of an independent pair.
 """
 
 from __future__ import annotations
 
+from math import exp, expm1, sqrt
+
 import numpy as np
 
 from .measures import (
-    ChiSquared, Distribution, Exponential, Gamma, Mixture, PointMass, Uniform01,
+    ChiSquared, Distribution, Exponential, Gamma, Geometric, Mixture,
+    PointMass, Poisson, Uniform01,
 )
 from .orthopoly import _gamma_weight_rule, _uniform01_rule
-
-_BASE_NODES = 40
-
-
-class QuadratureError(RuntimeError):
-    """Deterministic integration failed to converge within its budget."""
-
-    def __init__(self, estimate: float, error_estimate: float, detail: str = ""):
-        self.estimate = estimate
-        self.error_estimate = error_estimate
-        msg = (f"quadrature did not reach tolerance; last estimate "
-               f"{estimate:.12g} with error estimate {error_estimate:.3e}")
-        super().__init__(msg + (f" ({detail})" if detail else ""))
 
 
 def _gamma_parameters(dist: Distribution) -> tuple[float, float] | None:
@@ -45,38 +40,66 @@ def _gamma_parameters(dist: Distribution) -> tuple[float, float] | None:
     return None
 
 
-def expectation_rule(dist: Distribution, level: int,
-                     rate: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights w with ``sum(w * f(x)) ~ E[f(X) exp(-rate X)]``.
+def _jacobi_rule(diag: np.ndarray, off: np.ndarray):
+    """Gauss rule of a probability law from its monic three-term recurrence
+    ``x p_j = p_(j+1) + diag[j] p_j + off[j-1]**2 p_(j-1)``: the nodes are
+    the eigenvalues of the Jacobi matrix, the weights the squared first
+    components of its eigenvectors."""
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2
 
-    Weights absorb the density/mass and the exponential tilt, so callers
-    evaluate bare integrands.  ``level`` refines the rule: continuous axes
-    use ``40 * 2**level`` nodes, discrete axes a longer summation range.
+
+def _taylor_nodes(rate: float) -> int:
+    """Extra Gauss-Legendre nodes that make ``exp(-rate x)`` exact on [0, 1].
+
+    With ``n + e`` nodes the rule integrates ``f(x) T(x)`` exactly for the
+    degree-2e Taylor polynomial T of ``exp(-rate x)`` about 1/2.  The rest
+    is at most ``(rate/2)**(2e+1) / (2e+1)!`` on [0, 1], against a factor
+    of at least ``exp(-rate)``; counting the integral and the rule, the
+    relative error is at most twice their ratio.
+    """
+    e, remainder = 0, rate * exp(rate)
+    while remainder > 2.0 ** -53:
+        e += 1
+        remainder *= (rate / 2.0) ** 2 / ((2 * e) * (2 * e + 1))
+    return e
+
+
+def expectation_rule(dist: Distribution, nodes: int,
+                     rate: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with ``sum(w * f(x)) = E[f(X) exp(-rate X)]``.
+
+    Weights absorb the density or mass and the exponential tilt, so callers
+    evaluate bare integrands; the sum is exact for polynomials f of degree
+    up to ``2 * nodes - 1``.
     """
     if isinstance(dist, PointMass):
         return (np.array([float(dist.value)]),
-                np.array([np.exp(-rate * float(dist.value))]))
+                np.array([exp(-rate * float(dist.value))]))
     if isinstance(dist, Mixture):
         # recurse so atoms and disjoint supports inside mixtures stay exact
-        xa, wa = expectation_rule(dist.a, level, rate)
-        xb, wb = expectation_rule(dist.b, level, rate)
+        xa, wa = expectation_rule(dist.a, nodes, rate)
+        xb, wb = expectation_rule(dist.b, nodes, rate)
         return (np.concatenate([xa, xb]),
                 np.concatenate([dist.weight * wa, (1 - dist.weight) * wb]))
-    if dist.discrete:
-        hi = int(dist.upper_quantile())
-        hi = hi + 8 + (hi // 2 + 8) * level
-        x = np.arange(hi + 1, dtype=float)
-        w = dist.pdf(x)
-        return x, (w * np.exp(-rate * x) if rate else w)
-    n_nodes = _BASE_NODES * 2 ** level
+    j = np.arange(nodes)
+    if isinstance(dist, Poisson):
+        mu = dist.mean * exp(-rate)
+        x, w = _jacobi_rule(j + mu, np.sqrt(j[1:] * mu))
+        return x, w * exp(dist.mean * expm1(-rate))
+    if isinstance(dist, Geometric):
+        c = dist.q * exp(-rate)
+        x, w = _jacobi_rule((j + (j + 1) * c) / (1 - c),
+                            j[1:] * (sqrt(c) / (1 - c)))
+        return x, w * ((1 - dist.q) / (1 - c))
     gamma = _gamma_parameters(dist)
     if gamma is not None:
         shape, scale = gamma
-        t, w = _gamma_weight_rule(shape, n_nodes)
+        t, w = _gamma_weight_rule(shape, nodes)
         return (t * (scale / (1.0 + rate * scale)),
                 w * (1.0 + rate * scale) ** -shape)
     if isinstance(dist, Uniform01):
-        x, w = _uniform01_rule(n_nodes)
+        x, w = _uniform01_rule(nodes + _taylor_nodes(rate))
         return x, w * np.exp(-rate * x)
     raise TypeError(f"no expectation rule for {type(dist).__name__}")
 

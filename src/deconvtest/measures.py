@@ -12,7 +12,8 @@ index) pair reproduces draws bit-exactly:
   empty buffers) and draws exactly what a fresh ``generator()`` would,
 * exponential draws use inverse-CDF on one uniform,
 * chi-squared with 1 degree of freedom is the square of a standard normal,
-* Poisson and geometric draws use inverse-CDF (table walk / closed form),
+* Poisson and geometric draws use inverse-CDF (a search of a CDF table
+  that spans all but 1e-16 of the mass on either side / closed form),
 * other gammas use the generator's gamma method,
 * mixtures draw a component indicator, then both component vectors, and
   select elementwise.
@@ -21,8 +22,8 @@ Every law and reference measure is a frozen dataclass with a class-level
 ``kind``; its configuration document is ``{"kind": kind}`` plus its fields
 by name, numbers as floats, and ``LAWS`` and ``REFERENCES`` map each kind
 back to its class.
-Laws carry no densities for the engines: continuous axes are integrated
-with Gauss rules, so ``pdf`` exists only as the mass function of counts.
+Laws carry no densities: ``engines.expectation_rule`` integrates every
+axis with a Gauss rule built from the law's parameters.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from math import exp, inf, log
+from math import ceil, floor, inf, log, sqrt
 
 import numpy as np
 from scipy.special import pdtr
@@ -42,7 +43,8 @@ __all__ = [
     "rekeyed", "LAWS", "REFERENCES",
 ]
 
-_TAIL_MASS = 1e-12  # per-axis truncation mass for deterministic engines
+# Poisson sampling tables leave out at most this much mass on either side
+_TABLE_TAIL = 1e-16
 
 
 def _mix64(z: int) -> int:
@@ -119,12 +121,7 @@ def _document(obj) -> dict:
 # ---------------------------------------------------------------------------
 
 class Distribution:
-    """Common surface: sampling, support, tail truncation, document form.
-
-    The count laws (Poisson, Geometric) also give their mass function
-    ``pdf``, which ``engines.expectation_rule`` sums over the truncated
-    support; point masses and mixtures get their rules without one.
-    """
+    """Common surface: sampling, support, document form."""
 
     kind = ""
     discrete = False
@@ -133,13 +130,6 @@ class Distribution:
         raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def upper_quantile(self, tail: float = _TAIL_MASS) -> float:
-        """Point with at most ``tail`` probability above it.
-
-        Integer-supported laws only: the engines truncate their sums there.
-        """
         raise NotImplementedError
 
     def config(self) -> dict:
@@ -209,35 +199,25 @@ class Poisson(Distribution):
         if not self.mean > 0:
             raise ValueError("Poisson mean must be positive")
 
-    def pdf(self, x):
-        from scipy.special import gammaln
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        ok = (x >= 0) & (x == np.floor(x))
-        k = x[ok]
-        out[ok] = np.exp(k * log(self.mean) - self.mean - gammaln(k + 1.0))
-        return out
-
     @cached_property
-    def _cdf_table(self) -> np.ndarray:
-        hi = int(self.upper_quantile(_TAIL_MASS * 1e-3)) + 2
-        return pdtr(np.arange(hi), self.mean)
+    def _cdf_table(self) -> tuple[int, np.ndarray]:
+        """First count and the CDF from there, both tails below _TABLE_TAIL.
+
+        The Chernoff bound gives ``P(|X - mean| >= t)`` at most
+        ``exp(-t**2 / (2 (mean + t / 3)))`` on either side.
+        """
+        log_tail = -log(_TABLE_TAIL)
+        t = log_tail / 3.0 + sqrt(log_tail ** 2 / 9.0 + 2.0 * log_tail * self.mean)
+        lo = max(0, floor(self.mean - t))
+        return lo, pdtr(np.arange(lo, ceil(self.mean + t) + 2), self.mean)
 
     def draw(self, gen, size):
-        return np.searchsorted(self._cdf_table, gen.random(size),
-                               side="left").astype(float)
+        lo, table = self._cdf_table
+        return (lo + np.searchsorted(table, gen.random(size),
+                                     side="left")).astype(float)
 
     def support(self):
         return (0.0, inf)
-
-    def upper_quantile(self, tail=_TAIL_MASS):
-        lam = self.mean
-        k, cum, term = 0, exp(-lam), exp(-lam)
-        while cum < 1.0 - tail and k < 100_000:
-            k += 1
-            term *= lam / k
-            cum += term
-        return float(k)
 
 
 @dataclass(frozen=True)
@@ -260,21 +240,11 @@ class Geometric(Distribution):
     def q(self) -> float:
         return self.mean / (1.0 + self.mean)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        ok = (x >= 0) & (x == np.floor(x))
-        out[ok] = (1.0 - self.q) * self.q ** x[ok]
-        return out
-
     def draw(self, gen, size):
         return np.floor(np.log1p(-gen.random(size)) / log(self.q))
 
     def support(self):
         return (0.0, inf)
-
-    def upper_quantile(self, tail=_TAIL_MASS):
-        return float(np.ceil(log(tail) / log(self.q)))
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,21 @@ the test statistic whitens empirical coefficient estimates with
     sigma_ij = E[Q_i(X) Q_j(X) m(X)**2] - alpha_i * alpha_j.
 
 Every reference density is ``m(0) * exp(-rate * x)`` on its support, so
-both deterministic paths integrate with ``engines.expectation_rule`` at the
-reference's rate: one Gauss rule per axis kind that already carries the
-exponential weight.  Three computation paths exist:
+``alpha_j`` is ``m(0)`` times a polynomial moment under the law tilted by
+``exp(-rate x)``, and the second moment is ``m(0)**2`` times a polynomial
+moment of degree at most 2k under the law tilted by ``exp(-2 rate x)``.
+Both deterministic paths take these from ``engines.expectation_rule``: one
+Gauss rule per axis kind with k + 1 nodes, exact, in one pass.  Three
+computation paths exist:
 
 * ``closed_form`` (independent components, Laguerre and Meixner): the
   polynomial of the sum is split by the convolution addition identities
   into products of one-dimensional expectations over Y and Z separately;
   shifted Legendre has no such split, so a ``closed_form`` request there is
   served by the tensor rule and recorded as ``quadrature``,
-* ``quadrature``: tensor integration of the bivariate integrand,
+* ``quadrature``: the tensor rule over (Y, Z) of the bivariate integrand,
 * ``monte_carlo``: sample moments over a joint sampler; the only path
   available when Y and Z are dependent.
-
-Both deterministic paths refine, up to ``_MAX_LEVEL`` times, until
-successive estimates agree to an absolute tolerance, so coefficient sets
-are reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import orthopoly
-from .engines import QuadratureError, expectation_rule, independent_sampler
+from .engines import expectation_rule, independent_sampler
 from .measures import Distribution, GeometricRef, ReferenceMeasure, RngStream
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
@@ -48,12 +47,8 @@ QUADRATURE = "quadrature"
 MONTE_CARLO = "monte_carlo"
 
 PSD_SLACK = 1e-10
-DEFAULT_COEFF_TOL = 1e-10
 DEFAULT_MC_DRAWS = 1_000_000
 DEFAULT_MC_STREAM = RngStream(861221509, 0)
-# Refinement levels of both deterministic paths; a gamma axis reaches
-# 40 * 2**3 = 320 Gauss-Laguerre nodes, below SciPy's NaN limit near 380.
-_MAX_LEVEL = 3
 
 _REF_FAMILY = {
     "exponential1": orthopoly.LAGUERRE,
@@ -189,22 +184,25 @@ class NullCoefficients:
 # Deterministic paths
 # ---------------------------------------------------------------------------
 
-def _split_pieces(dist: Distribution, table, ref: ReferenceMeasure, level: int):
+def _split_pieces(dist: Distribution, table, ref: ReferenceMeasure, k: int):
     """One-dimensional expectations of one axis's split factors.
 
-    With ``P = table(x)`` and the rule for ``E[f(X) exp(-rate X)]`` at the
-    reference's rate, a1[s] = sqrt(m(0)) E[P_s(X) e^(-rate X)] and
-    a2[s, t] = E[P_s(X) P_t(X) m(X) e^(-rate X)]; products of the pieces of
-    Y and Z then carry m(Y + Z) and m(Y + Z)**2.
+    With ``P = table(x)`` and m(x) = m(0) exp(-rate x),
+    a1[s] = sqrt(m(0)) E[P_s(X) e^(-rate X)] and
+    a2[s, t] = m(0) E[P_s(X) P_t(X) e^(-2 rate X)]; products of the pieces
+    of Y and Z then carry m(Y + Z) and m(Y + Z)**2.  Each is a polynomial of
+    degree at most 2k under a tilted law, so k + 1 nodes are exact.
     """
-    x, w = expectation_rule(dist, level, ref.rate)
+    m0 = float(ref.density(0.0))
+    x, w = expectation_rule(dist, k + 1, ref.rate)
+    a1 = sqrt(m0) * (table(x) @ w)
+    x, w = expectation_rule(dist, k + 1, 2.0 * ref.rate)
     values = table(x)
-    a1 = sqrt(float(ref.density(0.0))) * (values @ w)
-    a2 = np.einsum("sn,tn,n->st", values, values, w * ref.density(x))
+    a2 = m0 * np.einsum("sn,tn,n->st", values, values, w)
     return a1, a2
 
 
-def _closed_form_once(null: NullSpec, k: int, u: float, level: int):
+def _closed_form(null: NullSpec, k: int, u: float):
     """Laguerre and Meixner coefficients through the addition splits.
 
     ``split[i, s, r]`` is the weight of P_s(y) P_r(z) in P_i(y + z), with
@@ -227,43 +225,31 @@ def _closed_form_once(null: NullSpec, k: int, u: float, level: int):
     for i in range(k + 1):
         for s, w in terms(i):
             split[i, s, i - s] = w
-    a1, a2 = _split_pieces(null.y, table_y, null.ref, level)
-    b1, b2 = _split_pieces(null.z, table_z, null.ref, level)
+    a1, a2 = _split_pieces(null.y, table_y, null.ref, k)
+    b1, b2 = _split_pieces(null.z, table_z, null.ref, k)
     norms = null.basis.norms[: k + 1]
     alphas = np.einsum("isr,s,r->i", split, a1, b1) / norms
     m2 = np.einsum("isr,jtq,st,rq->ij", split, split, a2, b2, optimize=True)
     return alphas, m2 / np.outer(norms, norms) - np.outer(alphas, alphas)
 
 
-def _quadrature_once(null: NullSpec, k: int, level: int):
-    """Tensor rule: alpha = m(0) sum(w q), m2 = m(0) sum(w q q m) at y + z."""
-    rate = null.ref.rate
-    y, wy = expectation_rule(null.y, level, rate)
-    z, wz = expectation_rule(null.z, level, rate)
-    x = y[:, None] + z[None, :]
-    w = float(null.ref.density(0.0)) * wy[:, None] * wz[None, :]
-    q = null.basis.eval_normalized(x, k)
-    alphas = np.tensordot(q, w, axes=([1, 2], [0, 1]))
-    m2 = np.einsum("iab,jab,ab->ij", q, q, w * null.ref.density(x))
+def _tensor_rule(null: NullSpec, k: int, rate: float):
+    """Values q = Q(y + z) and weights of the product rule at ``rate``."""
+    y, wy = expectation_rule(null.y, k + 1, rate)
+    z, wz = expectation_rule(null.z, k + 1, rate)
+    return (null.basis.eval_normalized(y[:, None] + z[None, :], k),
+            wy[:, None] * wz[None, :])
+
+
+def _quadrature(null: NullSpec, k: int):
+    """Tensor rule: alpha = m(0) sum(w q) at ``rate``, and the second
+    moment m(0)**2 sum(w q q) at ``2 * rate``, both at x = y + z."""
+    m0 = float(null.ref.density(0.0))
+    q, w = _tensor_rule(null, k, null.ref.rate)
+    alphas = m0 * np.tensordot(q, w, axes=([1, 2], [0, 1]))
+    q, w = _tensor_rule(null, k, 2.0 * null.ref.rate)
+    m2 = m0 ** 2 * np.einsum("iab,jab,ab->ij", q, q, w)
     return alphas, m2 - np.outer(alphas, alphas)
-
-
-def _deterministic_coefficients(null: NullSpec, k: int, method: str,
-                                u_split: float, tol: float):
-    prev, delta = None, np.inf
-    for level in range(_MAX_LEVEL + 1):
-        if method == CLOSED_FORM:
-            alphas, sigma = _closed_form_once(null, k, u_split, level)
-        else:
-            alphas, sigma = _quadrature_once(null, k, level)
-        if prev is not None:
-            delta = max(np.max(np.abs(alphas - prev[0])),
-                        np.max(np.abs(sigma - prev[1])))
-            if delta <= tol:
-                return alphas, sigma
-        prev = (alphas, sigma)
-    raise QuadratureError(float(alphas[1]) if k else 0.0, float(delta),
-                          detail=f"{method} coefficients, k={k}")
 
 
 def _monte_carlo_coefficients(null: NullSpec, k: int, draws: int,
@@ -278,7 +264,7 @@ def _monte_carlo_coefficients(null: NullSpec, k: int, draws: int,
 
 
 def compute_coefficients(null: NullSpec, k: int, method: str | None = None,
-                         u_split: float = 0.5, tol: float = DEFAULT_COEFF_TOL,
+                         u_split: float = 0.5,
                          mc_draws: int = DEFAULT_MC_DRAWS,
                          mc_stream: RngStream = DEFAULT_MC_STREAM,
                          ) -> NullCoefficients:
@@ -310,7 +296,8 @@ def compute_coefficients(null: NullSpec, k: int, method: str | None = None,
                  f"stream=({mc_stream.master_seed},{mc_stream.stream_index})",)
         alphas, sigma = full_a, full_s
     else:
-        full_a, full_s = _deterministic_coefficients(null, k, method, u_split, tol)
+        full_a, full_s = (_closed_form(null, k, u_split) if method == CLOSED_FORM
+                          else _quadrature(null, k))
         # deterministic paths carry the degree-0 row; drop it
         alphas, sigma = full_a[1:], full_s[1:, 1:]
     note = _alpha_growth_note(np.asarray(alphas[:k]))

@@ -72,7 +72,6 @@ class TestConfig:
     eigen_condition_cap: float = 1e12
     u_split: float = 0.5
     coeff_method: str | None = None
-    coeff_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -92,9 +91,6 @@ class TestConfig:
         if not self.eigen_condition_cap > 1:
             # a cap of 1 or less keeps no eigenvalue of any covariance block
             raise ValueError("eigen_condition_cap must exceed 1")
-        if not self.coeff_tol > 0:
-            # a tolerance of 0 or less (or NaN) is never met
-            raise ValueError("coeff_tol must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -317,7 +313,7 @@ class TestEngine:
         if coeffs is None:
             coeffs = compute_coefficients(
                 null, policy_k, method=config.coeff_method,
-                u_split=config.u_split, tol=config.coeff_tol)
+                u_split=config.u_split)
         self.coeffs = coeffs
         self.diagnostics = eigen_floor_diagnostics(
             coeffs, config.eigen_condition_cap)

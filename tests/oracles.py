@@ -35,21 +35,55 @@ def geometric_nodes(p: float, n_points: int = 2000):
     return x, (1.0 - p) * p ** x
 
 
+def _stirling2(r_max: int) -> np.ndarray:
+    """Stirling numbers of the second kind S(r, i), r, i = 0..r_max."""
+    s = np.zeros((r_max + 1, r_max + 1))
+    s[0, 0] = 1.0
+    for r in range(1, r_max + 1):
+        for i in range(1, r + 1):
+            s[r, i] = i * s[r - 1, i] + s[r - 1, i - 1]
+    return s
+
+
 def _tilted_moments(law, c: float, r_max: int) -> np.ndarray:
     """E[Y**r * exp(-c * Y)] for r = 0..r_max, in closed form.
 
     ``law`` is plain data: ("gamma", a, theta) gives
     Gamma(a + r) / Gamma(a) * theta**r * (1 + c * theta)**-(a + r);
-    ("point", v) gives v**r * exp(-c * v); ("mix", w, A, B) is the weighted
-    sum of its two components.
+    ("unif",) gives the lower incomplete gamma r! P(r + 1, c) / c**(r + 1)
+    (1 / (r + 1) at c = 0); ("point", v) gives v**r * exp(-c * v).  The
+    tilt of ("poisson", mean) is Poisson(mu = mean e**-c) times
+    exp(mu - mean), whose moments are the Touchard polynomials
+    sum_i S(r, i) mu**i; that of ("geometric", mean), with
+    q = mean / (1 + mean), is the geometric law of ratio g = q e**-c times
+    (1 - q) / (1 - g), whose factorial moments are i! (g / (1 - g))**i.
+    ("mix", w, A, B) is the weighted sum of its two components.
     """
+    from math import exp, factorial
+
+    from scipy.special import gammainc
+
     r = np.arange(r_max + 1)
     if law[0] == "gamma":
         _, a, theta = law
         rising = np.concatenate(([1.0], np.cumprod(a + r[:-1])))
         return rising * theta ** r * (1.0 + c * theta) ** -(a + r)
+    if law[0] == "unif":
+        if c == 0:
+            return 1.0 / (r + 1.0)
+        fact = np.array([float(factorial(j)) for j in r])
+        return fact * gammainc(r + 1.0, c) / c ** (r + 1.0)
     if law[0] == "point":
         return float(law[1]) ** r * np.exp(-c * law[1])
+    if law[0] == "poisson":
+        mu = law[1] * exp(-c)
+        return exp(mu - law[1]) * (_stirling2(r_max) @ mu ** r)
+    if law[0] == "geometric":
+        q = law[1] / (1.0 + law[1])
+        g = q * exp(-c)
+        fact = np.array([float(factorial(i)) for i in r])
+        return ((1.0 - q) / (1.0 - g)
+                * (_stirling2(r_max) @ (fact * (g / (1.0 - g)) ** r)))
     _, w, first, second = law
     return (w * _tilted_moments(first, c, r_max)
             + (1.0 - w) * _tilted_moments(second, c, r_max))
@@ -154,6 +188,35 @@ def meixner_orthonormal(max_degree: int, p: float, x) -> np.ndarray:
         m.append(((p - 1.0) * x * m[n] + (n + (n + 1) * p) * m[n]
                   - n * m[n - 1]) / (p * (n + 1)))
     return np.array([p ** (n / 2.0) * m[n] for n in range(max_degree + 1)])
+
+
+def _count_masses(law, x: np.ndarray) -> np.ndarray:
+    """Masses of a count law (plain data as in ``_tilted_moments``) at x."""
+    if law[0] == "poisson":
+        return poisson_masses(law[1], x)
+    if law[0] == "geometric":
+        return geometric_masses(law[1], x)
+    if law[0] == "point":
+        return (x == law[1]).astype(float)
+    _, w, first, second = law
+    return w * _count_masses(first, x) + (1.0 - w) * _count_masses(second, x)
+
+
+def count_null_coefficients(y, z, p: float, k: int, n_points: int = 600):
+    """alpha_1..alpha_k and Sigma of Y + Z on the geometric(p) reference.
+
+    No Gauss rule: the masses of X = Y + Z are the direct convolution of
+    the component masses on 0..n_points-1 (every law in the tests leaves
+    less than 1e-70 beyond), and the moments of Q_j(X) m(X) with the
+    orthonormal Meixner polynomials and m(x) = (1 - p) p**x are plain sums
+    over those points.
+    """
+    x = np.arange(n_points, dtype=float)
+    mass = np.convolve(_count_masses(y, x), _count_masses(z, x))[:n_points]
+    v = meixner_orthonormal(k, p, x)[1:] * ((1.0 - p) * p ** x)
+    alphas = v @ mass
+    sigma = (v * mass) @ v.T - np.outer(alphas, alphas)
+    return alphas, sigma
 
 
 def count_bhat(rows: np.ndarray, p: float, alphas: np.ndarray) -> np.ndarray:

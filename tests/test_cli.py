@@ -302,11 +302,12 @@ class TestNumericalFailure:
         # the Gauss-Laguerre rule of the axis carries x**(shape - 1)
         assert self._run(tmp_path, {"calibration": "asymptotic"}) == EXIT_OK
 
-    def test_unreachable_tolerance_exits_4(self, tmp_path, capsys):
-        code = self._run(tmp_path, {"calibration": "asymptotic",
-                                    "coeff_tol": 1e-30})
-        assert code == EXIT_NUMERIC
-        assert "quadrature" in capsys.readouterr().err
+    def test_unmet_tolerance_key_exits_2(self, tmp_path, capsys):
+        # a tolerance below rounding once exhausted the refinement; with one
+        # exact pass there is none, and the key itself is refused
+        assert self._run(tmp_path, {"calibration": "asymptotic",
+                                    "coeff_tol": 1e-30}) == EXIT_USAGE
+        assert "unknown key(s) ['coeff_tol'] in test" in capsys.readouterr().err
 
     def test_gamma_rule_overflow_exits_4(self, tmp_path, capsys):
         # the Gauss-Laguerre weights overflow past a shape of about 170
@@ -333,13 +334,14 @@ class TestNumericalFailure:
 
 
     def test_usable_block_without_factor_exits_4(self, tmp_path, capsys):
-        # under a cap of 1e300 Mod2's usable order is 12, where the
-        # condition number is 2.2e17 and Cholesky breaks down
+        # under a cap of 1e300 the usable order of Poisson(2) + geometric(1)
+        # on the geometric(0.7) reference is 12, where the condition number
+        # is 4.3e16 and Cholesky breaks down
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "null": {"y": {"kind": "poisson", "mean": 1},
+            "null": {"y": {"kind": "poisson", "mean": 2},
                      "z": {"kind": "geometric", "mean": 1},
-                     "reference": {"kind": "geometric", "p": 0.5}},
+                     "reference": {"kind": "geometric", "p": 0.7}},
             "test": {"eigen_condition_cap": 1e300, "k_max": 15,
                      "calibration": "asymptotic"}}))
         f = tmp_path / "d.txt"
@@ -414,8 +416,6 @@ class TestConfigBoundary:
          "null.z.mean must be a finite number"),
         ({"null": {"y": {"kind": "gamma", "shape": 10 ** 400}}},
          "null.y.shape must be a finite number"),
-        ({"test": {"coeff_tol": 0}}, "coeff_tol must be positive"),
-        ({"test": {"coeff_tol": -1}}, "coeff_tol must be positive"),
     ])
     def test_malformed_sections_exit_2(self, tmp_path, capsys, doc, where):
         cfg = tmp_path / "cfg.json"
@@ -423,6 +423,16 @@ class TestConfigBoundary:
         assert run_cli(["test", FIXTURE, "--config", cfg,
                         "--calibration", "asymptotic"]) == EXIT_USAGE
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_coeff_tol_key_exits_2(self, tmp_path, capsys, tol):
+        # the coefficient rules are exact in one pass, so there is no
+        # refinement tolerance to set; an old document naming one is refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"test": {"coeff_tol": tol}}))
+        assert run_cli(["test", FIXTURE, "--config", cfg,
+                        "--calibration", "asymptotic"]) == EXIT_USAGE
+        assert "unknown key(s) ['coeff_tol'] in test" in capsys.readouterr().err
 
     def test_unallocatable_calibration_exits_2(self, tmp_path, capsys,
                                                monkeypatch):

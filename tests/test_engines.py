@@ -1,16 +1,15 @@
 """Deterministic and Monte Carlo expectation engines.
 
-``expect_1d``, ``expect_conv`` and ``mc_expect`` refine the package's
-``expectation_rule`` to a tolerance, or average a joint sampler; the tests
-below drive that machinery through them.
+``expect_1d`` and ``expect_conv`` double the node count of the package's
+``expectation_rule`` until two estimates agree to a tolerance, and
+``mc_expect`` averages a joint sampler; the tests below drive that
+machinery through them.
 """
 
 import numpy as np
 import pytest
 
-from deconvtest.engines import (
-    QuadratureError, expectation_rule, independent_sampler,
-)
+from deconvtest.engines import expectation_rule, independent_sampler
 from deconvtest.measures import (
     ChiSquared, Exponential, Geometric, Mixture, PointMass, Poisson,
     RngStream, Uniform01,
@@ -19,42 +18,55 @@ from deconvtest.measures import (
 DEFAULT_TOL = 1e-10
 
 
-def expect_1d(dist, integrand, tol=DEFAULT_TOL, max_level=9):
-    """Deterministic E[integrand(X)] to absolute tolerance ``tol``."""
-    if isinstance(dist, PointMass):
-        return float(np.asarray(integrand(np.array([float(dist.value)])))[0])
+class BudgetExhausted(RuntimeError):
+    """Two successive estimates never agreed within the node budget."""
+
+    def __init__(self, estimate: float, delta: float):
+        self.estimate = estimate
+        self.delta = delta
+        super().__init__(f"last estimate {estimate!r}, last change {delta:.3e}")
+
+
+def _refine(estimate, tol, max_doublings):
+    """Estimates at 40, 80, ... nodes until two agree within ``tol``; 320
+    nodes stay below the count where SciPy's Gauss-Laguerre rule fails."""
     prev, delta = None, np.inf
-    for level in range(max_level + 1):
-        x, w = expectation_rule(dist, level)
-        est = float(np.dot(w, np.asarray(integrand(x), dtype=float)))
+    for nodes in 40 * 2 ** np.arange(max_doublings + 1):
+        est = estimate(int(nodes))
         if prev is not None:
             delta = abs(est - prev)
             if delta <= tol:
                 return est
         prev = est
-    raise QuadratureError(prev, delta)
+    raise BudgetExhausted(prev, delta)
 
 
-def expect_conv(dist_y, dist_z, integrand, tol=DEFAULT_TOL, max_level=5):
+def expect_1d(dist, integrand, tol=DEFAULT_TOL, max_doublings=3):
+    """Deterministic E[integrand(X)] to absolute tolerance ``tol``."""
+
+    def estimate(nodes):
+        x, w = expectation_rule(dist, nodes)
+        return float(np.dot(w, np.asarray(integrand(x), dtype=float)))
+
+    return _refine(estimate, tol, max_doublings)
+
+
+def expect_conv(dist_y, dist_z, integrand, tol=DEFAULT_TOL, max_doublings=3):
     """Deterministic E[integrand(Y, Z)] for independent Y, Z.
 
-    Tensor rule over both truncated axes; refined jointly until two
-    successive estimates agree within ``tol`` absolutely.
+    Tensor rule over both axes, refined jointly until two successive
+    estimates agree within ``tol`` absolutely.
     """
-    prev, delta = None, np.inf
-    for level in range(max_level + 1):
-        y, wy = expectation_rule(dist_y, level)
-        z, wz = expectation_rule(dist_z, level)
+
+    def estimate(nodes):
+        y, wy = expectation_rule(dist_y, nodes)
+        z, wz = expectation_rule(dist_z, nodes)
         vals = np.broadcast_to(
             np.asarray(integrand(y[:, None], z[None, :]), dtype=float),
             (y.size, z.size))
-        est = float(wy @ vals @ wz)
-        if prev is not None:
-            delta = abs(est - prev)
-            if delta <= tol:
-                return est
-        prev = est
-    raise QuadratureError(prev, delta)
+        return float(wy @ vals @ wz)
+
+    return _refine(estimate, tol, max_doublings)
 
 
 def mc_expect(joint_sampler, integrand, n, rng):
@@ -111,10 +123,10 @@ class TestExpectConv:
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_budget_exhaustion_raises_with_estimate(self):
-        with pytest.raises(QuadratureError) as err:
+        with pytest.raises(BudgetExhausted) as err:
             expect_conv(Exponential(1.0), Uniform01(),
                         lambda y, z: np.cos(80.0 * y * z), tol=1e-14,
-                        max_level=0)
+                        max_doublings=0)
         assert np.isfinite(err.value.estimate)
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref, rekeyed,
@@ -14,6 +15,8 @@ from deconvtest.simlab import _replication_matrix, build_scenario
 from deconvtest.teststat import (
     _CALIBRATION_TAG, DEFAULT_MC_SEED, TestConfig, TestEngine,
 )
+
+from .oracles import _tilted_moments
 
 
 class TestDensityM:
@@ -192,19 +195,38 @@ class TestGoldenDraws:
             assert [repr(float(v)) for v in data[r, :4]] == want
 
 
+# Laws as (oracle data, distribution) pairs, one per kind of Gauss rule
+_RULE_LAWS = [
+    (("gamma", 1.0, 1.5), Exponential(1.5)),
+    (("gamma", 0.7, 2.0), Gamma(0.7, 2.0)),
+    (("gamma", 1.5, 2.0), ChiSquared(3)),
+    (("unif",), Uniform01()),
+    (("poisson", 2.5), Poisson(2.5)),
+    (("geometric", 1.5), Geometric(1.5)),
+    (("point", 0.4), PointMass(0.4)),
+    (("mix", 0.3, ("gamma", 2.0, 1.0), ("point", 0.5)),
+     Mixture(0.3, Gamma(2.0, 1.0), PointMass(0.5))),
+    (("mix", 0.5, ("poisson", 2.0), ("geometric", 2.0)),
+     Mixture(0.5, Poisson(2.0), Geometric(2.0))),
+]
+
+
 class TestPdfOrPmf:
     def test_poisson_at_zero(self):
-        assert Poisson(1.0).pdf(0) == pytest.approx(math.exp(-1.0))
+        # the sampling table starts at 0, with the mass there
+        lo, table = Poisson(1.0)._cdf_table
+        assert lo == 0 and table[0] == pytest.approx(math.exp(-1.0))
 
     def test_off_support_zero(self):
-        assert Poisson(1.0).pdf(2.5) == 0.0
+        # the count rules put their nodes between the integers, where the
+        # reference mass vanishes; the engines weight by m(0) alone
+        assert GeometricRef(0.5).density(2.5) == 0.0
 
     @pytest.mark.parametrize("dist", [
         Exponential(1.0), Gamma(2.0, 1.5), ChiSquared(1), Uniform01(),
         Mixture(0.5, Exponential(2.0), ChiSquared(2)),
     ])
     def test_continuous_normalization(self, dist):
-        from deconvtest.engines import expectation_rule
         x, w = expectation_rule(dist, 2)
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -213,12 +235,39 @@ class TestPdfOrPmf:
         Mixture(0.5, Poisson(2.0), Geometric(2.0)),
     ])
     def test_discrete_normalization(self, dist):
-        # the rule sums the mass functions over the truncated support and
+        # the Charlier and Meixner rules carry the masses, and the rule
         # recurses into the mixture's components
-        from deconvtest.engines import expectation_rule
-        x, w = expectation_rule(dist, 0)
-        assert np.all(x == np.floor(x))
-        assert w.sum() == pytest.approx(1.0, abs=1e-8)
+        x, w = expectation_rule(dist, 3)
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("nodes", [1, 3, 5])
+    @pytest.mark.parametrize("law", _RULE_LAWS, ids=lambda law: law[1].kind)
+    def test_rule_exact_to_degree_2n_minus_1(self, law, nodes, rate):
+        # sum(w x**j) = E[X**j exp(-rate X)] for j <= 2 nodes - 1, against
+        # the closed-form tilted moments of each axis kind
+        x, w = expectation_rule(law[1], nodes, rate)
+        got = np.array([w @ x ** j for j in range(2 * nodes)])
+        np.testing.assert_allclose(
+            got, _tilted_moments(law[0], rate, 2 * nodes - 1), rtol=1e-12)
+
+
+class TestPoissonTable:
+    def test_large_mean_draws(self):
+        # exp(-mean) underflows past a mean of about 745, so the table's
+        # bounds must not depend on it
+        mean, n = 2e5, 20_000
+        x = Poisson(mean).draw(RngStream(31, 4).generator(), n)
+        assert abs(x.mean() - mean) < 4 * math.sqrt(mean / n)
+        assert abs(x.var(ddof=1) - mean) < 4 * mean * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("mean", [0.2, 1.0, 800.0, 2e5])
+    def test_table_covers_the_mass(self, mean):
+        from scipy.special import pdtr
+        lo, table = Poisson(mean)._cdf_table
+        assert (pdtr(lo - 1, mean) if lo else 0.0) < 1e-15
+        assert table[-1] > 1.0 - 1e-15
+        assert table.size < 20 * math.sqrt(mean) + 40
 
 
 class TestValidation:
@@ -240,4 +289,5 @@ class TestValidation:
     def test_geometric_structure(self):
         g = Geometric(2.0)
         assert g.q == pytest.approx(2.0 / 3.0)
-        assert g.pdf(0) == pytest.approx(1.0 / 3.0)
+        x, w = expectation_rule(g, 1)
+        assert w @ x == pytest.approx(2.0)

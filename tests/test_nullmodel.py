@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deconvtest.engines import independent_sampler
@@ -18,7 +18,7 @@ from deconvtest.nullmodel import (
 )
 from deconvtest.teststat import TestConfig, default_kmax, run_test
 
-from .oracles import gamma_tilted_coefficients
+from .oracles import count_null_coefficients, gamma_tilted_coefficients
 
 
 class TestDegenerateNull:
@@ -92,8 +92,10 @@ class TestLegendreNull:
 
 
 # Laws as (oracle data, distribution) pairs: gamma-type axes with shapes
-# below 1 and non-integer, point masses, and two-component mixtures (whose
-# atoms are off the integers, as a mixture may not mix in a discrete law).
+# below 1 and non-integer, the unit interval (the one axis whose rule under
+# the exponential weight is not exact by degree alone), point masses, and
+# two-component mixtures (whose atoms are off the integers, as a mixture
+# may not mix in a discrete law).
 _SCALES = st.floats(0.2, 8.0)
 _GAMMA_TYPE = st.one_of(
     st.builds(lambda a, t: (("gamma", a, t), Gamma(a, t)),
@@ -102,22 +104,26 @@ _GAMMA_TYPE = st.one_of(
     st.builds(lambda d: (("gamma", d / 2.0, 2.0), ChiSquared(d)),
               st.integers(1, 6).map(float)),
 )
+_UNIFORM = st.just((("unif",), Uniform01()))
 _POINTS = st.floats(0.0, 3.0).map(lambda v: (("point", v), PointMass(v)))
 _GAMMA_LEAVES = st.one_of(
-    _GAMMA_TYPE, _POINTS.filter(lambda law: not law[1].discrete))
-_GAMMA_LAWS = st.one_of(_GAMMA_TYPE, _POINTS, st.builds(
+    _GAMMA_TYPE, _UNIFORM, _POINTS.filter(lambda law: not law[1].discrete))
+_GAMMA_LAWS = st.one_of(_GAMMA_TYPE, _UNIFORM, _POINTS, st.builds(
     lambda w, a, b: (("mix", w, a[0], b[0]), Mixture(w, a[1], b[1])),
     st.floats(0.1, 0.9), _GAMMA_LEAVES, _GAMMA_LEAVES))
 _COUNT_LEAVES = st.one_of(
-    st.floats(0.2, 4.0).map(Poisson), st.floats(0.2, 3.0).map(Geometric),
-    st.integers(0, 3).map(lambda v: PointMass(float(v))))
+    st.floats(0.2, 4.0).map(lambda m: (("poisson", m), Poisson(m))),
+    st.floats(0.2, 3.0).map(lambda m: (("geometric", m), Geometric(m))),
+    st.integers(0, 3).map(float).map(lambda v: (("point", v), PointMass(v))))
 _COUNT_LAWS = st.one_of(_COUNT_LEAVES, st.builds(
-    Mixture, st.floats(0.1, 0.9), _COUNT_LEAVES, _COUNT_LEAVES))
+    lambda w, a, b: (("mix", w, a[0], b[0]), Mixture(w, a[1], b[1])),
+    st.floats(0.1, 0.9), _COUNT_LEAVES, _COUNT_LEAVES))
+_P = st.sampled_from([0.3, 0.5, 0.7])
 _NULLS = st.one_of(
     st.builds(lambda y, z: NullSpec(y[1], z[1], Exponential1Ref()),
               _GAMMA_LAWS, _GAMMA_LAWS),
-    st.builds(lambda y, z, p: NullSpec(y, z, GeometricRef(p)),
-              _COUNT_LAWS, _COUNT_LAWS, st.sampled_from([0.3, 0.5, 0.7])))
+    st.builds(lambda y, z, p: NullSpec(y[1], z[1], GeometricRef(p)),
+              _COUNT_LAWS, _COUNT_LAWS, _P))
 
 # The null families that failed before the rules carried the reference
 # weight, with the sample size that sets their order (default_kmax).
@@ -133,9 +139,23 @@ KNOWN_DEFECTS = [
 class TestGaussRules:
     @settings(deadline=None, max_examples=40)
     @given(y=_GAMMA_LAWS, z=_GAMMA_LAWS, k=st.integers(1, 6))
+    @example(y=(("unif",), Uniform01()), z=(("point", 0.0), PointMass(0.0)),
+             k=4)
     def test_matches_tilted_moment_oracle(self, y, z, k):
         alphas, sigma = gamma_tilted_coefficients(y[0], z[0], k)
         null = NullSpec(y=y[1], z=z[1], ref=Exponential1Ref())
+        for method in ("closed_form", "quadrature"):
+            coeffs = compute_coefficients(null, k, method=method)
+            np.testing.assert_allclose(coeffs.alphas, alphas, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(coeffs.sigma, sigma, rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(y=_COUNT_LAWS, z=_COUNT_LAWS, p=_P, k=st.integers(1, 15))
+    def test_matches_count_law_oracle(self, y, z, p, k):
+        # the closed form and the tensor rule share the Charlier and
+        # Meixner rules, so each is checked against direct summation
+        alphas, sigma = count_null_coefficients(y[0], z[0], p, k)
+        null = NullSpec(y=y[1], z=z[1], ref=GeometricRef(p))
         for method in ("closed_form", "quadrature"):
             coeffs = compute_coefficients(null, k, method=method)
             np.testing.assert_allclose(coeffs.alphas, alphas, rtol=0, atol=1e-12)

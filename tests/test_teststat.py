@@ -261,11 +261,16 @@ class TestConfigFields:
     @pytest.mark.parametrize("field, value", [
         ("k_max", True), ("k_max", 2.5), ("mc_reps", 2000.5),
         ("mc_reps", True), ("mc_seed", 1.5), ("mc_seed", False),
-        ("coeff_tol", 0.0), ("coeff_tol", -1.0), ("coeff_tol", math.nan),
     ])
     def test_invalid_field_raises_value_error(self, field, value):
         with pytest.raises(ValueError, match=field):
             TestConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_coeff_tol_is_not_a_field(self, value):
+        # the coefficient rules are exact in one pass: no tolerance to set
+        with pytest.raises(TypeError, match="coeff_tol"):
+            TestConfig(coeff_tol=value)
 
     def test_numpy_integers_are_integers(self):
         cfg = TestConfig(k_max=np.int64(4), mc_reps=np.int64(300),
