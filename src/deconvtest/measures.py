@@ -16,14 +16,19 @@ index) pair reproduces draws bit-exactly:
   that spans all but 1e-16 of the mass on either side / closed form),
 * other gammas use the generator's gamma method,
 * mixtures draw a component indicator, then both component vectors, and
-  select elementwise.
+  select elementwise,
+* the value counts of a count-reference calibration row are one
+  ``Generator.multinomial`` draw (``teststat.TestEngine.sample_null_counts``).
 
 Every law and reference measure is a frozen dataclass with a class-level
 ``kind``; its configuration document is ``{"kind": kind}`` plus its fields
 by name, numbers as floats, and ``LAWS`` and ``REFERENCES`` map each kind
 back to its class.
-Laws carry no densities: ``engines.expectation_rule`` integrates every
-axis with a Gauss rule built from the law's parameters.
+Coefficients need no densities: ``engines.expectation_rule`` integrates
+every axis with a Gauss rule built from the law's parameters.  Count laws
+(Poisson, geometric, integer point masses and their mixtures) carry a
+probability mass function, ``mass``, from which the count-reference
+calibration draws value counts.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from functools import cached_property
 from math import ceil, floor, inf, log, sqrt
 
 import numpy as np
-from scipy.special import pdtr
+from scipy.special import gammaln, pdtr, xlogy
 
 __all__ = [
     "Exponential", "Gamma", "ChiSquared", "Poisson", "Geometric",
@@ -129,6 +134,10 @@ class Distribution:
     def draw(self, gen: np.random.Generator, size) -> np.ndarray:
         raise NotImplementedError
 
+    def mass(self, x: np.ndarray) -> np.ndarray:
+        """P(X = x) at the integers x >= 0; count laws only."""
+        raise TypeError(f"{self.kind} is not a count law")
+
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
@@ -216,6 +225,9 @@ class Poisson(Distribution):
         return (lo + np.searchsorted(table, gen.random(size),
                                      side="left")).astype(float)
 
+    def mass(self, x):
+        return np.exp(xlogy(x, self.mean) - self.mean - gammaln(x + 1.0))
+
     def support(self):
         return (0.0, inf)
 
@@ -243,6 +255,9 @@ class Geometric(Distribution):
     def draw(self, gen, size):
         return np.floor(np.log1p(-gen.random(size)) / log(self.q))
 
+    def mass(self, x):
+        return (1.0 - self.q) * self.q ** x
+
     def support(self):
         return (0.0, inf)
 
@@ -269,6 +284,9 @@ class PointMass(Distribution):
 
     def draw(self, gen, size):
         return np.full(size, float(self.value))
+
+    def mass(self, x):
+        return np.where(x == self.value, 1.0, 0.0)
 
     def support(self):
         return (float(self.value), float(self.value))
@@ -299,6 +317,10 @@ class Mixture(Distribution):
         xa = self.a.draw(gen, size)
         xb = self.b.draw(gen, size)
         return np.where(pick, xa, xb)
+
+    def mass(self, x):
+        return (self.weight * self.a.mass(x)
+                + (1.0 - self.weight) * self.b.mass(x))
 
     def support(self):
         lo_a, hi_a = self.a.support()

@@ -129,6 +129,24 @@ class NullSpec:
         y, z = self.sample_pair(gen, n)
         return np.asarray(y, dtype=float) + np.asarray(z, dtype=float)
 
+    def value_masses(self, top: int) -> np.ndarray:
+        """P(X = 0), ..., P(X = w - 1) and, last, P(X >= w), for w <= top.
+
+        For independent count components: the first w entries convolve
+        the masses of Y and Z, and the last takes the rest of the mass,
+        clipped at 0.  Each component's masses stop at its last nonzero
+        one (below 2**-1074 from there on), so w is ``top`` unless the
+        convolution ends before it, and a wide ``top`` costs no more than
+        the laws' own reach.
+        """
+        if not self.independent:
+            raise NullSpecError("a joint sampler gives no value masses")
+        x = np.arange(top, dtype=float)
+        y, z = self.y.mass(x), self.z.mass(x)
+        ly, lz = (int(np.max(np.flatnonzero(m), initial=0)) + 1 for m in (y, z))
+        p = np.convolve(y[:ly], z[:lz])[:top]
+        return np.append(p, max(0.0, 1.0 - p.sum()))
+
     def config(self) -> dict:
         return {
             "y": self.y.config(),

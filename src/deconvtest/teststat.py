@@ -15,7 +15,12 @@ The calibration draws its null rows from one Philox generator re-keyed to
 each row's child stream (``measures.rekeyed``).  On a count reference the
 empirical coefficients come from each row's value counts, with the basis
 evaluated once per distinct value; elsewhere the basis is evaluated at
-every observation.
+every observation.  A row's bhat depends on its values only through those
+counts, and the counts of n independent draws of X are Multinomial(n, p)
+with p the mass function of X; so with independent count components the
+calibration draws each row's counts directly, one multinomial per row,
+and its cost does not grow with n.  Continuous references and dependent
+(``joint_sampler``) nulls draw every observation.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -175,12 +181,9 @@ def _count_means(rows: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
 
     A block's values are counted with one ``bincount`` on ``value * b +
     row``, or, when the largest value is too wide for that, one row at a
-    time with ``np.unique``.  The basis is evaluated once per distinct
-    value, and a row's sum runs over the values in ascending order, one
-    ``count * Q_j(v) m(v)`` term after another (``cumsum``).  Values absent
-    from a row add exact zeros, so each row's sum does not depend on the
-    rows beside it.  Values from ``_zero_from`` on, where m is 0, are
-    clipped to it and add 0.
+    time with ``np.unique``; the basis is evaluated once per distinct value
+    and ``_sum_counts`` adds up each row.  Values from ``_zero_from`` on,
+    where m is 0, are clipped to it and add 0.
     """
     reps, n = rows.shape
     top = min(float(rows.max()), _zero_from(null.ref))
@@ -199,9 +202,22 @@ def _count_means(rows: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
         else:  # here b == 1, since k * width > _BLOCK_VALUES
             values, counts = np.unique(blk, return_counts=True)
             counts = counts[:, None]
-        terms = _basis_terms(values.astype(float), null, k)[:, :, None] * counts
-        means[:, lo:lo + b] = np.cumsum(terms, axis=1)[:, -1] / n
+        terms = _basis_terms(values.astype(float), null, k)
+        means[:, lo:lo + b] = _sum_counts(terms, counts) / n
     return means
+
+
+def _sum_counts(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Column sums of ``counts[v] * terms[:, v]``, shape (k, columns).
+
+    ``terms`` (k, values) holds Q_j(v) m(v) at ascending values v, and
+    ``counts`` (values, columns) how often each column holds each value.
+    Each sum runs over the values in ascending order, one term after
+    another (``cumsum``).  A value a column lacks adds an exact zero, so a
+    column's sum does not depend on the columns beside it, nor on whether
+    its values came counted or one by one.
+    """
+    return np.cumsum(terms[:, :, None] * counts, axis=1)[:, -1]
 
 
 def _zero_from(ref) -> float:
@@ -345,12 +361,37 @@ class TestEngine:
         t_stat[reps]).
         """
         samples = np.asarray(samples, dtype=float)
-        reps, n = samples.shape
+        n = samples.shape[1]
+        bhat = compute_bhat(samples, self.null, self.coeffs, self.used_k_max)
+        return self._select(bhat, n)
+
+    def statistic_counts(self, counts: np.ndarray):
+        """``statistic_batch`` of count rows given by their value counts.
+
+        ``counts`` has shape (reps, width): ``counts[r, v]`` is how often
+        row r holds the value v, and each row holds n values.  The sums are
+        those of ``_count_means``, so a row gives the same bits as its n
+        values do in ``statistic_batch``.
+        """
+        counts = np.asarray(counts)
+        reps, width = counts.shape
+        if np.any(counts.sum(axis=1) != self.n):
+            raise ValueError(f"each count row must hold n={self.n} values")
         k = self.used_k_max
-        b = compute_bhat(samples, self.null, self.coeffs, k)
-        t_seq = t_sequence(b, self.coeffs.sigma[:k, :k])
+        terms = _basis_terms(np.arange(width, dtype=float), self.null, k)
+        step = max(1, _BLOCK_VALUES // (k * width))
+        means = np.empty((k, reps))
+        for lo in range(0, reps, step):
+            means[:, lo:lo + step] = _sum_counts(
+                terms, counts[lo:lo + step].T) / self.n
+        bhat = np.sqrt(self.n) * (means - self.coeffs.alphas[:k, None])
+        return self._select(bhat, self.n)
+
+    def _select(self, bhat: np.ndarray, n: int):
+        k = self.used_k_max
+        t_seq = t_sequence(bhat, self.coeffs.sigma[:k, :k])
         s_n = select_order(t_seq, n)
-        return t_seq.T, s_n, t_seq[s_n - 1, np.arange(reps)]
+        return t_seq.T, s_n, t_seq[s_n - 1, np.arange(t_seq.shape[1])]
 
     def sample_null_batch(self, reps: int, base: RngStream) -> np.ndarray:
         """reps x n matrix of null samples; row r uses child stream r.
@@ -364,14 +405,53 @@ class TestEngine:
             out[r] = self.null.sample_x(gen, self.n)
         return out
 
+    @cached_property
+    def _value_masses(self) -> np.ndarray:
+        return self.null.value_masses(int(_zero_from(self.null.ref)))
+
+    def sample_null_counts(self, reps: int, base: RngStream) -> np.ndarray:
+        """Value counts of reps null rows, for ``statistic_counts``.
+
+        Row r is one ``multinomial(n, p)`` draw from child stream r (the
+        generator is re-keyed as in ``sample_null_batch``), where p is
+        ``null.value_masses(top)``, top being ``_zero_from(ref)``: its last
+        cell takes the values from top on, which add 0 to the statistic
+        (or, when the laws' masses end before top, a remainder no row
+        reaches in practice).  The output is allocated before the first
+        draw, as wide as reps * n draws are expected to reach (columns v
+        with ``reps * n * P(X >= v) >= 1``), and widened when a row reaches
+        further.
+        """
+        p = self._value_masses
+        reach = np.cumsum(p[::-1])[::-1] * (reps * self.n) >= 1.0
+        width = int(np.count_nonzero(reach))
+        out = np.zeros((reps, width), dtype=np.int64)
+        streams = (base.child(r) for r in range(reps))
+        for r, gen in enumerate(rekeyed(streams)):
+            row = gen.multinomial(self.n, p)
+            if np.count_nonzero(row[width:]):
+                width = int(np.flatnonzero(row)[-1]) + 1
+                out = np.pad(out, ((0, 0), (0, width - out.shape[1])))
+            out[r] = row[:width]
+        return out
+
     # -- calibration ---------------------------------------------------
 
     def calibration_values(self) -> np.ndarray:
-        """T_{S_n} over fresh null samples, deterministic given the config seed."""
+        """T_{S_n} over fresh null samples, deterministic given the config seed.
+
+        An independent null on a count reference draws each row's value
+        counts (``sample_null_counts``); any other null draws its rows'
+        values (``sample_null_batch``).
+        """
         if self._calibration_values is None:
             base = RngStream(self.config.mc_seed, 0).child(_CALIBRATION_TAG, self.n)
-            samples = self.sample_null_batch(self.config.mc_reps, base)
-            self._calibration_values = self.statistic_batch(samples)[2]
+            reps = self.config.mc_reps
+            if self.null.ref.discrete and self.null.independent:
+                stats = self.statistic_counts(self.sample_null_counts(reps, base))
+            else:
+                stats = self.statistic_batch(self.sample_null_batch(reps, base))
+            self._calibration_values = stats[2]
         return self._calibration_values
 
     def critical_value(self) -> float:

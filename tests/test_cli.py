@@ -436,15 +436,24 @@ class TestConfigBoundary:
 
     def test_unallocatable_calibration_exits_2(self, tmp_path, capsys,
                                                monkeypatch):
-        # what mc_reps = 10**9 at n = 500 (3.6 TiB) raises, without
-        # asking the machine for it
+        # what mc_reps = 10**9 at n = 500 (3.6 TiB of values, or hundreds of
+        # GiB of counts) raises, without asking the machine for it; both
+        # draws allocate their output before the first row
         def refuse(engine, reps, base):
-            raise MemoryError(f"Unable to allocate a ({reps}, {engine.n}) array")
+            raise MemoryError(f"Unable to allocate a ({reps}, ...) array")
         monkeypatch.setattr(TestEngine, "sample_null_batch", refuse)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"test": {"mc_reps": 10 ** 9}}))
-        assert run_cli(["test", FIXTURE, "--config", cfg]) == EXIT_USAGE
-        assert "out of memory" in capsys.readouterr().err
+        monkeypatch.setattr(TestEngine, "sample_null_counts", refuse)
+        counts = tmp_path / "counts.txt"
+        counts.write_text("\n".join(["0", "1", "3", "2"] * 125))
+        geometric = {"y": {"kind": "poisson", "mean": 1},
+                     "z": {"kind": "geometric", "mean": 1},
+                     "reference": {"kind": "geometric", "p": 0.5}}
+        for data, null in ((FIXTURE, {}), (counts, geometric)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"null": null,
+                                       "test": {"mc_reps": 10 ** 9}}))
+            assert run_cli(["test", data, "--config", cfg]) == EXIT_USAGE
+            assert "out of memory" in capsys.readouterr().err
 
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = tmp_path / "cfg.json"

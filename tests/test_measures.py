@@ -1,11 +1,16 @@
 """Distribution zoo, reference measures, and RNG stream reproducibility."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deconvtest
 from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
@@ -16,7 +21,7 @@ from deconvtest.teststat import (
     _CALIBRATION_TAG, DEFAULT_MC_SEED, TestConfig, TestEngine,
 )
 
-from .oracles import _tilted_moments
+from .oracles import _count_masses, _tilted_moments
 
 
 class TestDensityM:
@@ -172,6 +177,10 @@ class TestGoldenDraws:
     }
     ALT4 = {1: ["2.0", "3.0", "0.0", "1.0"],
             200: ["4.0", "1.0", "2.0", "0.0"]}
+    # Mod2's count route at n = 50: how often rows 0, 1 and 1999 hold the
+    # values 0..5 (``sample_null_counts``)
+    COUNTS = {0: [9, 5, 16, 10, 6, 1], 1: [7, 15, 10, 7, 4, 4],
+              1999: [12, 13, 10, 3, 7, 1]}
 
     @pytest.mark.parametrize("model", ["Mod1", "Mod2"])
     def test_calibration_rows(self, model):
@@ -184,10 +193,20 @@ class TestGoldenDraws:
             if name == model:
                 assert [repr(float(v)) for v in samples[r, :4]] == want
 
+    def test_count_rows(self):
+        n = 50
+        engine = TestEngine(build_scenario("Mod2").null, n,
+                            TestConfig(calibration="asymptotic"))
+        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, n)
+        counts = engine.sample_null_counts(2000, base)
+        assert counts.sum(axis=1).tolist() == [n] * 2000
+        for r, want in self.COUNTS.items():
+            assert counts[r, :6].tolist() == want
+
     def test_pins_cover_high_stream_indices(self):
         base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, 50)
-        assert any(base.child(r).stream_index >= 2 ** 63
-                   for _, r in self.CALIBRATION)
+        for rows in ([r for _, r in self.CALIBRATION], self.COUNTS):
+            assert any(base.child(r).stream_index >= 2 ** 63 for r in rows)
 
     def test_alt4_replication_rows(self):
         data = _replication_matrix(build_scenario("Alt4"), 50, 201, 20260809)
@@ -250,6 +269,46 @@ class TestPdfOrPmf:
         got = np.array([w @ x ** j for j in range(2 * nodes)])
         np.testing.assert_allclose(
             got, _tilted_moments(law[0], rate, 2 * nodes - 1), rtol=1e-12)
+
+
+class TestCountMasses:
+    X = np.arange(80.0)
+
+    @pytest.mark.parametrize("law", [
+        (("poisson", 1.0), Poisson(1.0)),
+        (("poisson", 7.5), Poisson(7.5)),
+        (("geometric", 1.0), Geometric(1.0)),
+        (("geometric", 4.0), Geometric(4.0)),
+        (("point", 3.0), PointMass(3.0)),
+        (("mix", 0.5, ("poisson", 2.0), ("geometric", 2.0)),
+         Mixture(0.5, Poisson(2.0), Geometric(2.0))),
+        (("mix", 0.3, ("point", 0.0), ("poisson", 3.0)),
+         Mixture(0.3, PointMass(0.0), Poisson(3.0))),
+    ], ids=lambda law: law[1].kind)
+    def test_matches_oracle(self, law):
+        # the ratio recurrence and direct powers of tests/oracles.py
+        np.testing.assert_allclose(law[1].mass(self.X),
+                                   _count_masses(law[0], self.X),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("law", [Exponential(1.0), ChiSquared(1),
+                                     Uniform01(),
+                                     Mixture(0.5, Exponential(2.0),
+                                             ChiSquared(2))],
+                             ids=lambda law: law.kind)
+    def test_continuous_laws_have_no_mass(self, law):
+        with pytest.raises(TypeError, match="not a count law"):
+            law.mass(self.X)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats adds about 0.7 s to the import; scipy.special is enough
+    src = str(Path(deconvtest.__file__).resolve().parents[1])
+    code = ("import sys, deconvtest, deconvtest.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0
 
 
 class TestPoissonTable:

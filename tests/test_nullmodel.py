@@ -18,7 +18,9 @@ from deconvtest.nullmodel import (
 )
 from deconvtest.teststat import TestConfig, default_kmax, run_test
 
-from .oracles import count_null_coefficients, gamma_tilted_coefficients
+from .oracles import (
+    _count_masses, count_null_coefficients, gamma_tilted_coefficients,
+)
 
 
 class TestDegenerateNull:
@@ -329,3 +331,61 @@ class TestDependentPath:
                                       mc_stream=RngStream(51, 2))
         assert coeffs.method == "monte_carlo"
         assert np.max(np.abs(coeffs.alphas - mod1_coeffs8.alphas[:4])) < 5e-3
+
+
+class TestValueMasses:
+    @pytest.mark.parametrize("y, z, p", [
+        (("poisson", 1.0), ("geometric", 1.0), 0.5),
+        (("point", 2.0), ("geometric", 1.5), 0.3),
+        (("mix", 0.5, ("poisson", 2.0), ("geometric", 2.0)), ("point", 0.0),
+         0.5),
+        (("poisson", 40.0), ("mix", 0.2, ("point", 3.0), ("poisson", 1.0)),
+         0.7),
+    ])
+    def test_matches_oracle_convolution(self, y, z, p):
+        laws = {"poisson": Poisson, "geometric": Geometric, "point": PointMass}
+
+        def build(law):
+            if law[0] == "mix":
+                return Mixture(law[1], build(law[2]), build(law[3]))
+            return laws[law[0]](law[1])
+
+        top = 300
+        x = np.arange(top, dtype=float)
+        want = np.convolve(_count_masses(y, x), _count_masses(z, x))[:top]
+        got = NullSpec(y=build(y), z=build(z),
+                       ref=GeometricRef(p)).value_masses(top)
+        assert got.shape == (top + 1,)
+        np.testing.assert_allclose(got[:top], want, rtol=1e-12, atol=1e-300)
+        # every law here leaves less than 1e-100 from 300 on
+        assert 0.0 <= got[top] < 1e-14
+
+    def test_wide_reference_stops_at_the_laws_reach(self):
+        # m of GeometricRef(0.999) underflows only from 737,858 on, while
+        # the masses of Poisson(1) and geometric(1) end before 180 and 1075
+        null = NullSpec(y=Poisson(1.0), z=Geometric(1.0),
+                        ref=GeometricRef(0.999))
+        got = null.value_masses(737_858)
+        w = got.size - 1
+        assert w < 1300
+        x = np.arange(w, dtype=float)
+        want = np.convolve(_count_masses(("poisson", 1.0), x),
+                           _count_masses(("geometric", 1.0), x))[:w]
+        np.testing.assert_allclose(got[:w], want, rtol=1e-12, atol=1e-300)
+        assert 0.0 <= got[w] < 1e-14
+
+    def test_tail_bucket_takes_the_rest(self):
+        null = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5))
+        x = np.arange(4.0)
+        want = np.convolve(_count_masses(("poisson", 1.0), x),
+                           _count_masses(("geometric", 1.0), x))[:4]
+        got = null.value_masses(4)
+        assert got[4] == pytest.approx(1.0 - want.sum(), rel=1e-12)
+        assert got.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_dependent_null_has_no_value_masses(self):
+        null = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5),
+                        joint_sampler=independent_sampler(Poisson(1.0),
+                                                          Geometric(1.0)))
+        with pytest.raises(NullSpecError, match="joint sampler"):
+            null.value_masses(10)

@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from deconvtest.measures import Geometric, GeometricRef, Poisson, RngStream
 from deconvtest.nullmodel import NullCoefficients, NullSpec, inv_sqrt_psd
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
-    _BLOCK_VALUES, DataDomainError, TestConfig, TestEngine, chi2_cdf,
+    _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError, TestConfig, TestEngine, chi2_cdf,
     chi2_quantile, compute_bhat, critical_value, default_kmax, run_test,
     select_order, t_sequence,
 )
 
-from .oracles import chi2_cdf_by_quadrature, count_bhat
+from .oracles import (
+    chi2_cdf_by_quadrature, count_bhat, geometric_masses, poisson_masses,
+)
 
 
 def _coeffs(alphas, sigma):
@@ -582,3 +585,127 @@ class TestCountKernel:
             assert peak < 3 * data.nbytes
             np.testing.assert_allclose(got, count_bhat(data, p, np.zeros(k)),
                                        rtol=0, atol=1e-12 * math.sqrt(2000))
+
+
+def _with_tail(masses):
+    """Masses at 0 .. top - 1 and the rest of the mass, for multinomial."""
+    return np.append(masses, max(0.0, 1.0 - masses.sum()))
+
+
+def _law_masses(law, top):
+    """Mod2's X = Poisson(1) + geometric(1), or Alt4's mixture of Poisson(2)
+    and geometric(2), summed by the oracles on 0 .. top - 1."""
+    x = np.arange(top, dtype=float)
+    if law == "Mod2":
+        masses = np.convolve(poisson_masses(1.0, x),
+                             geometric_masses(1.0, x))[:top]
+    else:
+        masses = 0.5 * poisson_masses(2.0, x) + 0.5 * geometric_masses(2.0, x)
+    return _with_tail(masses)
+
+
+def _pearson_homogeneity(a, b):
+    """Pearson's statistic and degrees of freedom for two samples' value
+    frequencies; the tail from the last value with at least 20 pooled
+    draws at or beyond it forms one cell."""
+    table = np.zeros((2, max(a.size, b.size)))
+    table[0, :a.size], table[1, :b.size] = a, b
+    tail = np.cumsum(table.sum(axis=0)[::-1])[::-1]
+    cut = int(np.flatnonzero(tail >= 20)[-1])
+    table = np.concatenate(
+        [table[:, :cut], table[:, cut:].sum(axis=1, keepdims=True)], axis=1)
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    return float(((table - expected) ** 2 / expected).sum()), table.shape[1] - 1
+
+
+class TestCountRoute:
+    """An independent count null calibrates from multinomial value counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=st.sampled_from(["Mod2", "Alt4"]), n=st.sampled_from([20, 60]),
+           reps=st.integers(1, 20), seed=st.integers(0, 2 ** 63 - 1),
+           far=st.integers(0, 3), trim=st.booleans())
+    def test_count_rows_match_their_values(self, batch_engines, law, n, reps,
+                                           seed, far, trim):
+        engine = batch_engines[("Mod2", n)]
+        p = _law_masses(law, engine._value_masses.size - 1)
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(n, p, size=reps)
+        # up to `far` values of row 0 move to the last column, from where
+        # m is 0
+        far = min(far, int(counts[0].max()))
+        counts[0, np.argmax(counts[0])] -= far
+        counts[0, -1] += far
+        if trim:
+            counts = counts[:, :np.flatnonzero(counts.any(axis=0))[-1] + 1]
+        rows = rng.permuted(np.stack([
+            np.repeat(np.arange(counts.shape[1], dtype=float), c)
+            for c in counts]), axis=1)
+        for got, want in zip(engine.statistic_counts(counts),
+                             engine.statistic_batch(rows)):
+            assert np.array_equal(got, want)
+
+    def test_rows_must_hold_n_values(self, batch_engines):
+        engine = batch_engines[("Mod2", 20)]
+        with pytest.raises(ValueError, match="n=20"):
+            engine.statistic_counts(np.array([[10, 9, 0]]))
+
+    def test_rows_are_fresh_multinomial_draws(self, batch_engines):
+        engine = batch_engines[("Mod2", 20)]
+        p = engine._value_masses
+        reps, base = 300, RngStream(99, 0)
+        counts = engine.sample_null_counts(reps, base)
+        # allocated for the values 300 x 20 draws are expected to reach,
+        # then widened: some row of this seed reaches past them
+        start = np.count_nonzero(np.cumsum(p[::-1])[::-1] * reps * 20 >= 1)
+        assert counts.shape[1] > start and counts[:, -1].any()
+        for r, row in enumerate(counts):
+            want = base.child(r).generator().multinomial(20, p)
+            assert np.array_equal(row, want[:counts.shape[1]])
+            assert not want[counts.shape[1]:].any()
+
+    def test_counts_agree_in_law_with_point_draws(self, mod2_null):
+        engine = TestEngine(mod2_null, 100, TestConfig(calibration="asymptotic"))
+        counted = engine.sample_null_counts(2000, RngStream(61, 0)).sum(axis=0)
+        points = engine.sample_null_batch(2000, RngStream(62, 0))
+        pointwise = np.bincount(points.astype(np.intp).ravel())
+        stat, df = _pearson_homogeneity(counted, pointwise)
+        assert chdtrc(df, stat) > 0.01
+        # the same check tells Alt6 (geometric + geometric, also mean 2)
+        # from the null
+        alt6 = build_scenario("Alt6")
+        other = np.concatenate([alt6.sample(RngStream(63, r).generator(), 100)
+                                for r in range(2000)])
+        stat, df = _pearson_homogeneity(counted,
+                                        np.bincount(other.astype(np.intp)))
+        assert chdtrc(df, stat) < 1e-12
+
+
+def _independent_pair(gen, n):
+    return Poisson(1.0).draw(gen, n), Geometric(1.0).draw(gen, n)
+
+
+class TestValueRoute:
+    # the first calibration values of 100 rows at n = 50 with mc_seed 5,
+    # the same as before count references calibrated from counts
+    PINS = {"Mod1": ["0.1897793631251273", "0.111561401640501",
+                     "2.92935516461899"],
+            "joint": ["0.00209161600618972", "0.015562815692319277",
+                      "1.2545521202449876"]}
+
+    def test_continuous_and_joint_nulls_draw_values(
+            self, monkeypatch, mod1_null, mod1_coeffs8, mod2_coeffs8):
+        def refuse(engine, reps, base):
+            raise AssertionError("a value null took the count route")
+        monkeypatch.setattr(TestEngine, "sample_null_counts", refuse)
+        joint = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5),
+                         joint_sampler=_independent_pair)
+        base = RngStream(5, 0).child(_CALIBRATION_TAG, 50)
+        for name, null, coeffs in (("Mod1", mod1_null, mod1_coeffs8),
+                                   ("joint", joint, mod2_coeffs8)):
+            engine = TestEngine(null, 50, TestConfig(mc_reps=100, mc_seed=5),
+                                coeffs=coeffs)
+            got = engine.calibration_values()
+            want = engine.statistic_batch(engine.sample_null_batch(100, base))
+            assert np.array_equal(got, want[2])
+            assert [repr(float(v)) for v in got[:3]] == self.PINS[name]
