@@ -587,21 +587,16 @@ class TestCountKernel:
                                        rtol=0, atol=1e-12 * math.sqrt(2000))
 
 
-def _with_tail(masses):
-    """Masses at 0 .. top - 1 and the rest of the mass, for multinomial."""
-    return np.append(masses, max(0.0, 1.0 - masses.sum()))
-
-
 def _law_masses(law, top):
     """Mod2's X = Poisson(1) + geometric(1), or Alt4's mixture of Poisson(2)
-    and geometric(2), summed by the oracles on 0 .. top - 1."""
+    and geometric(2), by the oracles on 0 .. top - 1, then the rest."""
     x = np.arange(top, dtype=float)
     if law == "Mod2":
         masses = np.convolve(poisson_masses(1.0, x),
                              geometric_masses(1.0, x))[:top]
     else:
         masses = 0.5 * poisson_masses(2.0, x) + 0.5 * geometric_masses(2.0, x)
-    return _with_tail(masses)
+    return np.append(masses, max(0.0, 1.0 - masses.sum()))
 
 
 def _pearson_homogeneity(a, b):
