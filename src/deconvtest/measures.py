@@ -17,8 +17,9 @@ index) pair reproduces draws bit-exactly:
 * other gammas use the generator's gamma method,
 * mixtures draw a component indicator, then both component vectors, and
   select elementwise,
-* the value counts of a count-reference calibration row are one
-  ``Generator.multinomial`` draw (``teststat.TestEngine.sample_null_counts``).
+* the value counts of a count-reference calibration row, where the
+  calibration counts, are one ``Generator.multinomial`` draw
+  (``teststat.TestEngine.sample_null_counts``).
 
 Every law and reference measure is a frozen dataclass with a class-level
 ``kind``; its configuration document is ``{"kind": kind}`` plus its fields

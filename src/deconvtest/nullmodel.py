@@ -129,15 +129,17 @@ class NullSpec:
         y, z = self.sample_pair(gen, n)
         return np.asarray(y, dtype=float) + np.asarray(z, dtype=float)
 
-    def value_masses(self, top: int) -> np.ndarray:
-        """P(X = 0), ..., P(X = w - 1) and, last, P(X >= w), for w <= top.
+    def value_masses(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """Values 0, ..., w - 1 and ``top`` of X, and their masses.
 
-        For independent count components: the first w entries convolve
-        the masses of Y and Z, and the last takes the rest of the mass,
-        clipped at 0.  Each component's masses stop at its last nonzero
-        one (below 2**-1074 from there on), so w is ``top`` unless the
-        convolution ends before it, and a wide ``top`` costs no more than
-        the laws' own reach.
+        For independent count components.  The masses of Y and Z are
+        evaluated on 0 .. top - 1 and each is cut after its last nonzero
+        one; their convolution, cut at ``top``, gives P(X = v) for v < w,
+        where w <= top.  From w to top - 1 every pair of values has a
+        factor below 2**-1074.  The last value, ``top``, takes the rest of
+        the mass, clipped at 0: P(X >= top), where a component's mass at
+        or beyond ``top`` (a far mixture component, say) lands.  The cost
+        is O(top) masses and a convolution of the two cut lengths.
         """
         if not self.independent:
             raise NullSpecError("a joint sampler gives no value masses")
@@ -145,7 +147,8 @@ class NullSpec:
         y, z = self.y.mass(x), self.z.mass(x)
         ly, lz = (int(np.max(np.flatnonzero(m), initial=0)) + 1 for m in (y, z))
         p = np.convolve(y[:ly], z[:lz])[:top]
-        return np.append(p, max(0.0, 1.0 - p.sum()))
+        return (np.append(np.arange(p.size), top),
+                np.append(p, max(0.0, 1.0 - p.sum())))
 
     def config(self) -> dict:
         return {

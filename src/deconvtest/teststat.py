@@ -18,9 +18,11 @@ evaluated once per distinct value; elsewhere the basis is evaluated at
 every observation.  A row's bhat depends on its values only through those
 counts, and the counts of n independent draws of X are Multinomial(n, p)
 with p the mass function of X; so with independent count components the
-calibration draws each row's counts directly, one multinomial per row,
-and its cost does not grow with n.  Continuous references and dependent
-(``joint_sampler``) nulls draw every observation.
+calibration may draw each row's counts directly, one multinomial per row,
+at a cost that does not grow with n.  It does so where that costs less
+than drawing the values (``TestEngine.draws_counts``): light laws count,
+while heavy laws, flat references and small n draw every observation, as
+continuous references and dependent (``joint_sampler``) nulls do.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ DEFAULT_MC_SEED = 202608
 _CALIBRATION_TAG = 0xCA1
 _TIE_REL_TOL = 1e-12
 _BLOCK_VALUES = 1 << 18  # basis values per block of rows in compute_bhat
+_CELLS_PER_VALUE = 16  # multinomial cells that cost as much as one drawn value
 
 K_MIN, K_CLAMP_MAX = 3, 15
 
@@ -181,9 +184,8 @@ def _count_means(rows: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
 
     A block's values are counted with one ``bincount`` on ``value * b +
     row``, or, when the largest value is too wide for that, one row at a
-    time with ``np.unique``; the basis is evaluated once per distinct value
-    and ``_sum_counts`` adds up each row.  Values from ``_zero_from`` on,
-    where m is 0, are clipped to it and add 0.
+    time with ``np.unique``, and ``_means_from_counts`` adds up the block.
+    Values from ``_zero_from`` on, where m is 0, are clipped to it and add 0.
     """
     reps, n = rows.shape
     top = min(float(rows.max()), _zero_from(null.ref))
@@ -198,26 +200,34 @@ def _count_means(rows: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
             counts = np.bincount(keys.ravel(), minlength=width * b)
             counts = counts.reshape(width, b)
             values = np.flatnonzero(counts.any(axis=1))
-            counts = counts[values]
+            counts = counts[values].T
         else:  # here b == 1, since k * width > _BLOCK_VALUES
             values, counts = np.unique(blk, return_counts=True)
-            counts = counts[:, None]
-        terms = _basis_terms(values.astype(float), null, k)
-        means[:, lo:lo + b] = _sum_counts(terms, counts) / n
+            counts = counts[None, :]
+        means[:, lo:lo + b] = _means_from_counts(values, counts, null, k, n)
     return means
 
 
-def _sum_counts(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Column sums of ``counts[v] * terms[:, v]``, shape (k, columns).
+def _means_from_counts(values: np.ndarray, counts: np.ndarray, null: NullSpec,
+                       k: int, n: int) -> np.ndarray:
+    """Row means of Q_j(x) m(x), shape (k, rows), from value counts.
 
-    ``terms`` (k, values) holds Q_j(v) m(v) at ascending values v, and
-    ``counts`` (values, columns) how often each column holds each value.
-    Each sum runs over the values in ascending order, one term after
-    another (``cumsum``).  A value a column lacks adds an exact zero, so a
-    column's sum does not depend on the columns beside it, nor on whether
-    its values came counted or one by one.
+    ``values`` holds ascending integers and ``counts`` (rows, values) how
+    often each row holds each value, n in all.  The basis is evaluated once
+    per value; rows go in blocks of about ``_BLOCK_VALUES`` terms, and each
+    row's sum runs over the values in ascending order, one ``count * Q_j(v)
+    m(v)`` term after another (``cumsum``).  A value a row lacks adds an
+    exact zero, so a row's sum does not depend on the rows beside it, nor
+    on whether its values came counted or one by one.
     """
-    return np.cumsum(terms[:, :, None] * counts, axis=1)[:, -1]
+    terms = _basis_terms(np.asarray(values, dtype=float), null, k)[:, :, None]
+    reps, width = counts.shape
+    step = max(1, _BLOCK_VALUES // (k * width))
+    means = np.empty((k, reps))
+    for lo in range(0, reps, step):
+        means[:, lo:lo + step] = np.cumsum(
+            terms * counts[lo:lo + step].T, axis=1)[:, -1] / n
+    return means
 
 
 def _zero_from(ref) -> float:
@@ -231,6 +241,11 @@ def _zero_from(ref) -> float:
     while ref.density(float(x)) > 0:
         x += 1
     return float(x)
+
+
+def _reach(p: np.ndarray, draws: int) -> int:
+    """How many leading cells v of p have ``draws * P(X >= v) >= 1``."""
+    return int(np.count_nonzero(np.cumsum(p[::-1])[::-1] * draws >= 1.0))
 
 
 def t_sequence(bhat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -365,25 +380,20 @@ class TestEngine:
         bhat = compute_bhat(samples, self.null, self.coeffs, self.used_k_max)
         return self._select(bhat, n)
 
-    def statistic_counts(self, counts: np.ndarray):
+    def statistic_counts(self, values: np.ndarray, counts: np.ndarray):
         """``statistic_batch`` of count rows given by their value counts.
 
-        ``counts`` has shape (reps, width): ``counts[r, v]`` is how often
-        row r holds the value v, and each row holds n values.  The sums are
-        those of ``_count_means``, so a row gives the same bits as its n
-        values do in ``statistic_batch``.
+        ``values`` holds ascending integers and ``counts`` (reps, values)
+        how often each row holds each value, n values in all; a value at or
+        beyond ``_zero_from(ref)`` adds 0, as in ``statistic_batch``.  The
+        sums are those of ``_count_means``, so a row gives the same bits as
+        its n values do in ``statistic_batch``.
         """
         counts = np.asarray(counts)
-        reps, width = counts.shape
         if np.any(counts.sum(axis=1) != self.n):
             raise ValueError(f"each count row must hold n={self.n} values")
         k = self.used_k_max
-        terms = _basis_terms(np.arange(width, dtype=float), self.null, k)
-        step = max(1, _BLOCK_VALUES // (k * width))
-        means = np.empty((k, reps))
-        for lo in range(0, reps, step):
-            means[:, lo:lo + step] = _sum_counts(
-                terms, counts[lo:lo + step].T) / self.n
+        means = _means_from_counts(values, counts, self.null, k, self.n)
         bhat = np.sqrt(self.n) * (means - self.coeffs.alphas[:k, None])
         return self._select(bhat, self.n)
 
@@ -406,26 +416,25 @@ class TestEngine:
         return out
 
     @cached_property
-    def _value_masses(self) -> np.ndarray:
+    def _value_masses(self) -> tuple[np.ndarray, np.ndarray]:
         return self.null.value_masses(int(_zero_from(self.null.ref)))
 
-    def sample_null_counts(self, reps: int, base: RngStream) -> np.ndarray:
-        """Value counts of reps null rows, for ``statistic_counts``.
+    def sample_null_counts(self, reps: int, base: RngStream):
+        """Values and their counts in reps null rows, for ``statistic_counts``.
 
         Row r is one ``multinomial(n, p)`` draw from child stream r (the
-        generator is re-keyed as in ``sample_null_batch``), where p is
-        ``null.value_masses(top)``, top being ``_zero_from(ref)``: its last
-        cell takes the values from top on, which add 0 to the statistic
-        (or, when the laws' masses end before top, a remainder no row
-        reaches in practice).  The output is allocated before the first
-        draw, as wide as reps * n draws are expected to reach (columns v
-        with ``reps * n * P(X >= v) >= 1``), and widened when a row reaches
-        further.
+        generator is re-keyed as in ``sample_null_batch``), over the values
+        and masses of ``null.value_masses(top)``, top being
+        ``_zero_from(ref)``; the last value, top, takes P(X >= top) and
+        adds 0 to the statistic.  The counts are allocated before the first
+        draw, in the narrowest unsigned type that holds n, for the values
+        reps * n draws are expected to reach (``reps * n * P(X >= v) >=
+        1``), and widened when a row reaches further.  Returns (values,
+        counts), counts of shape (reps, values).
         """
-        p = self._value_masses
-        reach = np.cumsum(p[::-1])[::-1] * (reps * self.n) >= 1.0
-        width = int(np.count_nonzero(reach))
-        out = np.zeros((reps, width), dtype=np.int64)
+        values, p = self._value_masses
+        width = _reach(p, reps * self.n)
+        out = np.zeros((reps, width), dtype=np.min_scalar_type(self.n))
         streams = (base.child(r) for r in range(reps))
         for r, gen in enumerate(rekeyed(streams)):
             row = gen.multinomial(self.n, p)
@@ -433,22 +442,49 @@ class TestEngine:
                 width = int(np.flatnonzero(row)[-1]) + 1
                 out = np.pad(out, ((0, 0), (0, width - out.shape[1])))
             out[r] = row[:width]
-        return out
+        return values[:width], out
+
+    def draws_counts(self) -> bool:
+        """Whether the calibration draws value counts rather than values.
+
+        Only an independent null on a count reference can, and it does when
+        that is the cheaper route, in units of one multinomial cell: a
+        drawn value, or a binomial draw of the multinomial, costs
+        ``_CELLS_PER_VALUE`` cells, and a product of the convolution
+        1 / ``_CELLS_PER_VALUE``.  Drawing values costs n values per row.
+        Counting costs at most ``top**2`` products once (top being
+        ``_zero_from(ref)``), then per row every cell of p and a binomial
+        for each value up to the row's largest, about the values v with
+        ``n * P(X >= v) >= 1``.  So light laws count (Mod2 from n = 100 on
+        at 2000 rows), while heavy laws, small n and flat references, whose
+        p has many cells, draw values.  The masses are built only if the
+        convolution alone stays within the cost of drawing values.
+        """
+        if not (self.null.ref.discrete and self.null.independent):
+            return False
+        top, reps = _zero_from(self.null.ref), self.config.mc_reps
+        budget = _CELLS_PER_VALUE * reps * self.n
+        convolve = top * top / _CELLS_PER_VALUE
+        if convolve > budget:
+            return False
+        values, p = self._value_masses
+        per_row = values.size + _CELLS_PER_VALUE * _reach(p, self.n)
+        return convolve + reps * per_row <= budget
 
     # -- calibration ---------------------------------------------------
 
     def calibration_values(self) -> np.ndarray:
         """T_{S_n} over fresh null samples, deterministic given the config seed.
 
-        An independent null on a count reference draws each row's value
-        counts (``sample_null_counts``); any other null draws its rows'
-        values (``sample_null_batch``).
+        Rows come as value counts (``sample_null_counts``) where
+        ``draws_counts`` says so, and as values (``sample_null_batch``)
+        otherwise.
         """
         if self._calibration_values is None:
             base = RngStream(self.config.mc_seed, 0).child(_CALIBRATION_TAG, self.n)
             reps = self.config.mc_reps
-            if self.null.ref.discrete and self.null.independent:
-                stats = self.statistic_counts(self.sample_null_counts(reps, base))
+            if self.draws_counts():
+                stats = self.statistic_counts(*self.sample_null_counts(reps, base))
             else:
                 stats = self.statistic_batch(self.sample_null_batch(reps, base))
             self._calibration_values = stats[2]

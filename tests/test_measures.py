@@ -198,7 +198,8 @@ class TestGoldenDraws:
         engine = TestEngine(build_scenario("Mod2").null, n,
                             TestConfig(calibration="asymptotic"))
         base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, n)
-        counts = engine.sample_null_counts(2000, base)
+        values, counts = engine.sample_null_counts(2000, base)
+        assert np.array_equal(values, np.arange(counts.shape[1]))
         assert counts.sum(axis=1).tolist() == [n] * 2000
         for r, want in self.COUNTS.items():
             assert counts[r, :6].tolist() == want

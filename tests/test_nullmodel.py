@@ -353,9 +353,9 @@ class TestValueMasses:
         top = 300
         x = np.arange(top, dtype=float)
         want = np.convolve(_count_masses(y, x), _count_masses(z, x))[:top]
-        got = NullSpec(y=build(y), z=build(z),
-                       ref=GeometricRef(p)).value_masses(top)
-        assert got.shape == (top + 1,)
+        values, got = NullSpec(y=build(y), z=build(z),
+                               ref=GeometricRef(p)).value_masses(top)
+        assert np.array_equal(values, np.arange(top + 1))
         np.testing.assert_allclose(got[:top], want, rtol=1e-12, atol=1e-300)
         # every law here leaves less than 1e-100 from 300 on
         assert 0.0 <= got[top] < 1e-14
@@ -365,9 +365,11 @@ class TestValueMasses:
         # the masses of Poisson(1) and geometric(1) end before 180 and 1075
         null = NullSpec(y=Poisson(1.0), z=Geometric(1.0),
                         ref=GeometricRef(0.999))
-        got = null.value_masses(737_858)
+        values, got = null.value_masses(737_858)
         w = got.size - 1
         assert w < 1300
+        # the last value is top, which takes the rest of the mass
+        assert np.array_equal(values, np.append(np.arange(w), 737_858))
         x = np.arange(w, dtype=float)
         want = np.convolve(_count_masses(("poisson", 1.0), x),
                            _count_masses(("geometric", 1.0), x))[:w]
@@ -379,9 +381,24 @@ class TestValueMasses:
         x = np.arange(4.0)
         want = np.convolve(_count_masses(("poisson", 1.0), x),
                            _count_masses(("geometric", 1.0), x))[:4]
-        got = null.value_masses(4)
+        values, got = null.value_masses(4)
+        assert values.tolist() == [0, 1, 2, 3, 4]
         assert got[4] == pytest.approx(1.0 - want.sum(), rel=1e-12)
         assert got.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_mass_beyond_top_lands_at_top(self):
+        # the far component's mass, and an integer point mass past top,
+        # underflow on 0 .. top - 1; their share is the last value's, top
+        far = NullSpec(y=Mixture(0.5, Poisson(1.0), Poisson(1e6)),
+                       z=Mixture(0.25, Geometric(1.0), PointMass(5000.0)),
+                       ref=GeometricRef(0.5))
+        values, got = far.value_masses(1075)
+        assert values[-1] == 1075 and values.size == 1076
+        x = np.arange(1075.0)
+        want = np.convolve(0.5 * _count_masses(("poisson", 1.0), x),
+                           0.25 * _count_masses(("geometric", 1.0), x))[:1075]
+        np.testing.assert_allclose(got[:-1], want, rtol=1e-12, atol=1e-300)
+        assert got[-1] == pytest.approx(1.0 - 0.5 * 0.25, rel=1e-12)
 
     def test_dependent_null_has_no_value_masses(self):
         null = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5),

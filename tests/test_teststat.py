@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
-from deconvtest.measures import Geometric, GeometricRef, Poisson, RngStream
+from deconvtest.measures import (
+    Geometric, GeometricRef, Mixture, Poisson, RngStream,
+)
 from deconvtest.nullmodel import NullCoefficients, NullSpec, inv_sqrt_psd
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
-    _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError, TestConfig, TestEngine, chi2_cdf,
-    chi2_quantile, compute_bhat, critical_value, default_kmax, run_test,
-    select_order, t_sequence,
+    _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError, TestConfig, TestEngine,
+    _zero_from, chi2_cdf, chi2_quantile, compute_bhat, critical_value,
+    default_kmax, run_test, select_order, t_sequence,
 )
 
 from .oracles import (
@@ -613,6 +615,14 @@ def _pearson_homogeneity(a, b):
     return float(((table - expected) ** 2 / expected).sum()), table.shape[1] - 1
 
 
+def _ks_distance(a, b):
+    """Largest gap between the empirical distribution functions of a and b."""
+    at = np.concatenate([a, b])
+    fa = np.searchsorted(np.sort(a), at, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), at, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
 class TestCountRoute:
     """An independent count null calibrates from multinomial value counts."""
 
@@ -623,45 +633,49 @@ class TestCountRoute:
     def test_count_rows_match_their_values(self, batch_engines, law, n, reps,
                                            seed, far, trim):
         engine = batch_engines[("Mod2", n)]
-        p = _law_masses(law, engine._value_masses.size - 1)
+        values = engine._value_masses[0]
+        p = _law_masses(law, int(values[-1]))
         rng = np.random.default_rng(seed)
         counts = rng.multinomial(n, p, size=reps)
-        # up to `far` values of row 0 move to the last column, from where
+        # up to `far` values of row 0 move to the last value, from where
         # m is 0
         far = min(far, int(counts[0].max()))
         counts[0, np.argmax(counts[0])] -= far
         counts[0, -1] += far
         if trim:
             counts = counts[:, :np.flatnonzero(counts.any(axis=0))[-1] + 1]
+        values = values[:counts.shape[1]]
         rows = rng.permuted(np.stack([
-            np.repeat(np.arange(counts.shape[1], dtype=float), c)
-            for c in counts]), axis=1)
-        for got, want in zip(engine.statistic_counts(counts),
+            np.repeat(values.astype(float), c) for c in counts]), axis=1)
+        for got, want in zip(engine.statistic_counts(values, counts),
                              engine.statistic_batch(rows)):
             assert np.array_equal(got, want)
 
     def test_rows_must_hold_n_values(self, batch_engines):
         engine = batch_engines[("Mod2", 20)]
         with pytest.raises(ValueError, match="n=20"):
-            engine.statistic_counts(np.array([[10, 9, 0]]))
+            engine.statistic_counts(np.arange(3), np.array([[10, 9, 0]]))
 
     def test_rows_are_fresh_multinomial_draws(self, batch_engines):
         engine = batch_engines[("Mod2", 20)]
-        p = engine._value_masses
+        values, p = engine._value_masses
         reps, base = 300, RngStream(99, 0)
-        counts = engine.sample_null_counts(reps, base)
+        got, counts = engine.sample_null_counts(reps, base)
         # allocated for the values 300 x 20 draws are expected to reach,
         # then widened: some row of this seed reaches past them
         start = np.count_nonzero(np.cumsum(p[::-1])[::-1] * reps * 20 >= 1)
-        assert counts.shape[1] > start and counts[:, -1].any()
+        width = counts.shape[1]
+        assert width > start and counts[:, -1].any()
+        assert np.array_equal(got, values[:width])
         for r, row in enumerate(counts):
             want = base.child(r).generator().multinomial(20, p)
-            assert np.array_equal(row, want[:counts.shape[1]])
-            assert not want[counts.shape[1]:].any()
+            assert np.array_equal(row, want[:width])
+            assert not want[width:].any()
 
     def test_counts_agree_in_law_with_point_draws(self, mod2_null):
         engine = TestEngine(mod2_null, 100, TestConfig(calibration="asymptotic"))
-        counted = engine.sample_null_counts(2000, RngStream(61, 0)).sum(axis=0)
+        values, counts = engine.sample_null_counts(2000, RngStream(61, 0))
+        counted = np.bincount(values, weights=counts.sum(axis=0))
         points = engine.sample_null_batch(2000, RngStream(62, 0))
         pointwise = np.bincount(points.astype(np.intp).ravel())
         stat, df = _pearson_homogeneity(counted, pointwise)
@@ -674,6 +688,62 @@ class TestCountRoute:
         stat, df = _pearson_homogeneity(counted,
                                         np.bincount(other.astype(np.intp)))
         assert chdtrc(df, stat) < 1e-12
+
+    def test_mass_beyond_top_counts_at_top(self):
+        # half of Y lies near 10**6, far past top = 73,683 where m is 0,
+        # while the masses on 0 .. top - 1 end before 360: that half of
+        # every row belongs at top and adds 0, as clipped values do
+        null = NullSpec(y=Mixture(0.5, Poisson(1.0), Poisson(1e6)),
+                        z=Poisson(1.0), ref=GeometricRef(0.99))
+        engine = TestEngine(null, 50, TestConfig(calibration="asymptotic"))
+        values, p = engine._value_masses
+        assert values[-1] == _zero_from(null.ref) and values.size < 360
+        assert np.array_equal(values[:-1], np.arange(values.size - 1))
+        assert p[-1] == pytest.approx(0.5, abs=1e-12)
+        counted = engine.statistic_counts(
+            *engine.sample_null_counts(300, RngStream(3, 0)))[2]
+        drawn = engine.statistic_batch(
+            engine.sample_null_batch(300, RngStream(4, 0)))[2]
+        # two-sample Kolmogorov-Smirnov bound at level 0.001
+        assert _ks_distance(counted, drawn) < 1.95 * math.sqrt(2 / 300)
+
+
+class TestRouteChoice:
+    """``draws_counts`` weighs the multinomial cells against the values."""
+
+    @pytest.mark.parametrize("n, counts", [(50, False), (100, True),
+                                           (500, True), (2000, True)])
+    def test_mod2_counts_from_n_100(self, mod2_null, mod2_coeffs8, n, counts):
+        engine = TestEngine(mod2_null, n, TestConfig(), coeffs=mod2_coeffs8)
+        assert engine.draws_counts() is counts
+
+    def test_heavy_laws_draw_values(self):
+        # p spreads over all 1,076 cells and a row's values over hundreds
+        heavy = NullSpec(y=Geometric(100.0), z=Geometric(100.0),
+                         ref=GeometricRef(0.5))
+        assert not TestEngine(heavy, 500, TestConfig()).draws_counts()
+        assert TestEngine(heavy, 5000, TestConfig()).draws_counts()
+
+    def test_flat_reference_builds_no_masses(self):
+        # top = 73,683: convolving masses that long would cost more than
+        # drawing 2000 x 500 values, so they are never built
+        flat = NullSpec(y=Geometric(100.0), z=Geometric(100.0),
+                        ref=GeometricRef(0.99))
+        engine = TestEngine(flat, 500, TestConfig())
+        assert not engine.draws_counts()
+        assert "_value_masses" not in vars(engine)
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_calibration_takes_the_chosen_route(self, mod2_null, mod2_coeffs8,
+                                                n):
+        engine = TestEngine(mod2_null, n, TestConfig(mc_seed=5),
+                            coeffs=mod2_coeffs8)
+        base = RngStream(5, 0).child(_CALIBRATION_TAG, n)
+        if engine.draws_counts():
+            want = engine.statistic_counts(*engine.sample_null_counts(2000, base))
+        else:
+            want = engine.statistic_batch(engine.sample_null_batch(2000, base))
+        assert np.array_equal(engine.calibration_values(), want[2])
 
 
 def _independent_pair(gen, n):
