@@ -13,7 +13,6 @@ from .measures import (
 )
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
-    inv_sqrt_psd,
 )
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
@@ -24,9 +23,8 @@ from .simlab import (
     run_replications, wilson_interval,
 )
 from .teststat import (
-    TestConfig, TestEngine, TestResult, chi2_cdf, chi2_quantile,
-    compute_bhat, critical_value, default_kmax, run_test,
-    select_order, t_sequence,
+    TestConfig, TestEngine, TestResult, chi2_quantile, compute_bhat,
+    default_kmax, run_test, select_order, t_sequence,
 )
 
 __version__ = "0.1.0"

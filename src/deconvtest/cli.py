@@ -355,8 +355,7 @@ def cmd_coeffs(args) -> int:
     k = int(args.kmax)
     if k < 1:
         raise ConfigError("--kmax must be at least 1")
-    coeffs = compute_coefficients(null, k, method=test.coeff_method,
-                                  u_split=test.u_split)
+    coeffs = compute_coefficients(null, k, method=test.coeff_method)
     lam = eigen_floor_diagnostics(coeffs, test.eigen_condition_cap).lambda_mins
     _emit({
         "schema": COEFFS_SCHEMA,

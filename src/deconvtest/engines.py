@@ -1,7 +1,8 @@
 """Expectation rules and joint samplers for the coefficient engines.
 
-``expectation_rule`` gives nodes and weights for ``E[f(X) exp(-rate X)]``,
-one Gauss rule per axis kind (Golub & Welsch 1969).  Every tilt of a law
+``expectation_rule`` gives nodes and weights for ``E[f(X) exp(-rate X)]``:
+it maps a law and its tilt to one of the Gauss rules that ``orthopoly``
+defines, one per axis kind (Golub & Welsch 1969).  Every tilt of a law
 in the zoo is again a law of the same kind times a constant, so with
 ``nodes`` nodes the rule is exact for polynomials f of degree up to
 ``2 * nodes - 1``: generalized Gauss-Laguerre for the tilted law
@@ -11,14 +12,14 @@ Gauss-Meixner (beta = 1) for the tilted geometric ratio ``q * exp(-rate)``
 (Koekoek & Swarttouw, sections 1.9 and 1.12).  The one exception is the
 unit interval, where ``exp(-rate x)`` is not a polynomial: its
 Gauss-Legendre rule takes as many extra nodes as the Taylor remainder of
-that factor needs to fall below rounding.  The same Laguerre and Legendre
-rules certify the bases in ``orthopoly``.  ``independent_sampler`` is the
-joint sampler of an independent pair.
+that factor needs to fall below rounding.  The Laguerre, Legendre and
+Meixner rules also certify the bases in ``orthopoly``.
+``independent_sampler`` is the joint sampler of an independent pair.
 """
 
 from __future__ import annotations
 
-from math import exp, expm1, sqrt
+from math import exp, expm1
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .measures import (
     ChiSquared, Distribution, Exponential, Gamma, Geometric, Mixture,
     PointMass, Poisson, Uniform01,
 )
-from .orthopoly import _gamma_weight_rule, _uniform01_rule
+from .orthopoly import (
+    _charlier_rule, _gamma_weight_rule, _meixner_rule, _uniform01_rule,
+)
 
 
 def _gamma_parameters(dist: Distribution) -> tuple[float, float] | None:
@@ -38,15 +41,6 @@ def _gamma_parameters(dist: Distribution) -> tuple[float, float] | None:
     if isinstance(dist, ChiSquared):
         return dist.df / 2.0, 2.0
     return None
-
-
-def _jacobi_rule(diag: np.ndarray, off: np.ndarray):
-    """Gauss rule of a probability law from its monic three-term recurrence
-    ``x p_j = p_(j+1) + diag[j] p_j + off[j-1]**2 p_(j-1)``: the nodes are
-    the eigenvalues of the Jacobi matrix, the weights the squared first
-    components of its eigenvectors."""
-    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-    return nodes, vectors[0] ** 2
 
 
 def _taylor_nodes(rate: float) -> int:
@@ -82,15 +76,12 @@ def expectation_rule(dist: Distribution, nodes: int,
         xb, wb = expectation_rule(dist.b, nodes, rate)
         return (np.concatenate([xa, xb]),
                 np.concatenate([dist.weight * wa, (1 - dist.weight) * wb]))
-    j = np.arange(nodes)
     if isinstance(dist, Poisson):
-        mu = dist.mean * exp(-rate)
-        x, w = _jacobi_rule(j + mu, np.sqrt(j[1:] * mu))
+        x, w = _charlier_rule(dist.mean * exp(-rate), nodes)
         return x, w * exp(dist.mean * expm1(-rate))
     if isinstance(dist, Geometric):
         c = dist.q * exp(-rate)
-        x, w = _jacobi_rule((j + (j + 1) * c) / (1 - c),
-                            j[1:] * (sqrt(c) / (1 - c)))
+        x, w = _meixner_rule(c, nodes)
         return x, w * ((1 - dist.q) / (1 - c))
     gamma = _gamma_parameters(dist)
     if gamma is not None:

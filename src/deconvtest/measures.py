@@ -26,7 +26,10 @@ Every law and reference measure is a frozen dataclass with a class-level
 by name, numbers as floats, and ``LAWS`` and ``REFERENCES`` map each kind
 back to its class.
 Coefficients need no densities: ``engines.expectation_rule`` integrates
-every axis with a Gauss rule built from the law's parameters.  Count laws
+every axis with a Gauss rule built from the law's parameters, one of those
+that ``orthopoly`` owns (Gauss-Laguerre, -Legendre, -Charlier and
+-Meixner); the Meixner basis of the geometric reference is certified with
+the same Gauss-Meixner rule.  Count laws
 (Poisson, geometric, integer point masses and their mixtures) carry a
 probability mass function, ``mass``, from which the count-reference
 calibration draws value counts.

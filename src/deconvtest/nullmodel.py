@@ -10,13 +10,15 @@ Every reference density is ``m(0) * exp(-rate * x)`` on its support, so
 ``alpha_j`` is ``m(0)`` times a polynomial moment under the law tilted by
 ``exp(-rate x)``, and the second moment is ``m(0)**2`` times a polynomial
 moment of degree at most 2k under the law tilted by ``exp(-2 rate x)``.
-Both deterministic paths take these from ``engines.expectation_rule``: one
-Gauss rule per axis kind with k + 1 nodes, exact, in one pass.  Three
+Both deterministic paths take these from ``engines.expectation_rule``,
+which maps each axis's law and tilt to one of the Gauss rules that
+``orthopoly`` owns, with k + 1 nodes, exact, in one pass.  Three
 computation paths exist:
 
 * ``closed_form`` (independent components, Laguerre and Meixner): the
-  polynomial of the sum is split by the convolution addition identities
-  into products of one-dimensional expectations over Y and Z separately;
+  polynomial of the sum is split by the convolution addition identities,
+  with the family's parameter halved between Y and Z, into products of
+  one-dimensional expectations over Y and Z separately;
   shifted Legendre has no such split, so a ``closed_form`` request there is
   served by the tensor rule and recorded as ``quadrature``,
 * ``quadrature``: the tensor rule over (Y, Z) of the bivariate integrand,
@@ -223,31 +225,26 @@ def _split_pieces(dist: Distribution, table, ref: ReferenceMeasure, k: int):
     return a1, a2
 
 
-def _closed_form(null: NullSpec, k: int, u: float):
+def _closed_form(null: NullSpec, k: int):
     """Laguerre and Meixner coefficients through the addition splits.
 
     ``split[i, s, r]`` is the weight of P_s(y) P_r(z) in P_i(y + z), with
-    the parameter of the family divided as u + v = 1 between Y and Z.
+    the parameter of the family divided in halves between Y and Z.
     """
     fam = null.basis.family
-    if not 0 < u < 1:
-        raise NullSpecError("split parameter u must lie in (0, 1)")
-    v = 1.0 - u
     if fam.kind == orthopoly.LAGUERRE:
-        table_y = partial(laguerre_table, k, u)
-        table_z = partial(laguerre_table, k, v)
-        terms = partial(addition_split_laguerre, u=u, v=v)
+        table = partial(laguerre_table, k, 0.5)
+        terms = partial(addition_split_laguerre, u=0.5, v=0.5)
     else:
         p = fam.shape
-        table_y = partial(meixner_scaled_table, k, u, p)
-        table_z = partial(meixner_scaled_table, k, v, p)
-        terms = partial(addition_split_meixner, u=u, v=v, p=p)
+        table = partial(meixner_scaled_table, k, 0.5, p)
+        terms = partial(addition_split_meixner, u=0.5, v=0.5, p=p)
     split = np.zeros((k + 1,) * 3)
     for i in range(k + 1):
         for s, w in terms(i):
             split[i, s, i - s] = w
-    a1, a2 = _split_pieces(null.y, table_y, null.ref, k)
-    b1, b2 = _split_pieces(null.z, table_z, null.ref, k)
+    a1, a2 = _split_pieces(null.y, table, null.ref, k)
+    b1, b2 = _split_pieces(null.z, table, null.ref, k)
     norms = null.basis.norms[: k + 1]
     alphas = np.einsum("isr,s,r->i", split, a1, b1) / norms
     m2 = np.einsum("isr,jtq,st,rq->ij", split, split, a2, b2, optimize=True)
@@ -285,7 +282,6 @@ def _monte_carlo_coefficients(null: NullSpec, k: int, draws: int,
 
 
 def compute_coefficients(null: NullSpec, k: int, method: str | None = None,
-                         u_split: float = 0.5,
                          mc_draws: int = DEFAULT_MC_DRAWS,
                          mc_stream: RngStream = DEFAULT_MC_STREAM,
                          ) -> NullCoefficients:
@@ -317,7 +313,7 @@ def compute_coefficients(null: NullSpec, k: int, method: str | None = None,
                  f"stream=({mc_stream.master_seed},{mc_stream.stream_index})",)
         alphas, sigma = full_a, full_s
     else:
-        full_a, full_s = (_closed_form(null, k, u_split) if method == CLOSED_FORM
+        full_a, full_s = (_closed_form(null, k) if method == CLOSED_FORM
                           else _quadrature(null, k))
         # deterministic paths carry the degree-0 row; drop it
         alphas, sigma = full_a[1:], full_s[1:, 1:]
@@ -366,27 +362,6 @@ class EigenDiagnostics:
     condition_numbers: np.ndarray
     usable_k_max: int
     condition_cap: float
-
-
-def inv_sqrt_psd(sigma: np.ndarray, condition_cap: float = 1e12) -> np.ndarray:
-    """Symmetric pseudo-inverse square root of a PSD matrix.
-
-    Eigenvalues at or below ``max_eigenvalue / condition_cap`` are projected
-    out rather than amplified; keeping none raises ``LinAlgError``.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("sigma must be a square matrix")
-    asym = float(np.max(np.abs(sigma - sigma.T)))
-    if asym > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
-        raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
-    w, vec = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    keep = w > max(w[-1] / condition_cap, 0.0)
-    if not np.any(keep):
-        raise np.linalg.LinAlgError(
-            "all eigenvalues fall below the condition floor")
-    vk = vec[:, keep]
-    return (vk / np.sqrt(w[keep])) @ vk.T
 
 
 def eigen_floor_diagnostics(coeffs: NullCoefficients,

@@ -1,4 +1,4 @@
-"""Orthogonal polynomial families and their convolution splits.
+"""Orthogonal polynomial families, their Gauss rules and convolution splits.
 
 Three families are supported, each orthogonal with respect to a probability
 measure used as the reference weight of the fit test:
@@ -7,20 +7,24 @@ measure used as the reference weight of the fit test:
 * shifted Legendre -- uniform weight on [0, 1],
 * Meixner ``M(n, p)`` -- geometric weight ``p**x * (1 - p)`` on {0, 1, ...}.
 
-Norms are always established numerically at table construction, with the
-Gauss-Laguerre and Gauss-Legendre rules that the coefficient engines also
-use, and the resulting orthonormal system is certified against its Gram
-matrix; printed closed-form norm constants are never trusted.  For the
-Laguerre family (raw scale) and the Meixner family (convolution scale) the
-polynomial of a sum ``y + z`` splits exactly into weighted products of
-lower-degree polynomials of ``y`` and ``z``; those splits are what make
-closed-form convolution coefficients possible.
+This module owns every Gauss rule of the package: Gauss-Laguerre,
+Gauss-Legendre on [0, 1], and the Gauss-Charlier and Gauss-Meixner rules
+built from their Jacobi matrices (Golub & Welsch 1969).  The coefficient
+engines take them through ``engines.expectation_rule``.  Norms are always
+established numerically at table construction, with the Gauss-Laguerre,
+Gauss-Legendre and Gauss-Meixner rules, and the resulting orthonormal
+system is certified against its Gram matrix; printed closed-form norm
+constants are never trusted.  For the Laguerre family (raw scale) and the
+Meixner family (convolution scale) the polynomial of a sum ``y + z``
+splits exactly into weighted products of lower-degree polynomials of ``y``
+and ``z``; those splits are what make closed-form convolution coefficients
+possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, lgamma
+from math import comb, exp, lgamma, sqrt
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_legendre
@@ -225,7 +229,7 @@ def _validate_splits(table: "BasisTable", n_max: int = 5) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Certification
+# Gauss rules and certification
 # ---------------------------------------------------------------------------
 
 def _gamma_weight_rule(shape: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,41 +245,55 @@ def _gamma_weight_rule(shape: float, n_nodes: int) -> tuple[np.ndarray, np.ndarr
             f"the Gauss-Laguerre rule overflows at gamma shape {shape:g}")
     return nodes, weights / exp(lgamma(shape))
 
+
 def _uniform01_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = roots_legendre(n_nodes)
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _geometric_support(p: float, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support points and geometric masses summed until the Gram tail is dust.
+def _jacobi_rule(diag: np.ndarray, off: np.ndarray):
+    """Gauss rule of a probability law from its monic three-term recurrence
+    ``x p_j = p_(j+1) + diag[j] p_j + off[j-1]**2 p_(j-1)``: the nodes are
+    the eigenvalues of the Jacobi matrix, the weights the squared first
+    components of its eigenvectors."""
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2
 
-    The summand for the Gram matrix grows at most like x**(2*max_degree)
-    against the p**x tail; extend until the running term falls below 1e-18
-    of the accumulated mass for fifty consecutive points.
+
+def _charlier_rule(mu: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Charlier rule of the Poisson(mu) law."""
+    j = np.arange(n_nodes)
+    return _jacobi_rule(j + mu, np.sqrt(j[1:] * mu))
+
+
+def _meixner_rule(c: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Meixner rule (beta = 1) of the geometric law ``(1 - c) c**x``."""
+    j = np.arange(n_nodes)
+    return _jacobi_rule((j + (j + 1) * c) / (1 - c),
+                        j[1:] * (sqrt(c) / (1 - c)))
+
+
+def _certification_rule(spec: PolynomialFamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights exact for the Gram matrix, degree 2 * max_degree.
+
+    Meixner takes exactly ``max_degree + 1`` nodes: more put nodes far into
+    the geometric tail, whose tiny weights lose their relative accuracy.
     """
-    pts, quiet, x = [], 0, 0
-    total = 0.0
-    while quiet < 50 and x < 200_000:
-        mass = (1 - p) * p ** x
-        bound = mass * (x + 1.0) ** (2 * max_degree)
-        pts.append(x)
-        total += mass
-        quiet = quiet + 1 if bound < 1e-18 * max(total, 1.0) else 0
-        x += 1
-    xs = np.arange(len(pts), dtype=float)
-    return xs, (1 - p) * p ** xs
-
-
-def _raw_values_and_weights(spec: PolynomialFamilySpec):
+    if spec.kind == MEIXNER:
+        return _meixner_rule(spec.shape, spec.max_degree + 1)
     n_nodes = 2 * spec.max_degree + 2
     if spec.kind == LAGUERRE:
-        x, w = _gamma_weight_rule(spec.shape, n_nodes)
-        return laguerre_table(spec.max_degree, spec.shape, x), w
-    if spec.kind == SHIFTED_LEGENDRE:
-        x, w = _uniform01_rule(n_nodes)
-        return shifted_legendre_table(spec.max_degree, x), w
-    x, w = _geometric_support(spec.shape, spec.max_degree)
-    return meixner_scaled_table(spec.max_degree, 1.0, spec.shape, x), w
+        return _gamma_weight_rule(spec.shape, n_nodes)
+    return _uniform01_rule(n_nodes)
+
+
+def _raw_table(family: PolynomialFamilySpec, k: int, x) -> np.ndarray:
+    """Raw values P(0..k) of the family at x, shape ``(k + 1,) + x.shape``."""
+    if family.kind == LAGUERRE:
+        return laguerre_table(k, family.shape, x)
+    if family.kind == SHIFTED_LEGENDRE:
+        return shifted_legendre_table(k, x)
+    return meixner_scaled_table(k, 1.0, family.shape, x)
 
 
 @dataclass
@@ -290,22 +308,14 @@ class BasisTable:
     norms: np.ndarray
     gram_residual: float
 
-    def eval_raw(self, x, max_degree: int | None = None) -> np.ndarray:
+    def eval_normalized(self, x, max_degree: int | None = None) -> np.ndarray:
+        """Orthonormal values Q(0..k) at x, shape ``(k + 1,) + x.shape``."""
         k = self.family.max_degree if max_degree is None else max_degree
         if k > self.family.max_degree:
             raise DegreeOverflowError(
                 f"degree {k} exceeds table max {self.family.max_degree}")
-        if self.family.kind == LAGUERRE:
-            return laguerre_table(k, self.family.shape, x)
-        if self.family.kind == SHIFTED_LEGENDRE:
-            return shifted_legendre_table(k, x)
-        return meixner_scaled_table(k, 1.0, self.family.shape, x)
-
-    def eval_normalized(self, x, max_degree: int | None = None) -> np.ndarray:
-        """Orthonormal values Q(0..k) at x, shape ``(k + 1,) + x.shape``."""
-        raw = self.eval_raw(x, max_degree)
-        scale = self.norms[: raw.shape[0]]
-        raw /= scale.reshape((raw.shape[0],) + (1,) * (raw.ndim - 1))
+        raw = _raw_table(self.family, k, x)
+        raw /= self.norms[: k + 1].reshape((k + 1,) + (1,) * (raw.ndim - 1))
         return raw
 
 
@@ -316,12 +326,12 @@ def _gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
     """Numerically certify a family and return its orthonormal table.
 
-    Norms come from quadrature (continuous weights) or truncated summation
-    (geometric weight).  The Gram matrix of the normalized system must match
-    the identity within 1e-8, otherwise ``BasisInconsistencyError`` names
-    the worst entry.
+    Norms come from the family's Gauss rule (``_certification_rule``).  The
+    Gram matrix of the normalized system must match the identity within
+    1e-8, otherwise ``BasisInconsistencyError`` names the worst entry.
     """
-    values, weights = _raw_values_and_weights(family)
+    x, weights = _certification_rule(family)
+    values = _raw_table(family, family.max_degree, x)
     norms_sq = np.einsum("in,n->i", values ** 2, weights)
     if np.any(norms_sq <= 0):
         bad = int(np.argmin(norms_sq))

@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv
+from scipy.special import gammaincc, gammaincinv
 
 from .measures import RngStream, rekeyed
 from .nullmodel import (
@@ -79,7 +79,6 @@ class TestConfig:
     mc_reps: int = 2000
     mc_seed: int = DEFAULT_MC_SEED
     eigen_condition_cap: float = 1e12
-    u_split: float = 0.5
     coeff_method: str | None = None
 
     def __post_init__(self):
@@ -95,8 +94,6 @@ class TestConfig:
             raise ValueError("calibration must be 'mc' or 'asymptotic'")
         if self.calibration == "mc" and self.mc_reps < 100:
             raise ValueError("Monte Carlo calibration needs at least 100 reps")
-        if not 0 < self.u_split < 1:
-            raise ValueError("u_split must lie in (0, 1)")
         if not self.eigen_condition_cap > 1:
             # a cap of 1 or less keeps no eigenvalue of any covariance block
             raise ValueError("eigen_condition_cap must exceed 1")
@@ -109,17 +106,13 @@ class TestConfig:
 # Building blocks
 # ---------------------------------------------------------------------------
 
-def chi2_cdf(x: float, df: int) -> float:
-    """Chi-squared CDF via the regularized lower incomplete gamma."""
-    if df < 1:
-        raise ValueError("degrees of freedom must be a positive integer")
-    if x <= 0:
-        return 0.0
-    return float(gammainc(df / 2.0, x / 2.0))
-
-
 def chi2_quantile(p: float, df: int) -> float:
-    """Inverse of ``chi2_cdf`` in its first argument."""
+    """The p-quantile of the chi-squared law with df degrees of freedom.
+
+    It inverts the regularized lower incomplete gamma ``P(df / 2, x / 2)``,
+    the chi-squared CDF; the asymptotic critical value is
+    ``chi2_quantile(1 - alpha, 1)``.
+    """
     if not 0 <= p < 1:
         raise ValueError("quantile level must lie in [0, 1)")
     return float(2.0 * gammaincinv(df / 2.0, p))
@@ -342,9 +335,8 @@ class TestEngine:
         policy_k = default_kmax(n) if config.k_max == "auto" else config.k_max
         policy_k = min(policy_k, null.basis.family.max_degree)
         if coeffs is None:
-            coeffs = compute_coefficients(
-                null, policy_k, method=config.coeff_method,
-                u_split=config.u_split)
+            coeffs = compute_coefficients(null, policy_k,
+                                          method=config.coeff_method)
         self.coeffs = coeffs
         self.diagnostics = eigen_floor_diagnostics(
             coeffs, config.eigen_condition_cap)
@@ -557,14 +549,6 @@ class TestResult:
 
     def to_dict(self) -> dict:
         return plain_dict(self)
-
-
-def critical_value(config: TestConfig, null: NullSpec, n: int,
-                   coeffs: NullCoefficients | None = None) -> float:
-    """Rejection threshold for T_{S_n} at the configured level."""
-    if config.calibration == "asymptotic":
-        return chi2_quantile(1.0 - config.alpha, 1)
-    return TestEngine(null, n, config, coeffs).critical_value()
 
 
 def run_test(data, null: NullSpec, config: TestConfig = TestConfig(),

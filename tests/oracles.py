@@ -139,6 +139,32 @@ def gram_schmidt_polynomials(max_degree: int, nodes: np.ndarray,
     return np.asarray(basis)
 
 
+def exact_t_sequence(bhat, sigma) -> np.ndarray:
+    """T_1..T_d of ``bhat`` against ``sigma`` in exact rational arithmetic.
+
+    The floats are read exactly as ``Fraction``s.  One symmetric Gaussian
+    elimination without pivoting (LDL') gives the pivots D_j of every
+    leading block, and the same row operations on ``bhat`` give
+    y = L^-1 bhat, so each prefix's quadratic form bhat_k' Sigma_k^-1 bhat_k
+    is T_k = y_1**2 / D_1 + ... + y_k**2 / D_k.  Each T_k is rounded once.
+    """
+    from fractions import Fraction
+
+    a = [[Fraction(float(v)) for v in row] for row in sigma]
+    y = [Fraction(float(v)) for v in bhat]
+    total, out = Fraction(0), []
+    for j in range(len(y)):
+        pivot = a[j][j]
+        total += y[j] * y[j] / pivot
+        out.append(float(total))
+        for i in range(j + 1, len(y)):
+            f = a[i][j] / pivot
+            y[i] -= f * y[j]
+            for c in range(j + 1, len(y)):
+                a[i][c] -= f * a[j][c]
+    return np.array(out)
+
+
 def chi2_cdf_by_quadrature(x: float, df: int, n_steps: int = 20000) -> float:
     """Chi-squared CDF by direct integration of the density.
 

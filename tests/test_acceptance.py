@@ -15,19 +15,20 @@ import pytest
 
 from deconvtest.cli import main as cli_main
 from deconvtest.measures import RngStream
-from deconvtest.nullmodel import compute_coefficients, inv_sqrt_psd
+from deconvtest.nullmodel import compute_coefficients
 from deconvtest.orthopoly import (
     PolynomialFamilySpec, addition_split_laguerre, addition_split_meixner,
     certify_orthonormality, laguerre_table, meixner_scaled_table,
 )
 from deconvtest.simlab import build_scenario, run_replications
 from deconvtest.teststat import (
-    TestConfig, TestEngine, chi2_cdf, chi2_quantile, t_sequence,
+    TestConfig, TestEngine, chi2_quantile, t_sequence,
 )
 
 from .conftest import ACCEPTANCE_LINES
 from .oracles import (
     alt1_first_order_power, alt4_first_order_power, chi2_cdf_by_quadrature,
+    exact_t_sequence,
 )
 
 STUDY_CONFIG = TestConfig()          # alpha 0.05, MC calibration, 2000 reps
@@ -143,49 +144,65 @@ def test_criterion_03_engine_agreement(mod1_null, mod2_null):
 
 
 def test_criterion_04_linear_algebra():
+    # the whitening the statistic runs, t_sequence, against one exact
+    # rational LDL' per matrix, which gives every prefix
     start = time.perf_counter()
     rng = np.random.default_rng(4)
-    worst_recon = 0.0
+    unshifted = []
     for _ in range(50):
         d = rng.integers(2, 13)
         b = rng.standard_normal((d, d))
-        sigma = b @ b.T
-        root = inv_sqrt_psd(sigma)
-        worst_recon = max(worst_recon, float(
-            np.max(np.abs(root @ sigma @ root - np.eye(d)))))
-    worst_gap = 0.0
-    worst_oracle = 0.0
+        unshifted.append(b @ b.T)
+    instances = []
     for _ in range(100):
         d = rng.integers(2, 9)
         b = rng.standard_normal((d, d))
         sigma = b @ b.T + 0.5 * np.eye(d)
-        bhat = rng.standard_normal(d)
+        instances.append((rng.standard_normal(d), sigma))
+    worst_rel = worst_gap = worst_oracle = max_cond = 0.0
+    for sigma in unshifted:
+        bhat = rng.standard_normal(sigma.shape[0])
         seq = t_sequence(bhat, sigma)
-        brute = np.array([bhat[:k] @ np.linalg.inv(sigma[:k, :k]) @ bhat[:k]
-                          for k in range(1, d + 1)])
-        worst_oracle = max(worst_oracle, float(np.max(np.abs(seq - brute))))
+        exact = exact_t_sequence(bhat, sigma)
+        worst_rel = max(worst_rel, float(np.max(np.abs(seq - exact) / exact)))
+        worst_gap = max(worst_gap, float(np.max(-np.diff(seq))))
+        max_cond = max(max_cond, float(np.linalg.cond(sigma)))
+    for bhat, sigma in instances:
+        seq = t_sequence(bhat, sigma)
+        exact = exact_t_sequence(bhat, sigma)
+        worst_oracle = max(worst_oracle, float(np.max(np.abs(seq - exact))))
         worst_gap = max(worst_gap, float(np.max(-np.diff(seq))))
     elapsed = time.perf_counter() - start
-    ok = (worst_recon < 1e-8 and worst_gap < 1e-9
+    ok = (worst_rel < 1e-8 and worst_gap < 1e-9
           and worst_oracle < 1e-7 and elapsed < 10.0)
     report("criterion 04 linear algebra", ok,
-           f"inverse-root reconstruction {worst_recon:.1e} (50 matrices), "
-           f"largest monotonicity dip {worst_gap:.1e}, oracle gap "
+           f"t_sequence vs exact rational LDL' rel err {worst_rel:.1e} "
+           f"(50 matrices b b', cond <= {max_cond:.1e}), largest "
+           f"monotonicity dip {worst_gap:.1e}, oracle gap "
            f"{worst_oracle:.1e} (100 instances), {elapsed:.2f}s")
     assert ok
 
 
-def test_criterion_05_chi_squared_cdf():
+def test_criterion_05_chi_squared_cdf(mod1_null, mod1_coeffs8):
+    # the quantile behind the asymptotic critical value and the asymptotic
+    # p-value, both against the quadrature CDF
     worst = 0.0
     for df in range(1, 11):
         for x in np.linspace(0.25, 4.0 * df, 10):
-            worst = max(worst, abs(chi2_cdf(float(x), df)
-                                   - chi2_cdf_by_quadrature(float(x), df)))
-    q95 = chi2_quantile(0.95, 1)
-    ok = worst < 1e-6 and abs(q95 - 3.8415) < 1e-3
-    report("criterion 05 chi-squared cdf", ok,
-           f"max |cdf - oracle| = {worst:.2e} over 100 points (df 1..10), "
-           f"0.95 quantile {q95:.5f}")
+            level = chi2_cdf_by_quadrature(float(x), df)
+            back = chi2_cdf_by_quadrature(chi2_quantile(level, df), df)
+            worst = max(worst, abs(back - level))
+    engine = TestEngine(mod1_null, 100, TestConfig(calibration="asymptotic"),
+                        coeffs=mod1_coeffs8)
+    worst_p = max(abs(engine.p_value(float(t))
+                      - (1.0 - chi2_cdf_by_quadrature(float(t), 1)))
+                  for t in np.linspace(0.25, 40.0, 100))
+    q95 = engine.critical_value()
+    ok = worst < 1e-6 and worst_p < 1e-6 and abs(q95 - 3.8415) < 1e-3
+    report("criterion 05 chi-squared quantile and p-value", ok,
+           f"max |cdf(quantile(level)) - level| = {worst:.2e} over 100 points "
+           f"(df 1..10), max |p - (1 - cdf)| = {worst_p:.2e} over 100 T in "
+           f"[0.25, 40], 0.95 quantile {q95:.5f}")
     assert ok
 
 

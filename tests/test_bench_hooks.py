@@ -5,6 +5,7 @@ rename there would fail every benchmark run; here it fails the suite.  The
 file is only read, never imported.
 """
 
+import inspect
 import re
 from pathlib import Path
 
@@ -38,3 +39,11 @@ def test_every_patch_target_resolves():
         if not found:
             missing.append(f"{owner}.{attr}")
     assert not missing, f"perfbench patch targets not in the package: {missing}"
+
+
+def test_coefficient_method_is_third_positional():
+    # perfbench labels coefficient spans by ``args[2]``, so a reorder of
+    # the parameters would mislabel them without failing
+    params = list(inspect.signature(
+        deconvtest.nullmodel.compute_coefficients).parameters)
+    assert params[:3] == ["null", "k", "method"]

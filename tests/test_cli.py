@@ -334,21 +334,37 @@ class TestNumericalFailure:
 
 
     def test_usable_block_without_factor_exits_4(self, tmp_path, capsys):
-        # under a cap of 1e300 the usable order of Poisson(2) + geometric(1)
-        # on the geometric(0.7) reference is 12, where the condition number
-        # is 4.3e16 and Cholesky breaks down
+        # a cached Sigma whose every leading block keeps its eigenvalues
+        # above the floor of a 1e300 cap, while the Cholesky factorization
+        # of the full block breaks down: its last pivot is 6.0e-16 in exact
+        # arithmetic, below the rounding of the elimination
+        sigma = np.array([
+            [2.0674686787246253, -0.29503979895746174, -0.594104736453237],
+            [-0.29503979895746174, 2.858417440172652, -2.597402460065331],
+            [-0.594104736453237, -2.597402460065331, 2.7251648115149854]])
+        cap = 1e300
+        for j in (1, 2, 3):
+            lam = np.linalg.eigvalsh(sigma[:j, :j])
+            assert lam[0] > lam[-1] / cap
+        assert np.linalg.eigvalsh(sigma)[0] < 1e-14  # condition near 1e16
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+
+        null = build_null({})
+        coef = tmp_path / "c.json"
+        coef.write_text(json.dumps({
+            "schema": "deconvtest-coeffs-v1",
+            "config_hash": config_hash(null.config()), "k": 3,
+            "alphas": [0.1, -0.05, 0.02], "sigma": sigma.tolist(),
+            "method": "closed_form"}))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "null": {"y": {"kind": "poisson", "mean": 2},
-                     "z": {"kind": "geometric", "mean": 1},
-                     "reference": {"kind": "geometric", "p": 0.7}},
-            "test": {"eigen_condition_cap": 1e300, "k_max": 15,
-                     "calibration": "asymptotic"}}))
-        f = tmp_path / "d.txt"
-        f.write_text("\n".join(["0", "1", "2", "1"] * 125))
-        assert run_cli(["test", f, "--config", cfg]) == EXIT_NUMERIC
+        cfg.write_text(json.dumps({"test": {
+            "eigen_condition_cap": cap, "k_max": 3,
+            "calibration": "asymptotic"}}))
+        assert run_cli(["test", FIXTURE, "--config", cfg,
+                        "--coeffs-cache", coef]) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "order 12" in err and "eigen_condition_cap 1e+300" in err
+        assert "order 3" in err and "eigen_condition_cap 1e+300" in err
 
 
 class TestConfigHelpers:
@@ -424,15 +440,18 @@ class TestConfigBoundary:
                         "--calibration", "asymptotic"]) == EXIT_USAGE
         assert where in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", [0, -1])
+    @pytest.mark.parametrize("tol", [0, -1, 0.5])
     def test_coeff_tol_key_exits_2(self, tmp_path, capsys, tol):
         # the coefficient rules are exact in one pass, so there is no
-        # refinement tolerance to set; an old document naming one is refused
+        # refinement tolerance to set, and the convolution split is fixed
+        # at 1/2; an old document naming either is refused
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"test": {"coeff_tol": tol}}))
-        assert run_cli(["test", FIXTURE, "--config", cfg,
-                        "--calibration", "asymptotic"]) == EXIT_USAGE
-        assert "unknown key(s) ['coeff_tol'] in test" in capsys.readouterr().err
+        for key in ("coeff_tol", "u_split"):
+            cfg.write_text(json.dumps({"test": {key: tol}}))
+            assert run_cli(["test", FIXTURE, "--config", cfg,
+                            "--calibration", "asymptotic"]) == EXIT_USAGE
+            assert (f"unknown key(s) ['{key}'] in test"
+                    in capsys.readouterr().err)
 
     def test_unallocatable_calibration_exits_2(self, tmp_path, capsys,
                                                monkeypatch):

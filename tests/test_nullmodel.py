@@ -58,12 +58,6 @@ class TestEngineAgreement:
         stderr = v.std(axis=1, ddof=1) / np.sqrt(draws)
         assert np.all(np.abs(v.mean(axis=1) - closed.alphas) < 4 * stderr)
 
-    def test_u_split_does_not_change_results(self, mod1_null, mod1_coeffs8):
-        other = compute_coefficients(mod1_null, 8, method="closed_form",
-                                     u_split=0.3)
-        np.testing.assert_allclose(other.alphas, mod1_coeffs8.alphas, atol=1e-9)
-        np.testing.assert_allclose(other.sigma, mod1_coeffs8.sigma, atol=1e-9)
-
 
 class TestLegendreNull:
     def test_uniform_signal_gives_identity(self):

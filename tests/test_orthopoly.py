@@ -129,11 +129,15 @@ class TestCertification:
         gram = np.einsum("in,jn,n->ij", vals, vals, weights)
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
-    def test_meixner_gram_against_truncated_sum(self, meixner_table):
-        nodes, weights = geometric_nodes(0.5)
-        vals = meixner_table.eval_normalized(nodes, 8)
-        gram = np.einsum("in,jn,n->ij", vals, vals, weights)
-        assert np.max(np.abs(gram - np.eye(9))) < 1e-8
+    def test_meixner_gram_against_truncated_sum(self):
+        # certified with the Gauss-Meixner rule, checked by direct summation
+        for p in (0.3, 0.5, 0.7):
+            table = certify_orthonormality(
+                PolynomialFamilySpec("meixner", p, max_degree=16))
+            nodes, weights = geometric_nodes(p)
+            vals = table.eval_normalized(nodes)
+            gram = np.einsum("in,jn,n->ij", vals, vals, weights)
+            assert np.max(np.abs(gram - np.eye(17))) < 1e-8, p
 
     def test_failure_names_offending_pair(self, monkeypatch):
         # shifting the degree-1 polynomial by a constant breaks only its

@@ -12,12 +12,12 @@ from scipy.special import chdtrc
 from deconvtest.measures import (
     Geometric, GeometricRef, Mixture, Poisson, RngStream,
 )
-from deconvtest.nullmodel import NullCoefficients, NullSpec, inv_sqrt_psd
+from deconvtest.nullmodel import NullCoefficients, NullSpec
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
     _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError, TestConfig, TestEngine,
-    _zero_from, chi2_cdf, chi2_quantile, compute_bhat, critical_value,
-    default_kmax, run_test, select_order, t_sequence,
+    _zero_from, chi2_quantile, compute_bhat, default_kmax, run_test,
+    select_order, t_sequence,
 )
 
 from .oracles import (
@@ -108,39 +108,6 @@ class TestComputeBhat:
             np.testing.assert_array_equal(engine.run(data).t_sequence, want)
 
 
-class TestInvSqrtPsd:
-    def test_identity(self):
-        np.testing.assert_allclose(inv_sqrt_psd(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(inv_sqrt_psd(np.diag([4.0, 1.0])),
-                                   np.diag([0.5, 1.0]), atol=1e-14)
-
-    def test_reconstruction_on_random_psd(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            d = rng.integers(2, 13)
-            b = rng.standard_normal((d, d))
-            sigma = b @ b.T
-            root = inv_sqrt_psd(sigma)
-            np.testing.assert_allclose(root @ sigma @ root, np.eye(d),
-                                       atol=1e-8)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            inv_sqrt_psd(np.array([[1.0, 0.5], [0.1, 1.0]]))
-
-    def test_all_below_floor(self):
-        with pytest.raises(ValueError, match="floor"):
-            inv_sqrt_psd(np.zeros((2, 2)))
-
-    def test_condition_cap_truncates(self):
-        sigma = np.diag([1.0, 1e-15])
-        root = inv_sqrt_psd(sigma, condition_cap=1e12)
-        # the tiny direction is projected out, not inverted
-        assert root[1, 1] == 0.0
-
-
 class TestTSequence:
     def test_zero_vector(self):
         np.testing.assert_allclose(t_sequence(np.zeros(3), np.eye(3)), 0.0)
@@ -209,18 +176,32 @@ class TestDefaultKmax:
         assert default_kmax(10 ** 6) == 15
 
 
+def _asymptotic_engine(null, coeffs, alpha=0.05):
+    return TestEngine(null, 100, TestConfig(alpha=alpha,
+                                            calibration="asymptotic"),
+                      coeffs=coeffs)
+
+
 class TestChi2:
     def test_zero(self):
-        assert chi2_cdf(0.0, 1) == 0.0
+        assert chi2_quantile(0.0, 1) == 0.0
 
-    def test_nominal_level_point(self):
-        assert chi2_cdf(3.841459, 1) == pytest.approx(0.95, abs=1e-6)
+    def test_nominal_level_point(self, mod1_null, mod1_coeffs8):
+        engine = _asymptotic_engine(mod1_null, mod1_coeffs8)
+        assert engine.p_value(3.841459) == pytest.approx(0.05, abs=1e-6)
 
     @pytest.mark.parametrize("df", [1, 2, 3, 5, 10])
-    def test_against_quadrature_oracle(self, df):
+    def test_against_quadrature_oracle(self, df, mod1_null, mod1_coeffs8):
+        # the quantile of the oracle's level is the oracle's quantile, and
+        # at df = 1 the asymptotic p-value is the oracle's upper tail
+        engine = _asymptotic_engine(mod1_null, mod1_coeffs8)
         for x in np.linspace(0.3, 4.0 * df, 12):
-            assert chi2_cdf(float(x), df) == pytest.approx(
-                chi2_cdf_by_quadrature(float(x), df), abs=1e-6)
+            level = chi2_cdf_by_quadrature(float(x), df)
+            assert chi2_cdf_by_quadrature(chi2_quantile(level, df), df) == \
+                pytest.approx(level, abs=1e-6)
+            if df == 1:
+                assert engine.p_value(float(x)) == pytest.approx(
+                    1.0 - level, abs=1e-6)
 
     def test_median_rule_of_thumb(self):
         for df in (20, 30, 50):
@@ -233,8 +214,7 @@ class TestChi2:
 
     def test_asymptotic_p_value_far_tail(self, mod1_null, mod1_coeffs8):
         # 1 - cdf rounds to exactly 0 from T of about 75 on
-        engine = TestEngine(mod1_null, 100, TestConfig(calibration="asymptotic"),
-                            coeffs=mod1_coeffs8)
+        engine = _asymptotic_engine(mod1_null, mod1_coeffs8)
         p = engine.p_value(80.0)
         assert p > 0.0
         assert p == pytest.approx(math.erfc(math.sqrt(40.0)), rel=1e-12)
@@ -242,15 +222,13 @@ class TestChi2:
 
 class TestCriticalValue:
     def test_asymptotic_level(self, mod1_null, mod1_coeffs8):
-        cfg = TestConfig(calibration="asymptotic")
-        assert critical_value(cfg, mod1_null, 100, mod1_coeffs8) == \
-            pytest.approx(3.841458820694124, abs=1e-9)
+        engine = _asymptotic_engine(mod1_null, mod1_coeffs8)
+        assert engine.critical_value() == pytest.approx(3.841458820694124,
+                                                        abs=1e-9)
 
     def test_alpha_monotonicity(self, mod1_null, mod1_coeffs8):
-        lo = critical_value(TestConfig(alpha=0.5, calibration="asymptotic"),
-                            mod1_null, 100, mod1_coeffs8)
-        hi = critical_value(TestConfig(alpha=0.05, calibration="asymptotic"),
-                            mod1_null, 100, mod1_coeffs8)
+        lo = _asymptotic_engine(mod1_null, mod1_coeffs8, 0.5).critical_value()
+        hi = _asymptotic_engine(mod1_null, mod1_coeffs8, 0.05).critical_value()
         assert lo < hi
 
     def test_mc_threshold_is_calibration_quantile(self, mod1_null, mod1_coeffs8):
@@ -271,11 +249,13 @@ class TestConfigFields:
         with pytest.raises(ValueError, match=field):
             TestConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, 0.5])
     def test_coeff_tol_is_not_a_field(self, value):
-        # the coefficient rules are exact in one pass: no tolerance to set
-        with pytest.raises(TypeError, match="coeff_tol"):
-            TestConfig(coeff_tol=value)
+        # the coefficient rules are exact in one pass: no tolerance to set;
+        # the convolution split is fixed at 1/2
+        for key in ("coeff_tol", "u_split"):
+            with pytest.raises(TypeError, match=key):
+                TestConfig(**{key: value})
 
     def test_numpy_integers_are_integers(self):
         cfg = TestConfig(k_max=np.int64(4), mc_reps=np.int64(300),
