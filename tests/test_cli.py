@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deconvtest.cli import (
-    CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+    COEFFS_SCHEMA, CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
     build_distribution, build_null, build_reference, config_hash, main,
     read_data_file,
 )
@@ -346,14 +346,14 @@ class TestNumericalFailure:
         for j in (1, 2, 3):
             lam = np.linalg.eigvalsh(sigma[:j, :j])
             assert lam[0] > lam[-1] / cap
-        assert np.linalg.eigvalsh(sigma)[0] < 1e-14  # condition near 1e16
+        assert np.linalg.eigvalsh(sigma)[0] < 1e-14  # condition about 5e15
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(sigma)
 
         null = build_null({})
         coef = tmp_path / "c.json"
         coef.write_text(json.dumps({
-            "schema": "deconvtest-coeffs-v1",
+            "schema": COEFFS_SCHEMA,
             "config_hash": config_hash(null.config()), "k": 3,
             "alphas": [0.1, -0.05, 0.02], "sigma": sigma.tolist(),
             "method": "closed_form"}))
