@@ -252,12 +252,30 @@ def _uniform01_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jacobi_rule(diag: np.ndarray, off: np.ndarray):
-    """Gauss rule of a probability law from its monic three-term recurrence
-    ``x p_j = p_(j+1) + diag[j] p_j + off[j-1]**2 p_(j-1)``: the nodes are
-    the eigenvalues of the Jacobi matrix, the weights the squared first
-    components of its eigenvectors."""
+    """Gauss rule of a probability law from its orthonormal three-term
+    recurrence ``x q_j = off[j] q_(j+1) + diag[j] q_j + off[j-1] q_(j-1)``.
+
+    The nodes are the eigenvalues of the Jacobi matrix, whose normalized
+    eigenvector at node x has components ``sqrt(w) q_j(x)`` (Golub &
+    Welsch).  The weight w is read from the largest component, not the
+    first: at far nodes the first is below rounding, so its square loses all
+    relative accuracy, and forward recurrence up to the largest component
+    is stable.  Where the first component is the largest this is the
+    classical ``w = v_0**2``.
+    """
     nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-    return nodes, vectors[0] ** 2
+    q = np.empty_like(vectors)
+    q[0] = 1.0
+    top = np.argmax(np.abs(vectors), axis=0)
+    cols = np.arange(nodes.size)
+    with np.errstate(all="ignore"):
+        # sum_j q_j(x)**2 = 1 / w, so a row overflows (or a vanishing
+        # off-diagonal divides by 0) only where w is below the float range
+        for j in range(len(off)):
+            prev = off[j - 1] * q[j - 1] if j else 0.0
+            q[j + 1] = ((nodes - diag[j]) * q[j] - prev) / off[j]
+        weights = (vectors[top, cols] / q[top, cols]) ** 2
+    return nodes, np.nan_to_num(weights, nan=0.0)
 
 
 def _charlier_rule(mu: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,8 +294,9 @@ def _meixner_rule(c: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _certification_rule(spec: PolynomialFamilySpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights exact for the Gram matrix, degree 2 * max_degree.
 
-    Meixner takes exactly ``max_degree + 1`` nodes: more put nodes far into
-    the geometric tail, whose tiny weights lose their relative accuracy.
+    Meixner takes ``max_degree + 1`` nodes, the fewest that are exact.
+    Laguerre and Legendre keep ``2 * max_degree + 2``: fewer would move
+    their norms, and so every Mod1 statistic, by rounding.
     """
     if spec.kind == MEIXNER:
         return _meixner_rule(spec.shape, spec.max_degree + 1)

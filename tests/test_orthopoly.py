@@ -16,6 +16,20 @@ from .oracles import (
 )
 
 
+def _meixner_summed_gram_error(table) -> float:
+    """|Gram - I| of a Meixner table by direct summation over the support.
+
+    The points reach 80 (degree + 1) / -log(p), where p**x has fallen
+    below exp(-80 (degree + 1)), far below the growth of the degree-2d
+    summand.
+    """
+    p, degree = table.family.shape, table.family.max_degree
+    nodes, weights = geometric_nodes(p, int(80 * (degree + 1) / -np.log(p)))
+    vals = table.eval_normalized(nodes)
+    gram = np.einsum("in,jn,n->ij", vals, vals, weights)
+    return float(np.max(np.abs(gram - np.eye(degree + 1))))
+
+
 class TestEvalLaguerre:
     def test_degree_zero_is_one(self):
         assert laguerre_table(0, 1.0, 7.3)[0] == 1.0
@@ -130,14 +144,30 @@ class TestCertification:
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
     def test_meixner_gram_against_truncated_sum(self):
-        # certified with the Gauss-Meixner rule, checked by direct summation
-        for p in (0.3, 0.5, 0.7):
+        # certified with the Gauss-Meixner rule, checked by direct summation,
+        # which also checks the norms, up to the hard degree cap
+        cases = [(p, degree) for p in (0.3, 0.5, 0.7, 0.9, 0.99)
+                 for degree in (16, HARD_DEGREE_CAP)]
+        for p, degree in cases + [(0.1, 16)]:
             table = certify_orthonormality(
-                PolynomialFamilySpec("meixner", p, max_degree=16))
-            nodes, weights = geometric_nodes(p)
-            vals = table.eval_normalized(nodes)
-            gram = np.einsum("in,jn,n->ij", vals, vals, weights)
-            assert np.max(np.abs(gram - np.eye(17))) < 1e-8, p
+                PolynomialFamilySpec("meixner", p, max_degree=degree))
+            assert _meixner_summed_gram_error(table) < 1e-8, (p, degree)
+
+    def test_small_p_meixner_is_refused_or_right(self):
+        # at small p the table loses accuracy as the degree grows: a basis
+        # there must be refused, never certified wrong
+        refused = []
+        for p in (0.01, 0.05, 0.1):
+            for degree in (8, 16, 24, HARD_DEGREE_CAP):
+                spec = PolynomialFamilySpec("meixner", p, max_degree=degree)
+                try:
+                    table = certify_orthonormality(spec)
+                except BasisInconsistencyError:
+                    refused.append((p, degree))
+                    continue
+                assert _meixner_summed_gram_error(table) < 1e-8, (p, degree)
+        assert (0.01, HARD_DEGREE_CAP) in refused
+        assert (0.01, 8) not in refused
 
     def test_failure_names_offending_pair(self, monkeypatch):
         # shifting the degree-1 polynomial by a constant breaks only its
