@@ -259,23 +259,25 @@ def _jacobi_rule(diag: np.ndarray, off: np.ndarray):
     eigenvector at node x has components ``sqrt(w) q_j(x)`` (Golub &
     Welsch).  The weight w is read from the largest component, not the
     first: at far nodes the first is below rounding, so its square loses all
-    relative accuracy, and forward recurrence up to the largest component
-    is stable.  Where the first component is the largest this is the
-    classical ``w = v_0**2``.
+    relative accuracy, while the forward recurrence for q grows towards the
+    largest component, the direction in which it is stable.  Where the
+    first component is the largest this is the classical ``w = v_0**2``.
     """
     nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-    q = np.empty_like(vectors)
-    q[0] = 1.0
     top = np.argmax(np.abs(vectors), axis=0)
     cols = np.arange(nodes.size)
     with np.errstate(all="ignore"):
         # sum_j q_j(x)**2 = 1 / w, so a row overflows (or a vanishing
         # off-diagonal divides by 0) only where w is below the float range
-        for j in range(len(off)):
-            prev = off[j - 1] * q[j - 1] if j else 0.0
-            q[j + 1] = ((nodes - diag[j]) * q[j] - prev) / off[j]
+        step = (nodes - diag[:-1, None]) / off[:, None]
+        back = off[:-1] / off[1:]
+        q = np.empty_like(vectors)
+        q[0] = 1.0
+        q[1:2] = step[:1]
+        for j in range(1, len(off)):
+            q[j + 1] = step[j] * q[j] - back[j - 1] * q[j - 1]
         weights = (vectors[top, cols] / q[top, cols]) ** 2
-    return nodes, np.nan_to_num(weights, nan=0.0)
+    return nodes, np.where(np.isnan(weights), 0.0, weights)
 
 
 def _charlier_rule(mu: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

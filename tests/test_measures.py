@@ -260,6 +260,18 @@ class TestPdfOrPmf:
         x, w = expectation_rule(dist, 3)
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("law", [(("poisson", 1e-30), Poisson(1e-30)),
+                                     (("geometric", 1e-30), Geometric(1e-30))],
+                             ids=lambda law: law[1].kind)
+    def test_vanishing_tilt_keeps_finite_weights(self, law):
+        # a tilted mean of 1e-30, or one that underflows to 0 at rate 800,
+        # leaves weights far below the float range at the upper nodes
+        for rate in (0.0, 800.0):
+            x, w = expectation_rule(law[1], 31, rate)
+            assert np.all(np.isfinite(w))
+            assert w.sum() == pytest.approx(
+                _tilted_moments(law[0], rate, 0)[0], rel=1e-14)
+
     @pytest.mark.parametrize("rate", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("nodes", [1, 3, 5])
     @pytest.mark.parametrize("law", _RULE_LAWS, ids=lambda law: law[1].kind)

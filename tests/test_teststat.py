@@ -732,13 +732,11 @@ def _independent_pair(gen, n):
 
 class TestValueRoute:
     # the first calibration values of 100 rows at n = 50 with mc_seed 5,
-    # the same as before count references calibrated from counts; the joint
-    # values moved by at most 6e-15 relative when the Charlier and Meixner
-    # weights began to be read from the largest eigenvector component
+    # the same as before count references calibrated from counts
     PINS = {"Mod1": ["0.1897793631251273", "0.111561401640501",
                      "2.92935516461899"],
-            "joint": ["0.002091616006189733", "0.015562815692319347",
-                      "1.2545521202449872"]}
+            "joint": ["0.0020916160061897056", "0.01556281569231927",
+                      "1.2545521202449876"]}
 
     def test_continuous_and_joint_nulls_draw_values(
             self, monkeypatch, mod1_null, mod1_coeffs8, mod2_coeffs8):
