@@ -172,8 +172,7 @@ def build_test_config(doc: dict) -> TestConfig:
     """``TestConfig`` from the ``test`` section, read by field annotation.
 
     ``float`` fields take finite numbers, ``int`` fields integral ones, and
-    ``k_max`` also ``"auto"``; the string fields are checked by
-    ``TestConfig`` and the coefficient engines.
+    ``k_max`` also ``"auto"``; ``TestConfig`` checks ``calibration``.
     """
     _check_keys(doc, {f.name for f in fields(TestConfig)}, "test")
     kwargs = dict(doc)
@@ -349,14 +348,15 @@ def _load_coeffs_cache(path: str, null: NullSpec) -> NullCoefficients:
 def cmd_coeffs(args) -> int:
     cfg = load_config(args.config)
     null = build_null(cfg.get("null", {}))
-    test = build_test_config(_apply_test_overrides(args, cfg.get("test", {})))
+    # checked like every command's, though the coefficients use none of it
+    build_test_config(_apply_test_overrides(args, cfg.get("test", {})))
     if args.kmax is None or args.kmax == "auto":
         raise ConfigError("coeffs requires an explicit --kmax order")
     k = int(args.kmax)
     if k < 1:
         raise ConfigError("--kmax must be at least 1")
-    coeffs = compute_coefficients(null, k, method=test.coeff_method)
-    lam = eigen_floor_diagnostics(coeffs, test.eigen_condition_cap).lambda_mins
+    coeffs = compute_coefficients(null, k)
+    lam = eigen_floor_diagnostics(coeffs).lambda_mins
     _emit({
         "schema": COEFFS_SCHEMA,
         "config_hash": config_hash(null.config()),

@@ -49,6 +49,7 @@ QUADRATURE = "quadrature"
 MONTE_CARLO = "monte_carlo"
 
 PSD_SLACK = 1e-10
+CONDITION_CAP = 1e12  # largest condition number of a usable covariance block
 DEFAULT_MC_DRAWS = 1_000_000
 DEFAULT_MC_STREAM = RngStream(861221509, 0)
 
@@ -130,6 +131,19 @@ class NullSpec:
     def sample_x(self, gen: np.random.Generator, n: int) -> np.ndarray:
         y, z = self.sample_pair(gen, n)
         return np.asarray(y, dtype=float) + np.asarray(z, dtype=float)
+
+    def basis_terms(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows.
+
+        Where m(x) is 0 the basis is evaluated at 0 instead of at an x where
+        it may overflow, so a far value gives 0, not inf * 0.
+        """
+        m = self.ref.density(x)
+        if not m.all():
+            x = np.where(m > 0, x, 0.0)
+        v = self.basis.eval_normalized(x, k)[1:]
+        v *= m
+        return v
 
     def value_masses(self, top: int) -> tuple[np.ndarray, np.ndarray]:
         """Values 0, ..., w - 1 and ``top`` of X, and their masses.
@@ -273,9 +287,7 @@ def _quadrature(null: NullSpec, k: int):
 def _monte_carlo_coefficients(null: NullSpec, k: int, draws: int,
                               stream: RngStream):
     gen = stream.generator()
-    x = null.sample_x(gen, draws)
-    q = null.basis.eval_normalized(x, k)
-    v = q[1:] * null.ref.density(x)
+    v = null.basis_terms(null.sample_x(gen, draws), k)
     alphas = v.mean(axis=1)
     sigma = np.cov(v, ddof=1)
     return alphas, np.atleast_2d(sigma)
@@ -354,30 +366,34 @@ class EigenDiagnostics:
 
     Entry j - 1 of each field describes the leading block sigma[:j, :j].
     ``usable_k_max`` is the longest run of blocks whose every eigenvalue
-    lies above ``lambda_max / condition_cap`` (full rank under the cap).
+    lies above ``lambda_max / CONDITION_CAP`` (full rank under the cap).
     """
 
     lambda_mins: np.ndarray
     lambda_maxs: np.ndarray
     condition_numbers: np.ndarray
     usable_k_max: int
-    condition_cap: float
 
 
-def eigen_floor_diagnostics(coeffs: NullCoefficients,
-                            condition_cap: float = 1e12) -> EigenDiagnostics:
+def eigen_floor_diagnostics(coeffs: NullCoefficients) -> EigenDiagnostics:
     """One symmetric eigenvalue solve per leading block of ``coeffs.sigma``.
 
     It gives each order's extreme eigenvalues and condition number, and the
     usable cap: beyond it a block has an eigenvalue at or below the floor
-    ``lambda_max / condition_cap``.  Raises ``LinAlgError`` if sigma_11 <= 0.
+    ``lambda_max / CONDITION_CAP``.  Raises ``LinAlgError`` if sigma_11 <= 0.
+
+    A usable block of order up to ``orthopoly.HARD_DEGREE_CAP`` has a
+    Cholesky factor: scaled to a unit diagonal, its smallest eigenvalue
+    still exceeds 1 / CONDITION_CAP, ten times the 1.0e-13 that Demmel's
+    sufficient condition asks for at order 30 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10).
     """
     sigma = 0.5 * (coeffs.sigma + coeffs.sigma.T)
     spectra = [np.linalg.eigvalsh(sigma[:j, :j])
                for j in range(1, coeffs.k + 1)]
     lam_min = np.array([w[0] for w in spectra])
     lam_max = np.array([w[-1] for w in spectra])
-    full_rank = lam_min > np.maximum(lam_max / condition_cap, 0.0)
+    full_rank = lam_min > np.maximum(lam_max / CONDITION_CAP, 0.0)
     if not full_rank[0]:
         raise np.linalg.LinAlgError(
             "all eigenvalues fall below the condition floor")
@@ -386,5 +402,4 @@ def eigen_floor_diagnostics(coeffs: NullCoefficients,
         cond = np.where(lam_min > 0, lam_max / np.maximum(lam_min, 1e-300), inf)
     return EigenDiagnostics(lambda_mins=lam_min, lambda_maxs=lam_max,
                             condition_numbers=cond,
-                            usable_k_max=usable,
-                            condition_cap=condition_cap)
+                            usable_k_max=usable)

@@ -18,7 +18,8 @@ constants are never trusted.  For the Laguerre family (raw scale) and the
 Meixner family (convolution scale) the polynomial of a sum ``y + z``
 splits exactly into weighted products of lower-degree polynomials of ``y``
 and ``z``; those splits are what make closed-form convolution coefficients
-possible.
+possible.  They are identities of the recurrences, not properties of a
+built table, so certification checks only the Gram matrix.
 """
 
 from __future__ import annotations
@@ -200,34 +201,6 @@ def addition_split_meixner(n: int, u: float, v: float, p: float) -> list[tuple[i
     return [(s, float(comb(n, s))) for s in range(n + 1)]
 
 
-def _validate_splits(table: "BasisTable", n_max: int = 5) -> None:
-    """Spot-check the addition identities for a freshly built table."""
-    spec = table.family
-    rng = np.random.default_rng(13)
-    u = v = 0.5
-    for n in range(min(n_max, spec.max_degree) + 1):
-        if spec.kind == LAGUERRE:
-            y = rng.uniform(0.0, 8.0, 4)
-            z = rng.uniform(0.0, 8.0, 4)
-            lhs = laguerre_table(n, u + v, y + z)[n]
-            ty, tz = laguerre_table(n, u, y), laguerre_table(n, v, z)
-            terms = addition_split_laguerre(n, u, v)
-        elif spec.kind == MEIXNER:
-            y = rng.integers(0, 12, 4).astype(float)
-            z = rng.integers(0, 12, 4).astype(float)
-            p = spec.shape
-            lhs = meixner_scaled_table(n, u + v, p, y + z)[n]
-            ty = meixner_scaled_table(n, u, p, y)
-            tz = meixner_scaled_table(n, v, p, z)
-            terms = addition_split_meixner(n, u, v, p)
-        else:
-            return
-        rhs = sum(w * ty[s] * tz[n - s] for s, w in terms)
-        err = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))
-        if err > 1e-8:
-            raise BasisInconsistencyError(spec.kind, (n, n), float(err))
-
-
 # ---------------------------------------------------------------------------
 # Gauss rules and certification
 # ---------------------------------------------------------------------------
@@ -365,6 +338,4 @@ def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
     worst = float(resid[i, j])
     if worst >= GRAM_TOL:
         raise BasisInconsistencyError(family.kind, (int(i), int(j)), worst)
-    table = BasisTable(family=family, norms=norms, gram_residual=worst)
-    _validate_splits(table)
-    return table
+    return BasisTable(family=family, norms=norms, gram_residual=worst)

@@ -69,7 +69,11 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Level, order policy, calibration mode, and numerical guards."""
+    """Level, order policy and calibration mode.
+
+    The coefficient method is chosen per null (``compute_coefficients``),
+    and the whitened orders stop at ``nullmodel.CONDITION_CAP``.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -78,8 +82,6 @@ class TestConfig:
     calibration: str = "mc"
     mc_reps: int = 2000
     mc_seed: int = DEFAULT_MC_SEED
-    eigen_condition_cap: float = 1e12
-    coeff_method: str | None = None
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -94,9 +96,6 @@ class TestConfig:
             raise ValueError("calibration must be 'mc' or 'asymptotic'")
         if self.calibration == "mc" and self.mc_reps < 100:
             raise ValueError("Monte Carlo calibration needs at least 100 reps")
-        if not self.eigen_condition_cap > 1:
-            # a cap of 1 or less keeps no eigenvalue of any covariance block
-            raise ValueError("eigen_condition_cap must exceed 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -126,8 +125,8 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     observation is centered by alpha_j before averaging, so the vector has
     mean zero under the null.  Data outside the reference support, non-finite
     values included, raise ``DataDomainError`` with flat indices.  Where the
-    density m(x) underflows to 0 the product Q_j(x) m(x) is 0, so the basis
-    is evaluated at 0 there instead of at an x where it may overflow.
+    density m(x) underflows to 0 the product Q_j(x) m(x) is 0
+    (``NullSpec.basis_terms``).
 
     Rows are taken in blocks of about ``_BLOCK_VALUES`` values, so memory
     stays bounded for any number of rows and any observation.  On a count
@@ -151,24 +150,14 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     return bhat.reshape((k,) + data.shape[:-1])
 
 
-def _basis_terms(x: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
-    """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows."""
-    m = null.ref.density(x)
-    if not m.all():
-        x = np.where(m > 0, x, 0.0)
-    v = null.basis.eval_normalized(x, k)[1:]
-    v *= m
-    return v
-
-
 def _point_means(rows: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
     """Row means of Q_j(x) m(x), the basis evaluated at every point."""
     reps, n = rows.shape
     step = max(1, _BLOCK_VALUES // (n * (k + 1)))
     means = np.empty((k, reps))
     for lo in range(0, reps, step):
-        means[:, lo:lo + step] = _basis_terms(
-            rows[lo:lo + step], null, k).mean(axis=-1)
+        means[:, lo:lo + step] = null.basis_terms(
+            rows[lo:lo + step], k).mean(axis=-1)
     return means
 
 
@@ -213,7 +202,7 @@ def _means_from_counts(values: np.ndarray, counts: np.ndarray, null: NullSpec,
     exact zero, so a row's sum does not depend on the rows beside it, nor
     on whether its values came counted or one by one.
     """
-    terms = _basis_terms(np.asarray(values, dtype=float), null, k)[:, :, None]
+    terms = null.basis_terms(np.asarray(values, dtype=float), k)[:, :, None]
     reps, width = counts.shape
     step = max(1, _BLOCK_VALUES // (k * width))
     means = np.empty((k, reps))
@@ -317,10 +306,10 @@ class TestEngine:
 
     Preparing an engine is the expensive step; evaluating the statistic on
     a batch of samples is a few vectorized passes, which keeps Monte Carlo
-    calibration and power studies fast.  Both order policies are capped at
-    ``usable_k_max``, beyond which a block falls below the condition floor;
-    a fixed order that is cut leaves a note in ``notes``.  A used covariance
-    block without a Cholesky factor raises ``LinAlgError``.
+    calibration and power studies fast.  The coefficients take the
+    null's default method unless ``coeffs`` are given.  Both order policies
+    are capped at ``usable_k_max``, beyond which a block falls below the
+    condition floor; a fixed order that is cut leaves a note in ``notes``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -335,11 +324,9 @@ class TestEngine:
         policy_k = default_kmax(n) if config.k_max == "auto" else config.k_max
         policy_k = min(policy_k, null.basis.family.max_degree)
         if coeffs is None:
-            coeffs = compute_coefficients(null, policy_k,
-                                          method=config.coeff_method)
+            coeffs = compute_coefficients(null, policy_k)
         self.coeffs = coeffs
-        self.diagnostics = eigen_floor_diagnostics(
-            coeffs, config.eigen_condition_cap)
+        self.diagnostics = eigen_floor_diagnostics(coeffs)
         # usable_k_max <= coeffs.k, so a shorter cached set also caps here
         self.used_k_max = min(policy_k, self.diagnostics.usable_k_max)
         self.notes = tuple(coeffs.notes)
@@ -348,14 +335,6 @@ class TestEngine:
                 f"order-cut: fixed k_max {config.k_max} requested, "
                 f"{self.used_k_max} used (usable order "
                 f"{self.diagnostics.usable_k_max})",)
-        try:
-            np.linalg.cholesky(coeffs.sigma[:self.used_k_max, :self.used_k_max])
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                f"the covariance block of order {self.used_k_max} keeps every "
-                f"eigenvalue under eigen_condition_cap "
-                f"{config.eigen_condition_cap:g} but has no Cholesky factor;"
-                " lower the cap") from None
         self._critical = None
         self._calibration_values = None
 

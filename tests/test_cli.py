@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deconvtest.cli import (
-    COEFFS_SCHEMA, CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+    CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
     build_distribution, build_null, build_reference, config_hash, main,
     read_data_file,
 )
@@ -147,14 +147,6 @@ class TestCmdTest:
         cfg.write_text(json.dumps({"null": {"why": 1}}))
         assert run_cli(["test", FIXTURE, "--config", cfg]) == EXIT_USAGE
         assert "unknown key" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("cap", [-1, 0, 1])
-    def test_condition_cap_must_exceed_one(self, tmp_path, capsys, cap):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"test": {"eigen_condition_cap": cap}}))
-        assert run_cli(["test", FIXTURE, "--config", cfg,
-                        "--calibration", "asymptotic"]) == EXIT_USAGE
-        assert "eigen_condition_cap" in capsys.readouterr().err
 
 
 class TestCmdCoeffs:
@@ -333,48 +325,6 @@ class TestNumericalFailure:
         assert "numerical failure" in capsys.readouterr().err
 
 
-    def test_usable_block_without_factor_exits_4(self, tmp_path, capsys):
-        # a cached Sigma whose every leading block keeps its eigenvalues
-        # above the floor of a 1e300 cap, while the Cholesky factorization
-        # of the full block breaks down: its last pivot is 6.0e-16 in exact
-        # arithmetic, below the rounding of the elimination.  In exact
-        # arithmetic the matrix is positive definite, so both properties
-        # are outcomes of the LAPACK's rounding (they hold with OpenBLAS
-        # 0.3.31); where they do not, the path cannot be reached with this
-        # matrix and the test is skipped.
-        sigma = np.array([
-            [2.0674686787246253, -0.29503979895746174, -0.594104736453237],
-            [-0.29503979895746174, 2.858417440172652, -2.597402460065331],
-            [-0.594104736453237, -2.597402460065331, 2.7251648115149854]])
-        cap = 1e300
-        lams = [np.linalg.eigvalsh(sigma[:j, :j]) for j in (1, 2, 3)]
-        try:
-            np.linalg.cholesky(sigma)
-            factored = True
-        except np.linalg.LinAlgError:
-            factored = False
-        if factored or any(lam[0] <= lam[-1] / cap for lam in lams):
-            pytest.skip("this LAPACK does not place the crafted sigma between "
-                        "the eigenvalue floor and the Cholesky breakdown")
-        assert lams[-1][0] < 1e-14  # condition about 5e15
-
-        null = build_null({})
-        coef = tmp_path / "c.json"
-        coef.write_text(json.dumps({
-            "schema": COEFFS_SCHEMA,
-            "config_hash": config_hash(null.config()), "k": 3,
-            "alphas": [0.1, -0.05, 0.02], "sigma": sigma.tolist(),
-            "method": "closed_form"}))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"test": {
-            "eigen_condition_cap": cap, "k_max": 3,
-            "calibration": "asymptotic"}}))
-        assert run_cli(["test", FIXTURE, "--config", cfg,
-                        "--coeffs-cache", coef]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert "order 3" in err and "eigen_condition_cap 1e+300" in err
-
-
 class TestConfigHelpers:
     def test_distribution_builder_rejects_unknown_keys(self):
         with pytest.raises(Exception, match="unknown key"):
@@ -451,10 +401,12 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("tol", [0, -1, 0.5])
     def test_coeff_tol_key_exits_2(self, tmp_path, capsys, tol):
         # the coefficient rules are exact in one pass, so there is no
-        # refinement tolerance to set, and the convolution split is fixed
-        # at 1/2; an old document naming either is refused
+        # refinement tolerance to set; the convolution split is fixed at
+        # 1/2, the condition cap at 1e12, and the coefficient method is
+        # the null's default: an old document naming any of them is refused
         cfg = tmp_path / "cfg.json"
-        for key in ("coeff_tol", "u_split"):
+        for key in ("coeff_tol", "u_split", "eigen_condition_cap",
+                    "coeff_method"):
             cfg.write_text(json.dumps({"test": {key: tol}}))
             assert run_cli(["test", FIXTURE, "--config", cfg,
                             "--calibration", "asymptotic"]) == EXIT_USAGE

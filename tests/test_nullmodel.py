@@ -13,10 +13,11 @@ from deconvtest.measures import (
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
 )
 from deconvtest.nullmodel import (
-    EigenDiagnostics, NullCoefficients, NullSpec, NullSpecError,
-    compute_coefficients, eigen_floor_diagnostics,
+    CONDITION_CAP, EigenDiagnostics, NullCoefficients, NullSpec,
+    NullSpecError, compute_coefficients, eigen_floor_diagnostics,
 )
-from deconvtest.teststat import TestConfig, default_kmax, run_test
+from deconvtest.orthopoly import HARD_DEGREE_CAP
+from deconvtest.teststat import TestConfig, default_kmax, run_test, t_sequence
 
 from .oracles import (
     _count_masses, count_null_coefficients, gamma_tilted_coefficients,
@@ -253,9 +254,9 @@ class TestEigenDiagnostics:
         assert diag.usable_k_max == 10
 
     def test_block_at_the_cap_is_not_usable(self):
-        # its 1e-12 eigenvalue sits on the floor lambda_max / cap
+        # its eigenvalue 1 / CONDITION_CAP sits on the floor lambda_max / cap
         diag = eigen_floor_diagnostics(
-            self._coeffs_with_sigma(np.diag([1.0, 1e-12])), 1e12)
+            self._coeffs_with_sigma(np.diag([1.0, 1.0 / CONDITION_CAP])))
         assert diag.usable_k_max == 1
 
     @pytest.mark.parametrize("model", ["mod1", "mod2"])
@@ -268,10 +269,33 @@ class TestEigenDiagnostics:
             block = coeffs.sigma[:j, :j]
             np.linalg.cholesky(block)
             w = np.linalg.eigvalsh(block)
-            assert np.all(w > w[-1] / diag.condition_cap)
+            assert np.all(w > w[-1] / CONDITION_CAP)
         # the next block fails the eigenvalue rule
         w = np.linalg.eigvalsh(coeffs.sigma[:usable + 1, :usable + 1])
-        assert w[0] <= w[-1] / diag.condition_cap
+        assert w[0] <= w[-1] / CONDITION_CAP
+
+    @settings(deadline=None, max_examples=60)
+    @given(d=st.integers(2, HARD_DEGREE_CAP), log_cond=st.floats(0.0, 12.2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_usable_blocks_factor(self, d, log_cond, seed):
+        # a random SPD matrix of condition 10**log_cond with rows and
+        # columns scaled by up to e**5 either way: every block that passes
+        # the floor has a Cholesky factor and a finite, nondecreasing T
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = 10.0 ** -np.append([0.0, log_cond],
+                                 rng.uniform(0.0, log_cond, d - 2))
+        scale = np.exp(rng.uniform(-5.0, 5.0, d))
+        sigma = scale[:, None] * (basis * lam) @ basis.T * scale
+        sigma = 0.5 * (sigma + sigma.T)
+        diag = eigen_floor_diagnostics(self._coeffs_with_sigma(sigma))
+        usable = diag.usable_k_max
+        for j in range(1, usable + 1):
+            np.linalg.cholesky(sigma[:j, :j])
+        t = t_sequence(rng.standard_normal((usable, 8)),
+                       sigma[:usable, :usable])
+        assert np.all(np.isfinite(t))
+        assert np.all(np.diff(t, axis=0) >= 0)
 
     def test_no_usable_order_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="floor"):
@@ -315,6 +339,28 @@ class TestValidation:
 
 
 class TestDependentPath:
+    @staticmethod
+    def _far_null(far: float) -> NullSpec:
+        law = Exponential(1.0)
+
+        def sampler(gen, n):
+            y = law.draw(gen, n)
+            y[:3] = far
+            return y, law.draw(gen, n)
+
+        return NullSpec(y=law, z=law, ref=Exponential1Ref(),
+                        joint_sampler=sampler)
+
+    @pytest.mark.parametrize("k", [14, 16])
+    def test_far_draws_add_zero(self, k):
+        # m(x) is 0 from x = 800 on; draws of 1e25 overflow the basis, and
+        # would give inf * 0 = NaN, were the basis not evaluated at 0 there
+        far, near = (compute_coefficients(self._far_null(x), k,
+                                          mc_draws=10_000)
+                     for x in (1e25, 800.0))
+        np.testing.assert_array_equal(far.alphas, near.alphas)
+        np.testing.assert_array_equal(far.sigma, near.sigma)
+
     def test_independent_sampler_equivalence(self, mod1_null, mod1_coeffs8):
         # feeding the independent pair through the joint-sampler path must
         # reproduce the deterministic coefficients within Monte Carlo noise

@@ -246,16 +246,17 @@ class TestAdditionSplitMeixner:
         np.testing.assert_allclose([w for _, w in terms], [1.0, 1.0])
 
     def test_identity_on_integer_grid(self):
-        p = 0.5
         grid = np.arange(21, dtype=float)
         yy, zz = np.meshgrid(grid, grid)
-        for n in range(9):
-            lhs = meixner_scaled_table(n, 1.0, p, yy + zz)[n]
-            ty = meixner_scaled_table(n, 0.5, p, yy)
-            tz = meixner_scaled_table(n, 0.5, p, zz)
-            rhs = sum(w * ty[s] * tz[n - s]
-                      for s, w in addition_split_meixner(n, 0.5, 0.5, p))
-            assert np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs))) <= 1e-8
+        for p in (0.5, 0.3, 0.7, 0.9):
+            for n in range(9):
+                lhs = meixner_scaled_table(n, 1.0, p, yy + zz)[n]
+                ty = meixner_scaled_table(n, 0.5, p, yy)
+                tz = meixner_scaled_table(n, 0.5, p, zz)
+                rhs = sum(w * ty[s] * tz[n - s]
+                          for s, w in addition_split_meixner(n, 0.5, 0.5, p))
+                err = np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs)))
+                assert err <= 1e-8, (p, n, err)
 
     def test_palindromic_for_equal_split(self):
         for n in range(9):

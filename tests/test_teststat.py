@@ -252,8 +252,10 @@ class TestConfigFields:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, 0.5])
     def test_coeff_tol_is_not_a_field(self, value):
         # the coefficient rules are exact in one pass: no tolerance to set;
-        # the convolution split is fixed at 1/2
-        for key in ("coeff_tol", "u_split"):
+        # the convolution split is fixed at 1/2, the condition cap at 1e12,
+        # and the coefficient method is the null's default
+        for key in ("coeff_tol", "u_split", "eigen_condition_cap",
+                    "coeff_method"):
             with pytest.raises(TypeError, match=key):
                 TestConfig(**{key: value})
 
