@@ -104,17 +104,24 @@ def _document_keys(cls) -> set:
 def _construct(cls, doc: dict, where: str):
     """``cls`` from a document keyed by its fields; absent ones default.
 
-    A field annotated as a law (the string ``"Distribution"``, since
-    ``measures`` postpones annotations) is read as a nested document,
-    every other value as a finite number.  A missing field without a
-    default raises ``KeyError``.
+    Each value is read by its field's annotation, a string since the
+    modules postpone annotations: a law (``"Distribution"``) as a nested
+    document, ``float`` as a finite number, ``int`` as an integral one,
+    ``int | str`` as ``"auto"`` or an integral number, and ``str`` as is,
+    for the class to check.  A missing field without a default raises
+    ``KeyError``.
     """
     args = {}
     for f in fields(cls):
         if f.name in doc or f.default is MISSING:
             value, at = doc[f.name], f"{where}.{f.name}"
-            args[f.name] = (build_distribution(value, at)
-                            if f.type == "Distribution" else _number(value, at))
+            if f.type == "Distribution":
+                value = build_distribution(value, at)
+            elif f.type == "float":
+                value = _number(value, at)
+            elif f.type == "int" or (f.type == "int | str" and value != "auto"):
+                value = _integer(value, at)
+            args[f.name] = value
     return cls(**args)
 
 
@@ -149,14 +156,19 @@ def build_reference(doc: dict) -> ReferenceMeasure:
 
 
 def build_null(doc: dict) -> NullSpec:
-    _check_keys(doc, {"y", "z", "reference", "dependence"}, "null")
+    """The null of a ``null`` section, which reads back its own echo.
+
+    The echo, ``NullSpec.config()``, also holds the ``basis``; that follows
+    from the reference, so it is only checked.
+    """
+    _check_keys(doc, {"y", "z", "reference", "dependence", "basis"}, "null")
     dependence = doc.get("dependence", "independent")
     if dependence != "independent":
         raise ConfigError(
             "configuration files support dependence 'independent' only; "
             "dependent nulls require a joint sampler through the library API")
     try:
-        return NullSpec(
+        null = NullSpec(
             y=build_distribution(doc.get("y", {"kind": "exponential", "mean": 1.0}),
                                  "null.y"),
             z=build_distribution(doc.get("z", {"kind": "chi_squared", "df": 1}),
@@ -166,25 +178,19 @@ def build_null(doc: dict) -> NullSpec:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid null specification: {exc}") from None
+    basis = null.config()["basis"]
+    if doc.get("basis", basis) != basis:
+        raise ConfigError(f"null.basis {doc['basis']!r} does not match the "
+                          f"reference's basis {basis!r}")
+    return null
 
 
 def build_test_config(doc: dict) -> TestConfig:
-    """``TestConfig`` from the ``test`` section, read by field annotation.
-
-    ``float`` fields take finite numbers, ``int`` fields integral ones, and
-    ``k_max`` also ``"auto"``; ``TestConfig`` checks ``calibration``.
-    """
     _check_keys(doc, {f.name for f in fields(TestConfig)}, "test")
-    kwargs = dict(doc)
-    for f in fields(TestConfig):
-        if f.name not in doc or (f.name == "k_max" and doc[f.name] == "auto"):
-            continue
-        if f.type == "float":
-            kwargs[f.name] = _number(doc[f.name], f"test.{f.name}")
-        elif f.type.startswith("int"):
-            kwargs[f.name] = _integer(doc[f.name], f"test.{f.name}")
     try:
-        return TestConfig(**kwargs)
+        return _construct(TestConfig, doc, "test")
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid test section: {exc}") from None
 
@@ -407,7 +413,6 @@ def cmd_simulate(args) -> int:
         timing[f"{row.scenario}:{row.n}"] = row.seconds
         doc = row.to_dict()
         doc["seconds"] = 0.0
-        doc.pop("config")
         json_rows.append(doc)
     csv_text = "\n".join(lines) + "\n"
     if not args.out:

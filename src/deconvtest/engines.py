@@ -1,4 +1,4 @@
-"""Expectation rules and joint samplers for the coefficient engines.
+"""Expectation rules for the coefficient engines.
 
 ``expectation_rule`` gives nodes and weights for ``E[f(X) exp(-rate X)]``:
 it maps a law and its tilt to one of the Gauss rules that ``orthopoly``
@@ -14,7 +14,6 @@ unit interval, where ``exp(-rate x)`` is not a polynomial: its
 Gauss-Legendre rule takes as many extra nodes as the Taylor remainder of
 that factor needs to fall below rounding.  The Laguerre, Legendre and
 Meixner rules also certify the bases in ``orthopoly``.
-``independent_sampler`` is the joint sampler of an independent pair.
 """
 
 from __future__ import annotations
@@ -94,11 +93,3 @@ def expectation_rule(dist: Distribution, nodes: int,
         return x, w * np.exp(-rate * x)
     raise TypeError(f"no expectation rule for {type(dist).__name__}")
 
-
-def independent_sampler(dist_y: Distribution, dist_z: Distribution):
-    """Joint sampler drawing Y then Z independently from one generator."""
-
-    def _draw(gen: np.random.Generator, n: int):
-        return dist_y.draw(gen, n), dist_z.draw(gen, n)
-
-    return _draw

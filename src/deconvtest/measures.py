@@ -12,8 +12,11 @@ index) pair reproduces draws bit-exactly:
   empty buffers) and draws exactly what a fresh ``generator()`` would,
 * exponential draws use inverse-CDF on one uniform,
 * chi-squared with 1 degree of freedom is the square of a standard normal,
-* Poisson and geometric draws use inverse-CDF (a search of a CDF table
-  that spans all but 1e-16 of the mass on either side / closed form),
+* Poisson draws up to a mean of 1e8 use inverse-CDF, a search of a CDF
+  table that spans all but 1e-16 of the mass on either side (about
+  17 sqrt(mean) entries); above that mean they are ``Generator.poisson``
+  draws, so the table stays below about 1.4 MB,
+* geometric draws use inverse-CDF in closed form,
 * other gammas use the generator's gamma method,
 * mixtures draw a component indicator, then both component vectors, and
   select elementwise,
@@ -52,8 +55,10 @@ __all__ = [
     "rekeyed", "LAWS", "REFERENCES",
 ]
 
-# Poisson sampling tables leave out at most this much mass on either side
+# Poisson sampling tables leave out at most this much mass on either side,
+# and serve means up to _TABLE_MEAN_MAX
 _TABLE_TAIL = 1e-16
+_TABLE_MEAN_MAX = 1e8
 
 
 def _mix64(z: int) -> int:
@@ -225,6 +230,8 @@ class Poisson(Distribution):
         return lo, pdtr(np.arange(lo, ceil(self.mean + t) + 2), self.mean)
 
     def draw(self, gen, size):
+        if self.mean > _TABLE_MEAN_MAX:
+            return gen.poisson(self.mean, size).astype(float)
         lo, table = self._cdf_table
         return (lo + np.searchsorted(table, gen.random(size),
                                      side="left")).astype(float)

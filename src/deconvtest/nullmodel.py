@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import orthopoly
-from .engines import expectation_rule, independent_sampler
+from .engines import expectation_rule
 from .measures import Distribution, GeometricRef, ReferenceMeasure, RngStream
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
@@ -126,7 +126,7 @@ class NullSpec:
     def sample_pair(self, gen: np.random.Generator, n: int):
         if self.joint_sampler is not None:
             return self.joint_sampler(gen, n)
-        return independent_sampler(self.y, self.z)(gen, n)
+        return self.y.draw(gen, n), self.z.draw(gen, n)
 
     def sample_x(self, gen: np.random.Generator, n: int) -> np.ndarray:
         y, z = self.sample_pair(gen, n)

@@ -1,12 +1,15 @@
 """Simulation study: empirical level and power over replications.
 
-Two convolution models and six alternatives are built in.  The first model
+Every scenario draws X = Y + Z and tests it against a model's null.  Two
+convolution models and six alternatives are built in.  The first model
 takes an exponential signal with mean 1 plus chi-squared(1) noise and is
 challenged by an exponential/chi-squared mixture (Alt1) and by confusions
 of its two components (Alt2, Alt3).  The second takes a Poisson(1) signal
 plus geometric noise with mean 1 and is challenged analogously (Alt4 is a
-mixture, Alt5/Alt6 are confusions).  Alternatives are always tested against
-the corresponding model's null.
+mixture, Alt5/Alt6 are confusions).  A mixture is Y with Z a point mass at
+0, which draws no randomness and adds 0, so it draws the mixture's values
+bit for bit.  Alternatives are always tested against the corresponding
+model's null.
 
 Replication r draws its data from stream index r of the master seed, so
 reports do not depend on evaluation order and are reproducible bit for bit.
@@ -22,81 +25,59 @@ import numpy as np
 
 from .measures import (
     ChiSquared, Distribution, Exponential, Exponential1Ref, Geometric,
-    GeometricRef, Mixture, Poisson, RngStream, rekeyed,
+    GeometricRef, Mixture, PointMass, Poisson, RngStream, rekeyed,
 )
 from .nullmodel import NullSpec
 from .teststat import TestConfig, TestEngine
 
 _Z95 = 1.959963984540054
 
-SCENARIO_NAMES = ("Mod1", "Alt1", "Alt2", "Alt3", "Mod2", "Alt4", "Alt5", "Alt6")
+# scenario -> (model, Y, Z); a model's own row gives its null's laws, and a
+# mixture alternative is Y with Z a point mass at 0
+_SCENARIOS = {
+    "Mod1": ("Mod1", Exponential(1.0), ChiSquared(1)),
+    "Alt1": ("Mod1", Mixture(0.5, Exponential(2.0), ChiSquared(2)),
+             PointMass(0.0)),
+    "Alt2": ("Mod1", Exponential(1.0), Exponential(1.0)),
+    "Alt3": ("Mod1", ChiSquared(1), ChiSquared(1)),
+    "Mod2": ("Mod2", Poisson(1.0), Geometric(1.0)),
+    "Alt4": ("Mod2", Mixture(0.5, Poisson(2.0), Geometric(2.0)),
+             PointMass(0.0)),
+    "Alt5": ("Mod2", Poisson(1.0), Poisson(1.0)),
+    "Alt6": ("Mod2", Geometric(1.0), Geometric(1.0)),
+}
+_REFERENCES = {"Mod1": Exponential1Ref(), "Mod2": GeometricRef(0.5)}
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A data-generating law paired with the null it is tested against."""
+    """Data X = Y + Z paired with the null it is tested against."""
 
     name: str
     null: NullSpec
-    truth_is_null: bool
-    data_y: Distribution | None = None   # convolution components, or
-    data_mixture: Distribution | None = None  # a direct (non-convolution) law
-    data_z: Distribution | None = None
+    y: Distribution
+    z: Distribution
+
+    @property
+    def truth_is_null(self) -> bool:
+        return (self.y, self.z) == (self.null.y, self.null.z)
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        if self.data_mixture is not None:
-            return self.data_mixture.draw(gen, n)
-        return (np.asarray(self.data_y.draw(gen, n), dtype=float)
-                + np.asarray(self.data_z.draw(gen, n), dtype=float))
-
-    def config(self) -> dict:
-        if self.data_mixture is not None:
-            data = {"kind": "direct", "law": self.data_mixture.config()}
-        else:
-            data = {"kind": "convolution", "y": self.data_y.config(),
-                    "z": self.data_z.config()}
-        return {"name": self.name, "truth_is_null": self.truth_is_null,
-                "data": data, "null": self.null.config()}
+        return (np.asarray(self.y.draw(gen, n), dtype=float)
+                + np.asarray(self.z.draw(gen, n), dtype=float))
 
 
-def _mod1_null() -> NullSpec:
-    return NullSpec(y=Exponential(1.0), z=ChiSquared(1), ref=Exponential1Ref())
-
-
-def _mod2_null(p: float = 0.5) -> NullSpec:
-    return NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(p))
-
-
-def build_scenario(name: str, geometric_ref_p: float = 0.5) -> ScenarioSpec:
+def build_scenario(name: str) -> ScenarioSpec:
     """Fully parameterized scenario for one of the built-in names."""
-    if name in ("Mod1", "Alt1", "Alt2", "Alt3"):
-        null = _mod1_null()
-        if name == "Mod1":
-            return ScenarioSpec(name, null, True,
-                                data_y=Exponential(1.0), data_z=ChiSquared(1))
-        if name == "Alt1":
-            mix = Mixture(0.5, Exponential(2.0), ChiSquared(2))
-            return ScenarioSpec(name, null, False, data_mixture=mix)
-        if name == "Alt2":
-            return ScenarioSpec(name, null, False,
-                                data_y=Exponential(1.0), data_z=Exponential(1.0))
-        return ScenarioSpec(name, null, False,
-                            data_y=ChiSquared(1), data_z=ChiSquared(1))
-    if name in ("Mod2", "Alt4", "Alt5", "Alt6"):
-        null = _mod2_null(geometric_ref_p)
-        if name == "Mod2":
-            return ScenarioSpec(name, null, True,
-                                data_y=Poisson(1.0), data_z=Geometric(1.0))
-        if name == "Alt4":
-            mix = Mixture(0.5, Poisson(2.0), Geometric(2.0))
-            return ScenarioSpec(name, null, False, data_mixture=mix)
-        if name == "Alt5":
-            return ScenarioSpec(name, null, False,
-                                data_y=Poisson(1.0), data_z=Poisson(1.0))
-        return ScenarioSpec(name, null, False,
-                            data_y=Geometric(1.0), data_z=Geometric(1.0))
-    raise ValueError(f"unknown scenario {name!r}; expected one of "
-                     f"{', '.join(SCENARIO_NAMES)} ")
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; expected one of "
+                         f"{', '.join(SCENARIO_NAMES)} ")
+    model, y, z = _SCENARIOS[name]
+    _, null_y, null_z = _SCENARIOS[model]
+    return ScenarioSpec(name, NullSpec(null_y, null_z, _REFERENCES[model]),
+                        y, z)
 
 
 def wilson_interval(successes: int, trials: int,
@@ -127,7 +108,6 @@ class SimReport:
     ci_low: float
     ci_high: float
     seconds: float
-    config: dict
 
     def to_dict(self) -> dict:
         return {
@@ -135,7 +115,7 @@ class SimReport:
             "rejections": self.rejections, "errors": self.errors,
             "reject_rate": self.rejection_rate,
             "ci_low": self.ci_low, "ci_high": self.ci_high,
-            "seconds": self.seconds, "config": self.config,
+            "seconds": self.seconds,
         }
 
 
@@ -174,9 +154,7 @@ def run_replications(scenario: ScenarioSpec, n: int, reps: int,
     return SimReport(
         scenario=scenario.name, n=n, reps=reps, rejections=rejections,
         errors=errors, rejection_rate=rate, ci_low=lo, ci_high=hi,
-        seconds=time.perf_counter() - start,
-        config={"test": config.to_dict(), "master_seed": master_seed,
-                "scenario": scenario.config()})
+        seconds=time.perf_counter() - start)
 
 
 def level_power_table(scenarios, n_grid, reps: int, config: TestConfig,

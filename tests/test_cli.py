@@ -63,6 +63,7 @@ _CONFIG_DOCS = st.fixed_dictionaries({}, optional={
         "y": _kind_docs(LAWS), "z": _kind_docs(LAWS),
         "reference": _kind_docs(REFERENCES),
         "dependence": st.sampled_from(["independent", "joint_sampler"]),
+        "basis": _JSON,
     }) | _JSON,
     "test": st.fixed_dictionaries(
         {}, optional={f.name: _SCALARS for f in fields(TestConfig)}) | _JSON,
@@ -433,6 +434,49 @@ class TestConfigBoundary:
                                        "test": {"mc_reps": 10 ** 9}}))
             assert run_cli(["test", data, "--config", cfg]) == EXIT_USAGE
             assert "out of memory" in capsys.readouterr().err
+
+    def test_test_echo_reads_back(self, tmp_path):
+        # the config of a result, fed back, gives the same result bytes
+        counts = tmp_path / "counts.txt"
+        counts.write_text("\n".join(["0", "1", "3", "2"] * 25))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"null": {
+            "y": {"kind": "poisson", "mean": 1},
+            "z": {"kind": "geometric", "mean": 1},
+            "reference": {"kind": "geometric", "p": 0.4}}}))
+        first, again = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert run_cli(["test", counts, "--config", cfg, "--kmax", "3",
+                        *FAST_TEST, "--out", first]) == EXIT_OK
+        echo = json.loads(first.read_text())["config"]
+        assert echo["null"]["basis"] == {"kind": "meixner", "shape": 0.4}
+        cfg.write_text(json.dumps({"null": echo["null"],
+                                   "test": echo["test"]}))
+        assert run_cli(["test", counts, "--config", cfg,
+                        "--out", again]) == EXIT_OK
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_coeffs_null_reads_back(self, tmp_path):
+        first, again = tmp_path / "c1.json", tmp_path / "c2.json"
+        assert run_cli(["coeffs", "--kmax", "5", "--out", first]) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        null = json.loads(first.read_text())["null"]
+        cfg.write_text(json.dumps({"null": null}))
+        assert run_cli(["coeffs", "--kmax", "5", "--config", cfg,
+                        "--out", again]) == EXIT_OK
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("basis", [
+        {"kind": "laguerre", "shape": 2.0},
+        {"kind": "meixner", "shape": 1.0},
+        {"kind": "laguerre"},
+        "laguerre",
+    ])
+    def test_mismatched_basis_exits_2(self, tmp_path, capsys, basis):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"null": {"basis": basis}}))
+        assert run_cli(["test", FIXTURE, "--config", cfg,
+                        "--calibration", "asymptotic"]) == EXIT_USAGE
+        assert "null.basis" in capsys.readouterr().err
 
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -175,6 +176,10 @@ class TestGoldenDraws:
         ("Mod2", 1): ["2.0", "2.0", "0.0", "0.0"],
         ("Mod2", 1999): ["2.0", "1.0", "2.0", "0.0"],
     }
+    ALT1 = {1: ["1.7188875601436278", "2.300177816729418",
+                "1.2989575898159167", "0.8754304690134285"],
+            200: ["2.0551955279527165", "0.5776399301773038",
+                  "1.6787886909766578", "0.05564174833873369"]}
     ALT4 = {1: ["2.0", "3.0", "0.0", "1.0"],
             200: ["4.0", "1.0", "2.0", "0.0"]}
     # Mod2's count route at n = 50: how often rows 0, 1 and 1999 hold the
@@ -209,10 +214,17 @@ class TestGoldenDraws:
         for rows in ([r for _, r in self.CALIBRATION], self.COUNTS):
             assert any(base.child(r).stream_index >= 2 ** 63 for r in rows)
 
-    def test_alt4_replication_rows(self):
-        data = _replication_matrix(build_scenario("Alt4"), 50, 201, 20260809)
-        for r, want in self.ALT4.items():
+    @staticmethod
+    def _check_replication_rows(name, pins):
+        data = _replication_matrix(build_scenario(name), 50, 201, 20260809)
+        for r, want in pins.items():
             assert [repr(float(v)) for v in data[r, :4]] == want
+
+    def test_alt1_replication_rows(self):
+        self._check_replication_rows("Alt1", self.ALT1)
+
+    def test_alt4_replication_rows(self):
+        self._check_replication_rows("Alt4", self.ALT4)
 
 
 # Laws as (oracle data, distribution) pairs, one per kind of Gauss rule
@@ -332,6 +344,18 @@ class TestPoissonTable:
         x = Poisson(mean).draw(RngStream(31, 4).generator(), n)
         assert abs(x.mean() - mean) < 4 * math.sqrt(mean / n)
         assert abs(x.var(ddof=1) - mean) < 4 * mean * math.sqrt(2.0 / n)
+
+    def test_means_past_the_table_draw_in_bounded_memory(self):
+        # the table would hold about 17 sqrt(mean) entries, 1.4 GB here
+        mean, n = 1e14, 10_000
+        tracemalloc.start()
+        try:
+            x = Poisson(mean).draw(RngStream(31, 5).generator(), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert abs(x.mean() - mean) < 4 * math.sqrt(mean / n)
 
     @pytest.mark.parametrize("mean", [0.2, 1.0, 800.0, 2e5])
     def test_table_covers_the_mass(self, mean):

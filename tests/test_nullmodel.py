@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deconvtest.engines import independent_sampler
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
@@ -365,8 +364,9 @@ class TestDependentPath:
         # feeding the independent pair through the joint-sampler path must
         # reproduce the deterministic coefficients within Monte Carlo noise
         null = NullSpec(y=mod1_null.y, z=mod1_null.z, ref=mod1_null.ref,
-                        joint_sampler=independent_sampler(mod1_null.y,
-                                                          mod1_null.z))
+                        joint_sampler=lambda gen, n: (
+                            mod1_null.y.draw(gen, n),
+                            mod1_null.z.draw(gen, n)))
         coeffs = compute_coefficients(null, 4, mc_draws=300_000,
                                       mc_stream=RngStream(51, 2))
         assert coeffs.method == "monte_carlo"
@@ -442,7 +442,8 @@ class TestValueMasses:
 
     def test_dependent_null_has_no_value_masses(self):
         null = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5),
-                        joint_sampler=independent_sampler(Poisson(1.0),
-                                                          Geometric(1.0)))
+                        joint_sampler=lambda gen, n: (
+                            Poisson(1.0).draw(gen, n),
+                            Geometric(1.0).draw(gen, n)))
         with pytest.raises(NullSpecError, match="joint sampler"):
             null.value_masses(10)

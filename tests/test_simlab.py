@@ -5,7 +5,7 @@ import pytest
 
 from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
-    Exponential, PointMass, RngStream, Uniform01, Uniform01Ref,
+    ChiSquared, Exponential, PointMass, RngStream, Uniform01, Uniform01Ref,
 )
 from deconvtest.nullmodel import NullSpec
 from deconvtest.simlab import (
@@ -40,9 +40,27 @@ class TestBuildScenario:
             x, w = expectation_rule(dist, 2)
             return float(w @ x)
 
-        mod = build_scenario("Mod1")
-        assert mean(build_scenario("Alt1").data_mixture) == pytest.approx(2.0)
-        assert mean(mod.data_y) + mean(mod.data_z) == pytest.approx(2.0)
+        for name in ("Mod1", "Alt1"):
+            sc = build_scenario(name)
+            assert mean(sc.y) + mean(sc.z) == pytest.approx(2.0)
+
+    def test_custom_truth_is_null_compares_laws(self):
+        null = build_scenario("Mod1").null
+        same = ScenarioSpec("Custom", null, Exponential(1.0), ChiSquared(1.0))
+        assert same.truth_is_null
+        swapped = ScenarioSpec("Custom", null, ChiSquared(1), Exponential(1.0))
+        assert not swapped.truth_is_null
+        moved = ScenarioSpec("Custom", null, Exponential(1.0), ChiSquared(2))
+        assert not moved.truth_is_null
+
+    def test_mixtures_draw_their_laws_values(self):
+        # Z is a point mass at 0: it draws no randomness and adds 0
+        for name in ("Alt1", "Alt4"):
+            sc = build_scenario(name)
+            assert sc.z == PointMass(0.0)
+            got = sc.sample(RngStream(8, 3).generator(), 500)
+            want = sc.y.draw(RngStream(8, 3).generator(), 500)
+            np.testing.assert_array_equal(got, want)
 
     def test_alternatives_share_model_null(self):
         mod = build_scenario("Mod1")
@@ -102,8 +120,7 @@ class TestRunReplications:
 
     def test_out_of_support_counts_errors_not_rejections(self):
         null = NullSpec(y=Uniform01(), z=PointMass(0.0), ref=Uniform01Ref())
-        bad = ScenarioSpec("Custom", null, False, data_y=Exponential(1.0),
-                           data_z=PointMass(0.0))
+        bad = ScenarioSpec("Custom", null, Exponential(1.0), PointMass(0.0))
         rep = run_replications(bad, 40, 10, FAST, 7)
         assert rep.errors == 10
         assert rep.rejections == 0
