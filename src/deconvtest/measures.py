@@ -3,13 +3,14 @@
 Sampling algorithms are fixed and documented so that a (master seed, stream
 index) pair reproduces draws bit-exactly:
 
-* streams are counter-based Philox generators keyed by the pair
-  ``(master_seed, stream_index)`` (``RngStream.key``); distinct keys give
-  independent streams, but a seed or stream index of 2**63 or more is
-  rounded to 53 bits in the key,
+* streams are counter-based Philox generators keyed by the uint64 pair
+  ``(master_seed, stream_index)``, all 64 bits of each (``RngStream.key``);
+  distinct keys give independent streams,
 * a Philox key names a stream and its counter is the position within it,
-  so ``rekeyed`` re-keys one generator from stream to stream (zero counter,
-  empty buffers) and draws exactly what a fresh ``generator()`` would,
+  so one stream serves a block of Monte Carlo calibration rows drawn in
+  one call, and ``rekeyed`` re-keys one generator from stream to stream
+  (zero counter, empty buffers), drawing exactly what a fresh
+  ``generator()`` would, for study replications,
 * exponential draws use inverse-CDF on one uniform,
 * chi-squared with 1 degree of freedom is the square of a standard normal,
 * Poisson draws up to a mean of 1e8 use inverse-CDF, a search of a CDF
@@ -20,9 +21,10 @@ index) pair reproduces draws bit-exactly:
 * other gammas use the generator's gamma method,
 * mixtures draw a component indicator, then both component vectors, and
   select elementwise,
-* the value counts of a count-reference calibration row, where the
-  calibration counts, are one ``Generator.multinomial`` draw
-  (``teststat.TestEngine.sample_null_counts``).
+* the value counts of a block of count-reference calibration rows, where
+  the calibration counts, are one ``Generator.multinomial`` draw over the
+  values the block reaches and a tail cell, and one that splits the tail
+  counts (``teststat.TestEngine.sample_null_counts``).
 
 Every law and reference measure is a frozen dataclass with a class-level
 ``kind``; its configuration document is ``{"kind": kind}`` plus its fields
@@ -77,15 +79,14 @@ class RngStream:
     stream_index: int = 0
 
     def key(self) -> np.ndarray:
-        """The two-word Philox key: NumPy's conversion of ``[seed, index]``.
+        """The two-word Philox key ``[seed, index]``, each word mod 2**64.
 
-        A Python list holding a word of 2**63 or more becomes float64, so
-        both words keep 53 bits then (and 2**64 - 1 wraps to 0).
+        The words go in as a uint64 array, so every bit of both counts:
+        indices that differ anywhere name different streams.
         """
-        words = [self.master_seed & 0xFFFFFFFFFFFFFFFF,
-                 self.stream_index & 0xFFFFFFFFFFFFFFFF]
-        with np.errstate(invalid="ignore"):
-            return np.asarray(words).astype(np.uint64)
+        return np.array([self.master_seed & 0xFFFFFFFFFFFFFFFF,
+                         self.stream_index & 0xFFFFFFFFFFFFFFFF],
+                        dtype=np.uint64)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.key()))

@@ -97,9 +97,14 @@ def wilson_interval(successes: int, trials: int,
 
 @dataclass
 class SimReport:
-    """Rejection rate and confidence band for one scenario x sample size."""
+    """Rejection rate and confidence band for one scenario x sample size.
+
+    ``truth_is_null`` says whether the data follow the null, so that the
+    rate is a level rather than a power.
+    """
 
     scenario: str
+    truth_is_null: bool
     n: int
     reps: int
     rejections: int
@@ -111,7 +116,8 @@ class SimReport:
 
     def to_dict(self) -> dict:
         return {
-            "scenario": self.scenario, "n": self.n, "reps": self.reps,
+            "scenario": self.scenario, "truth_is_null": self.truth_is_null,
+            "n": self.n, "reps": self.reps,
             "rejections": self.rejections, "errors": self.errors,
             "reject_rate": self.rejection_rate,
             "ci_low": self.ci_low, "ci_high": self.ci_high,
@@ -152,9 +158,9 @@ def run_replications(scenario: ScenarioSpec, n: int, reps: int,
     rate = rejections / reps
     lo, hi = wilson_interval(rejections, reps)
     return SimReport(
-        scenario=scenario.name, n=n, reps=reps, rejections=rejections,
-        errors=errors, rejection_rate=rate, ci_low=lo, ci_high=hi,
-        seconds=time.perf_counter() - start)
+        scenario=scenario.name, truth_is_null=scenario.truth_is_null, n=n,
+        reps=reps, rejections=rejections, errors=errors, rejection_rate=rate,
+        ci_low=lo, ci_high=hi, seconds=time.perf_counter() - start)
 
 
 def level_power_table(scenarios, n_grid, reps: int, config: TestConfig,

@@ -11,18 +11,22 @@ Critical values come either from the limiting chi-squared(1) law or from a
 Monte Carlo calibration under the null (the default, exact to resampling
 noise at finite n).
 
-The calibration draws its null rows from one Philox generator re-keyed to
-each row's child stream (``measures.rekeyed``).  On a count reference the
-empirical coefficients come from each row's value counts, with the basis
-evaluated once per distinct value; elsewhere the basis is evaluated at
-every observation.  A row's bhat depends on its values only through those
+The calibration draws its null rows in blocks of ``max(1, _BLOCK_DRAWS //
+n)`` rows, block b from child stream b of the calibration seed, and takes
+each block's statistic before it draws the next, so memory grows with a
+block, not with the reps.  On a count reference the empirical
+coefficients come from each row's value counts, with the basis evaluated
+once per distinct value; elsewhere the basis is evaluated at every
+observation.  A row's bhat depends on its values only through those
 counts, and the counts of n independent draws of X are Multinomial(n, p)
-with p the mass function of X; so with independent count components the
-calibration may draw each row's counts directly, one multinomial per row,
-at a cost that does not grow with n.  It does so where that costs less
-than drawing the values (``TestEngine.draws_counts``): light laws count,
-while heavy laws, flat references and small n draw every observation, as
-continuous references and dependent (``joint_sampler``) nulls do.
+with p the mass function of X; so with independent count components a
+block may draw its rows' counts directly, one multinomial over the values
+the block is expected to reach and a tail cell, and one more that splits
+the tail counts exactly, at a cost that does not grow with n.  It does so
+where that costs less than drawing the values (``TestEngine.draws_counts``):
+light laws count, while heavy laws and small n draw every observation in
+one vectorized call per block, as continuous references and dependent
+(``joint_sampler``) nulls do.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc, gammaincinv
 
-from .measures import RngStream, rekeyed
+from .measures import RngStream
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
     plain_dict,
@@ -46,7 +50,9 @@ DEFAULT_MC_SEED = 202608
 _CALIBRATION_TAG = 0xCA1
 _TIE_REL_TOL = 1e-12
 _BLOCK_VALUES = 1 << 18  # basis values per block of rows in compute_bhat
-_CELLS_PER_VALUE = 16  # multinomial cells that cost as much as one drawn value
+_BLOCK_DRAWS = 1 << 18  # draws per calibration block: the stream contract
+_BINOMIAL_VALUES = 4  # drawn values that cost as much as one binomial draw
+_PRODUCTS_PER_VALUE = 256  # convolution products that cost one drawn value
 
 K_MIN, K_CLAMP_MAX = 3, 15
 
@@ -374,91 +380,110 @@ class TestEngine:
         s_n = select_order(t_seq, n)
         return t_seq.T, s_n, t_seq[s_n - 1, np.arange(t_seq.shape[1])]
 
-    def sample_null_batch(self, reps: int, base: RngStream) -> np.ndarray:
-        """reps x n matrix of null samples; row r uses child stream r.
+    def sample_null_batch(self, rows: int, stream: RngStream) -> np.ndarray:
+        """rows x n null samples, one ``null.sample_x(gen, rows * n)`` draw.
 
-        One generator is re-keyed from row to row; the draws equal those of
-        ``base.child(r).generator()``.
+        ``gen`` is ``stream.generator()``, and row r holds draws r n to
+        (r + 1) n - 1; the calibration draws each block of rows so.
         """
-        out = np.empty((reps, self.n))
-        streams = (base.child(r) for r in range(reps))
-        for r, gen in enumerate(rekeyed(streams)):
-            out[r] = self.null.sample_x(gen, self.n)
-        return out
+        return self.null.sample_x(stream.generator(), rows * self.n).reshape(
+            rows, self.n)
 
     @cached_property
     def _value_masses(self) -> tuple[np.ndarray, np.ndarray]:
         return self.null.value_masses(int(_zero_from(self.null.ref)))
 
-    def sample_null_counts(self, reps: int, base: RngStream):
-        """Values and their counts in reps null rows, for ``statistic_counts``.
+    def sample_null_counts(self, rows: int, stream: RngStream):
+        """Values and their counts in rows null rows, for ``statistic_counts``.
 
-        Row r is one ``multinomial(n, p)`` draw from child stream r (the
-        generator is re-keyed as in ``sample_null_batch``), over the values
-        and masses of ``null.value_masses(top)``, top being
-        ``_zero_from(ref)``; the last value, top, takes P(X >= top) and
-        adds 0 to the statistic.  The counts are allocated before the first
-        draw, in the narrowest unsigned type that holds n, for the values
-        reps * n draws are expected to reach (``reps * n * P(X >= v) >=
-        1``), and widened when a row reaches further.  Returns (values,
-        counts), counts of shape (reps, values).
+        The values and masses p are those of ``null.value_masses(top)``, top
+        being ``_zero_from(ref)``; the last value, top, takes P(X >= top)
+        and adds 0 to the statistic.  From ``stream.generator()`` the rows
+        are one ``multinomial(n, p_w, size=rows)`` draw over the first w
+        cells, those that rows * n draws are expected to reach
+        (``_reach``), plus one tail cell of mass P(X >= w); top is always
+        in the tail.  Then one more multinomial splits each row's tail
+        count t > 0 over ``p[w:] / P(X >= w)``, which given t is exact in
+        law.  The counts keep the reached values only, in the narrowest
+        unsigned type that holds n.  Returns (values, counts), counts of
+        shape (rows, values).
         """
         values, p = self._value_masses
-        width = _reach(p, reps * self.n)
-        out = np.zeros((reps, width), dtype=np.min_scalar_type(self.n))
-        streams = (base.child(r) for r in range(reps))
-        for r, gen in enumerate(rekeyed(streams)):
-            row = gen.multinomial(self.n, p)
-            if np.count_nonzero(row[width:]):
-                width = int(np.flatnonzero(row)[-1]) + 1
-                out = np.pad(out, ((0, 0), (0, width - out.shape[1])))
-            out[r] = row[:width]
+        gen = stream.generator()
+        w = min(_reach(p, rows * self.n), p.size - 1)
+        tail = p[w:].sum()
+        drawn = gen.multinomial(self.n, np.append(p[:w], tail), size=rows)
+        over = np.flatnonzero(drawn[:, w])
+        # with no mass past w, t is rounding, and the last cell, top, takes it
+        split = gen.multinomial(drawn[over, w], p[w:] / (tail or 1.0))
+        width = w + 1 + int(np.max(np.flatnonzero(split.any(axis=0)),
+                                   initial=-1))
+        out = np.zeros((rows, width), dtype=np.min_scalar_type(self.n))
+        out[:, :w] = drawn[:, :w]
+        out[over, w:] = split[:, :width - w]
         return values[:width], out
 
     def draws_counts(self) -> bool:
         """Whether the calibration draws value counts rather than values.
 
         Only an independent null on a count reference can, and it does when
-        that is the cheaper route, in units of one multinomial cell: a
-        drawn value, or a binomial draw of the multinomial, costs
-        ``_CELLS_PER_VALUE`` cells, and a product of the convolution
-        1 / ``_CELLS_PER_VALUE``.  Drawing values costs n values per row.
-        Counting costs at most ``top**2`` products once (top being
-        ``_zero_from(ref)``), then per row every cell of p and a binomial
-        for each value up to the row's largest, about the values v with
-        ``n * P(X >= v) >= 1``.  So light laws count (Mod2 from n = 100 on
-        at 2000 rows), while heavy laws, small n and flat references, whose
-        p has many cells, draw values.  The masses are built only if the
-        convolution alone stays within the cost of drawing values.
+        that is the cheaper route, in units of one drawn value (with its
+        share of the statistic).  Drawing values costs reps * n.  Counting
+        builds the masses once, about one value per component mass on
+        0 .. top - 1 (top being ``_zero_from(ref)``) and one per
+        ``_PRODUCTS_PER_VALUE`` products of their convolution; each
+        component runs to its last nonzero mass (``value_masses``), so where
+        top**2 products would not fit, their lengths are found by
+        evaluating the masses once more.  Then each row costs a binomial
+        draw, ``_BINOMIAL_VALUES`` values, for each value up to its largest,
+        about the values v with ``n * P(X >= v) >= 1``.  So light laws count
+        (Mod2 from n = 50 on at 2000 rows), while heavy laws and small n
+        draw values, and masses that would cost more than the values are
+        never built.
         """
         if not (self.null.ref.discrete and self.null.independent):
             return False
-        top, reps = _zero_from(self.null.ref), self.config.mc_reps
-        budget = _CELLS_PER_VALUE * reps * self.n
-        convolve = top * top / _CELLS_PER_VALUE
-        if convolve > budget:
+        top, reps = int(_zero_from(self.null.ref)), self.config.mc_reps
+        budget = reps * self.n - 2 * top
+        products = top * top
+        if products > _PRODUCTS_PER_VALUE * budget and budget > 2 * top:
+            x = np.arange(top, dtype=float)
+            ly, lz = (int(np.max(np.flatnonzero(law.mass(x)), initial=0)) + 1
+                      for law in (self.null.y, self.null.z))
+            budget, products = budget - 2 * top, ly * lz
+        budget -= products / _PRODUCTS_PER_VALUE
+        if budget <= 0:
             return False
         values, p = self._value_masses
-        per_row = values.size + _CELLS_PER_VALUE * _reach(p, self.n)
-        return convolve + reps * per_row <= budget
+        return _BINOMIAL_VALUES * reps * _reach(p, self.n) <= budget
 
     # -- calibration ---------------------------------------------------
 
     def calibration_values(self) -> np.ndarray:
         """T_{S_n} over fresh null samples, deterministic given the config seed.
 
-        Rows come as value counts (``sample_null_counts``) where
-        ``draws_counts`` says so, and as values (``sample_null_batch``)
-        otherwise.
+        Block b of ``max(1, _BLOCK_DRAWS // n)`` rows draws from child
+        stream b, as value counts (``sample_null_counts``) where
+        ``draws_counts`` says so and as values (``sample_null_batch``)
+        otherwise, and its statistic is taken before the next block is
+        drawn.  The reps values are allocated first.
         """
         if self._calibration_values is None:
-            base = RngStream(self.config.mc_seed, 0).child(_CALIBRATION_TAG, self.n)
-            reps = self.config.mc_reps
-            if self.draws_counts():
-                stats = self.statistic_counts(*self.sample_null_counts(reps, base))
-            else:
-                stats = self.statistic_batch(self.sample_null_batch(reps, base))
-            self._calibration_values = stats[2]
+            reps, n = self.config.mc_reps, self.n
+            out = np.empty(reps)
+            base = RngStream(self.config.mc_seed, 0).child(_CALIBRATION_TAG, n)
+            step = max(1, _BLOCK_DRAWS // n)
+            counted = self.draws_counts()
+            for b, lo in enumerate(range(0, reps, step)):
+                rows, stream = min(step, reps - lo), base.child(b)
+                if counted:
+                    stats = self.statistic_counts(
+                        *self.sample_null_counts(rows, stream))
+                else:
+                    stats = self.statistic_batch(
+                        self.sample_null_batch(rows, stream))
+                out[lo:lo + rows] = stats[2]
+            self._calibration_values = out
         return self._calibration_values
 
     def critical_value(self) -> float:

@@ -7,6 +7,7 @@ file is only read, never imported.
 
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import deconvtest
@@ -47,3 +48,26 @@ def test_coefficient_method_is_third_positional():
     params = list(inspect.signature(
         deconvtest.nullmodel.compute_coefficients).parameters)
     assert params[:3] == ["null", "k", "method"]
+
+
+def test_calibration_draws_through_the_spanned_methods(monkeypatch):
+    # perfbench times calibration sampling through these two methods, so
+    # each block of either route must be drawn by a call to one of them
+    from deconvtest.simlab import build_scenario
+    from deconvtest.teststat import TestConfig, TestEngine
+
+    calls = Counter()
+    for name in ("sample_null_batch", "sample_null_counts"):
+        def counted(engine, rows, stream, name=name,
+                    method=getattr(TestEngine, name)):
+            calls[name] += 1
+            return method(engine, rows, stream)
+        monkeypatch.setattr(TestEngine, name, counted)
+    # 2000 rows of 500 draws are four blocks, by values on Mod1 and by
+    # counts on Mod2
+    for model, route in (("Mod1", "sample_null_batch"),
+                         ("Mod2", "sample_null_counts")):
+        calls.clear()
+        TestEngine(build_scenario(model).null, 500,
+                   TestConfig()).calibration_values()
+        assert calls == {route: 4}

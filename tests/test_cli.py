@@ -229,6 +229,20 @@ class TestCmdSimulate:
         assert row["reject_rate"] == float(cells[3])
         assert "Mod1:50" in twin["timing_seconds"]
 
+    def test_json_twin_says_level_or_power(self, tmp_path):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "test": {"mc_reps": 150, "mc_seed": 31},
+            "sim": {"scenarios": ["Mod1", "Alt2"], "n": [50], "reps": 20,
+                    "master_seed": 8}}))
+        out = tmp_path / "sim.csv"
+        run_cli(["simulate", "--config", cfg, "--out", out])
+        twin = json.loads((tmp_path / "sim.json").read_text())
+        assert [(r["scenario"], r["truth_is_null"]) for r in twin["rows"]] == [
+            ("Mod1", True), ("Alt2", False)]
+        # the CSV keeps its columns
+        assert out.read_text().splitlines()[0] == CSV_HEADER
+
     def test_byte_identical_for_equal_seeds(self, tmp_path):
         cfg = self._config(tmp_path)
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -416,13 +430,22 @@ class TestConfigBoundary:
 
     def test_unallocatable_calibration_exits_2(self, tmp_path, capsys,
                                                monkeypatch):
-        # what mc_reps = 10**9 at n = 500 (3.6 TiB of values, or hundreds of
-        # GiB of counts) raises, without asking the machine for it; both
-        # draws allocate their output before the first row
-        def refuse(engine, reps, base):
-            raise MemoryError(f"Unable to allocate a ({reps}, ...) array")
-        monkeypatch.setattr(TestEngine, "sample_null_batch", refuse)
-        monkeypatch.setattr(TestEngine, "sample_null_counts", refuse)
+        # mc_reps = 10**9 at n = 500: the calibration allocates its 7.5 GiB
+        # of T values before it draws the first block, and here that
+        # allocation raises without asking the machine for it
+        empty = np.empty
+
+        def refuse_reps(shape, *args, **kwargs):
+            if isinstance(shape, int) and shape >= 10 ** 9:
+                raise MemoryError(f"Unable to allocate a ({shape},) array")
+            return empty(shape, *args, **kwargs)
+
+        def no_block(engine, rows, stream):
+            raise AssertionError("a block was drawn before the T values "
+                                 "were allocated")
+        monkeypatch.setattr(np, "empty", refuse_reps)
+        monkeypatch.setattr(TestEngine, "sample_null_batch", no_block)
+        monkeypatch.setattr(TestEngine, "sample_null_counts", no_block)
         counts = tmp_path / "counts.txt"
         counts.write_text("\n".join(["0", "1", "3", "2"] * 125))
         geometric = {"y": {"kind": "poisson", "mean": 1},

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from deconvtest.measures import (
 )
 from deconvtest.simlab import _replication_matrix, build_scenario
 from deconvtest.teststat import (
-    _CALIBRATION_TAG, DEFAULT_MC_SEED, TestConfig, TestEngine,
+    _BLOCK_DRAWS, _CALIBRATION_TAG, DEFAULT_MC_SEED, TestConfig, TestEngine,
 )
 
 from .oracles import _count_masses, _tilted_moments
@@ -69,8 +68,9 @@ def _philox_state(gen):
 
 
 class TestStreamKeys:
-    """``RngStream.key`` is NumPy's conversion of the list ``[seed, index]``,
-    and ``rekeyed`` draws exactly what fresh generators draw."""
+    """``RngStream.key`` is NumPy's uint64 conversion of ``[seed, index]``,
+    all 64 bits of each word, and ``rekeyed`` draws exactly what fresh
+    generators draw."""
 
     INDICES = [0, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1000,
                2 ** 64 - 1025, 2 ** 64 - 1]
@@ -78,18 +78,21 @@ class TestStreamKeys:
     @pytest.mark.parametrize("seed", [0, DEFAULT_MC_SEED, 2 ** 63 + 12345])
     @pytest.mark.parametrize("idx", INDICES)
     def test_key_is_numpys_list_conversion(self, seed, idx):
-        with warnings.catch_warnings():
-            # the list [1, 2**64 - 1] becomes float64 2**64, outside uint64
-            warnings.simplefilter("ignore", RuntimeWarning)
-            want = np.random.Philox(key=[seed, idx]).state["state"]["key"]
+        want = np.array([seed, idx], dtype=np.uint64)
         got = RngStream(seed, idx).key()
         assert got.dtype == np.uint64
-        np.testing.assert_array_equal(got, want)
+        assert got.tolist() == [seed, idx]
+        # and Philox keeps the key as given
+        np.testing.assert_array_equal(
+            RngStream(seed, idx).generator().bit_generator.state["state"]["key"],
+            want)
 
-    def test_high_indices_keep_53_bits(self):
-        # the FOUND in CHANGES.md: these two streams share a key
-        assert np.array_equal(RngStream(1, 2 ** 63).key(),
-                              RngStream(1, 2 ** 63 + 1000).key())
+    def test_high_indices_keep_64_bits(self):
+        # below 2**64 no two indices share a key, nor a stream
+        a, b = RngStream(1, 2 ** 63), RngStream(1, 2 ** 63 + 1000)
+        assert not np.array_equal(a.key(), b.key())
+        assert not np.array_equal(a.generator().random(4),
+                                  b.generator().random(4))
 
     STREAMS = [RngStream(7, 3), RngStream(7, 2 ** 63 + 5),
                RngStream(2 ** 63 + 12345, 1), RngStream(7, 3),
@@ -163,18 +166,24 @@ class TestSampling:
 
 class TestGoldenDraws:
     """First draws of fixed streams, pinned so that sampler changes keep
-    the stream contract bit for bit (row r uses child stream r)."""
+    the stream contract bit for bit: calibration block b, of
+    ``_BLOCK_DRAWS // n`` rows (524 at n = 500), uses child stream b, and
+    study replication r uses stream r."""
 
+    N = 500
     CALIBRATION = {
-        ("Mod1", 0): ["1.5928277954767593", "0.0010056761163651983",
-                      "1.0581251251196246", "7.380344061018079"],
-        ("Mod1", 1): ["7.035866772986562", "0.8676270873828942",
-                      "1.714237463122614", "0.8932487272594647"],
-        ("Mod1", 1999): ["2.075021320334133", "1.020513103074542",
-                         "0.8362914242174255", "2.472811160854941"],
-        ("Mod2", 0): ["3.0", "0.0", "1.0", "1.0"],
-        ("Mod2", 1): ["2.0", "2.0", "0.0", "0.0"],
-        ("Mod2", 1999): ["2.0", "1.0", "2.0", "0.0"],
+        ("Mod1", 0): ["0.9710150796124657", "0.46364196757031234",
+                      "0.9287798948416768", "2.1324816212226896"],
+        ("Mod1", 1): ["0.7032437429920055", "0.3825523045644272",
+                      "7.058990614002492", "1.8397033036567898"],
+        ("Mod1", 524): ["1.7022963013188461", "0.5536616006875923",
+                        "1.2444034286751393", "0.19231758209361527"],
+        ("Mod1", 1999): ["1.1712066754137311", "0.5987519537005881",
+                         "3.641714158282842", "2.384199718951291"],
+        ("Mod2", 0): ["1.0", "0.0", "1.0", "1.0"],
+        ("Mod2", 1): ["0.0", "5.0", "1.0", "5.0"],
+        ("Mod2", 524): ["5.0", "1.0", "1.0", "0.0"],
+        ("Mod2", 1999): ["1.0", "0.0", "3.0", "3.0"],
     }
     ALT1 = {1: ["1.7188875601436278", "2.300177816729418",
                 "1.2989575898159167", "0.8754304690134285"],
@@ -182,37 +191,49 @@ class TestGoldenDraws:
                   "1.6787886909766578", "0.05564174833873369"]}
     ALT4 = {1: ["2.0", "3.0", "0.0", "1.0"],
             200: ["4.0", "1.0", "2.0", "0.0"]}
-    # Mod2's count route at n = 50: how often rows 0, 1 and 1999 hold the
-    # values 0..5 (``sample_null_counts``)
-    COUNTS = {0: [9, 5, 16, 10, 6, 1], 1: [7, 15, 10, 7, 4, 4],
-              1999: [12, 13, 10, 3, 7, 1]}
+    # Mod2's count route at n = 500: how often rows 0, 1, 524 and 1999 hold
+    # the values 0..5 (``sample_null_counts``)
+    COUNTS = {0: [104, 138, 114, 57, 43, 22], 1: [85, 134, 116, 74, 44, 25],
+              524: [100, 123, 124, 71, 49, 21],
+              1999: [100, 114, 128, 80, 44, 17]}
+
+    @classmethod
+    def _blocks(cls, rows):
+        """(row, stream, rows in its block, place in its block) of the
+        calibration at n = 500 with 2000 reps and the default seed."""
+        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, cls.N)
+        step = _BLOCK_DRAWS // cls.N
+        for r in rows:
+            b, i = divmod(r, step)
+            yield r, base.child(b), min(step, 2000 - b * step), i
 
     @pytest.mark.parametrize("model", ["Mod1", "Mod2"])
     def test_calibration_rows(self, model):
-        n = 50
-        engine = TestEngine(build_scenario(model).null, n,
+        engine = TestEngine(build_scenario(model).null, self.N,
                             TestConfig(calibration="asymptotic"))
-        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, n)
-        samples = engine.sample_null_batch(2000, base)
-        for (name, r), want in self.CALIBRATION.items():
-            if name == model:
-                assert [repr(float(v)) for v in samples[r, :4]] == want
+        rows = [r for name, r in self.CALIBRATION if name == model]
+        for r, stream, size, i in self._blocks(rows):
+            samples = engine.sample_null_batch(size, stream)
+            assert samples.shape == (size, self.N)
+            got = [repr(float(v)) for v in samples[i, :4]]
+            assert got == self.CALIBRATION[(model, r)]
 
     def test_count_rows(self):
-        n = 50
-        engine = TestEngine(build_scenario("Mod2").null, n,
+        engine = TestEngine(build_scenario("Mod2").null, self.N,
                             TestConfig(calibration="asymptotic"))
-        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, n)
-        values, counts = engine.sample_null_counts(2000, base)
-        assert np.array_equal(values, np.arange(counts.shape[1]))
-        assert counts.sum(axis=1).tolist() == [n] * 2000
-        for r, want in self.COUNTS.items():
-            assert counts[r, :6].tolist() == want
+        for r, stream, size, i in self._blocks(self.COUNTS):
+            values, counts = engine.sample_null_counts(size, stream)
+            assert np.array_equal(values, np.arange(counts.shape[1]))
+            assert counts.sum(axis=1).tolist() == [self.N] * size
+            assert counts[i, :6].tolist() == self.COUNTS[r]
 
     def test_pins_cover_high_stream_indices(self):
-        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, 50)
+        # the pins span blocks, and some block's stream index needs all
+        # 64 bits of the key
         for rows in ([r for _, r in self.CALIBRATION], self.COUNTS):
-            assert any(base.child(r).stream_index >= 2 ** 63 for r in rows)
+            streams = {s.stream_index for _, s, _, _ in self._blocks(rows)}
+            assert len(streams) > 2
+            assert any(idx >= 2 ** 63 for idx in streams)
 
     @staticmethod
     def _check_replication_rows(name, pins):

@@ -139,6 +139,8 @@ class TestLevelPowerTable:
         rows = level_power_table(["Mod1", "Alt2"], [50, 80], 20, FAST, 11)
         assert [(r.scenario, r.n) for r in rows] == [
             ("Mod1", 50), ("Mod1", 80), ("Alt2", 50), ("Alt2", 80)]
+        # a null row's rate is a level, an alternative's a power
+        assert [r.truth_is_null for r in rows] == [True, True, False, False]
 
     def test_scenario_names_complete(self):
         assert set(SCENARIO_NAMES) == {"Mod1", "Mod2", "Alt1", "Alt2", "Alt3",

@@ -15,9 +15,9 @@ from deconvtest.measures import (
 from deconvtest.nullmodel import NullCoefficients, NullSpec
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
-    _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError, TestConfig, TestEngine,
-    _zero_from, chi2_quantile, compute_bhat, default_kmax, run_test,
-    select_order, t_sequence,
+    _BLOCK_DRAWS, _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError,
+    TestConfig, TestEngine, _reach, _zero_from, chi2_quantile, compute_bhat,
+    default_kmax, run_test, select_order, t_sequence,
 )
 
 from .oracles import (
@@ -511,6 +511,23 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 3 * data.nbytes
 
+    def test_calibration_memory_bounded_by_block(self, mod1_null):
+        # each block's statistic is taken before the next block is drawn,
+        # so four times the reps leave the peak where it was; a (reps, n)
+        # sample matrix would make it four times as large
+        peaks = []
+        for reps in (2000, 8000):
+            engine = TestEngine(mod1_null, 2000, TestConfig(mc_reps=reps))
+            tracemalloc.start()
+            try:
+                engine.calibration_values()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+        # a block is 131 rows of 2000 draws, 2 MiB of values
+        assert peaks[0] < 8 * _BLOCK_DRAWS * 8
+
 
 def _count_null(p):
     return NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(p))
@@ -597,6 +614,18 @@ def _pearson_homogeneity(a, b):
     return float(((table - expected) ** 2 / expected).sum()), table.shape[1] - 1
 
 
+def _pearson_fit(observed, masses):
+    """Pearson's statistic and degrees of freedom of value frequencies
+    against masses; the tail from the last value expected at least 20 times
+    on or beyond it forms one cell."""
+    expected = masses / masses.sum() * observed.sum()
+    tail = np.cumsum(expected[::-1])[::-1]
+    cut = int(np.flatnonzero(tail >= 20)[-1])
+    obs = np.append(observed[:cut], observed[cut:].sum())
+    exp = np.append(expected[:cut], tail[cut])
+    return float(((obs - exp) ** 2 / exp).sum()), obs.size - 1
+
+
 def _ks_distance(a, b):
     """Largest gap between the empirical distribution functions of a and b."""
     at = np.concatenate([a, b])
@@ -639,20 +668,50 @@ class TestCountRoute:
             engine.statistic_counts(np.arange(3), np.array([[10, 9, 0]]))
 
     def test_rows_are_fresh_multinomial_draws(self, batch_engines):
+        # a block is one multinomial over the cells its draws are expected
+        # to reach and one tail cell, then one multinomial that splits the
+        # tail counts of the rows that have them
         engine = batch_engines[("Mod2", 20)]
         values, p = engine._value_masses
-        reps, base = 300, RngStream(99, 0)
-        got, counts = engine.sample_null_counts(reps, base)
-        # allocated for the values 300 x 20 draws are expected to reach,
-        # then widened: some row of this seed reaches past them
-        start = np.count_nonzero(np.cumsum(p[::-1])[::-1] * reps * 20 >= 1)
+        rows, stream = 300, RngStream(99, 0)
+        got, counts = engine.sample_null_counts(rows, stream)
+        w = np.count_nonzero(np.cumsum(p[::-1])[::-1] * rows * 20 >= 1)
+        gen = stream.generator()
+        head = gen.multinomial(20, np.append(p[:w], p[w:].sum()), size=rows)
+        over = np.flatnonzero(head[:, w])
+        # some row of this seed reaches past w
+        assert over.size
+        want = np.zeros((rows, p.size), dtype=np.int64)
+        want[:, :w] = head[:, :w]
+        want[over, w:] = gen.multinomial(head[over, w], p[w:] / p[w:].sum())
+        # counts keep the reached values only, in the narrowest type
         width = counts.shape[1]
-        assert width > start and counts[:, -1].any()
+        assert width > w and counts[:, -1].any()
+        assert counts.dtype == np.uint8
         assert np.array_equal(got, values[:width])
-        for r, row in enumerate(counts):
-            want = base.child(r).generator().multinomial(20, p)
-            assert np.array_equal(row, want[:width])
-            assert not want[width:].any()
+        assert np.array_equal(counts, want[:, :width])
+        assert not want[:, width:].any()
+
+    def test_tail_split_is_exact_in_law(self, batch_engines):
+        # blocks of one row of 20 draws: about one draw in twenty lies past
+        # the w cells such a block is expected to reach, so 3000 blocks
+        # split hundreds of tail counts; given X >= w, their values must
+        # follow the oracle's masses
+        engine = batch_engines[("Mod2", 20)]
+        values, p = engine._value_masses
+        w = _reach(p, 20)
+        tails = np.zeros(values.size)
+        for b in range(3000):
+            got, counts = engine.sample_null_counts(1, RngStream(64, b))
+            tails[w:got.size] += counts[0, w:]
+        assert tails.sum() > 500
+        oracle = _law_masses("Mod2", int(values[-1]))
+        stat, df = _pearson_fit(tails[w:], oracle[w:])
+        assert df >= 3 and chdtrc(df, stat) > 0.01
+        # the same check tells them from the tail of Alt4, also of mean 2
+        stat, df = _pearson_fit(tails[w:],
+                                _law_masses("Alt4", int(values[-1]))[w:])
+        assert chdtrc(df, stat) < 1e-6
 
     def test_counts_agree_in_law_with_point_draws(self, mod2_null):
         engine = TestEngine(mod2_null, 100, TestConfig(calibration="asymptotic"))
@@ -690,12 +749,40 @@ class TestCountRoute:
         assert _ks_distance(counted, drawn) < 1.95 * math.sqrt(2 / 300)
 
 
-class TestRouteChoice:
-    """``draws_counts`` weighs the multinomial cells against the values."""
+def _calibration_blocks(engine, seed):
+    """T_{S_n} of the calibration, block by block, through the route the
+    engine chooses: block b of ``_BLOCK_DRAWS // n`` rows from child
+    stream b."""
+    n, reps = engine.n, engine.config.mc_reps
+    base = RngStream(seed, 0).child(_CALIBRATION_TAG, n)
+    step = _BLOCK_DRAWS // n
+    out = []
+    for b, lo in enumerate(range(0, reps, step)):
+        rows, stream = min(step, reps - lo), base.child(b)
+        if engine.draws_counts():
+            stats = engine.statistic_counts(
+                *engine.sample_null_counts(rows, stream))
+        else:
+            stats = engine.statistic_batch(
+                engine.sample_null_batch(rows, stream))
+        out.append(stats[2])
+    return np.concatenate(out)
 
-    @pytest.mark.parametrize("n, counts", [(50, False), (100, True),
-                                           (500, True), (2000, True)])
+
+class TestRouteChoice:
+    """``draws_counts`` weighs the binomial draws and the masses against the
+    values."""
+
+    @pytest.mark.parametrize("n, counts", [(100, True), (500, True),
+                                           (2000, True)])
     def test_mod2_counts_from_n_100(self, mod2_null, mod2_coeffs8, n, counts):
+        engine = TestEngine(mod2_null, n, TestConfig(), coeffs=mod2_coeffs8)
+        assert engine.draws_counts() is counts
+
+    @pytest.mark.parametrize("n, counts", [(20, False), (50, True)])
+    def test_mod2_route_at_small_n(self, mod2_null, mod2_coeffs8, n, counts):
+        # a row of 20 reaches about 6 values, of 50 about 8, and a binomial
+        # draw costs about four drawn values
         engine = TestEngine(mod2_null, n, TestConfig(), coeffs=mod2_coeffs8)
         assert engine.draws_counts() is counts
 
@@ -707,25 +794,37 @@ class TestRouteChoice:
         assert TestEngine(heavy, 5000, TestConfig()).draws_counts()
 
     def test_flat_reference_builds_no_masses(self):
-        # top = 73,683: convolving masses that long would cost more than
-        # drawing 2000 x 500 values, so they are never built
+        # top = 73,683, and both masses run that far: convolving them would
+        # cost more than drawing 2000 x 500 values, so they are never built
         flat = NullSpec(y=Geometric(100.0), z=Geometric(100.0),
                         ref=GeometricRef(0.99))
         engine = TestEngine(flat, 500, TestConfig())
         assert not engine.draws_counts()
         assert "_value_masses" not in vars(engine)
 
+    def test_light_law_on_flat_reference_counts(self):
+        # the same top, but the masses end after 178 and 1,074 values, so
+        # their convolution is cheap and the rows count from n = 500
+        light = NullSpec(y=Poisson(1.0), z=Geometric(1.0),
+                         ref=GeometricRef(0.99))
+        assert TestEngine(light, 500, TestConfig()).draws_counts()
+        assert not TestEngine(light, 50, TestConfig()).draws_counts()
+
     @pytest.mark.parametrize("n", [50, 100])
     def test_calibration_takes_the_chosen_route(self, mod2_null, mod2_coeffs8,
                                                 n):
         engine = TestEngine(mod2_null, n, TestConfig(mc_seed=5),
                             coeffs=mod2_coeffs8)
-        base = RngStream(5, 0).child(_CALIBRATION_TAG, n)
-        if engine.draws_counts():
-            want = engine.statistic_counts(*engine.sample_null_counts(2000, base))
-        else:
-            want = engine.statistic_batch(engine.sample_null_batch(2000, base))
-        assert np.array_equal(engine.calibration_values(), want[2])
+        assert np.array_equal(engine.calibration_values(),
+                              _calibration_blocks(engine, 5))
+
+    def test_calibration_blocks_take_child_streams(self, mod1_null,
+                                                   mod1_coeffs8):
+        # 2000 rows of 500 draws are blocks of 524, 524, 524 and 428 rows
+        engine = TestEngine(mod1_null, 500, TestConfig(mc_seed=5),
+                            coeffs=mod1_coeffs8)
+        assert np.array_equal(engine.calibration_values(),
+                              _calibration_blocks(engine, 5))
 
 
 def _independent_pair(gen, n):
@@ -733,26 +832,23 @@ def _independent_pair(gen, n):
 
 
 class TestValueRoute:
-    # the first calibration values of 100 rows at n = 50 with mc_seed 5,
-    # the same as before count references calibrated from counts
-    PINS = {"Mod1": ["0.1897793631251273", "0.111561401640501",
-                     "2.92935516461899"],
-            "joint": ["0.0020916160061897056", "0.01556281569231927",
-                      "1.2545521202449876"]}
+    # the first calibration values of 100 rows at n = 50 with mc_seed 5
+    PINS = {"Mod1": ["1.50571596159917", "0.0018284588872694114",
+                     "4.42517464647789"],
+            "joint": ["9.433932939192143", "2.580280971927225",
+                      "0.11064008905968321"]}
 
     def test_continuous_and_joint_nulls_draw_values(
             self, monkeypatch, mod1_null, mod1_coeffs8, mod2_coeffs8):
-        def refuse(engine, reps, base):
+        def refuse(engine, rows, stream):
             raise AssertionError("a value null took the count route")
         monkeypatch.setattr(TestEngine, "sample_null_counts", refuse)
         joint = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5),
                          joint_sampler=_independent_pair)
-        base = RngStream(5, 0).child(_CALIBRATION_TAG, 50)
         for name, null, coeffs in (("Mod1", mod1_null, mod1_coeffs8),
                                    ("joint", joint, mod2_coeffs8)):
             engine = TestEngine(null, 50, TestConfig(mc_reps=100, mc_seed=5),
                                 coeffs=coeffs)
             got = engine.calibration_values()
-            want = engine.statistic_batch(engine.sample_null_batch(100, base))
-            assert np.array_equal(got, want[2])
+            assert np.array_equal(got, _calibration_blocks(engine, 5))
             assert [repr(float(v)) for v in got[:3]] == self.PINS[name]
