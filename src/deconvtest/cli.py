@@ -495,8 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
-        # e.g. an mc_reps whose T values, or a --reps whose sample matrix,
-        # cannot be allocated
+        # e.g. an mc_reps or a --reps whose T values cannot be allocated
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

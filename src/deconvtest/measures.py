@@ -7,10 +7,8 @@ index) pair reproduces draws bit-exactly:
   ``(master_seed, stream_index)``, all 64 bits of each (``RngStream.key``);
   distinct keys give independent streams,
 * a Philox key names a stream and its counter is the position within it,
-  so one stream serves a block of Monte Carlo calibration rows drawn in
-  one call, and ``rekeyed`` re-keys one generator from stream to stream
-  (zero counter, empty buffers), drawing exactly what a fresh
-  ``generator()`` would, for study replications,
+  so one stream serves a block of Monte Carlo calibration rows, or of
+  study replications, drawn in one call,
 * exponential draws use inverse-CDF on one uniform,
 * chi-squared with 1 degree of freedom is the square of a standard normal,
 * Poisson draws up to a mean of 1e8 use inverse-CDF, a search of a CDF
@@ -21,10 +19,10 @@ index) pair reproduces draws bit-exactly:
 * other gammas use the generator's gamma method,
 * mixtures draw a component indicator, then both component vectors, and
   select elementwise,
-* the value counts of a block of count-reference calibration rows, where
-  the calibration counts, are one ``Generator.multinomial`` draw over the
-  values the block reaches and a tail cell, and one that splits the tail
-  counts (``teststat.TestEngine.sample_null_counts``).
+* the value counts of a block of count-reference rows, where the
+  calibration or a study cell counts, are one ``Generator.multinomial``
+  draw over the values the block reaches and a tail cell, and one that
+  splits the tail counts (``teststat.sample_counts``).
 
 Every law and reference measure is a frozen dataclass with a class-level
 ``kind``; its configuration document is ``{"kind": kind}`` plus its fields
@@ -36,13 +34,12 @@ that ``orthopoly`` owns (Gauss-Laguerre, -Legendre, -Charlier and
 -Meixner); the Meixner basis of the geometric reference is certified with
 the same Gauss-Meixner rule.  Count laws
 (Poisson, geometric, integer point masses and their mixtures) carry a
-probability mass function, ``mass``, from which the count-reference
-calibration draws value counts.
+probability mass function, ``mass``, from which count-reference
+calibrations and study cells draw value counts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from math import ceil, floor, inf, log, sqrt
@@ -54,7 +51,7 @@ __all__ = [
     "Exponential", "Gamma", "ChiSquared", "Poisson", "Geometric",
     "Uniform01", "Mixture", "PointMass",
     "Exponential1Ref", "Uniform01Ref", "GeometricRef", "RngStream",
-    "rekeyed", "LAWS", "REFERENCES",
+    "LAWS", "REFERENCES",
 ]
 
 # Poisson sampling tables leave out at most this much mass on either side,
@@ -97,23 +94,6 @@ class RngStream:
         for t in tags:
             idx = _mix64(idx ^ _mix64(t & 0xFFFFFFFFFFFFFFFF))
         return RngStream(self.master_seed, idx)
-
-
-def rekeyed(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
-    """One Generator, re-keyed to each stream in turn.
-
-    Each yielded state is that of a fresh ``stream.generator()``: the
-    stream's key, a zero counter, an empty buffer and no pending 32-bit
-    half, so the draws are the same bit for bit.  The generator is shared:
-    finish with one stream before advancing to the next.
-    """
-    bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
-    fresh = bits.state
-    for stream in streams:
-        fresh["state"]["key"] = stream.key()
-        bits.state = fresh
-        yield gen
 
 
 def _document(obj) -> dict:

@@ -78,6 +78,22 @@ def default_basis_for(ref: ReferenceMeasure, max_degree: int = 16) -> BasisTable
         PolynomialFamilySpec(kind=kind, shape=shape, max_degree=max_degree))
 
 
+def value_masses(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values 0, ..., w - 1 and ``top`` of X = Y + Z, and their masses.
+
+    ``y`` and ``z`` hold the masses of independent count laws on 0 .. top
+    - 1; their convolution, each cut after its last nonzero mass, gives
+    P(X = v) for v < w <= top (past w every product is below 2**-1074).
+    The last value, ``top``, takes the rest, clipped at 0: P(X >= top),
+    where a component's mass at or beyond ``top`` lands.
+    """
+    top = y.size
+    ly, lz = (int(np.max(np.flatnonzero(m), initial=0)) + 1 for m in (y, z))
+    p = np.convolve(y[:ly], z[:lz])[:top]
+    return (np.append(np.arange(p.size), top),
+            np.append(p, max(0.0, 1.0 - p.sum())))
+
+
 @dataclass(frozen=True)
 class NullSpec:
     """The convolution null: component laws, reference measure, basis.
@@ -146,25 +162,11 @@ class NullSpec:
         return v
 
     def value_masses(self, top: int) -> tuple[np.ndarray, np.ndarray]:
-        """Values 0, ..., w - 1 and ``top`` of X, and their masses.
-
-        For independent count components.  The masses of Y and Z are
-        evaluated on 0 .. top - 1 and each is cut after its last nonzero
-        one; their convolution, cut at ``top``, gives P(X = v) for v < w,
-        where w <= top.  From w to top - 1 every pair of values has a
-        factor below 2**-1074.  The last value, ``top``, takes the rest of
-        the mass, clipped at 0: P(X >= top), where a component's mass at
-        or beyond ``top`` (a far mixture component, say) lands.  The cost
-        is O(top) masses and a convolution of the two cut lengths.
-        """
+        """``value_masses`` of independent count laws Y, Z on 0 .. top - 1."""
         if not self.independent:
             raise NullSpecError("a joint sampler gives no value masses")
         x = np.arange(top, dtype=float)
-        y, z = self.y.mass(x), self.z.mass(x)
-        ly, lz = (int(np.max(np.flatnonzero(m), initial=0)) + 1 for m in (y, z))
-        p = np.convolve(y[:ly], z[:lz])[:top]
-        return (np.append(np.arange(p.size), top),
-                np.append(p, max(0.0, 1.0 - p.sum())))
+        return value_masses(self.y.mass(x), self.z.mass(x))
 
     def config(self) -> dict:
         return {

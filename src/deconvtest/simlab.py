@@ -11,8 +11,12 @@ mixture, Alt5/Alt6 are confusions).  A mixture is Y with Z a point mass at
 bit for bit.  Alternatives are always tested against the corresponding
 model's null.
 
-Replication r draws its data from stream index r of the master seed, so
-reports do not depend on evaluation order and are reproducible bit for bit.
+Replications go in blocks of ``max(1, _BLOCK_DRAWS // n)``, as calibration
+rows do, and block b draws from stream index b of the master seed in one
+call, so every cell of a grid shares the block streams and reports are
+reproducible bit for bit in any cell order.  A count scenario (count laws
+on a count reference) draws a block's rows as value counts of its own law
+where that pays (``teststat.count_masses``).
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ import numpy as np
 
 from .measures import (
     ChiSquared, Distribution, Exponential, Exponential1Ref, Geometric,
-    GeometricRef, Mixture, PointMass, Poisson, RngStream, rekeyed,
+    GeometricRef, Mixture, PointMass, Poisson, RngStream,
 )
 from .nullmodel import NullSpec
-from .teststat import TestConfig, TestEngine
+from .teststat import (
+    _BLOCK_DRAWS, TestConfig, TestEngine, count_masses, sample_counts,
+)
 
 _Z95 = 1.959963984540054
 
@@ -125,36 +131,43 @@ class SimReport:
         }
 
 
-def _replication_matrix(scenario: ScenarioSpec, n: int, reps: int,
-                        master_seed: int) -> np.ndarray:
-    out = np.empty((reps, n))
-    streams = (RngStream(master_seed, r) for r in range(1, reps + 1))
-    for r, gen in enumerate(rekeyed(streams)):
-        out[r] = scenario.sample(gen, n)
-    return out
-
-
 def run_replications(scenario: ScenarioSpec, n: int, reps: int,
                      config: TestConfig, master_seed: int,
                      engine: TestEngine | None = None) -> SimReport:
-    """Rejection rate of the test over stream-indexed replications.
+    """Rejection rate of the test over blocks of replications.
 
-    A replication whose data violates the reference support counts as an
-    error, not a rejection.  ``engine`` lets callers share one prepared
-    null (coefficients + calibration) across scenarios of the same model.
+    Block b of ``max(1, _BLOCK_DRAWS // n)`` replications draws from
+    stream index b of ``master_seed``: a count scenario's as value counts
+    where ``count_masses`` says so, else as one ``scenario.sample(gen, rows
+    * n)`` draw cut into rows.  A replication whose data violates the
+    reference support counts as an error, not a rejection.  ``engine`` lets
+    callers share one prepared null (coefficients + calibration) across
+    scenarios of the same model.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     start = time.perf_counter()
     if engine is None:
         engine = TestEngine(scenario.null, n, config)
-    data = _replication_matrix(scenario, n, reps, master_seed)
-    ok = np.asarray(scenario.null.ref.in_support(data)).all(axis=1)
-    errors = int(np.sum(~ok))
-    rejections = 0
-    if np.any(ok):
-        t_stat = engine.statistic_batch(data[ok])[2]
-        rejections = int(np.sum(t_stat > engine.critical_value()))
+    ref, y, z = scenario.null.ref, scenario.y, scenario.z
+    masses = (count_masses(y, z, ref, reps, n)
+              if ref.discrete and y.discrete and z.discrete else None)
+    # T of every replication, allocated first; rows out of support stay NaN
+    step, t_stat = max(1, _BLOCK_DRAWS // n), np.full(reps, np.nan)
+    for b, lo in enumerate(range(0, reps, step)):
+        rows, gen = min(step, reps - lo), RngStream(master_seed, b).generator()
+        if masses is not None:
+            counts = sample_counts(*masses, rows, n, gen)
+            t_stat[lo:lo + rows] = engine.statistic_counts(*counts)[2]
+            continue
+        data = scenario.sample(gen, rows * n).reshape(rows, n)
+        ok = ref.in_support(data).all(axis=1)
+        if ok.any():
+            t_stat[lo + np.flatnonzero(ok)] = engine.statistic_batch(data[ok])[2]
+    t_stat = t_stat[~np.isnan(t_stat)]
+    errors = reps - t_stat.size
+    rejections = (int(np.sum(t_stat > engine.critical_value()))
+                  if t_stat.size else 0)
     rate = rejections / reps
     lo, hi = wilson_interval(rejections, reps)
     return SimReport(

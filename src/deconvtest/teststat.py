@@ -20,13 +20,11 @@ once per distinct value; elsewhere the basis is evaluated at every
 observation.  A row's bhat depends on its values only through those
 counts, and the counts of n independent draws of X are Multinomial(n, p)
 with p the mass function of X; so with independent count components a
-block may draw its rows' counts directly, one multinomial over the values
-the block is expected to reach and a tail cell, and one more that splits
-the tail counts exactly, at a cost that does not grow with n.  It does so
-where that costs less than drawing the values (``TestEngine.draws_counts``):
-light laws count, while heavy laws and small n draw every observation in
-one vectorized call per block, as continuous references and dependent
-(``joint_sampler``) nulls do.
+block may draw its rows' counts directly (``sample_counts``), at a cost
+that does not grow with n, where that costs less than drawing the values
+(``count_masses``, which study cells share): light laws count, while heavy
+laws and small n draw every observation in one vectorized call per block,
+as continuous references and dependent (``joint_sampler``) nulls do.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from scipy.special import gammaincc, gammaincinv
 from .measures import RngStream
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
-    plain_dict,
+    plain_dict, value_masses,
 )
 
 DEFAULT_MC_SEED = 202608
@@ -236,6 +234,62 @@ def _reach(p: np.ndarray, draws: int) -> int:
     return int(np.count_nonzero(np.cumsum(p[::-1])[::-1] * draws >= 1.0))
 
 
+def count_masses(y, z, ref, rows: int, n: int):
+    """``value_masses`` of count laws Y and Z where counting pays, else None.
+
+    The masses are on 0 .. top - 1, top being ``_zero_from(ref)``.  Costs
+    are in drawn values (with their share of the statistic): rows * n to
+    draw the values; to count, one per mass, one per
+    ``_PRODUCTS_PER_VALUE`` products of their convolution (top**2 where
+    that fits, else the cut lengths' product), and ``_BINOMIAL_VALUES`` per
+    row and value up to the last, v with ``n * P(X >= v) >= 1``
+    (``_reach``).  Light laws count (Mod2 from n = 50 on at 2000 rows).
+    """
+    top = int(_zero_from(ref))
+    budget = rows * n - 2 * top
+    if budget <= 0:
+        return None
+    my, mz = (law.mass(np.arange(top, dtype=float)) for law in (y, z))
+    ly, lz = (int(np.max(np.flatnonzero(m), initial=0)) + 1 for m in (my, mz))
+    products = top * top
+    if products > _PRODUCTS_PER_VALUE * budget and budget > 2 * top:
+        budget, products = budget - 2 * top, ly * lz
+    budget -= products / _PRODUCTS_PER_VALUE
+    # counting pays only if n P(X >= most) < 1 or p ends before most, and
+    # P(X < most) needs no convolution; rounding near 1 is left to p
+    most = max(0, int(budget // (_BINOMIAL_VALUES * rows)))
+    below = my[:most] @ np.cumsum(mz[:most])[::-1]
+    if most < min(ly + lz - 1, top) and n * (1.0 - below) > 1.0 + 1e-6:
+        return None
+    masses = value_masses(my, mz)
+    return masses if _BINOMIAL_VALUES * rows * _reach(masses[1], n) <= budget \
+        else None
+
+
+def sample_counts(values: np.ndarray, p: np.ndarray, rows: int, n: int,
+                  gen: np.random.Generator):
+    """Value counts of rows rows of n draws from ``value_masses`` p.
+
+    One ``gen.multinomial(n, p_w, size=rows)`` draw over the first w
+    cells, those rows * n draws are expected to reach (``_reach``), and a
+    tail cell P(X >= w) that always holds top; then one multinomial splits
+    each row's tail count t > 0 over ``p[w:] / P(X >= w)``, exact in law
+    given t.  Returns the reached values and their counts, shape (rows,
+    values), in the narrowest unsigned type that holds n.
+    """
+    w = min(_reach(p, rows * n), p.size - 1)
+    tail = p[w:].sum()
+    drawn = gen.multinomial(n, np.append(p[:w], tail), size=rows)
+    over = np.flatnonzero(drawn[:, w])
+    # with no mass past w, t is rounding, and the last cell, top, takes it
+    split = gen.multinomial(drawn[over, w], p[w:] / (tail or 1.0))
+    width = w + 1 + int(np.max(np.flatnonzero(split.any(axis=0)), initial=-1))
+    out = np.zeros((rows, width), dtype=np.min_scalar_type(n))
+    out[:, :w] = drawn[:, :w]
+    out[over, w:] = split[:, :width - w]
+    return values[:width], out
+
+
 def t_sequence(bhat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Whitened squared norms T_1..T_k over nested prefixes.
 
@@ -390,72 +444,24 @@ class TestEngine:
             rows, self.n)
 
     @cached_property
+    def _count_route(self) -> tuple[np.ndarray, np.ndarray] | None:
+        y, z, ref = self.null.y, self.null.z, self.null.ref
+        if ref.discrete and self.null.independent:
+            return count_masses(y, z, ref, self.config.mc_reps, self.n)
+
+    @cached_property
     def _value_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.null.value_masses(int(_zero_from(self.null.ref)))
+        return self._count_route or self.null.value_masses(
+            int(_zero_from(self.null.ref)))
 
     def sample_null_counts(self, rows: int, stream: RngStream):
-        """Values and their counts in rows null rows, for ``statistic_counts``.
-
-        The values and masses p are those of ``null.value_masses(top)``, top
-        being ``_zero_from(ref)``; the last value, top, takes P(X >= top)
-        and adds 0 to the statistic.  From ``stream.generator()`` the rows
-        are one ``multinomial(n, p_w, size=rows)`` draw over the first w
-        cells, those that rows * n draws are expected to reach
-        (``_reach``), plus one tail cell of mass P(X >= w); top is always
-        in the tail.  Then one more multinomial splits each row's tail
-        count t > 0 over ``p[w:] / P(X >= w)``, which given t is exact in
-        law.  The counts keep the reached values only, in the narrowest
-        unsigned type that holds n.  Returns (values, counts), counts of
-        shape (rows, values).
-        """
-        values, p = self._value_masses
-        gen = stream.generator()
-        w = min(_reach(p, rows * self.n), p.size - 1)
-        tail = p[w:].sum()
-        drawn = gen.multinomial(self.n, np.append(p[:w], tail), size=rows)
-        over = np.flatnonzero(drawn[:, w])
-        # with no mass past w, t is rounding, and the last cell, top, takes it
-        split = gen.multinomial(drawn[over, w], p[w:] / (tail or 1.0))
-        width = w + 1 + int(np.max(np.flatnonzero(split.any(axis=0)),
-                                   initial=-1))
-        out = np.zeros((rows, width), dtype=np.min_scalar_type(self.n))
-        out[:, :w] = drawn[:, :w]
-        out[over, w:] = split[:, :width - w]
-        return values[:width], out
+        """``sample_counts`` of rows null rows from ``stream.generator()``."""
+        return sample_counts(*self._value_masses, rows, self.n,
+                             stream.generator())
 
     def draws_counts(self) -> bool:
-        """Whether the calibration draws value counts rather than values.
-
-        Only an independent null on a count reference can, and it does when
-        that is the cheaper route, in units of one drawn value (with its
-        share of the statistic).  Drawing values costs reps * n.  Counting
-        builds the masses once, about one value per component mass on
-        0 .. top - 1 (top being ``_zero_from(ref)``) and one per
-        ``_PRODUCTS_PER_VALUE`` products of their convolution; each
-        component runs to its last nonzero mass (``value_masses``), so where
-        top**2 products would not fit, their lengths are found by
-        evaluating the masses once more.  Then each row costs a binomial
-        draw, ``_BINOMIAL_VALUES`` values, for each value up to its largest,
-        about the values v with ``n * P(X >= v) >= 1``.  So light laws count
-        (Mod2 from n = 50 on at 2000 rows), while heavy laws and small n
-        draw values, and masses that would cost more than the values are
-        never built.
-        """
-        if not (self.null.ref.discrete and self.null.independent):
-            return False
-        top, reps = int(_zero_from(self.null.ref)), self.config.mc_reps
-        budget = reps * self.n - 2 * top
-        products = top * top
-        if products > _PRODUCTS_PER_VALUE * budget and budget > 2 * top:
-            x = np.arange(top, dtype=float)
-            ly, lz = (int(np.max(np.flatnonzero(law.mass(x)), initial=0)) + 1
-                      for law in (self.null.y, self.null.z))
-            budget, products = budget - 2 * top, ly * lz
-        budget -= products / _PRODUCTS_PER_VALUE
-        if budget <= 0:
-            return False
-        values, p = self._value_masses
-        return _BINOMIAL_VALUES * reps * _reach(p, self.n) <= budget
+        """Whether the calibration counts: ``count_masses`` of its rows."""
+        return self._count_route is not None
 
     # -- calibration ---------------------------------------------------
 

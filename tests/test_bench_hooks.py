@@ -71,3 +71,23 @@ def test_calibration_draws_through_the_spanned_methods(monkeypatch):
         TestEngine(build_scenario(model).null, 500,
                    TestConfig()).calibration_values()
         assert calls == {route: 4}
+
+
+def test_study_value_cells_sample_once_per_block(monkeypatch):
+    # perfbench times study sampling through ScenarioSpec.sample, so a
+    # value cell draws each block of replications by one call of it; a
+    # count cell draws counts and calls it not at all
+    from deconvtest.simlab import ScenarioSpec, build_scenario, run_replications
+    from deconvtest.teststat import TestConfig
+
+    calls = Counter()
+
+    def counted(spec, gen, size, method=ScenarioSpec.sample):
+        calls[spec.name] += 1
+        return method(spec, gen, size)
+    monkeypatch.setattr(ScenarioSpec, "sample", counted)
+    # 2000 replications of 500 draws are four blocks
+    for name in ("Mod1", "Alt1", "Mod2"):
+        run_replications(build_scenario(name), 500, 2000,
+                         TestConfig(calibration="asymptotic"), 9)
+    assert calls == {"Mod1": 4, "Alt1": 4}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from deconvtest import simlab
 from deconvtest.cli import (
     CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
     build_distribution, build_null, build_reference, config_hash, main,
@@ -456,6 +457,28 @@ class TestConfigBoundary:
             cfg.write_text(json.dumps({"null": null,
                                        "test": {"mc_reps": 10 ** 9}}))
             assert run_cli(["test", data, "--config", cfg]) == EXIT_USAGE
+            assert "out of memory" in capsys.readouterr().err
+
+    def test_unallocatable_study_exits_2(self, capsys, monkeypatch):
+        # --reps 10**9: a study cell allocates its T values before it draws
+        # the first block, and here that allocation raises without asking
+        # the machine for it
+        full = np.full
+
+        def refuse_reps(shape, *args, **kwargs):
+            if isinstance(shape, int) and shape >= 10 ** 9:
+                raise MemoryError(f"Unable to allocate a ({shape},) array")
+            return full(shape, *args, **kwargs)
+
+        def no_block(*args):
+            raise AssertionError("a block was drawn before the T values "
+                                 "were allocated")
+        monkeypatch.setattr(np, "full", refuse_reps)
+        monkeypatch.setattr(simlab.ScenarioSpec, "sample", no_block)
+        monkeypatch.setattr(simlab, "sample_counts", no_block)
+        for name in ("Mod1", "Mod2"):
+            assert run_cli(["simulate", "--scenarios", name, "--n", "500",
+                            "--reps", str(10 ** 9)]) == EXIT_USAGE
             assert "out of memory" in capsys.readouterr().err
 
     def test_test_echo_reads_back(self, tmp_path):

@@ -14,11 +14,12 @@ import deconvtest
 from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
-    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref, rekeyed,
+    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
 )
-from deconvtest.simlab import _replication_matrix, build_scenario
+from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
     _BLOCK_DRAWS, _CALIBRATION_TAG, DEFAULT_MC_SEED, TestConfig, TestEngine,
+    count_masses, sample_counts,
 )
 
 from .oracles import _count_masses, _tilted_moments
@@ -61,16 +62,9 @@ class TestRngStream:
         assert base.child(1) != base.child(2)
 
 
-def _philox_state(gen):
-    state = gen.bit_generator.state
-    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
-            "buffer": state["buffer"].tolist()}
-
-
 class TestStreamKeys:
     """``RngStream.key`` is NumPy's uint64 conversion of ``[seed, index]``,
-    all 64 bits of each word, and ``rekeyed`` draws exactly what fresh
-    generators draw."""
+    all 64 bits of each word."""
 
     INDICES = [0, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1000,
                2 ** 64 - 1025, 2 ** 64 - 1]
@@ -93,36 +87,6 @@ class TestStreamKeys:
         assert not np.array_equal(a.key(), b.key())
         assert not np.array_equal(a.generator().random(4),
                                   b.generator().random(4))
-
-    STREAMS = [RngStream(7, 3), RngStream(7, 2 ** 63 + 5),
-               RngStream(2 ** 63 + 12345, 1), RngStream(7, 3),
-               RngStream(DEFAULT_MC_SEED).child(_CALIBRATION_TAG, 500, 1999)]
-
-    @pytest.mark.parametrize("law", [
-        Exponential(1.3), Gamma(2.7, 0.8), ChiSquared(1), ChiSquared(3),
-        Poisson(1.0), Geometric(1.0), Uniform01(),
-        Mixture(0.4, Poisson(2.0), Geometric(2.0)),
-        Mixture(0.5, Exponential(2.0), ChiSquared(2)),
-    ], ids=lambda law: f"{law.kind}{getattr(law, 'df', '')}")
-    def test_rekeyed_draws_equal_fresh_generators(self, law):
-        # 257 doubles leave Philox's four-word buffer partly used
-        for stream, gen in zip(self.STREAMS, rekeyed(self.STREAMS)):
-            assert _philox_state(gen) == _philox_state(stream.generator())
-            np.testing.assert_array_equal(law.draw(gen, 257),
-                                          law.draw(stream.generator(), 257))
-
-    def test_rekey_drops_a_half_used_32_bit_word(self):
-        first, second = RngStream(11, 1), RngStream(11, 2)
-        streams = rekeyed([first, second])
-        gen = next(streams)
-        gen.integers(0, 10, size=3, dtype=np.uint32)
-        assert gen.bit_generator.state["has_uint32"] == 1
-        gen = next(streams)
-        fresh = second.generator()
-        np.testing.assert_array_equal(
-            gen.integers(0, 10, size=5, dtype=np.uint32),
-            fresh.integers(0, 10, size=5, dtype=np.uint32))
-        np.testing.assert_array_equal(gen.random(9), fresh.random(9))
 
 
 class TestSampling:
@@ -168,7 +132,8 @@ class TestGoldenDraws:
     """First draws of fixed streams, pinned so that sampler changes keep
     the stream contract bit for bit: calibration block b, of
     ``_BLOCK_DRAWS // n`` rows (524 at n = 500), uses child stream b, and
-    study replication r uses stream r."""
+    study block b, of as many replications, uses stream b of the master
+    seed."""
 
     N = 500
     CALIBRATION = {
@@ -185,12 +150,21 @@ class TestGoldenDraws:
         ("Mod2", 524): ["5.0", "1.0", "1.0", "0.0"],
         ("Mod2", 1999): ["1.0", "0.0", "3.0", "3.0"],
     }
-    ALT1 = {1: ["1.7188875601436278", "2.300177816729418",
-                "1.2989575898159167", "0.8754304690134285"],
-            200: ["2.0551955279527165", "0.5776399301773038",
-                  "1.6787886909766578", "0.05564174833873369"]}
-    ALT4 = {1: ["2.0", "3.0", "0.0", "1.0"],
-            200: ["4.0", "1.0", "2.0", "0.0"]}
+    # a study cell of 2000 replications at n = 500 with the default master
+    # seed: Alt1's first four values in rows 0, 1, 524 and 1999, and how
+    # often Alt4's count route gives those rows the values 0..5
+    STUDY_SEED = 20260809
+    ALT1 = {0: ["2.6735029470912717", "2.376649849182653",
+                "1.2381265106786983", "1.82650139181802"],
+            1: ["2.2013862545562755", "0.060885525157922275",
+                "5.406131024271141", "0.443833380323147"],
+            524: ["1.3991290514065209", "2.1644447503473945",
+                  "0.7400362488381037", "1.055612589994491"],
+            1999: ["0.7425850890551697", "0.5418726336709659",
+                   "0.04448239478075266", "0.9178939875576102"]}
+    ALT4 = {0: [115, 135, 100, 57, 39, 28], 1: [132, 110, 109, 67, 33, 20],
+            524: [111, 112, 108, 86, 44, 17],
+            1999: [113, 131, 105, 60, 42, 20]}
     # Mod2's count route at n = 500: how often rows 0, 1, 524 and 1999 hold
     # the values 0..5 (``sample_null_counts``)
     COUNTS = {0: [104, 138, 114, 57, 43, 22], 1: [85, 134, 116, 74, 44, 25],
@@ -198,21 +172,29 @@ class TestGoldenDraws:
               1999: [100, 114, 128, 80, 44, 17]}
 
     @classmethod
-    def _blocks(cls, rows):
-        """(row, stream, rows in its block, place in its block) of the
-        calibration at n = 500 with 2000 reps and the default seed."""
-        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, cls.N)
+    def _blocks(cls, rows, stream):
+        """(row, stream(b), rows in block b, place in block b) of 2000 rows
+        at n = 500, for the blocks b that hold ``rows``."""
         step = _BLOCK_DRAWS // cls.N
         for r in rows:
             b, i = divmod(r, step)
-            yield r, base.child(b), min(step, 2000 - b * step), i
+            yield r, stream(b), min(step, 2000 - b * step), i
+
+    @classmethod
+    def _calibration_blocks(cls, rows):
+        base = RngStream(DEFAULT_MC_SEED, 0).child(_CALIBRATION_TAG, cls.N)
+        return cls._blocks(rows, base.child)
+
+    @classmethod
+    def _study_blocks(cls, rows):
+        return cls._blocks(rows, lambda b: RngStream(cls.STUDY_SEED, b))
 
     @pytest.mark.parametrize("model", ["Mod1", "Mod2"])
     def test_calibration_rows(self, model):
         engine = TestEngine(build_scenario(model).null, self.N,
                             TestConfig(calibration="asymptotic"))
         rows = [r for name, r in self.CALIBRATION if name == model]
-        for r, stream, size, i in self._blocks(rows):
+        for r, stream, size, i in self._calibration_blocks(rows):
             samples = engine.sample_null_batch(size, stream)
             assert samples.shape == (size, self.N)
             got = [repr(float(v)) for v in samples[i, :4]]
@@ -221,7 +203,7 @@ class TestGoldenDraws:
     def test_count_rows(self):
         engine = TestEngine(build_scenario("Mod2").null, self.N,
                             TestConfig(calibration="asymptotic"))
-        for r, stream, size, i in self._blocks(self.COUNTS):
+        for r, stream, size, i in self._calibration_blocks(self.COUNTS):
             values, counts = engine.sample_null_counts(size, stream)
             assert np.array_equal(values, np.arange(counts.shape[1]))
             assert counts.sum(axis=1).tolist() == [self.N] * size
@@ -231,21 +213,29 @@ class TestGoldenDraws:
         # the pins span blocks, and some block's stream index needs all
         # 64 bits of the key
         for rows in ([r for _, r in self.CALIBRATION], self.COUNTS):
-            streams = {s.stream_index for _, s, _, _ in self._blocks(rows)}
+            streams = {s.stream_index
+                       for _, s, _, _ in self._calibration_blocks(rows)}
             assert len(streams) > 2
             assert any(idx >= 2 ** 63 for idx in streams)
 
-    @staticmethod
-    def _check_replication_rows(name, pins):
-        data = _replication_matrix(build_scenario(name), 50, 201, 20260809)
-        for r, want in pins.items():
-            assert [repr(float(v)) for v in data[r, :4]] == want
-
     def test_alt1_replication_rows(self):
-        self._check_replication_rows("Alt1", self.ALT1)
+        sc = build_scenario("Alt1")
+        for r, stream, size, i in self._study_blocks(self.ALT1):
+            data = sc.sample(stream.generator(), size * self.N)
+            got = data.reshape(size, self.N)[i, :4]
+            assert [repr(float(v)) for v in got] == self.ALT1[r]
 
     def test_alt4_replication_rows(self):
-        self._check_replication_rows("Alt4", self.ALT4)
+        # Alt4 counts its 2000 rows, drawn from its own mixture's masses
+        sc = build_scenario("Alt4")
+        masses = count_masses(sc.y, sc.z, sc.null.ref, 2000, self.N)
+        assert masses is not None
+        for r, stream, size, i in self._study_blocks(self.ALT4):
+            values, counts = sample_counts(*masses, size, self.N,
+                                           stream.generator())
+            assert np.array_equal(values, np.arange(counts.shape[1]))
+            assert counts.sum(axis=1).tolist() == [self.N] * size
+            assert counts[i, :6].tolist() == self.ALT4[r]
 
 
 # Laws as (oracle data, distribution) pairs, one per kind of Gauss rule

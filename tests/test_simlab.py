@@ -1,8 +1,12 @@
 """Scenario construction and the replication harness."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
+from deconvtest import simlab
 from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
     ChiSquared, Exponential, PointMass, RngStream, Uniform01, Uniform01Ref,
@@ -12,8 +16,11 @@ from deconvtest.simlab import (
     SCENARIO_NAMES, ScenarioSpec, build_scenario, level_power_table,
     run_replications, wilson_interval,
 )
-from deconvtest.simlab import _replication_matrix
-from deconvtest.teststat import TestConfig
+from deconvtest.teststat import (
+    _BLOCK_DRAWS, TestConfig, TestEngine, count_masses, sample_counts,
+)
+
+from .test_teststat import _ks_distance, _pearson_homogeneity
 
 
 FAST = TestConfig(mc_reps=200, mc_seed=606)
@@ -111,12 +118,54 @@ class TestRunReplications:
         b = run_replications(build_scenario("Mod2"), 50, 40, FAST, 123)
         assert a.rejections == b.rejections
 
-    def test_replication_streams_do_not_depend_on_order(self):
-        sc = build_scenario("Mod1")
-        full = _replication_matrix(sc, 30, 10, master_seed=5)
-        # rebuilding any single replication reproduces its row exactly
-        row = sc.sample(RngStream(5, 7).generator(), 30)
-        np.testing.assert_array_equal(full[6], row)
+    def test_replication_streams_do_not_depend_on_order(self, monkeypatch):
+        # block b of every cell draws from stream b of the master seed, so
+        # the rows a grid gives a cell, in either cell order, are its
+        # blocks rebuilt alone: at n = 5000, 120 replications are blocks
+        # of 52, 52 and 16 rows, and at n = 60 one block; Alt4 counts at
+        # n = 5000, and draws values at n = 60, as Mod1 does
+        reps, seed = 120, 5
+        config = TestConfig(calibration="asymptotic")  # no calibration rows
+        cell, drawn = [], {}
+        run = simlab.run_replications
+
+        def tracked(scenario, n, *args, **kwargs):
+            cell[:] = [(scenario.name, n)]
+            return run(scenario, n, *args, **kwargs)
+
+        def recorded(name):
+            method = getattr(TestEngine, name)
+
+            def wrapper(engine, *rows):
+                drawn[cell[0]].append(rows)
+                return method(engine, *rows)
+            return wrapper
+
+        monkeypatch.setattr(simlab, "run_replications", tracked)
+        for name in ("statistic_batch", "statistic_counts"):
+            monkeypatch.setattr(TestEngine, name, recorded(name))
+        grids = []
+        for names, sizes in ((["Mod1", "Alt4"], [60, 5000]),
+                             (["Alt4", "Mod1"], [5000, 60])):
+            drawn = {(s, n): [] for s in names for n in sizes}
+            level_power_table(names, sizes, reps, config, seed)
+            grids.append(drawn)
+        for (name, n), blocks in grids[0].items():
+            sc = build_scenario(name)
+            step = _BLOCK_DRAWS // n
+            masses = count_masses(sc.y, sc.z, sc.null.ref, reps, n) \
+                if name == "Alt4" else None
+            assert (masses is not None) == ((name, n) == ("Alt4", 5000))
+            assert len(blocks) == len(grids[1][(name, n)]) == math.ceil(
+                reps / step)
+            for b, lo in enumerate(range(0, reps, step)):
+                rows, gen = min(step, reps - lo), RngStream(seed, b).generator()
+                want = (sample_counts(*masses, rows, n, gen) if masses
+                        else (sc.sample(gen, rows * n).reshape(rows, n),))
+                for got in (grids[0][(name, n)][b], grids[1][(name, n)][b]):
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w)
 
     def test_out_of_support_counts_errors_not_rejections(self):
         null = NullSpec(y=Uniform01(), z=PointMass(0.0), ref=Uniform01Ref())
@@ -128,6 +177,47 @@ class TestRunReplications:
     def test_bad_reps(self):
         with pytest.raises(ValueError):
             run_replications(build_scenario("Mod1"), 50, 0, FAST, 1)
+
+    def test_continuous_law_on_count_null_draws_values(self, monkeypatch):
+        # Exponential(1) is not a count law, so the Mod2 cell draws values,
+        # none of them integers: every replication is an error
+        def refuse(*args):
+            raise AssertionError("a value scenario took the count route")
+        monkeypatch.setattr(simlab, "sample_counts", refuse)
+        odd = ScenarioSpec("Custom", build_scenario("Mod2").null,
+                           Exponential(1.0), PointMass(0.0))
+        rep = run_replications(odd, 50, 30, FAST, 7)
+        assert rep.errors == 30
+        assert rep.rejections == 0
+
+
+class TestCountedRows:
+    """A count scenario's counted rows follow its law, as its draws do."""
+
+    @pytest.mark.parametrize("name", ["Alt4", "Alt6"])
+    @pytest.mark.parametrize("n, rows", [(50, 2000), (500, 400)])
+    def test_counts_agree_in_law_with_point_draws(self, name, n, rows):
+        # one-row blocks: each row's draws past the values that one row is
+        # expected to reach go through the tail split, hundreds in all
+        sc = build_scenario(name)
+        masses = count_masses(sc.y, sc.z, sc.null.ref, 2000, n)
+        assert masses is not None
+        counts = np.zeros((rows, masses[0].size), dtype=np.int64)
+        for r in range(rows):
+            _, c = sample_counts(*masses, 1, n, RngStream(31, r).generator())
+            counts[r, :c.shape[1]] = c[0]
+        width = int(np.flatnonzero(counts.any(axis=0))[-1]) + 1
+        values, counts = masses[0][:width], counts[:, :width]
+        points = sc.sample(RngStream(32, 0).generator(), rows * n)
+        stat, df = _pearson_homogeneity(
+            counts.sum(axis=0), np.bincount(points.astype(np.intp)))
+        assert chdtrc(df, stat) > 0.01
+        # and so does T, by the two-sample Kolmogorov-Smirnov bound at
+        # level 0.001
+        engine = TestEngine(sc.null, n, TestConfig(calibration="asymptotic"))
+        counted = engine.statistic_counts(values, counts)[2]
+        drawn = engine.statistic_batch(points.reshape(rows, n))[2]
+        assert _ks_distance(counted, drawn) < 1.95 * math.sqrt(2 / rows)
 
 
 class TestLevelPowerTable:

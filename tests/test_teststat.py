@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
+from deconvtest import teststat
 from deconvtest.measures import (
     Geometric, GeometricRef, Mixture, Poisson, RngStream,
 )
@@ -801,6 +802,21 @@ class TestRouteChoice:
         engine = TestEngine(flat, 500, TestConfig())
         assert not engine.draws_counts()
         assert "_value_masses" not in vars(engine)
+
+    def test_refusal_builds_no_convolution(self, monkeypatch):
+        # geometric(30) twice on geometric(0.9): both masses run to top =
+        # 7,050, and rows of 500 or 1000 draws reach too far to count; the
+        # masses below the widest reach that pays tell so, without the
+        # 50-million-product convolution
+        null = NullSpec(y=Geometric(30.0), z=Geometric(30.0),
+                        ref=GeometricRef(0.9))
+        def refuse(*masses):
+            raise AssertionError("the refusal built the convolution")
+        with monkeypatch.context() as patch:
+            patch.setattr(teststat, "value_masses", refuse)
+            for n in (500, 1000):
+                assert not TestEngine(null, n, TestConfig()).draws_counts()
+        assert TestEngine(null, 1500, TestConfig()).draws_counts()
 
     def test_light_law_on_flat_reference_counts(self):
         # the same top, but the masses end after 178 and 1,074 values, so
