@@ -263,8 +263,9 @@ def read_data_file(path: str) -> np.ndarray:
         except ValueError:
             raise DataFileError(
                 f"{path}:{lineno}: cannot parse {line!r} as a number") from None
-    if not values:
-        raise DataFileError(f"{path}: no observations found")
+    if len(values) < 2:
+        raise DataFileError(f"{path}: {len(values)} observation(s) found, "
+                            "the test needs at least 2")
     return np.asarray(values, dtype=float)
 
 

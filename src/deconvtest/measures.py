@@ -28,11 +28,15 @@ Every law and reference measure is a frozen dataclass with a class-level
 ``kind``; its configuration document is ``{"kind": kind}`` plus its fields
 by name, numbers as floats, and ``LAWS`` and ``REFERENCES`` map each kind
 back to its class.
-Coefficients need no densities: ``engines.expectation_rule`` integrates
-every axis with a Gauss rule built from the law's parameters, one of those
-that ``orthopoly`` owns (Gauss-Laguerre, -Legendre, -Charlier and
--Meixner); the Meixner basis of the geometric reference is certified with
-the same Gauss-Meixner rule.  Count laws
+Coefficients need no densities: each law's ``rule`` is an exact Gauss rule
+from ``orthopoly`` for ``E[f(X) exp(-rate X)]`` (Golub & Welsch 1969).  A
+tilt of a gamma-type, Poisson or geometric law is a law of the same kind
+times a constant, and its rule that law's Gauss-Laguerre, -Charlier or
+-Meixner rule (Koekoek & Swarttouw, sections 1.9 and 1.12); on the unit
+interval, where the tilt is no polynomial, Gauss-Legendre takes extra
+nodes (``_taylor_nodes``).  Each reference names the (kind, shape)
+``family`` of its basis; the Meixner basis of the geometric reference is
+certified with the same Gauss-Meixner rule.  Count laws
 (Poisson, geometric, integer point masses and their mixtures) carry a
 probability mass function, ``mass``, from which count-reference
 calibrations and study cells draw value counts.
@@ -42,10 +46,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from math import ceil, floor, inf, log, sqrt
+from math import ceil, exp, expm1, floor, inf, log, sqrt
 
 import numpy as np
 from scipy.special import gammaln, pdtr, xlogy
+
+from .orthopoly import (
+    LAGUERRE, MEIXNER, SHIFTED_LEGENDRE, _charlier_rule, _gamma_weight_rule,
+    _meixner_rule, _uniform01_rule,
+)
 
 __all__ = [
     "Exponential", "Gamma", "ChiSquared", "Poisson", "Geometric",
@@ -116,7 +125,7 @@ def _document(obj) -> dict:
 # ---------------------------------------------------------------------------
 
 class Distribution:
-    """Common surface: sampling, support, document form."""
+    """Common surface: sampling, support, Gauss rule, document form."""
 
     kind = ""
     discrete = False
@@ -128,11 +137,44 @@ class Distribution:
         """P(X = x) at the integers x >= 0; count laws only."""
         raise TypeError(f"{self.kind} is not a count law")
 
+    def rule(self, nodes: int, rate: float = 0.0):
+        """Nodes x and weights w with ``sum(w * f(x)) = E[f(X) exp(-rate X)]``.
+
+        Weights absorb the density or mass and the exponential tilt, so
+        callers evaluate bare integrands; the sum is exact for polynomials f
+        of degree up to ``2 * nodes - 1``.
+        """
+        raise TypeError(f"no expectation rule for {type(self).__name__}")
+
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
     def config(self) -> dict:
         return _document(self)
+
+
+def _gamma_rule(shape: float, scale: float, nodes: int, rate: float):
+    """``rule`` of Gamma(shape, scale): the generalized Gauss-Laguerre rule
+    of the tilted law ``Gamma(shape, scale / (1 + rate * scale))``."""
+    t, w = _gamma_weight_rule(shape, nodes)
+    return (t * (scale / (1.0 + rate * scale)),
+            w * (1.0 + rate * scale) ** -shape)
+
+
+def _taylor_nodes(rate: float) -> int:
+    """Extra Gauss-Legendre nodes that make ``exp(-rate x)`` exact on [0, 1].
+
+    With ``n + e`` nodes the rule integrates ``f(x) T(x)`` exactly for the
+    degree-2e Taylor polynomial T of ``exp(-rate x)`` about 1/2.  The rest
+    is at most ``(rate/2)**(2e+1) / (2e+1)!`` on [0, 1], against a factor
+    of at least ``exp(-rate)``; counting the integral and the rule, the
+    relative error is at most twice their ratio.
+    """
+    e, remainder = 0, rate * exp(rate)
+    while remainder > 2.0 ** -53:
+        e += 1
+        remainder *= (rate / 2.0) ** 2 / ((2 * e) * (2 * e + 1))
+    return e
 
 
 @dataclass(frozen=True)
@@ -146,6 +188,9 @@ class Exponential(Distribution):
 
     def draw(self, gen, size):
         return -self.mean * np.log1p(-gen.random(size))
+
+    def rule(self, nodes, rate=0.0):
+        return _gamma_rule(1.0, self.mean, nodes, rate)
 
     def support(self):
         return (0.0, inf)
@@ -163,6 +208,9 @@ class Gamma(Distribution):
 
     def draw(self, gen, size):
         return gen.gamma(self.shape, self.scale, size)
+
+    def rule(self, nodes, rate=0.0):
+        return _gamma_rule(self.shape, self.scale, nodes, rate)
 
     def support(self):
         return (0.0, inf)
@@ -183,6 +231,9 @@ class ChiSquared(Distribution):
         if self.df == 1:
             return gen.standard_normal(size) ** 2
         return gen.gamma(self.df / 2.0, 2.0, size)
+
+    def rule(self, nodes, rate=0.0):
+        return _gamma_rule(self.df / 2.0, 2.0, nodes, rate)
 
     def support(self):
         return (0.0, inf)
@@ -220,6 +271,10 @@ class Poisson(Distribution):
     def mass(self, x):
         return np.exp(xlogy(x, self.mean) - self.mean - gammaln(x + 1.0))
 
+    def rule(self, nodes, rate=0.0):
+        x, w = _charlier_rule(self.mean * exp(-rate), nodes)
+        return x, w * exp(self.mean * expm1(-rate))
+
     def support(self):
         return (0.0, inf)
 
@@ -250,6 +305,11 @@ class Geometric(Distribution):
     def mass(self, x):
         return (1.0 - self.q) * self.q ** x
 
+    def rule(self, nodes, rate=0.0):
+        c = self.q * exp(-rate)
+        x, w = _meixner_rule(c, nodes)
+        return x, w * ((1 - self.q) / (1 - c))
+
     def support(self):
         return (0.0, inf)
 
@@ -260,6 +320,10 @@ class Uniform01(Distribution):
 
     def draw(self, gen, size):
         return gen.random(size)
+
+    def rule(self, nodes, rate=0.0):
+        x, w = _uniform01_rule(nodes + _taylor_nodes(rate))
+        return x, w * np.exp(-rate * x)
 
     def support(self):
         return (0.0, 1.0)
@@ -279,6 +343,10 @@ class PointMass(Distribution):
 
     def mass(self, x):
         return np.where(x == self.value, 1.0, 0.0)
+
+    def rule(self, nodes, rate=0.0):
+        return (np.array([float(self.value)]),
+                np.array([exp(-rate * float(self.value))]))
 
     def support(self):
         return (float(self.value), float(self.value))
@@ -314,6 +382,13 @@ class Mixture(Distribution):
         return (self.weight * self.a.mass(x)
                 + (1.0 - self.weight) * self.b.mass(x))
 
+    def rule(self, nodes, rate=0.0):
+        # recurse so atoms and disjoint supports inside mixtures stay exact
+        xa, wa = self.a.rule(nodes, rate)
+        xb, wb = self.b.rule(nodes, rate)
+        return (np.concatenate([xa, xb]),
+                np.concatenate([self.weight * wa, (1 - self.weight) * wb]))
+
     def support(self):
         lo_a, hi_a = self.a.support()
         lo_b, hi_b = self.b.support()
@@ -333,9 +408,11 @@ class ReferenceMeasure:
 
     On its support every reference density is ``m(0) * exp(-rate * x)``;
     the coefficient engines fold that exponential into their rules.
+    ``family`` is the (kind, shape) of its ``orthopoly`` basis.
     """
 
     kind = ""
+    family: tuple[str, float]
     discrete = False
     rate = 0.0
 
@@ -355,6 +432,7 @@ class ReferenceMeasure:
 @dataclass(frozen=True)
 class Exponential1Ref(ReferenceMeasure):
     kind = "exponential1"
+    family = (LAGUERRE, 1.0)
     rate = 1.0
 
     def density(self, x):
@@ -372,6 +450,7 @@ class Exponential1Ref(ReferenceMeasure):
 @dataclass(frozen=True)
 class Uniform01Ref(ReferenceMeasure):
     kind = "uniform01"
+    family = (SHIFTED_LEGENDRE, 1.0)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -394,6 +473,10 @@ class GeometricRef(ReferenceMeasure):
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError("geometric reference parameter must lie in (0, 1)")
+
+    @property
+    def family(self) -> tuple[str, float]:  # type: ignore[override]
+        return (MEIXNER, self.p)
 
     @property
     def rate(self) -> float:  # type: ignore[override]

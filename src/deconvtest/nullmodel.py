@@ -10,8 +10,8 @@ Every reference density is ``m(0) * exp(-rate * x)`` on its support, so
 ``alpha_j`` is ``m(0)`` times a polynomial moment under the law tilted by
 ``exp(-rate x)``, and the second moment is ``m(0)**2`` times a polynomial
 moment of degree at most 2k under the law tilted by ``exp(-2 rate x)``.
-Both deterministic paths take these from ``engines.expectation_rule``,
-which maps each axis's law and tilt to one of the Gauss rules that
+Both deterministic paths take these from each axis's Gauss rule, the
+law's ``rule`` (called as ``engines.expectation_rule``), one of those that
 ``orthopoly`` owns, with k + 1 nodes, exact, in one pass.  Three
 computation paths exist:
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import orthopoly
 from .engines import expectation_rule
-from .measures import Distribution, GeometricRef, ReferenceMeasure, RngStream
+from .measures import Distribution, ReferenceMeasure, RngStream
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
     addition_split_meixner, certify_orthonormality, laguerre_table,
@@ -53,12 +53,6 @@ CONDITION_CAP = 1e12  # largest condition number of a usable covariance block
 DEFAULT_MC_DRAWS = 1_000_000
 DEFAULT_MC_STREAM = RngStream(861221509, 0)
 
-_REF_FAMILY = {
-    "exponential1": orthopoly.LAGUERRE,
-    "uniform01": orthopoly.SHIFTED_LEGENDRE,
-    "geometric": orthopoly.MEIXNER,
-}
-
 
 class NullSpecError(ValueError):
     """Inconsistent pairing of component laws, reference, and basis."""
@@ -72,10 +66,8 @@ def plain_dict(obj) -> dict:
 
 def default_basis_for(ref: ReferenceMeasure, max_degree: int = 16) -> BasisTable:
     """Certified basis matching a reference measure."""
-    kind = _REF_FAMILY[ref.kind]
-    shape = ref.p if isinstance(ref, GeometricRef) else 1.0
     return certify_orthonormality(
-        PolynomialFamilySpec(kind=kind, shape=shape, max_degree=max_degree))
+        PolynomialFamilySpec(*ref.family, max_degree=max_degree))
 
 
 def value_masses(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,18 +104,16 @@ class NullSpec:
         if self.basis is None:
             object.__setattr__(self, "basis", default_basis_for(self.ref))
         fam = self.basis.family
-        want = _REF_FAMILY[self.ref.kind]
-        if fam.kind != want:
+        kind, shape = self.ref.family
+        if fam.kind != kind:
             raise NullSpecError(
                 f"basis family {fam.kind!r} does not match reference "
-                f"{self.ref.kind!r} (expected {want!r})")
-        if fam.kind == orthopoly.MEIXNER and fam.shape != self.ref.p:
+                f"{self.ref.kind!r} (expected {kind!r})")
+        # the shifted Legendre family has no parameter
+        if kind != orthopoly.SHIFTED_LEGENDRE and fam.shape != shape:
             raise NullSpecError(
-                f"Meixner parameter {fam.shape} differs from reference "
-                f"parameter {self.ref.p}")
-        if fam.kind == orthopoly.LAGUERRE and fam.shape != 1.0:
-            raise NullSpecError(
-                "the exponential reference pairs with shape-1 Laguerre")
+                f"{kind} parameter {fam.shape} differs from reference "
+                f"parameter {shape}")
         lo_y, hi_y = self.y.support()
         lo_z, hi_z = self.z.support()
         lo_r, hi_r = self.ref.support()
@@ -160,13 +150,6 @@ class NullSpec:
         v = self.basis.eval_normalized(x, k)[1:]
         v *= m
         return v
-
-    def value_masses(self, top: int) -> tuple[np.ndarray, np.ndarray]:
-        """``value_masses`` of independent count laws Y, Z on 0 .. top - 1."""
-        if not self.independent:
-            raise NullSpecError("a joint sampler gives no value masses")
-        x = np.arange(top, dtype=float)
-        return value_masses(self.y.mass(x), self.z.mass(x))
 
     def config(self) -> dict:
         return {

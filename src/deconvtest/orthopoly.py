@@ -9,8 +9,9 @@ measure used as the reference weight of the fit test:
 
 This module owns every Gauss rule of the package: Gauss-Laguerre,
 Gauss-Legendre on [0, 1], and the Gauss-Charlier and Gauss-Meixner rules
-built from their Jacobi matrices (Golub & Welsch 1969).  The coefficient
-engines take them through ``engines.expectation_rule``.  Norms are always
+built from their Jacobi matrices (Golub & Welsch 1969).  Each law in
+``measures`` gives its Gauss rule, one of these, through its ``rule``
+method; this module imports nothing from the package.  Norms are always
 established numerically at table construction, with the Gauss-Laguerre,
 Gauss-Legendre and Gauss-Meixner rules, and the resulting orthonormal
 system is certified against its Gram matrix; printed closed-form norm

@@ -150,8 +150,7 @@ def run_replications(scenario: ScenarioSpec, n: int, reps: int,
     if engine is None:
         engine = TestEngine(scenario.null, n, config)
     ref, y, z = scenario.null.ref, scenario.y, scenario.z
-    masses = (count_masses(y, z, ref, reps, n)
-              if ref.discrete and y.discrete and z.discrete else None)
+    masses = count_masses(y, z, ref, reps, n)
     # T of every replication, allocated first; rows out of support stay NaN
     step, t_stat = max(1, _BLOCK_DRAWS // n), np.full(reps, np.nan)
     for b, lo in enumerate(range(0, reps, step)):

@@ -237,14 +237,17 @@ def _reach(p: np.ndarray, draws: int) -> int:
 def count_masses(y, z, ref, rows: int, n: int):
     """``value_masses`` of count laws Y and Z where counting pays, else None.
 
-    The masses are on 0 .. top - 1, top being ``_zero_from(ref)``.  Costs
-    are in drawn values (with their share of the statistic): rows * n to
-    draw the values; to count, one per mass, one per
-    ``_PRODUCTS_PER_VALUE`` products of their convolution (top**2 where
-    that fits, else the cut lengths' product), and ``_BINOMIAL_VALUES`` per
-    row and value up to the last, v with ``n * P(X >= v) >= 1``
-    (``_reach``).  Light laws count (Mod2 from n = 50 on at 2000 rows).
+    Only count laws on a count reference count.  The masses are on 0 ..
+    top - 1, top being ``_zero_from(ref)``.  Costs are in drawn values
+    (with their share of the statistic): rows * n to draw the values; to
+    count, one per mass, one per ``_PRODUCTS_PER_VALUE`` products of their
+    convolution (top**2 where that fits, else the cut lengths' product),
+    and ``_BINOMIAL_VALUES`` per row and value up to the last, v with ``n *
+    P(X >= v) >= 1`` (``_reach``).  Light laws count (Mod2 from n = 50 on
+    at 2000 rows).
     """
+    if not (ref.discrete and y.discrete and z.discrete):
+        return None
     top = int(_zero_from(ref))
     budget = rows * n - 2 * top
     if budget <= 0:
@@ -445,18 +448,13 @@ class TestEngine:
 
     @cached_property
     def _count_route(self) -> tuple[np.ndarray, np.ndarray] | None:
-        y, z, ref = self.null.y, self.null.z, self.null.ref
-        if ref.discrete and self.null.independent:
-            return count_masses(y, z, ref, self.config.mc_reps, self.n)
-
-    @cached_property
-    def _value_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._count_route or self.null.value_masses(
-            int(_zero_from(self.null.ref)))
+        if self.null.independent:
+            return count_masses(self.null.y, self.null.z, self.null.ref,
+                                self.config.mc_reps, self.n)
 
     def sample_null_counts(self, rows: int, stream: RngStream):
-        """``sample_counts`` of rows null rows from ``stream.generator()``."""
-        return sample_counts(*self._value_masses, rows, self.n,
+        """``sample_counts`` of rows null rows on the count route."""
+        return sample_counts(*self._count_route, rows, self.n,
                              stream.generator())
 
     def draws_counts(self) -> bool:

@@ -7,6 +7,7 @@ file is only read, never imported.
 
 import inspect
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -91,3 +92,30 @@ def test_study_value_cells_sample_once_per_block(monkeypatch):
         run_replications(build_scenario(name), 500, 2000,
                          TestConfig(calibration="asymptotic"), 9)
     assert calls == {"Mod1": 4, "Alt1": 4}
+
+
+def test_coefficients_take_rules_through_the_spanned_name(monkeypatch,
+                                                          mod1_null):
+    # perfbench spans the Gauss rules by rebinding engines.expectation_rule
+    # wherever a package module binds it; a caller that goes around that
+    # name would leave engines.rule_* at zero instead of failing
+    from deconvtest import engines
+    from deconvtest.nullmodel import compute_coefficients
+
+    current, calls = engines.expectation_rule, []
+
+    def spanned(*args, **kwargs):
+        calls.append(args[0])
+        return current(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "deconvtest"
+                                   or name.startswith("deconvtest.")):
+            for attr, value in list(vars(module).items()):
+                if value is current:
+                    monkeypatch.setattr(module, attr, spanned)
+    # two axes, each at two tilts
+    for method in ("closed_form", "quadrature"):
+        calls.clear()
+        compute_coefficients(mod1_null, 8, method)
+        assert Counter(law.kind for law in calls) == {
+            "exponential": 2, "chi_squared": 2}, method

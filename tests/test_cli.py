@@ -115,6 +115,16 @@ class TestCmdTest:
         assert run_cli(["test", f]) == EXIT_DATA
         assert ":3:" in capsys.readouterr().err
 
+    def test_fewer_than_two_observations_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "one.txt"
+        for text, found in (("1.0\n", "1 observation"),
+                            ("# no data\n\n", "0 observation")):
+            f.write_text(text)
+            assert run_cli(["test", f, "--calibration", "asymptotic"]) \
+                == EXIT_DATA
+            err = capsys.readouterr().err
+            assert str(f) in err and found in err
+
     def test_negative_data_is_domain_error(self, tmp_path, capsys):
         f = tmp_path / "neg.txt"
         f.write_text("1.0\n-2.0\n")

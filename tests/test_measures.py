@@ -13,8 +13,9 @@ import pytest
 import deconvtest
 from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
-    ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
-    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
+    LAWS, ChiSquared, Distribution, Exponential, Exponential1Ref, Gamma,
+    Geometric, GeometricRef, Mixture, PointMass, Poisson, RngStream, Uniform01,
+    Uniform01Ref,
 )
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
@@ -305,6 +306,21 @@ class TestPdfOrPmf:
         got = np.array([w @ x ** j for j in range(2 * nodes)])
         np.testing.assert_allclose(
             got, _tilted_moments(law[0], rate, 2 * nodes - 1), rtol=1e-12)
+
+    def test_every_law_owns_its_rule(self):
+        # a law left on the base rule would fail only when a null first
+        # integrates it
+        assert [kind for kind, cls in LAWS.items()
+                if cls.rule is Distribution.rule] == []
+
+    def test_law_without_rule_raises(self):
+        class Bare(Distribution):
+            kind = "bare"
+
+        with pytest.raises(TypeError, match="no expectation rule for Bare"):
+            Bare().rule(3)
+        with pytest.raises(TypeError, match="no expectation rule for Bare"):
+            expectation_rule(Bare(), 3, 1.0)
 
 
 class TestCountMasses:

@@ -13,10 +13,14 @@ from deconvtest.measures import (
 )
 from deconvtest.nullmodel import (
     CONDITION_CAP, EigenDiagnostics, NullCoefficients, NullSpec,
-    NullSpecError, compute_coefficients, eigen_floor_diagnostics,
+    NullSpecError, compute_coefficients, eigen_floor_diagnostics, value_masses,
 )
-from deconvtest.orthopoly import HARD_DEGREE_CAP
-from deconvtest.teststat import TestConfig, default_kmax, run_test, t_sequence
+from deconvtest.orthopoly import (
+    HARD_DEGREE_CAP, PolynomialFamilySpec, certify_orthonormality,
+)
+from deconvtest.teststat import (
+    TestConfig, TestEngine, count_masses, default_kmax, run_test, t_sequence,
+)
 
 from .oracles import (
     _count_masses, count_null_coefficients, gamma_tilted_coefficients,
@@ -312,6 +316,19 @@ class TestValidation:
             NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.7),
                      basis=meixner_table)
 
+    def test_one_shape_check_for_every_family(self):
+        # the Laguerre shape must be the exponential reference's 1, and the
+        # shifted Legendre family has no shape to check
+        laguerre2 = certify_orthonormality(
+            PolynomialFamilySpec("laguerre", 2.0, max_degree=8))
+        with pytest.raises(NullSpecError, match="differs"):
+            NullSpec(y=Exponential(1.0), z=ChiSquared(1),
+                     ref=Exponential1Ref(), basis=laguerre2)
+        legendre = certify_orthonormality(
+            PolynomialFamilySpec("shifted_legendre", 3.0, max_degree=8))
+        NullSpec(y=Uniform01(), z=PointMass(0.0), ref=Uniform01Ref(),
+                 basis=legendre)
+
     def test_support_containment(self):
         with pytest.raises(NullSpecError, match="support"):
             NullSpec(y=Uniform01(), z=Uniform01(), ref=Uniform01Ref())
@@ -373,6 +390,12 @@ class TestDependentPath:
         assert np.max(np.abs(coeffs.alphas - mod1_coeffs8.alphas[:4])) < 5e-3
 
 
+def _masses(y, z, top):
+    """``value_masses`` of independent count laws y and z on 0 .. top - 1."""
+    x = np.arange(top, dtype=float)
+    return value_masses(y.mass(x), z.mass(x))
+
+
 class TestValueMasses:
     @pytest.mark.parametrize("y, z, p", [
         (("poisson", 1.0), ("geometric", 1.0), 0.5),
@@ -393,8 +416,8 @@ class TestValueMasses:
         top = 300
         x = np.arange(top, dtype=float)
         want = np.convolve(_count_masses(y, x), _count_masses(z, x))[:top]
-        values, got = NullSpec(y=build(y), z=build(z),
-                               ref=GeometricRef(p)).value_masses(top)
+        null = NullSpec(y=build(y), z=build(z), ref=GeometricRef(p))
+        values, got = _masses(null.y, null.z, top)
         assert np.array_equal(values, np.arange(top + 1))
         np.testing.assert_allclose(got[:top], want, rtol=1e-12, atol=1e-300)
         # every law here leaves less than 1e-100 from 300 on
@@ -403,9 +426,7 @@ class TestValueMasses:
     def test_wide_reference_stops_at_the_laws_reach(self):
         # m of GeometricRef(0.999) underflows only from 737,858 on, while
         # the masses of Poisson(1) and geometric(1) end before 180 and 1075
-        null = NullSpec(y=Poisson(1.0), z=Geometric(1.0),
-                        ref=GeometricRef(0.999))
-        values, got = null.value_masses(737_858)
+        values, got = _masses(Poisson(1.0), Geometric(1.0), 737_858)
         w = got.size - 1
         assert w < 1300
         # the last value is top, which takes the rest of the mass
@@ -417,11 +438,10 @@ class TestValueMasses:
         assert 0.0 <= got[w] < 1e-14
 
     def test_tail_bucket_takes_the_rest(self):
-        null = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5))
         x = np.arange(4.0)
         want = np.convolve(_count_masses(("poisson", 1.0), x),
                            _count_masses(("geometric", 1.0), x))[:4]
-        values, got = null.value_masses(4)
+        values, got = _masses(Poisson(1.0), Geometric(1.0), 4)
         assert values.tolist() == [0, 1, 2, 3, 4]
         assert got[4] == pytest.approx(1.0 - want.sum(), rel=1e-12)
         assert got.sum() == pytest.approx(1.0, abs=1e-15)
@@ -429,10 +449,9 @@ class TestValueMasses:
     def test_mass_beyond_top_lands_at_top(self):
         # the far component's mass, and an integer point mass past top,
         # underflow on 0 .. top - 1; their share is the last value's, top
-        far = NullSpec(y=Mixture(0.5, Poisson(1.0), Poisson(1e6)),
-                       z=Mixture(0.25, Geometric(1.0), PointMass(5000.0)),
-                       ref=GeometricRef(0.5))
-        values, got = far.value_masses(1075)
+        values, got = _masses(Mixture(0.5, Poisson(1.0), Poisson(1e6)),
+                              Mixture(0.25, Geometric(1.0), PointMass(5000.0)),
+                              1075)
         assert values[-1] == 1075 and values.size == 1076
         x = np.arange(1075.0)
         want = np.convolve(0.5 * _count_masses(("poisson", 1.0), x),
@@ -441,9 +460,12 @@ class TestValueMasses:
         assert got[-1] == pytest.approx(1.0 - 0.5 * 0.25, rel=1e-12)
 
     def test_dependent_null_has_no_value_masses(self):
-        null = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5),
-                        joint_sampler=lambda gen, n: (
-                            Poisson(1.0).draw(gen, n),
-                            Geometric(1.0).draw(gen, n)))
-        with pytest.raises(NullSpecError, match="joint sampler"):
-            null.value_masses(10)
+        # a joint sampler may couple Y and Z, so the engine never counts
+        # its rows, though the same laws drawn apart count at this size
+        y, z, ref = Poisson(1.0), Geometric(1.0), GeometricRef(0.5)
+        null = NullSpec(y=y, z=z, ref=ref, joint_sampler=lambda gen, n: (
+            y.draw(gen, n), z.draw(gen, n)))
+        config = TestConfig(calibration="asymptotic")
+        assert count_masses(y, z, ref, config.mc_reps, 500) is not None
+        coeffs = compute_coefficients(NullSpec(y=y, z=z, ref=ref), 8)
+        assert not TestEngine(null, 500, config, coeffs=coeffs).draws_counts()

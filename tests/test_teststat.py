@@ -13,12 +13,12 @@ from deconvtest import teststat
 from deconvtest.measures import (
     Geometric, GeometricRef, Mixture, Poisson, RngStream,
 )
-from deconvtest.nullmodel import NullCoefficients, NullSpec
+from deconvtest.nullmodel import NullCoefficients, NullSpec, value_masses
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
     _BLOCK_DRAWS, _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError,
     TestConfig, TestEngine, _reach, _zero_from, chi2_quantile, compute_bhat,
-    default_kmax, run_test, select_order, t_sequence,
+    default_kmax, run_test, sample_counts, select_order, t_sequence,
 )
 
 from .oracles import (
@@ -601,6 +601,13 @@ def _law_masses(law, top):
     return np.append(masses, max(0.0, 1.0 - masses.sum()))
 
 
+def _null_masses(null):
+    """``value_masses`` of the null's laws on 0 .. top - 1, top being
+    ``_zero_from(null.ref)``: the masses that count blocks draw from."""
+    x = np.arange(_zero_from(null.ref))
+    return value_masses(null.y.mass(x), null.z.mass(x))
+
+
 def _pearson_homogeneity(a, b):
     """Pearson's statistic and degrees of freedom for two samples' value
     frequencies; the tail from the last value with at least 20 pooled
@@ -645,7 +652,7 @@ class TestCountRoute:
     def test_count_rows_match_their_values(self, batch_engines, law, n, reps,
                                            seed, far, trim):
         engine = batch_engines[("Mod2", n)]
-        values = engine._value_masses[0]
+        values = _null_masses(engine.null)[0]
         p = _law_masses(law, int(values[-1]))
         rng = np.random.default_rng(seed)
         counts = rng.multinomial(n, p, size=reps)
@@ -672,10 +679,9 @@ class TestCountRoute:
         # a block is one multinomial over the cells its draws are expected
         # to reach and one tail cell, then one multinomial that splits the
         # tail counts of the rows that have them
-        engine = batch_engines[("Mod2", 20)]
-        values, p = engine._value_masses
+        values, p = _null_masses(batch_engines[("Mod2", 20)].null)
         rows, stream = 300, RngStream(99, 0)
-        got, counts = engine.sample_null_counts(rows, stream)
+        got, counts = sample_counts(values, p, rows, 20, stream.generator())
         w = np.count_nonzero(np.cumsum(p[::-1])[::-1] * rows * 20 >= 1)
         gen = stream.generator()
         head = gen.multinomial(20, np.append(p[:w], p[w:].sum()), size=rows)
@@ -698,12 +704,12 @@ class TestCountRoute:
         # the w cells such a block is expected to reach, so 3000 blocks
         # split hundreds of tail counts; given X >= w, their values must
         # follow the oracle's masses
-        engine = batch_engines[("Mod2", 20)]
-        values, p = engine._value_masses
+        values, p = _null_masses(batch_engines[("Mod2", 20)].null)
         w = _reach(p, 20)
         tails = np.zeros(values.size)
         for b in range(3000):
-            got, counts = engine.sample_null_counts(1, RngStream(64, b))
+            got, counts = sample_counts(values, p, 1, 20,
+                                        RngStream(64, b).generator())
             tails[w:got.size] += counts[0, w:]
         assert tails.sum() > 500
         oracle = _law_masses("Mod2", int(values[-1]))
@@ -738,12 +744,12 @@ class TestCountRoute:
         null = NullSpec(y=Mixture(0.5, Poisson(1.0), Poisson(1e6)),
                         z=Poisson(1.0), ref=GeometricRef(0.99))
         engine = TestEngine(null, 50, TestConfig(calibration="asymptotic"))
-        values, p = engine._value_masses
+        values, p = _null_masses(null)
         assert values[-1] == _zero_from(null.ref) and values.size < 360
         assert np.array_equal(values[:-1], np.arange(values.size - 1))
         assert p[-1] == pytest.approx(0.5, abs=1e-12)
         counted = engine.statistic_counts(
-            *engine.sample_null_counts(300, RngStream(3, 0)))[2]
+            *sample_counts(values, p, 300, 50, RngStream(3, 0).generator()))[2]
         drawn = engine.statistic_batch(
             engine.sample_null_batch(300, RngStream(4, 0)))[2]
         # two-sample Kolmogorov-Smirnov bound at level 0.001
@@ -794,14 +800,15 @@ class TestRouteChoice:
         assert not TestEngine(heavy, 500, TestConfig()).draws_counts()
         assert TestEngine(heavy, 5000, TestConfig()).draws_counts()
 
-    def test_flat_reference_builds_no_masses(self):
+    def test_flat_reference_builds_no_masses(self, monkeypatch):
         # top = 73,683, and both masses run that far: convolving them would
         # cost more than drawing 2000 x 500 values, so they are never built
         flat = NullSpec(y=Geometric(100.0), z=Geometric(100.0),
                         ref=GeometricRef(0.99))
-        engine = TestEngine(flat, 500, TestConfig())
-        assert not engine.draws_counts()
-        assert "_value_masses" not in vars(engine)
+        def refuse(*masses):
+            raise AssertionError("the refusal built the convolution")
+        monkeypatch.setattr(teststat, "value_masses", refuse)
+        assert not TestEngine(flat, 500, TestConfig()).draws_counts()
 
     def test_refusal_builds_no_convolution(self, monkeypatch):
         # geometric(30) twice on geometric(0.9): both masses run to top =
