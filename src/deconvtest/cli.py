@@ -165,8 +165,8 @@ def build_null(doc: dict) -> NullSpec:
     dependence = doc.get("dependence", "independent")
     if dependence != "independent":
         raise ConfigError(
-            "configuration files support dependence 'independent' only; "
-            "dependent nulls require a joint sampler through the library API")
+            f"null.dependence must be 'independent', got {dependence!r}: the "
+            "noise Z is independent of the signal Y")
     try:
         null = NullSpec(
             y=build_distribution(doc.get("y", {"kind": "exponential", "mean": 1.0}),
@@ -341,7 +341,7 @@ def _load_coeffs_cache(path: str, null: NullSpec) -> NullCoefficients:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"coefficient cache {path} is not valid JSON: "
                           f"{exc}") from None
-    if doc.get("schema") != COEFFS_SCHEMA:
+    if _object(doc, path).get("schema") != COEFFS_SCHEMA:
         raise ConfigError(f"{path} is not a coefficient document")
     expected = config_hash(null.config())
     if doc.get("config_hash") != expected:
@@ -349,7 +349,17 @@ def _load_coeffs_cache(path: str, null: NullSpec) -> NullCoefficients:
             f"coefficient cache {path} is stale: its null configuration hash "
             f"{doc.get('config_hash')!r} does not match {expected!r};"
             " recompute with 'deconvtest coeffs'")
-    return NullCoefficients.from_dict(doc)
+    notes = doc.get("notes", [])
+    if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
+        raise ConfigError(f"coefficient cache {path}: notes must be a list "
+                          f"of strings, got {notes!r}")
+    try:
+        return NullCoefficients.from_dict(doc)
+    except np.linalg.LinAlgError:
+        raise  # a sigma that is not positive semidefinite is numerical
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed coefficient cache {path}: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 def cmd_coeffs(args) -> int:

@@ -12,7 +12,7 @@ Every reference density is ``m(0) * exp(-rate * x)`` on its support, so
 moment of degree at most 2k under the law tilted by ``exp(-2 rate x)``.
 Both deterministic paths take these from each axis's Gauss rule, the
 law's ``rule`` (called as ``engines.expectation_rule``), one of those that
-``orthopoly`` owns, with k + 1 nodes, exact, in one pass.  Three
+``orthopoly`` owns, with k + 1 nodes, exact, in one pass.  Two
 computation paths exist:
 
 * ``closed_form`` (independent components, Laguerre and Meixner): the
@@ -21,9 +21,7 @@ computation paths exist:
   one-dimensional expectations over Y and Z separately;
   shifted Legendre has no such split, so a ``closed_form`` request there is
   served by the tensor rule and recorded as ``quadrature``,
-* ``quadrature``: the tensor rule over (Y, Z) of the bivariate integrand,
-* ``monte_carlo``: sample moments over a joint sampler; the only path
-  available when Y and Z are dependent.
+* ``quadrature``: the tensor rule over (Y, Z) of the bivariate integrand.
 """
 
 from __future__ import annotations
@@ -31,13 +29,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import partial
 from math import inf, sqrt
-from typing import Callable
 
 import numpy as np
 
 from . import orthopoly
 from .engines import expectation_rule
-from .measures import Distribution, ReferenceMeasure, RngStream
+from .measures import Distribution, ReferenceMeasure
 from .orthopoly import (
     BasisTable, PolynomialFamilySpec, addition_split_laguerre,
     addition_split_meixner, certify_orthonormality, laguerre_table,
@@ -46,12 +43,9 @@ from .orthopoly import (
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
-MONTE_CARLO = "monte_carlo"
 
 PSD_SLACK = 1e-10
 CONDITION_CAP = 1e12  # largest condition number of a usable covariance block
-DEFAULT_MC_DRAWS = 1_000_000
-DEFAULT_MC_STREAM = RngStream(861221509, 0)
 
 
 class NullSpecError(ValueError):
@@ -88,17 +82,15 @@ def value_masses(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class NullSpec:
-    """The convolution null: component laws, reference measure, basis.
-
-    ``joint_sampler(gen, n) -> (y, z)`` switches on the dependent case, in
-    which the deterministic coefficient paths are unavailable.
-    """
+    """The convolution null: independent component laws, reference, basis."""
 
     y: Distribution
     z: Distribution
     ref: ReferenceMeasure
     basis: BasisTable = None
-    joint_sampler: Callable | None = None
+    # Y and Z are independent; perfbench/spans.py labels its coefficient
+    # span by this until that label comes from ``NullCoefficients.method``
+    independent = True
 
     def __post_init__(self):
         if self.basis is None:
@@ -125,18 +117,9 @@ class NullSpec:
             raise NullSpecError(
                 "a discrete reference requires integer-supported components")
 
-    @property
-    def independent(self) -> bool:
-        return self.joint_sampler is None
-
-    def sample_pair(self, gen: np.random.Generator, n: int):
-        if self.joint_sampler is not None:
-            return self.joint_sampler(gen, n)
-        return self.y.draw(gen, n), self.z.draw(gen, n)
-
     def sample_x(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        y, z = self.sample_pair(gen, n)
-        return np.asarray(y, dtype=float) + np.asarray(z, dtype=float)
+        return (np.asarray(self.y.draw(gen, n), dtype=float)
+                + np.asarray(self.z.draw(gen, n), dtype=float))
 
     def basis_terms(self, x: np.ndarray, k: int) -> np.ndarray:
         """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows.
@@ -156,7 +139,7 @@ class NullSpec:
             "y": self.y.config(),
             "z": self.z.config(),
             "reference": self.ref.config(),
-            "dependence": "independent" if self.independent else "joint_sampler",
+            "dependence": "independent",
             "basis": {"kind": self.basis.family.kind,
                       "shape": self.basis.family.shape},
         }
@@ -269,57 +252,30 @@ def _quadrature(null: NullSpec, k: int):
     return alphas, m2 - np.outer(alphas, alphas)
 
 
-def _monte_carlo_coefficients(null: NullSpec, k: int, draws: int,
-                              stream: RngStream):
-    gen = stream.generator()
-    v = null.basis_terms(null.sample_x(gen, draws), k)
-    alphas = v.mean(axis=1)
-    sigma = np.cov(v, ddof=1)
-    return alphas, np.atleast_2d(sigma)
-
-
-def compute_coefficients(null: NullSpec, k: int, method: str | None = None,
-                         mc_draws: int = DEFAULT_MC_DRAWS,
-                         mc_stream: RngStream = DEFAULT_MC_STREAM,
-                         ) -> NullCoefficients:
+def compute_coefficients(null: NullSpec, k: int,
+                         method: str = CLOSED_FORM) -> NullCoefficients:
     """Compute alpha_1..alpha_k and sigma under the null.
 
-    ``method`` is one of ``closed_form``, ``quadrature``, ``monte_carlo``;
-    by default the closed form is used for independent pairs and Monte
-    Carlo for dependent ones.  On the shifted-Legendre basis the closed
-    form is the tensor rule, and the result records ``quadrature``.
+    ``method`` is ``closed_form`` (the default) or ``quadrature``.  On the
+    shifted-Legendre basis the closed form is the tensor rule, and the
+    result records ``quadrature``.
     """
     if k < 1:
         raise ValueError("order k must be at least 1")
     if k > null.basis.family.max_degree:
         raise ValueError(
             f"order {k} exceeds the basis degree {null.basis.family.max_degree}")
-    if method is None:
-        method = CLOSED_FORM if null.independent else MONTE_CARLO
-    if method not in (CLOSED_FORM, QUADRATURE, MONTE_CARLO):
+    if method not in (CLOSED_FORM, QUADRATURE):
         raise ValueError(f"unknown coefficient method {method!r}")
-    if not null.independent and method != MONTE_CARLO:
-        raise NullSpecError(
-            "dependent component pairs only support the monte_carlo method")
     if method == CLOSED_FORM and null.basis.family.kind == orthopoly.SHIFTED_LEGENDRE:
         method = QUADRATURE
-    notes: tuple[str, ...] = ()
-    if method == MONTE_CARLO:
-        full_a, full_s = _monte_carlo_coefficients(null, k, mc_draws, mc_stream)
-        notes = (f"monte-carlo draws={mc_draws} "
-                 f"stream=({mc_stream.master_seed},{mc_stream.stream_index})",)
-        alphas, sigma = full_a, full_s
-    else:
-        full_a, full_s = (_closed_form(null, k) if method == CLOSED_FORM
-                          else _quadrature(null, k))
-        # deterministic paths carry the degree-0 row; drop it
-        alphas, sigma = full_a[1:], full_s[1:, 1:]
-    note = _alpha_growth_note(np.asarray(alphas[:k]))
-    if note:
-        notes = notes + (note,)
-    return NullCoefficients(k=k, alphas=np.asarray(alphas[:k]),
-                            sigma=np.asarray(sigma[:k, :k]),
-                            method=method, notes=notes)
+    full_a, full_s = (_closed_form(null, k) if method == CLOSED_FORM
+                      else _quadrature(null, k))
+    # both paths carry the degree-0 row; drop it
+    alphas, sigma = full_a[1:], full_s[1:, 1:]
+    note = _alpha_growth_note(alphas)
+    return NullCoefficients(k=k, alphas=alphas, sigma=sigma, method=method,
+                            notes=(note,) if note else ())
 
 
 def _alpha_growth_note(alphas: np.ndarray) -> str | None:

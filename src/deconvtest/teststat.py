@@ -24,7 +24,7 @@ block may draw its rows' counts directly (``sample_counts``), at a cost
 that does not grow with n, where that costs less than drawing the values
 (``count_masses``, which study cells share): light laws count, while heavy
 laws and small n draw every observation in one vectorized call per block,
-as continuous references and dependent (``joint_sampler``) nulls do.
+as continuous references do.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ class TestEngine:
     Preparing an engine is the expensive step; evaluating the statistic on
     a batch of samples is a few vectorized passes, which keeps Monte Carlo
     calibration and power studies fast.  The coefficients take the
-    null's default method unless ``coeffs`` are given.  Both order policies
+    closed form unless ``coeffs`` are given.  Both order policies
     are capped at ``usable_k_max``, beyond which a block falls below the
     condition floor; a fixed order that is cut leaves a note in ``notes``.
     """
@@ -448,9 +448,8 @@ class TestEngine:
 
     @cached_property
     def _count_route(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.null.independent:
-            return count_masses(self.null.y, self.null.z, self.null.ref,
-                                self.config.mc_reps, self.n)
+        return count_masses(self.null.y, self.null.z, self.null.ref,
+                            self.config.mc_reps, self.n)
 
     def sample_null_counts(self, rows: int, stream: RngStream):
         """``sample_counts`` of rows null rows on the count route."""

@@ -51,6 +51,13 @@ def test_coefficient_method_is_third_positional():
     assert params[:3] == ["null", "k", "method"]
 
 
+def test_nulls_say_they_are_independent(mod1_null):
+    # perfbench labels a coefficient span whose method is omitted by
+    # ``null.independent``; while it does, a library null must carry it
+    if "null.independent" in SPANS.read_text():
+        assert mod1_null.independent is True
+
+
 def test_calibration_draws_through_the_spanned_methods(monkeypatch):
     # perfbench times calibration sampling through these two methods, so
     # each block of either route must be drawn by a call to one of them

@@ -194,6 +194,23 @@ class TestCmdCoeffs:
         assert code == EXIT_USAGE
         assert "stale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        lambda doc: {key: v for key, v in doc.items() if key != "k"},
+        lambda doc: {key: v for key, v in doc.items() if key != "method"},
+        lambda doc: {**doc, "k": None},
+        lambda doc: {**doc, "notes": "abc"},
+    ], ids=["array", "no-k", "no-method", "null-k", "string-notes"])
+    def test_malformed_cache_exits_2(self, tmp_path, capsys, edit):
+        coef = tmp_path / "c.json"
+        assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
+        coef.write_text(json.dumps(edit(json.loads(coef.read_text()))))
+        capsys.readouterr()
+        code = run_cli(["test", FIXTURE, "--coeffs-cache", coef,
+                        "--calibration", "asymptotic"])
+        assert code == EXIT_USAGE
+        assert str(coef) in capsys.readouterr().err
+
     def test_order_zero_rejected(self, capsys):
         assert run_cli(["coeffs", "--kmax", "0"]) == EXIT_USAGE
 

@@ -1,5 +1,6 @@
 """Null coefficient computation and covariance diagnostics."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deconvtest.cli import EXIT_USAGE, main
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
@@ -19,7 +21,7 @@ from deconvtest.orthopoly import (
     HARD_DEGREE_CAP, PolynomialFamilySpec, certify_orthonormality,
 )
 from deconvtest.teststat import (
-    TestConfig, TestEngine, count_masses, default_kmax, run_test, t_sequence,
+    TestConfig, default_kmax, run_test, t_sequence,
 )
 
 from .oracles import (
@@ -337,15 +339,20 @@ class TestValidation:
         with pytest.raises(NullSpecError, match="integer"):
             NullSpec(y=Exponential(1.0), z=Geometric(1.0), ref=GeometricRef(0.5))
 
-    def test_dependent_requires_monte_carlo(self, mod1_null):
-        def sampler(gen, n):
-            z = ChiSquared(1).draw(gen, n)
-            return Exponential(1.0).draw(gen, n), z
-
-        null = NullSpec(y=Exponential(1.0), z=ChiSquared(1),
-                        ref=Exponential1Ref(), joint_sampler=sampler)
-        with pytest.raises(NullSpecError, match="monte_carlo"):
-            compute_coefficients(null, 4, method="closed_form")
+    def test_dependent_null_is_refused(self, mod1_null, tmp_path, capsys):
+        # Z is independent of Y: a null takes no joint sampler, the
+        # coefficients have no Monte Carlo path, and a configuration file
+        # may not ask for another dependence
+        with pytest.raises(TypeError, match="joint_sampler"):
+            NullSpec(y=Exponential(1.0), z=ChiSquared(1), ref=Exponential1Ref(),
+                     joint_sampler=lambda gen, n: (None, None))
+        with pytest.raises(ValueError, match="'monte_carlo'"):
+            compute_coefficients(mod1_null, 4, "monte_carlo")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"null": {"dependence": "joint_sampler"}}))
+        code = main(["coeffs", "--kmax", "4", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "null.dependence" in capsys.readouterr().err
 
     def test_order_bounds(self, mod1_null):
         with pytest.raises(ValueError):
@@ -354,40 +361,24 @@ class TestValidation:
             compute_coefficients(mod1_null, 40)
 
 
-class TestDependentPath:
-    @staticmethod
-    def _far_null(far: float) -> NullSpec:
-        law = Exponential(1.0)
-
-        def sampler(gen, n):
-            y = law.draw(gen, n)
-            y[:3] = far
-            return y, law.draw(gen, n)
-
-        return NullSpec(y=law, z=law, ref=Exponential1Ref(),
-                        joint_sampler=sampler)
-
+class TestFarDraws:
     @pytest.mark.parametrize("k", [14, 16])
     def test_far_draws_add_zero(self, k):
         # m(x) is 0 from x = 800 on; draws of 1e25 overflow the basis, and
         # would give inf * 0 = NaN, were the basis not evaluated at 0 there
-        far, near = (compute_coefficients(self._far_null(x), k,
-                                          mc_draws=10_000)
-                     for x in (1e25, 800.0))
-        np.testing.assert_array_equal(far.alphas, near.alphas)
-        np.testing.assert_array_equal(far.sigma, near.sigma)
-
-    def test_independent_sampler_equivalence(self, mod1_null, mod1_coeffs8):
-        # feeding the independent pair through the joint-sampler path must
-        # reproduce the deterministic coefficients within Monte Carlo noise
-        null = NullSpec(y=mod1_null.y, z=mod1_null.z, ref=mod1_null.ref,
-                        joint_sampler=lambda gen, n: (
-                            mod1_null.y.draw(gen, n),
-                            mod1_null.z.draw(gen, n)))
-        coeffs = compute_coefficients(null, 4, mc_draws=300_000,
-                                      mc_stream=RngStream(51, 2))
-        assert coeffs.method == "monte_carlo"
-        assert np.max(np.abs(coeffs.alphas - mod1_coeffs8.alphas[:4])) < 5e-3
+        law = Exponential(1.0)
+        null = NullSpec(y=law, z=law, ref=Exponential1Ref())
+        gen = RngStream(861221509, 0).generator()
+        x = law.draw(gen, 10_000) + law.draw(gen, 10_000)
+        moments = []
+        for far in (1e25, 800.0):
+            x[:3] = far
+            v = null.basis_terms(x, k)
+            moments.append((v.mean(axis=1), np.cov(v, ddof=1)))
+        (far_a, far_s), (near_a, near_s) = moments
+        assert np.all(np.isfinite(far_a)) and np.all(np.isfinite(far_s))
+        np.testing.assert_array_equal(far_a, near_a)
+        np.testing.assert_array_equal(far_s, near_s)
 
 
 def _masses(y, z, top):
@@ -458,14 +449,3 @@ class TestValueMasses:
                            0.25 * _count_masses(("geometric", 1.0), x))[:1075]
         np.testing.assert_allclose(got[:-1], want, rtol=1e-12, atol=1e-300)
         assert got[-1] == pytest.approx(1.0 - 0.5 * 0.25, rel=1e-12)
-
-    def test_dependent_null_has_no_value_masses(self):
-        # a joint sampler may couple Y and Z, so the engine never counts
-        # its rows, though the same laws drawn apart count at this size
-        y, z, ref = Poisson(1.0), Geometric(1.0), GeometricRef(0.5)
-        null = NullSpec(y=y, z=z, ref=ref, joint_sampler=lambda gen, n: (
-            y.draw(gen, n), z.draw(gen, n)))
-        config = TestConfig(calibration="asymptotic")
-        assert count_masses(y, z, ref, config.mc_reps, 500) is not None
-        coeffs = compute_coefficients(NullSpec(y=y, z=z, ref=ref), 8)
-        assert not TestEngine(null, 500, config, coeffs=coeffs).draws_counts()

@@ -850,28 +850,17 @@ class TestRouteChoice:
                               _calibration_blocks(engine, 5))
 
 
-def _independent_pair(gen, n):
-    return Poisson(1.0).draw(gen, n), Geometric(1.0).draw(gen, n)
-
-
 class TestValueRoute:
     # the first calibration values of 100 rows at n = 50 with mc_seed 5
-    PINS = {"Mod1": ["1.50571596159917", "0.0018284588872694114",
-                     "4.42517464647789"],
-            "joint": ["9.433932939192143", "2.580280971927225",
-                      "0.11064008905968321"]}
+    PIN = ["1.50571596159917", "0.0018284588872694114", "4.42517464647789"]
 
-    def test_continuous_and_joint_nulls_draw_values(
-            self, monkeypatch, mod1_null, mod1_coeffs8, mod2_coeffs8):
+    def test_continuous_null_draws_values(self, monkeypatch, mod1_null,
+                                          mod1_coeffs8):
         def refuse(engine, rows, stream):
             raise AssertionError("a value null took the count route")
         monkeypatch.setattr(TestEngine, "sample_null_counts", refuse)
-        joint = NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5),
-                         joint_sampler=_independent_pair)
-        for name, null, coeffs in (("Mod1", mod1_null, mod1_coeffs8),
-                                   ("joint", joint, mod2_coeffs8)):
-            engine = TestEngine(null, 50, TestConfig(mc_reps=100, mc_seed=5),
-                                coeffs=coeffs)
-            got = engine.calibration_values()
-            assert np.array_equal(got, _calibration_blocks(engine, 5))
-            assert [repr(float(v)) for v in got[:3]] == self.PINS[name]
+        engine = TestEngine(mod1_null, 50, TestConfig(mc_reps=100, mc_seed=5),
+                            coeffs=mod1_coeffs8)
+        got = engine.calibration_values()
+        assert np.array_equal(got, _calibration_blocks(engine, 5))
+        assert [repr(float(v)) for v in got[:3]] == self.PIN
