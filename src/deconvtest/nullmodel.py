@@ -156,10 +156,16 @@ class NullCoefficients:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.method not in (CLOSED_FORM, QUADRATURE):
+            raise ValueError(f"unknown coefficient method {self.method!r}")
+        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         self.alphas = np.asarray(self.alphas, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         if self.alphas.shape != (self.k,) or self.sigma.shape != (self.k, self.k):
             raise ValueError("coefficient shapes do not match k")
+        if not (np.isfinite(self.alphas).all() and np.isfinite(self.sigma).all()):
+            raise FloatingPointError("coefficients hold non-finite values")
         asym = float(np.max(np.abs(self.sigma - self.sigma.T))) if self.k else 0.0
         if asym > 1e-12:
             raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
@@ -178,11 +184,8 @@ class NullCoefficients:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NullCoefficients":
-        return cls(k=int(doc["k"]),
-                   alphas=np.asarray(doc["alphas"], dtype=float),
-                   sigma=np.asarray(doc["sigma"], dtype=float),
-                   method=str(doc["method"]),
-                   notes=tuple(doc.get("notes", ())))
+        return cls(doc["k"], doc["alphas"], doc["sigma"], doc["method"],
+                   tuple(doc.get("notes", ())))
 
 
 # ---------------------------------------------------------------------------

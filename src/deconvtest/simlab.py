@@ -11,12 +11,11 @@ mixture, Alt5/Alt6 are confusions).  A mixture is Y with Z a point mass at
 bit for bit.  Alternatives are always tested against the corresponding
 model's null.
 
-Replications go in blocks of ``max(1, _BLOCK_DRAWS // n)``, as calibration
-rows do, and block b draws from stream index b of the master seed in one
-call, so every cell of a grid shares the block streams and reports are
-reproducible bit for bit in any cell order.  A count scenario (count laws
-on a count reference) draws a block's rows as value counts of its own law
-where that pays (``teststat.count_masses``).
+A cell's replications are T of the scenario's rows through the engine's
+one block loop (``TestEngine.t_stats``), as calibration rows are; block b
+draws from stream index b of the master seed, so every cell of a grid
+shares the block streams and reports are reproducible bit for bit in any
+cell order.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from .measures import (
     GeometricRef, Mixture, PointMass, Poisson, RngStream,
 )
 from .nullmodel import NullSpec
-from .teststat import (
-    _BLOCK_DRAWS, TestConfig, TestEngine, count_masses, sample_counts,
-)
+from .teststat import TestConfig, TestEngine
 
 _Z95 = 1.959963984540054
 
@@ -136,37 +133,24 @@ def run_replications(scenario: ScenarioSpec, n: int, reps: int,
                      engine: TestEngine | None = None) -> SimReport:
     """Rejection rate of the test over blocks of replications.
 
-    Block b of ``max(1, _BLOCK_DRAWS // n)`` replications draws from
-    stream index b of ``master_seed``: a count scenario's as value counts
-    where ``count_masses`` says so, else as one ``scenario.sample(gen, rows
-    * n)`` draw cut into rows.  A replication whose data violates the
-    reference support counts as an error, not a rejection.  ``engine`` lets
-    callers share one prepared null (coefficients + calibration) across
-    scenarios of the same model.
+    The replications are ``engine.t_stats`` of the scenario's rows, block
+    b from stream index b of ``master_seed``, drawn as values by one
+    ``scenario.sample(gen, rows * n)`` call.  A replication whose data
+    violates the reference support counts as an error, not a rejection.
+    ``engine`` lets callers share one prepared null (coefficients +
+    calibration) across scenarios of the same model.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     start = time.perf_counter()
     if engine is None:
         engine = TestEngine(scenario.null, n, config)
-    ref, y, z = scenario.null.ref, scenario.y, scenario.z
-    masses = count_masses(y, z, ref, reps, n)
-    # T of every replication, allocated first; rows out of support stay NaN
-    step, t_stat = max(1, _BLOCK_DRAWS // n), np.full(reps, np.nan)
-    for b, lo in enumerate(range(0, reps, step)):
-        rows, gen = min(step, reps - lo), RngStream(master_seed, b).generator()
-        if masses is not None:
-            counts = sample_counts(*masses, rows, n, gen)
-            t_stat[lo:lo + rows] = engine.statistic_counts(*counts)[2]
-            continue
-        data = scenario.sample(gen, rows * n).reshape(rows, n)
-        ok = ref.in_support(data).all(axis=1)
-        if ok.any():
-            t_stat[lo + np.flatnonzero(ok)] = engine.statistic_batch(data[ok])[2]
-    t_stat = t_stat[~np.isnan(t_stat)]
-    errors = reps - t_stat.size
+    t_stat = engine.t_stats(
+        scenario.y, scenario.z, reps, lambda b: RngStream(master_seed, b),
+        lambda rows, stream: scenario.sample(stream.generator(), rows * n))
+    errors = int(np.count_nonzero(np.isnan(t_stat)))
     rejections = (int(np.sum(t_stat > engine.critical_value()))
-                  if t_stat.size else 0)
+                  if errors < reps else 0)
     rate = rejections / reps
     lo, hi = wilson_interval(rejections, reps)
     return SimReport(

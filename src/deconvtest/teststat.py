@@ -11,20 +11,20 @@ Critical values come either from the limiting chi-squared(1) law or from a
 Monte Carlo calibration under the null (the default, exact to resampling
 noise at finite n).
 
-The calibration draws its null rows in blocks of ``max(1, _BLOCK_DRAWS //
-n)`` rows, block b from child stream b of the calibration seed, and takes
-each block's statistic before it draws the next, so memory grows with a
-block, not with the reps.  On a count reference the empirical
-coefficients come from each row's value counts, with the basis evaluated
-once per distinct value; elsewhere the basis is evaluated at every
-observation.  A row's bhat depends on its values only through those
-counts, and the counts of n independent draws of X are Multinomial(n, p)
-with p the mass function of X; so with independent count components a
-block may draw its rows' counts directly (``sample_counts``), at a cost
-that does not grow with n, where that costs less than drawing the values
-(``count_masses``, which study cells share): light laws count, while heavy
-laws and small n draw every observation in one vectorized call per block,
-as continuous references do.
+One block loop, ``TestEngine.t_stats``, takes T_{S_n} of rows of Y + Z for
+the calibration and for study cells alike.  It draws blocks of ``max(1,
+_BLOCK_DRAWS // n)`` rows, block b from its own stream, and takes each
+block's statistic before it draws the next, so memory grows with a block,
+not with the reps.  On a count reference the empirical coefficients come
+from each row's value counts, with the basis evaluated once per distinct
+value; elsewhere the basis is evaluated at every observation.  A row's
+bhat depends on its values only through those counts, and the counts of n
+independent draws of X are Multinomial(n, p) with p the mass function of
+X; so with count laws Y and Z a block may draw its rows' counts directly
+(``sample_counts``), at a cost that does not grow with n, where that costs
+less than drawing the values (``count_masses``): light laws count, while
+heavy laws and small n draw every observation in one vectorized call per
+block, as continuous references do.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -56,14 +55,14 @@ K_MIN, K_CLAMP_MAX = 3, 15
 
 
 class DataDomainError(ValueError):
-    """Observations fall outside the reference support."""
+    """Observations or calibration rows outside the reference support."""
 
-    def __init__(self, indices: Sequence[int], detail: str):
+    def __init__(self, indices: Sequence[int], detail: str,
+                 what: str = "observation"):
         self.indices = list(indices)
         shown = ", ".join(str(i) for i in self.indices[:10])
         more = ", ..." if len(self.indices) > 10 else ""
-        super().__init__(
-            f"{detail}: offending observation indices [{shown}{more}]")
+        super().__init__(f"{detail}: offending {what} indices [{shown}{more}]")
 
 
 def _is_integer(value) -> bool:
@@ -409,10 +408,8 @@ class TestEngine:
         ``samples`` has shape (reps, n).  Returns (t_seq[reps, k], s_n[reps],
         t_stat[reps]).
         """
-        samples = np.asarray(samples, dtype=float)
-        n = samples.shape[1]
         bhat = compute_bhat(samples, self.null, self.coeffs, self.used_k_max)
-        return self._select(bhat, n)
+        return self._select(bhat, np.shape(samples)[1])
 
     def statistic_counts(self, values: np.ndarray, counts: np.ndarray):
         """``statistic_batch`` of count rows given by their value counts.
@@ -446,46 +443,50 @@ class TestEngine:
         return self.null.sample_x(stream.generator(), rows * self.n).reshape(
             rows, self.n)
 
-    @cached_property
-    def _count_route(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return count_masses(self.null.y, self.null.z, self.null.ref,
-                            self.config.mc_reps, self.n)
+    def t_stats(self, y, z, reps: int, stream, draw) -> np.ndarray:
+        """T_{S_n} of reps rows of Y + Z, NaN where a row leaves the support.
 
-    def sample_null_counts(self, rows: int, stream: RngStream):
-        """``sample_counts`` of rows null rows on the count route."""
-        return sample_counts(*self._count_route, rows, self.n,
-                             stream.generator())
-
-    def draws_counts(self) -> bool:
-        """Whether the calibration counts: ``count_masses`` of its rows."""
-        return self._count_route is not None
+        Block b of ``max(1, _BLOCK_DRAWS // n)`` rows draws from ``stream(b)``:
+        as value counts (``sample_counts``) where ``count_masses`` says so,
+        else as ``draw(rows, stream(b))``, rows * n values cut into rows.
+        The reps values are allocated first, and each block's statistic is
+        taken before the next block is drawn.
+        """
+        n, ref = self.n, self.null.ref
+        step, out = max(1, _BLOCK_DRAWS // n), np.full(reps, np.nan)
+        masses = count_masses(y, z, ref, reps, n)
+        for b, lo in enumerate(range(0, reps, step)):
+            rows, block = min(step, reps - lo), stream(b)
+            if masses is not None:
+                out[lo:lo + rows] = self.statistic_counts(*sample_counts(
+                    *masses, rows, n, block.generator()))[2]
+                continue
+            data = draw(rows, block).reshape(rows, n)
+            ok = ref.in_support(data).all(axis=1)
+            if ok.all():  # the common case: no copy of the block
+                out[lo:lo + rows] = self.statistic_batch(data)[2]
+            elif ok.any():
+                out[lo + np.flatnonzero(ok)] = self.statistic_batch(data[ok])[2]
+        return out
 
     # -- calibration ---------------------------------------------------
 
     def calibration_values(self) -> np.ndarray:
         """T_{S_n} over fresh null samples, deterministic given the config seed.
 
-        Block b of ``max(1, _BLOCK_DRAWS // n)`` rows draws from child
-        stream b, as value counts (``sample_null_counts``) where
-        ``draws_counts`` says so and as values (``sample_null_batch``)
-        otherwise, and its statistic is taken before the next block is
-        drawn.  The reps values are allocated first.
+        ``t_stats`` of the null's rows, block b from child stream b of the
+        calibration seed, drawn as values by ``sample_null_batch``.  A null
+        row outside the reference support raises ``DataDomainError``.
         """
         if self._calibration_values is None:
-            reps, n = self.config.mc_reps, self.n
-            out = np.empty(reps)
-            base = RngStream(self.config.mc_seed, 0).child(_CALIBRATION_TAG, n)
-            step = max(1, _BLOCK_DRAWS // n)
-            counted = self.draws_counts()
-            for b, lo in enumerate(range(0, reps, step)):
-                rows, stream = min(step, reps - lo), base.child(b)
-                if counted:
-                    stats = self.statistic_counts(
-                        *self.sample_null_counts(rows, stream))
-                else:
-                    stats = self.statistic_batch(
-                        self.sample_null_batch(rows, stream))
-                out[lo:lo + rows] = stats[2]
+            base = RngStream(self.config.mc_seed, 0).child(_CALIBRATION_TAG,
+                                                           self.n)
+            out = self.t_stats(self.null.y, self.null.z, self.config.mc_reps,
+                               base.child, self.sample_null_batch)
+            bad = np.flatnonzero(np.isnan(out)).tolist()
+            if bad:
+                raise DataDomainError(bad, "null draws outside the reference "
+                                      "support", what="calibration row")
             self._calibration_values = out
         return self._calibration_values
 

@@ -59,22 +59,29 @@ def test_nulls_say_they_are_independent(mod1_null):
 
 
 def test_calibration_draws_through_the_spanned_methods(monkeypatch):
-    # perfbench times calibration sampling through these two methods, so
-    # each block of either route must be drawn by a call to one of them
+    # perfbench times calibration sampling through sample_null_batch, so
+    # each block of a value calibration must be drawn by one call of it;
+    # a count calibration draws each block by one teststat.sample_counts
+    # call instead
+    from deconvtest import teststat
     from deconvtest.simlab import build_scenario
     from deconvtest.teststat import TestConfig, TestEngine
 
     calls = Counter()
-    for name in ("sample_null_batch", "sample_null_counts"):
-        def counted(engine, rows, stream, name=name,
-                    method=getattr(TestEngine, name)):
-            calls[name] += 1
-            return method(engine, rows, stream)
-        monkeypatch.setattr(TestEngine, name, counted)
+
+    def counted(engine, rows, stream, method=TestEngine.sample_null_batch):
+        calls["sample_null_batch"] += 1
+        return method(engine, rows, stream)
+
+    def counted_counts(*args, function=teststat.sample_counts):
+        calls["sample_counts"] += 1
+        return function(*args)
+    monkeypatch.setattr(TestEngine, "sample_null_batch", counted)
+    monkeypatch.setattr(teststat, "sample_counts", counted_counts)
     # 2000 rows of 500 draws are four blocks, by values on Mod1 and by
     # counts on Mod2
     for model, route in (("Mod1", "sample_null_batch"),
-                         ("Mod2", "sample_null_counts")):
+                         ("Mod2", "sample_counts")):
         calls.clear()
         TestEngine(build_scenario(model).null, 500,
                    TestConfig()).calibration_values()

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, caching, determinism."""
 
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deconvtest import simlab
+from deconvtest import simlab, teststat
 from deconvtest.cli import (
     CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
     build_distribution, build_null, build_reference, config_hash, main,
@@ -144,6 +145,26 @@ class TestCmdTest:
         f.write_text("1\n2\n2.5\n")
         assert run_cli(["test", f, "--config", cfg]) == EXIT_DATA
 
+    def test_null_draws_outside_support_are_data_error(self, tmp_path, capsys):
+        # a tenth of Y has mean 1e308, so some null draws overflow to inf;
+        # the calibration must refuse them, not leave NaN critical values
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "null": {"y": {"kind": "mixture", "weight": 0.9,
+                           "a": {"kind": "exponential", "mean": 1},
+                           "b": {"kind": "exponential", "mean": 1e308}}},
+            "test": {"mc_reps": 200}}))
+        f = tmp_path / "d.txt"
+        f.write_text("0.5\n1\n2\n3\n")
+        out = tmp_path / "res.json"
+        code = run_cli(["test", f, "--config", cfg, "--kmax", "3",
+                        "--out", out])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "outside the reference support" in err
+        assert not out.exists()
+
     def test_alpha_lowers_critical_value(self, tmp_path):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -200,7 +221,12 @@ class TestCmdCoeffs:
         lambda doc: {key: v for key, v in doc.items() if key != "method"},
         lambda doc: {**doc, "k": None},
         lambda doc: {**doc, "notes": "abc"},
-    ], ids=["array", "no-k", "no-method", "null-k", "string-notes"])
+        lambda doc: {**doc, "method": 5},
+        # a bool is not an order, even where the shapes fit k = 1
+        lambda doc: {**doc, "k": True, "alphas": doc["alphas"][:1],
+                     "sigma": [doc["sigma"][0][:1]]},
+    ], ids=["array", "no-k", "no-method", "null-k", "string-notes",
+            "number-method", "bool-k"])
     def test_malformed_cache_exits_2(self, tmp_path, capsys, edit):
         coef = tmp_path / "c.json"
         assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
@@ -210,6 +236,27 @@ class TestCmdCoeffs:
                         "--calibration", "asymptotic"])
         assert code == EXIT_USAGE
         assert str(coef) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["alphas", "sigma"])
+    def test_non_finite_cache_exits_4_without_warnings(self, tmp_path, capsys,
+                                                       entry):
+        # JSON reads Infinity as a float; the coefficients refuse it before
+        # any arithmetic on it, so no NumPy warning reaches stderr
+        coef = tmp_path / "c.json"
+        assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
+        doc = json.loads(coef.read_text())
+        if entry == "alphas":
+            doc["alphas"][0] = float("inf")
+        else:
+            doc["sigma"][1][1] = float("inf")
+        coef.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["test", FIXTURE, "--coeffs-cache", coef,
+                            "--calibration", "asymptotic"])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_order_zero_rejected(self, capsys):
         assert run_cli(["coeffs", "--kmax", "0"]) == EXIT_USAGE
@@ -461,19 +508,19 @@ class TestConfigBoundary:
         # mc_reps = 10**9 at n = 500: the calibration allocates its 7.5 GiB
         # of T values before it draws the first block, and here that
         # allocation raises without asking the machine for it
-        empty = np.empty
+        full = np.full
 
         def refuse_reps(shape, *args, **kwargs):
             if isinstance(shape, int) and shape >= 10 ** 9:
                 raise MemoryError(f"Unable to allocate a ({shape},) array")
-            return empty(shape, *args, **kwargs)
+            return full(shape, *args, **kwargs)
 
-        def no_block(engine, rows, stream):
+        def no_block(*args):
             raise AssertionError("a block was drawn before the T values "
                                  "were allocated")
-        monkeypatch.setattr(np, "empty", refuse_reps)
+        monkeypatch.setattr(np, "full", refuse_reps)
         monkeypatch.setattr(TestEngine, "sample_null_batch", no_block)
-        monkeypatch.setattr(TestEngine, "sample_null_counts", no_block)
+        monkeypatch.setattr(teststat, "sample_counts", no_block)
         counts = tmp_path / "counts.txt"
         counts.write_text("\n".join(["0", "1", "3", "2"] * 125))
         geometric = {"y": {"kind": "poisson", "mean": 1},
@@ -502,7 +549,7 @@ class TestConfigBoundary:
                                  "were allocated")
         monkeypatch.setattr(np, "full", refuse_reps)
         monkeypatch.setattr(simlab.ScenarioSpec, "sample", no_block)
-        monkeypatch.setattr(simlab, "sample_counts", no_block)
+        monkeypatch.setattr(teststat, "sample_counts", no_block)
         for name in ("Mod1", "Mod2"):
             assert run_cli(["simulate", "--scenarios", name, "--n", "500",
                             "--reps", str(10 ** 9)]) == EXIT_USAGE

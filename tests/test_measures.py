@@ -167,7 +167,7 @@ class TestGoldenDraws:
             524: [111, 112, 108, 86, 44, 17],
             1999: [113, 131, 105, 60, 42, 20]}
     # Mod2's count route at n = 500: how often rows 0, 1, 524 and 1999 hold
-    # the values 0..5 (``sample_null_counts``)
+    # the values 0..5 (``sample_counts`` of the null's ``count_masses``)
     COUNTS = {0: [104, 138, 114, 57, 43, 22], 1: [85, 134, 116, 74, 44, 25],
               524: [100, 123, 124, 71, 49, 21],
               1999: [100, 114, 128, 80, 44, 17]}
@@ -202,10 +202,11 @@ class TestGoldenDraws:
             assert got == self.CALIBRATION[(model, r)]
 
     def test_count_rows(self):
-        engine = TestEngine(build_scenario("Mod2").null, self.N,
-                            TestConfig(calibration="asymptotic"))
+        null = build_scenario("Mod2").null
+        masses = count_masses(null.y, null.z, null.ref, 2000, self.N)
         for r, stream, size, i in self._calibration_blocks(self.COUNTS):
-            values, counts = engine.sample_null_counts(size, stream)
+            values, counts = sample_counts(*masses, size, self.N,
+                                           stream.generator())
             assert np.array_equal(values, np.arange(counts.shape[1]))
             assert counts.sum(axis=1).tolist() == [self.N] * size
             assert counts[i, :6].tolist() == self.COUNTS[r]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import chdtrc
 
-from deconvtest import simlab
+from deconvtest import simlab, teststat
 from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
     ChiSquared, Exponential, PointMass, RngStream, Uniform01, Uniform01Ref,
@@ -183,7 +183,7 @@ class TestRunReplications:
         # none of them integers: every replication is an error
         def refuse(*args):
             raise AssertionError("a value scenario took the count route")
-        monkeypatch.setattr(simlab, "sample_counts", refuse)
+        monkeypatch.setattr(teststat, "sample_counts", refuse)
         odd = ScenarioSpec("Custom", build_scenario("Mod2").null,
                            Exponential(1.0), PointMass(0.0))
         rep = run_replications(odd, 50, 30, FAST, 7)

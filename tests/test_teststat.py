@@ -18,7 +18,8 @@ from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
     _BLOCK_DRAWS, _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError,
     TestConfig, TestEngine, _reach, _zero_from, chi2_quantile, compute_bhat,
-    default_kmax, run_test, sample_counts, select_order, t_sequence,
+    count_masses, default_kmax, run_test, sample_counts, select_order,
+    t_sequence,
 )
 
 from .oracles import (
@@ -722,7 +723,9 @@ class TestCountRoute:
 
     def test_counts_agree_in_law_with_point_draws(self, mod2_null):
         engine = TestEngine(mod2_null, 100, TestConfig(calibration="asymptotic"))
-        values, counts = engine.sample_null_counts(2000, RngStream(61, 0))
+        values, counts = sample_counts(
+            *count_masses(mod2_null.y, mod2_null.z, mod2_null.ref, 2000, 100),
+            2000, 100, RngStream(61, 0).generator())
         counted = np.bincount(values, weights=counts.sum(axis=0))
         points = engine.sample_null_batch(2000, RngStream(62, 0))
         pointwise = np.bincount(points.astype(np.intp).ravel())
@@ -756,19 +759,26 @@ class TestCountRoute:
         assert _ks_distance(counted, drawn) < 1.95 * math.sqrt(2 / 300)
 
 
+def _counts(null, n):
+    """Whether 2000 rows of n null draws count: ``count_masses`` builds
+    their masses."""
+    return count_masses(null.y, null.z, null.ref, 2000, n) is not None
+
+
 def _calibration_blocks(engine, seed):
-    """T_{S_n} of the calibration, block by block, through the route the
-    engine chooses: block b of ``_BLOCK_DRAWS // n`` rows from child
-    stream b."""
-    n, reps = engine.n, engine.config.mc_reps
+    """T_{S_n} of the calibration, block by block, through the route
+    ``count_masses`` chooses: block b of ``_BLOCK_DRAWS // n`` rows from
+    child stream b."""
+    n, reps, null = engine.n, engine.config.mc_reps, engine.null
     base = RngStream(seed, 0).child(_CALIBRATION_TAG, n)
+    masses = count_masses(null.y, null.z, null.ref, reps, n)
     step = _BLOCK_DRAWS // n
     out = []
     for b, lo in enumerate(range(0, reps, step)):
         rows, stream = min(step, reps - lo), base.child(b)
-        if engine.draws_counts():
+        if masses is not None:
             stats = engine.statistic_counts(
-                *engine.sample_null_counts(rows, stream))
+                *sample_counts(*masses, rows, n, stream.generator()))
         else:
             stats = engine.statistic_batch(
                 engine.sample_null_batch(rows, stream))
@@ -777,28 +787,26 @@ def _calibration_blocks(engine, seed):
 
 
 class TestRouteChoice:
-    """``draws_counts`` weighs the binomial draws and the masses against the
-    values."""
+    """``count_masses`` weighs the binomial draws and the masses against the
+    values, for the 2000 rows of a default calibration."""
 
     @pytest.mark.parametrize("n, counts", [(100, True), (500, True),
                                            (2000, True)])
-    def test_mod2_counts_from_n_100(self, mod2_null, mod2_coeffs8, n, counts):
-        engine = TestEngine(mod2_null, n, TestConfig(), coeffs=mod2_coeffs8)
-        assert engine.draws_counts() is counts
+    def test_mod2_counts_from_n_100(self, mod2_null, n, counts):
+        assert _counts(mod2_null, n) is counts
 
     @pytest.mark.parametrize("n, counts", [(20, False), (50, True)])
-    def test_mod2_route_at_small_n(self, mod2_null, mod2_coeffs8, n, counts):
+    def test_mod2_route_at_small_n(self, mod2_null, n, counts):
         # a row of 20 reaches about 6 values, of 50 about 8, and a binomial
         # draw costs about four drawn values
-        engine = TestEngine(mod2_null, n, TestConfig(), coeffs=mod2_coeffs8)
-        assert engine.draws_counts() is counts
+        assert _counts(mod2_null, n) is counts
 
     def test_heavy_laws_draw_values(self):
         # p spreads over all 1,076 cells and a row's values over hundreds
         heavy = NullSpec(y=Geometric(100.0), z=Geometric(100.0),
                          ref=GeometricRef(0.5))
-        assert not TestEngine(heavy, 500, TestConfig()).draws_counts()
-        assert TestEngine(heavy, 5000, TestConfig()).draws_counts()
+        assert not _counts(heavy, 500)
+        assert _counts(heavy, 5000)
 
     def test_flat_reference_builds_no_masses(self, monkeypatch):
         # top = 73,683, and both masses run that far: convolving them would
@@ -808,7 +816,7 @@ class TestRouteChoice:
         def refuse(*masses):
             raise AssertionError("the refusal built the convolution")
         monkeypatch.setattr(teststat, "value_masses", refuse)
-        assert not TestEngine(flat, 500, TestConfig()).draws_counts()
+        assert not _counts(flat, 500)
 
     def test_refusal_builds_no_convolution(self, monkeypatch):
         # geometric(30) twice on geometric(0.9): both masses run to top =
@@ -822,16 +830,16 @@ class TestRouteChoice:
         with monkeypatch.context() as patch:
             patch.setattr(teststat, "value_masses", refuse)
             for n in (500, 1000):
-                assert not TestEngine(null, n, TestConfig()).draws_counts()
-        assert TestEngine(null, 1500, TestConfig()).draws_counts()
+                assert not _counts(null, n)
+        assert _counts(null, 1500)
 
     def test_light_law_on_flat_reference_counts(self):
         # the same top, but the masses end after 178 and 1,074 values, so
         # their convolution is cheap and the rows count from n = 500
         light = NullSpec(y=Poisson(1.0), z=Geometric(1.0),
                          ref=GeometricRef(0.99))
-        assert TestEngine(light, 500, TestConfig()).draws_counts()
-        assert not TestEngine(light, 50, TestConfig()).draws_counts()
+        assert _counts(light, 500)
+        assert not _counts(light, 50)
 
     @pytest.mark.parametrize("n", [50, 100])
     def test_calibration_takes_the_chosen_route(self, mod2_null, mod2_coeffs8,
@@ -856,9 +864,9 @@ class TestValueRoute:
 
     def test_continuous_null_draws_values(self, monkeypatch, mod1_null,
                                           mod1_coeffs8):
-        def refuse(engine, rows, stream):
+        def refuse(*args):
             raise AssertionError("a value null took the count route")
-        monkeypatch.setattr(TestEngine, "sample_null_counts", refuse)
+        monkeypatch.setattr(teststat, "sample_counts", refuse)
         engine = TestEngine(mod1_null, 50, TestConfig(mc_reps=100, mc_seed=5),
                             coeffs=mod1_coeffs8)
         got = engine.calibration_values()
