@@ -14,10 +14,7 @@ from .measures import (
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
 )
-from .orthopoly import (
-    BasisTable, PolynomialFamilySpec, addition_split_laguerre,
-    addition_split_meixner, certify_orthonormality,
-)
+from .orthopoly import BasisTable, PolynomialFamilySpec, certify_orthonormality
 from .simlab import (
     ScenarioSpec, SimReport, build_scenario, level_power_table,
     run_replications, wilson_interval,

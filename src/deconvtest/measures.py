@@ -153,6 +153,14 @@ class Distribution:
         return _document(self)
 
 
+def draw_sum(y: Distribution, z: Distribution, gen, size) -> np.ndarray:
+    """Draws of Y + Z, Y's first.  A scale near the float range draws inf,
+    which the support checks refuse, so overflow raises no warning."""
+    with np.errstate(over="ignore"):
+        return (np.asarray(y.draw(gen, size), dtype=float)
+                + np.asarray(z.draw(gen, size), dtype=float))
+
+
 def _gamma_rule(shape: float, scale: float, nodes: int, rate: float):
     """``rule`` of Gamma(shape, scale): the generalized Gauss-Laguerre rule
     of the tilted law ``Gamma(shape, scale / (1 + rate * scale))``."""

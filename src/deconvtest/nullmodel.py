@@ -12,34 +12,28 @@ Every reference density is ``m(0) * exp(-rate * x)`` on its support, so
 moment of degree at most 2k under the law tilted by ``exp(-2 rate x)``.
 Both deterministic paths take these from each axis's Gauss rule, the
 law's ``rule`` (called as ``engines.expectation_rule``), one of those that
-``orthopoly`` owns, with k + 1 nodes, exact, in one pass.  Two
-computation paths exist:
+``orthopoly`` owns, with k + 1 nodes, exact, in one pass.  The reference
+fixes the basis family, and the family supplies its addition split, so this
+module never asks which family it has.  Two computation paths exist:
 
-* ``closed_form`` (independent components, Laguerre and Meixner): the
-  polynomial of the sum is split by the convolution addition identities,
-  with the family's parameter halved between Y and Z, into products of
-  one-dimensional expectations over Y and Z separately;
-  shifted Legendre has no such split, so a ``closed_form`` request there is
-  served by the tensor rule and recorded as ``quadrature``,
+* ``closed_form``: the polynomial of the sum is split by the family's
+  addition identity, with its parameter halved between Y and Z, into
+  products of one-dimensional expectations over Y and Z separately; a
+  family without a split (shifted Legendre) serves a ``closed_form``
+  request by the tensor rule and records ``quadrature``,
 * ``quadrature``: the tensor rule over (Y, Z) of the bivariate integrand.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from math import inf, sqrt
 
 import numpy as np
 
-from . import orthopoly
 from .engines import expectation_rule
-from .measures import Distribution, ReferenceMeasure
-from .orthopoly import (
-    BasisTable, PolynomialFamilySpec, addition_split_laguerre,
-    addition_split_meixner, certify_orthonormality, laguerre_table,
-    meixner_scaled_table,
-)
+from .measures import Distribution, ReferenceMeasure, draw_sum
+from .orthopoly import PolynomialFamilySpec, certify_orthonormality
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -49,19 +43,13 @@ CONDITION_CAP = 1e12  # largest condition number of a usable covariance block
 
 
 class NullSpecError(ValueError):
-    """Inconsistent pairing of component laws, reference, and basis."""
+    """Inconsistent pairing of component laws and reference."""
 
 
 def plain_dict(obj) -> dict:
     """``dataclasses.asdict`` with arrays written as lists, for JSON."""
     return {key: value.tolist() if isinstance(value, np.ndarray) else value
             for key, value in asdict(obj).items()}
-
-
-def default_basis_for(ref: ReferenceMeasure, max_degree: int = 16) -> BasisTable:
-    """Certified basis matching a reference measure."""
-    return certify_orthonormality(
-        PolynomialFamilySpec(*ref.family, max_degree=max_degree))
 
 
 def value_masses(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,30 +70,22 @@ def value_masses(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class NullSpec:
-    """The convolution null: independent component laws, reference, basis."""
+    """The convolution null: independent component laws and a reference.
+
+    The reference fixes ``basis``, its family's certified table, which is
+    no field: nulls compare and hash by their laws and reference.
+    """
 
     y: Distribution
     z: Distribution
     ref: ReferenceMeasure
-    basis: BasisTable = None
     # Y and Z are independent; perfbench/spans.py labels its coefficient
     # span by this until that label comes from ``NullCoefficients.method``
     independent = True
 
     def __post_init__(self):
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis_for(self.ref))
-        fam = self.basis.family
-        kind, shape = self.ref.family
-        if fam.kind != kind:
-            raise NullSpecError(
-                f"basis family {fam.kind!r} does not match reference "
-                f"{self.ref.kind!r} (expected {kind!r})")
-        # the shifted Legendre family has no parameter
-        if kind != orthopoly.SHIFTED_LEGENDRE and fam.shape != shape:
-            raise NullSpecError(
-                f"{kind} parameter {fam.shape} differs from reference "
-                f"parameter {shape}")
+        object.__setattr__(self, "basis", certify_orthonormality(
+            PolynomialFamilySpec(*self.ref.family)))
         lo_y, hi_y = self.y.support()
         lo_z, hi_z = self.z.support()
         lo_r, hi_r = self.ref.support()
@@ -118,8 +98,7 @@ class NullSpec:
                 "a discrete reference requires integer-supported components")
 
     def sample_x(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return (np.asarray(self.y.draw(gen, n), dtype=float)
-                + np.asarray(self.z.draw(gen, n), dtype=float))
+        return draw_sum(self.y, self.z, gen, n)
 
     def basis_terms(self, x: np.ndarray, k: int) -> np.ndarray:
         """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows.
@@ -210,24 +189,12 @@ def _split_pieces(dist: Distribution, table, ref: ReferenceMeasure, k: int):
     return a1, a2
 
 
-def _closed_form(null: NullSpec, k: int):
-    """Laguerre and Meixner coefficients through the addition splits.
+def _closed_form(null: NullSpec, k: int, split: np.ndarray, table):
+    """Coefficients through the family's addition split.
 
-    ``split[i, s, r]`` is the weight of P_s(y) P_r(z) in P_i(y + z), with
-    the parameter of the family divided in halves between Y and Z.
+    ``split[i, s, r]`` is the weight of P_s(y) P_r(z) in P_i(y + z), where
+    ``table`` evaluates P at half the family's parameter.
     """
-    fam = null.basis.family
-    if fam.kind == orthopoly.LAGUERRE:
-        table = partial(laguerre_table, k, 0.5)
-        terms = partial(addition_split_laguerre, u=0.5, v=0.5)
-    else:
-        p = fam.shape
-        table = partial(meixner_scaled_table, k, 0.5, p)
-        terms = partial(addition_split_meixner, u=0.5, v=0.5, p=p)
-    split = np.zeros((k + 1,) * 3)
-    for i in range(k + 1):
-        for s, w in terms(i):
-            split[i, s, i - s] = w
     a1, a2 = _split_pieces(null.y, table, null.ref, k)
     b1, b2 = _split_pieces(null.z, table, null.ref, k)
     norms = null.basis.norms[: k + 1]
@@ -259,9 +226,9 @@ def compute_coefficients(null: NullSpec, k: int,
                          method: str = CLOSED_FORM) -> NullCoefficients:
     """Compute alpha_1..alpha_k and sigma under the null.
 
-    ``method`` is ``closed_form`` (the default) or ``quadrature``.  On the
-    shifted-Legendre basis the closed form is the tensor rule, and the
-    result records ``quadrature``.
+    ``method`` is ``closed_form`` (the default) or ``quadrature``.  Where
+    the family has no addition split (shifted Legendre) the closed form is
+    the tensor rule, and the result records ``quadrature``.
     """
     if k < 1:
         raise ValueError("order k must be at least 1")
@@ -270,10 +237,13 @@ def compute_coefficients(null: NullSpec, k: int,
             f"order {k} exceeds the basis degree {null.basis.family.max_degree}")
     if method not in (CLOSED_FORM, QUADRATURE):
         raise ValueError(f"unknown coefficient method {method!r}")
-    if method == CLOSED_FORM and null.basis.family.kind == orthopoly.SHIFTED_LEGENDRE:
+    split = (null.basis.family.addition_split(k) if method == CLOSED_FORM
+             else None)
+    if split is None:
         method = QUADRATURE
-    full_a, full_s = (_closed_form(null, k) if method == CLOSED_FORM
-                      else _quadrature(null, k))
+        full_a, full_s = _quadrature(null, k)
+    else:
+        full_a, full_s = _closed_form(null, k, *split)
     # both paths carry the degree-0 row; drop it
     alphas, sigma = full_a[1:], full_s[1:, 1:]
     note = _alpha_growth_note(alphas)

@@ -11,21 +11,25 @@ This module owns every Gauss rule of the package: Gauss-Laguerre,
 Gauss-Legendre on [0, 1], and the Gauss-Charlier and Gauss-Meixner rules
 built from their Jacobi matrices (Golub & Welsch 1969).  Each law in
 ``measures`` gives its Gauss rule, one of these, through its ``rule``
-method; this module imports nothing from the package.  Norms are always
+method; this module imports nothing from the package.  A
+``PolynomialFamilySpec`` owns all that depends on its kind: its raw table,
+the Gauss rule that certifies it, and its addition split.  Norms are always
 established numerically at table construction, with the Gauss-Laguerre,
 Gauss-Legendre and Gauss-Meixner rules, and the resulting orthonormal
 system is certified against its Gram matrix; printed closed-form norm
 constants are never trusted.  For the Laguerre family (raw scale) and the
 Meixner family (convolution scale) the polynomial of a sum ``y + z``
 splits exactly into weighted products of lower-degree polynomials of ``y``
-and ``z``; those splits are what make closed-form convolution coefficients
-possible.  They are identities of the recurrences, not properties of a
-built table, so certification checks only the Gram matrix.
+and ``z`` at half the family's parameter; those splits are what make
+closed-form convolution coefficients possible.  They are identities of the
+recurrences, not properties of a built table, so certification checks only
+the Gram matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb, exp, lgamma, sqrt
 
 import numpy as np
@@ -85,6 +89,47 @@ class PolynomialFamilySpec:
             raise DomainError("Laguerre shape must be positive")
         if self.kind == MEIXNER and not 0 < self.shape < 1:
             raise DomainError("Meixner parameter p must lie in (0, 1)")
+
+    def raw_table(self, k: int, x) -> np.ndarray:
+        """Raw values P(0..k) at x, shape ``(k + 1,) + x.shape``."""
+        if self.kind == LAGUERRE:
+            return laguerre_table(k, self.shape, x)
+        if self.kind == SHIFTED_LEGENDRE:
+            return shifted_legendre_table(k, x)
+        return meixner_scaled_table(k, 1.0, self.shape, x)
+
+    def certification_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights exact for the Gram matrix, degree 2 * max_degree.
+
+        Meixner takes ``max_degree + 1`` nodes, the fewest that are exact.
+        Laguerre and Legendre keep ``2 * max_degree + 2``: fewer would move
+        their norms, and so every Mod1 statistic, by rounding.
+        """
+        if self.kind == MEIXNER:
+            return _meixner_rule(self.shape, self.max_degree + 1)
+        n_nodes = 2 * self.max_degree + 2
+        if self.kind == LAGUERRE:
+            return _gamma_weight_rule(self.shape, n_nodes)
+        return _uniform01_rule(n_nodes)
+
+    def addition_split(self, k: int):
+        """``(split, table)`` of raw degrees 0..k; None for shifted Legendre.
+
+        ``P_i(y + z) = sum_s split[i, s, i - s] table(y)[s] table(z)[i - s]``
+        where ``table`` is the family at half its order parameter (Laguerre
+        ``shape / 2``, Meixner ``b = 1/2``).  The weights are 1 for Laguerre,
+        for any division of the shape, and ``C(i, s)`` for Meixner.
+        """
+        _check_degree(k)
+        if self.kind == SHIFTED_LEGENDRE:
+            return None
+        i, s = np.tril_indices(k + 1)
+        split = np.zeros((k + 1,) * 3)
+        if self.kind == LAGUERRE:
+            split[i, s, i - s] = 1.0
+            return split, partial(laguerre_table, k, self.shape / 2)
+        split[i, s, i - s] = [comb(a, b) for a, b in zip(i, s)]
+        return split, partial(meixner_scaled_table, k, 0.5, self.shape)
 
 
 def _check_degree(degree: int, cap: int = HARD_DEGREE_CAP):
@@ -146,7 +191,7 @@ def meixner_scaled_table(max_degree: int, b: float, p: float, x) -> np.ndarray:
     ``M(n; b, p)`` is the hypergeometric Meixner polynomial
     2F1(-n, -x; b; 1 - 1/p).  In this scale the same three-term recurrence
     holds for every positive ``b`` and the polynomial of a sum splits with
-    plain binomial weights (see ``addition_split_meixner``).
+    plain binomial weights (see ``PolynomialFamilySpec.addition_split``).
     """
     _check_degree(max_degree)
     if not 0 < p < 1:
@@ -162,44 +207,6 @@ def meixner_scaled_table(max_degree: int, b: float, p: float, x) -> np.ndarray:
         out[n + 1] = (((p - 1) * x + n + (n + b) * p) * out[n]
                       - (1 - p) * n * (b + n - 1) * out[n - 1]) * (1 - p) / p
     return out
-
-
-# ---------------------------------------------------------------------------
-# Addition splits
-# ---------------------------------------------------------------------------
-
-def addition_split_laguerre(n: int, u: float, v: float) -> list[tuple[int, float]]:
-    """Split weights for a raw Laguerre polynomial of a sum.
-
-    Returns terms ``(s, 1.0)`` such that, writing ``L(n, a, x)`` for
-    ``laguerre_table(n, a, x)[n]``,
-
-        L(n, u + v, y + z) = sum_s L(s, u, y) * L(n - s, v, z)
-
-    for any positive shapes u, v.
-    """
-    _check_degree(n)
-    if not (u > 0 and v > 0):
-        raise DomainError("split parameters u, v must be positive")
-    return [(s, 1.0) for s in range(n + 1)]
-
-
-def addition_split_meixner(n: int, u: float, v: float, p: float) -> list[tuple[int, float]]:
-    """Split weights for a convolution-scale Meixner polynomial of a sum.
-
-    Returns terms ``(s, C(n, s))`` such that, writing ``Ms(n, b, p, x)`` for
-    ``meixner_scaled_table(n, b, p, x)[n]``,
-
-        Ms(n, u + v, p, y + z) = sum_s C(n, s) * Ms(s, u, p, y) * Ms(n - s, v, p, z)
-
-    for any positive u, v (the usual case is u + v = 1).
-    """
-    _check_degree(n)
-    if not (u > 0 and v > 0):
-        raise DomainError("split parameters u, v must be positive")
-    if not 0 < p < 1:
-        raise DomainError("Meixner parameter p must lie in (0, 1)")
-    return [(s, float(comb(n, s))) for s in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +274,6 @@ def _meixner_rule(c: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
                         j[1:] * (sqrt(c) / (1 - c)))
 
 
-def _certification_rule(spec: PolynomialFamilySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights exact for the Gram matrix, degree 2 * max_degree.
-
-    Meixner takes ``max_degree + 1`` nodes, the fewest that are exact.
-    Laguerre and Legendre keep ``2 * max_degree + 2``: fewer would move
-    their norms, and so every Mod1 statistic, by rounding.
-    """
-    if spec.kind == MEIXNER:
-        return _meixner_rule(spec.shape, spec.max_degree + 1)
-    n_nodes = 2 * spec.max_degree + 2
-    if spec.kind == LAGUERRE:
-        return _gamma_weight_rule(spec.shape, n_nodes)
-    return _uniform01_rule(n_nodes)
-
-
-def _raw_table(family: PolynomialFamilySpec, k: int, x) -> np.ndarray:
-    """Raw values P(0..k) of the family at x, shape ``(k + 1,) + x.shape``."""
-    if family.kind == LAGUERRE:
-        return laguerre_table(k, family.shape, x)
-    if family.kind == SHIFTED_LEGENDRE:
-        return shifted_legendre_table(k, x)
-    return meixner_scaled_table(k, 1.0, family.shape, x)
-
-
 @dataclass
 class BasisTable:
     """Certified orthonormal polynomial system for one family.
@@ -309,7 +292,7 @@ class BasisTable:
         if k > self.family.max_degree:
             raise DegreeOverflowError(
                 f"degree {k} exceeds table max {self.family.max_degree}")
-        raw = _raw_table(self.family, k, x)
+        raw = self.family.raw_table(k, x)
         raw /= self.norms[: k + 1].reshape((k + 1,) + (1,) * (raw.ndim - 1))
         return raw
 
@@ -321,12 +304,12 @@ def _gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
     """Numerically certify a family and return its orthonormal table.
 
-    Norms come from the family's Gauss rule (``_certification_rule``).  The
+    Norms come from the family's ``certification_rule``.  The
     Gram matrix of the normalized system must match the identity within
     1e-8, otherwise ``BasisInconsistencyError`` names the worst entry.
     """
-    x, weights = _certification_rule(family)
-    values = _raw_table(family, family.max_degree, x)
+    x, weights = family.certification_rule()
+    values = family.raw_table(family.max_degree, x)
     norms_sq = np.einsum("in,n->i", values ** 2, weights)
     if np.any(norms_sq <= 0):
         bad = int(np.argmin(norms_sq))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .measures import (
     ChiSquared, Distribution, Exponential, Exponential1Ref, Geometric,
-    GeometricRef, Mixture, PointMass, Poisson, RngStream,
+    GeometricRef, Mixture, PointMass, Poisson, RngStream, draw_sum,
 )
 from .nullmodel import NullSpec
 from .teststat import TestConfig, TestEngine
@@ -68,8 +68,7 @@ class ScenarioSpec:
         return (self.y, self.z) == (self.null.y, self.null.z)
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return (np.asarray(self.y.draw(gen, n), dtype=float)
-                + np.asarray(self.z.draw(gen, n), dtype=float))
+        return draw_sum(self.y, self.z, gen, n)
 
 
 def build_scenario(name: str) -> ScenarioSpec:
@@ -161,18 +160,17 @@ def run_replications(scenario: ScenarioSpec, n: int, reps: int,
 
 def level_power_table(scenarios, n_grid, reps: int, config: TestConfig,
                       master_seed: int) -> list[SimReport]:
-    """Rejection-rate grid over scenario x sample size.
+    """Rejection-rate grid over scenario names x sample size.
 
     Scenarios sharing a null (a model and its alternatives) reuse one
     prepared engine per sample size, so each calibration runs once.
     """
-    specs = [build_scenario(s) if isinstance(s, str) else s for s in scenarios]
-    engines: dict[tuple[str, int], TestEngine] = {}
+    specs = [build_scenario(s) for s in scenarios]
+    engines: dict[tuple[NullSpec, int], TestEngine] = {}
     rows: list[SimReport] = []
     for spec in specs:
-        null_key = repr(sorted(spec.null.config().items()))
         for n in n_grid:
-            key = (null_key, int(n))
+            key = (spec.null, int(n))
             if key not in engines:
                 engines[key] = TestEngine(spec.null, int(n), config)
             rows.append(run_replications(spec, int(n), reps, config,

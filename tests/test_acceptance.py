@@ -17,8 +17,8 @@ from deconvtest.cli import main as cli_main
 from deconvtest.measures import RngStream
 from deconvtest.nullmodel import compute_coefficients
 from deconvtest.orthopoly import (
-    PolynomialFamilySpec, addition_split_laguerre, addition_split_meixner,
-    certify_orthonormality, laguerre_table, meixner_scaled_table,
+    PolynomialFamilySpec, certify_orthonormality, laguerre_table,
+    meixner_scaled_table,
 )
 from deconvtest.simlab import build_scenario, run_replications
 from deconvtest.teststat import (
@@ -83,24 +83,25 @@ def test_criterion_02_addition_theorems():
     start = time.perf_counter()
     rng = np.random.default_rng(20260809)
     worst_cont = 0.0
+    split, table = PolynomialFamilySpec("laguerre", 1.0, 8).addition_split(8)
     for n in range(9):
-        terms = addition_split_laguerre(n, 0.5, 0.5)
         y = rng.uniform(0.0, 10.0, 100)
         z = rng.uniform(0.0, 10.0, 100)
         lhs = laguerre_table(n, 1.0, y + z)[n]
-        ty, tz = laguerre_table(n, 0.5, y), laguerre_table(n, 0.5, z)
-        rhs = sum(w * ty[s] * tz[n - s] for s, w in terms)
+        ty, tz = table(y), table(z)
+        rhs = sum(split[n, s, n - s] * ty[s] * tz[n - s]
+                  for s in range(n + 1))
         worst_cont = max(worst_cont,
                          float(np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs)))))
     worst_disc = 0.0
     grid = np.arange(21, dtype=float)
     yy, zz = np.meshgrid(grid, grid)
+    split, table = PolynomialFamilySpec("meixner", 0.5, 6).addition_split(6)
+    ty, tz = table(yy), table(zz)
     for n in range(7):
-        terms = addition_split_meixner(n, 0.5, 0.5, 0.5)
         lhs = meixner_scaled_table(n, 1.0, 0.5, yy + zz)[n]
-        ty = meixner_scaled_table(n, 0.5, 0.5, yy)
-        tz = meixner_scaled_table(n, 0.5, 0.5, zz)
-        rhs = sum(w * ty[s] * tz[n - s] for s, w in terms)
+        rhs = sum(split[n, s, n - s] * ty[s] * tz[n - s]
+                  for s in range(n + 1))
         worst_disc = max(worst_disc,
                          float(np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs)))))
     elapsed = time.perf_counter() - start

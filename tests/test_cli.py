@@ -147,7 +147,8 @@ class TestCmdTest:
 
     def test_null_draws_outside_support_are_data_error(self, tmp_path, capsys):
         # a tenth of Y has mean 1e308, so some null draws overflow to inf;
-        # the calibration must refuse them, not leave NaN critical values
+        # the calibration must refuse them, not leave NaN critical values,
+        # and the overflow is no warning on stderr
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "null": {"y": {"kind": "mixture", "weight": 0.9,
@@ -157,11 +158,14 @@ class TestCmdTest:
         f = tmp_path / "d.txt"
         f.write_text("0.5\n1\n2\n3\n")
         out = tmp_path / "res.json"
-        code = run_cli(["test", f, "--config", cfg, "--kmax", "3",
-                        "--out", out])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["test", f, "--config", cfg, "--kmax", "3",
+                            "--out", out])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
+        assert err.count("data error:") == len(err.splitlines()) == 1
         assert "outside the reference support" in err
         assert not out.exists()
 

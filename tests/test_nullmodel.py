@@ -17,9 +17,7 @@ from deconvtest.nullmodel import (
     CONDITION_CAP, EigenDiagnostics, NullCoefficients, NullSpec,
     NullSpecError, compute_coefficients, eigen_floor_diagnostics, value_masses,
 )
-from deconvtest.orthopoly import (
-    HARD_DEGREE_CAP, PolynomialFamilySpec, certify_orthonormality,
-)
+from deconvtest.orthopoly import HARD_DEGREE_CAP
 from deconvtest.teststat import (
     TestConfig, default_kmax, run_test, t_sequence,
 )
@@ -308,28 +306,20 @@ class TestEigenDiagnostics:
 
 
 class TestValidation:
-    def test_basis_reference_mismatch(self, laguerre_table):
-        with pytest.raises(NullSpecError, match="does not match"):
-            NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.5),
-                     basis=laguerre_table)
-
-    def test_meixner_parameter_mismatch(self, meixner_table):
-        with pytest.raises(NullSpecError, match="differs"):
-            NullSpec(y=Poisson(1.0), z=Geometric(1.0), ref=GeometricRef(0.7),
-                     basis=meixner_table)
-
-    def test_one_shape_check_for_every_family(self):
-        # the Laguerre shape must be the exponential reference's 1, and the
-        # shifted Legendre family has no shape to check
-        laguerre2 = certify_orthonormality(
-            PolynomialFamilySpec("laguerre", 2.0, max_degree=8))
-        with pytest.raises(NullSpecError, match="differs"):
-            NullSpec(y=Exponential(1.0), z=ChiSquared(1),
-                     ref=Exponential1Ref(), basis=laguerre2)
-        legendre = certify_orthonormality(
-            PolynomialFamilySpec("shifted_legendre", 3.0, max_degree=8))
-        NullSpec(y=Uniform01(), z=PointMass(0.0), ref=Uniform01Ref(),
-                 basis=legendre)
+    def test_reference_fixes_the_basis(self, mod1_null):
+        # a null takes no basis, so it compares and hashes by its laws and
+        # reference
+        with pytest.raises(TypeError, match="basis"):
+            NullSpec(y=Exponential(1.0), z=ChiSquared(1), ref=Exponential1Ref(),
+                     basis=mod1_null.basis)
+        twin = NullSpec(y=Exponential(1.0), z=ChiSquared(1.0),
+                        ref=Exponential1Ref())
+        assert twin == mod1_null and hash(twin) == hash(mod1_null)
+        assert twin != NullSpec(y=Exponential(2.0), z=ChiSquared(1),
+                                ref=Exponential1Ref())
+        assert {twin: 1}[mod1_null] == 1
+        assert NullSpec(Poisson(1.0), Geometric(1.0), GeometricRef(0.3)) \
+            != NullSpec(Poisson(1.0), Geometric(1.0), GeometricRef(0.5))
 
     def test_support_containment(self):
         with pytest.raises(NullSpecError, match="support"):

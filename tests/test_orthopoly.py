@@ -5,9 +5,8 @@ import pytest
 
 from deconvtest.orthopoly import (
     HARD_DEGREE_CAP, BasisInconsistencyError, DegreeOverflowError,
-    DomainError, PolynomialFamilySpec, addition_split_laguerre,
-    addition_split_meixner, certify_orthonormality, laguerre_table,
-    meixner_scaled_table, shifted_legendre_table,
+    DomainError, PolynomialFamilySpec, certify_orthonormality,
+    laguerre_table, meixner_scaled_table, shifted_legendre_table,
 )
 
 from .oracles import (
@@ -194,80 +193,85 @@ class TestCertification:
             PolynomialFamilySpec("hermite", 1.0, 5)
 
 
+def _split(kind, shape, k):
+    split, _ = PolynomialFamilySpec(kind, shape, k).addition_split(k)
+    return split
+
+
+def test_split_weights_only_where_degrees_add_up():
+    # the closed form contracts the whole tensor, so every entry with
+    # s + r != i must be 0
+    for kind, shape in (("laguerre", 1.0), ("meixner", 0.5)):
+        split = _split(kind, shape, 6)
+        i, s, r = np.indices(split.shape)
+        assert not split[i != s + r].any()
+
+
 class TestAdditionSplitLaguerre:
     def test_constant(self):
-        assert addition_split_laguerre(0, 0.5, 0.5) == [(0, 1.0)]
+        assert _split("laguerre", 1.0, 0).tolist() == [[[1.0]]]
 
     def test_degree_one_half_half(self):
         # L(1, 1, y + z) = 1 - y - z = (0.5 - y) + (0.5 - z)
-        terms = addition_split_laguerre(1, 0.5, 0.5)
-        assert [s for s, _ in terms] == [0, 1]
-        np.testing.assert_allclose([w for _, w in terms], [1.0, 1.0])
+        split = _split("laguerre", 1.0, 1)
+        np.testing.assert_array_equal(split[1], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_identity_degree_three(self):
         rng = np.random.default_rng(3)
+        split, table = PolynomialFamilySpec("laguerre", 1.0, 3).addition_split(3)
         for _ in range(50):
             y, z = rng.uniform(0.0, 10.0, 2)
             lhs = laguerre_table(3, 1.0, y + z)[3]
-            ty, tz = laguerre_table(3, 0.5, y), laguerre_table(3, 0.5, z)
-            rhs = sum(w * ty[s] * tz[3 - s]
-                      for s, w in addition_split_laguerre(3, 0.5, 0.5))
+            ty, tz = table(y), table(z)
+            rhs = sum(split[3, s, 3 - s] * ty[s] * tz[3 - s] for s in range(4))
             assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
 
     def test_identity_general_shape(self):
         # unit weights hold for any shapes, here u + v = 2
         rng = np.random.default_rng(4)
+        split = _split("laguerre", 2.0, 6)
         for n in range(7):
             y, z = rng.uniform(0.0, 6.0, 2)
             lhs = laguerre_table(n, 2.0, y + z)[n]
             ty, tz = laguerre_table(n, 0.7, y), laguerre_table(n, 1.3, z)
-            rhs = sum(w * ty[s] * tz[n - s]
-                      for s, w in addition_split_laguerre(n, 0.7, 1.3))
+            rhs = sum(split[n, s, n - s] * ty[s] * tz[n - s]
+                      for s in range(n + 1))
             assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            addition_split_laguerre(2, -0.5, 0.5)
-        with pytest.raises(DomainError):
-            addition_split_laguerre(2, 0.5, 0.0)
-
     def test_palindromic_for_equal_split(self):
+        split = _split("laguerre", 1.0, 8)
         for n in range(9):
-            w = [c for _, c in addition_split_laguerre(n, 0.5, 0.5)]
+            w = [split[n, s, n - s] for s in range(n + 1)]
             np.testing.assert_allclose(w, w[::-1])
 
 
 class TestAdditionSplitMeixner:
     def test_constant(self):
-        assert addition_split_meixner(0, 0.5, 0.5, 0.5) == [(0, 1.0)]
+        assert _split("meixner", 0.5, 0).tolist() == [[[1.0]]]
 
     def test_degree_one(self):
-        terms = addition_split_meixner(1, 0.5, 0.5, 0.5)
-        np.testing.assert_allclose([w for _, w in terms], [1.0, 1.0])
+        split = _split("meixner", 0.5, 1)
+        np.testing.assert_array_equal(split[1], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_identity_on_integer_grid(self):
         grid = np.arange(21, dtype=float)
         yy, zz = np.meshgrid(grid, grid)
         for p in (0.5, 0.3, 0.7, 0.9):
+            split, table = PolynomialFamilySpec(
+                "meixner", p, 8).addition_split(8)
+            ty, tz = table(yy), table(zz)
             for n in range(9):
                 lhs = meixner_scaled_table(n, 1.0, p, yy + zz)[n]
-                ty = meixner_scaled_table(n, 0.5, p, yy)
-                tz = meixner_scaled_table(n, 0.5, p, zz)
-                rhs = sum(w * ty[s] * tz[n - s]
-                          for s, w in addition_split_meixner(n, 0.5, 0.5, p))
+                rhs = sum(split[n, s, n - s] * ty[s] * tz[n - s]
+                          for s in range(n + 1))
                 err = np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs)))
                 assert err <= 1e-8, (p, n, err)
 
     def test_palindromic_for_equal_split(self):
+        split = _split("meixner", 0.5, 8)
         for n in range(9):
-            w = [c for _, c in addition_split_meixner(n, 0.5, 0.5, 0.5)]
+            w = [split[n, s, n - s] for s in range(n + 1)]
             np.testing.assert_allclose(w, w[::-1])
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            addition_split_meixner(2, 0.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            addition_split_meixner(2, 0.5, 0.5, 1.1)
 
 
 class TestRecurrenceStability:

@@ -225,6 +225,20 @@ class TestLevelPowerTable:
         assert level_power_table([], [50], 10, FAST, 1) == []
         assert level_power_table(["Mod1"], [], 10, FAST, 1) == []
 
+    def test_one_engine_per_null_and_size(self, monkeypatch):
+        # a model and its alternatives share one engine per sample size
+        built = []
+
+        def counted(engine, null, n, config, init=TestEngine.__init__):
+            built.append((null.ref.kind, n))
+            init(engine, null, n, config)
+        monkeypatch.setattr(TestEngine, "__init__", counted)
+        level_power_table(["Mod1", "Alt2", "Mod2", "Alt5", "Alt1"], [30, 40],
+                          5, FAST, 3)
+        assert built == [("exponential1", 30), ("exponential1", 40),
+                         ("geometric", 30), ("geometric", 40)]
+        assert build_scenario("Mod1") == build_scenario("Mod1")
+
     def test_grid_shape_and_row_order(self):
         rows = level_power_table(["Mod1", "Alt2"], [50, 80], 20, FAST, 11)
         assert [(r.scenario, r.n) for r in rows] == [
