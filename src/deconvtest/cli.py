@@ -5,23 +5,32 @@ Subcommands
 ``deconvtest test DATA``
     Run the goodness-of-fit test on a plain-text sample (one observation
     per line; blank lines and ``#`` comments ignored) and emit a JSON
-    result document.
+    result document.  Flags: ``--config``, ``--out``, ``--coeffs-cache``,
+    ``--alpha``, ``--kmax``, ``--calibration``, ``--reps`` (the calibration
+    replications, ``test.mc_reps``) and ``--seed`` (the calibration seed,
+    ``test.mc_seed``).
 
 ``deconvtest coeffs``
     Compute and dump null coefficients for inspection or caching; the
-    document round-trips into ``test --coeffs-cache``.
+    document round-trips into ``test --coeffs-cache``.  Flags:
+    ``--config``, ``--out`` and ``--kmax``, a required integer order.
 
 ``deconvtest simulate``
     Run the level/power study and write a CSV table, to standard output or,
-    with ``--out``, to that file plus a JSON twin beside it.
+    with ``--out``, to that file plus a JSON twin beside it.  Flags:
+    ``--config``, ``--out``, ``--alpha``, ``--kmax``, ``--calibration``,
+    ``--reps`` (the study replications per cell, ``sim.reps``), ``--seed``
+    (``sim.master_seed``), ``--scenarios`` and ``--n``, both
+    comma-separated.
 
 Configuration is a JSON document with optional ``null``, ``test``, and
-``sim`` sections; unknown keys are rejected and the fully resolved
-configuration is echoed into every output.  The keys of a law or reference
-document are ``kind`` plus the fields of its class in ``measures``, and
-those of the ``test`` section are the fields of ``TestConfig``.  Exit
-codes: 0 success, 2 usage or configuration error, 3 data error, 4
-numerical failure.
+``sim`` sections; a flag that is set overrides its key, unknown keys are
+rejected and the fully resolved configuration is echoed into every output.
+The keys of a law or reference document are ``kind`` plus the fields of its
+class in ``measures``, and those of the ``test`` section are the fields of
+``TestConfig``.  Exit codes: 0 success, 2 usage or configuration error
+(also an ``--out`` path that cannot be written), 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ CSV_HEADER = "scenario,n,reps,reject_rate,ci_low,ci_high,seconds"
 
 
 class ConfigError(ValueError):
-    """Malformed configuration document or flag combination."""
+    """Malformed configuration document or flag, or unwritable output."""
 
 
 class DataFileError(ValueError):
@@ -97,10 +106,6 @@ def _integer(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
-def _document_keys(cls) -> set:
-    return {f.name for f in fields(cls)} | {"kind"}
-
-
 def _construct(cls, doc: dict, where: str):
     """``cls`` from a document keyed by its fields; absent ones default.
 
@@ -108,12 +113,13 @@ def _construct(cls, doc: dict, where: str):
     modules postpone annotations: a law (``"Distribution"``) as a nested
     document, ``float`` as a finite number, ``int`` as an integral one,
     ``int | str`` as ``"auto"`` or an integral number, and ``str`` as is,
-    for the class to check.  A missing field without a default raises
-    ``KeyError``.
+    for the class to check.  An unknown or missing key, or a value that the
+    class refuses, raises ``ConfigError`` naming ``where``.
     """
+    _check_keys(doc, {f.name for f in fields(cls)}, where)
     args = {}
     for f in fields(cls):
-        if f.name in doc or f.default is MISSING:
+        if f.name in doc:
             value, at = doc[f.name], f"{where}.{f.name}"
             if f.type == "Distribution":
                 value = build_distribution(value, at)
@@ -122,37 +128,33 @@ def _construct(cls, doc: dict, where: str):
             elif f.type == "int" or (f.type == "int | str" and value != "auto"):
                 value = _integer(value, at)
             args[f.name] = value
-    return cls(**args)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing key {f.name!r} in {where}")
+    try:
+        return cls(**args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _of_kind(table: dict, doc, where: str, what: str, default=None):
+    """The class that ``table`` names by a document's ``kind``, and the
+    document's other keys."""
+    doc = dict(_object(doc, where))
+    kind = doc.pop("kind", default)
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r} in {where}; "
+                          f"expected one of {sorted(table)}")
+    return table[kind], doc
 
 
 def build_distribution(doc: dict, where: str = "distribution") -> Distribution:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(f"{where} must be an object with a 'kind' key")
-    kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in LAWS:
-        raise ConfigError(f"unknown distribution kind {kind!r} in {where}")
-    _check_keys(doc, _document_keys(LAWS[kind]), where)
-    try:
-        return _construct(LAWS[kind], doc, where)
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc} for {kind} in {where}") from None
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad {kind} parameters in {where}: {exc}") from None
+    return _construct(*_of_kind(LAWS, doc, where, "distribution"), where)
 
 
 def build_reference(doc: dict) -> ReferenceMeasure:
-    kind = _object(doc, "null.reference").get("kind", "exponential1")
-    if not isinstance(kind, str) or kind not in REFERENCES:
-        raise ConfigError(f"unknown reference measure kind {kind!r}")
-    _check_keys(doc, _document_keys(REFERENCES[kind]), "null.reference")
-    try:
-        return _construct(REFERENCES[kind], doc, "null.reference")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _construct(*_of_kind(REFERENCES, doc, "null.reference",
+                                "reference measure", "exponential1"),
+                      "null.reference")
 
 
 def build_null(doc: dict) -> NullSpec:
@@ -167,16 +169,14 @@ def build_null(doc: dict) -> NullSpec:
         raise ConfigError(
             f"null.dependence must be 'independent', got {dependence!r}: the "
             "noise Z is independent of the signal Y")
+    y = build_distribution(doc.get("y", {"kind": "exponential", "mean": 1.0}),
+                           "null.y")
+    z = build_distribution(doc.get("z", {"kind": "chi_squared", "df": 1}),
+                           "null.z")
+    ref = build_reference(doc.get("reference", {"kind": "exponential1"}))
     try:
-        null = NullSpec(
-            y=build_distribution(doc.get("y", {"kind": "exponential", "mean": 1.0}),
-                                 "null.y"),
-            z=build_distribution(doc.get("z", {"kind": "chi_squared", "df": 1}),
-                                 "null.z"),
-            ref=build_reference(doc.get("reference", {"kind": "exponential1"})))
+        null = NullSpec(y=y, z=z, ref=ref)
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid null specification: {exc}") from None
     basis = null.config()["basis"]
     if doc.get("basis", basis) != basis:
@@ -186,26 +186,20 @@ def build_null(doc: dict) -> NullSpec:
 
 
 def build_test_config(doc: dict) -> TestConfig:
-    _check_keys(doc, {f.name for f in fields(TestConfig)}, "test")
-    try:
-        return _construct(TestConfig, doc, "test")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid test section: {exc}") from None
+    return _construct(TestConfig, doc, "test")
 
 
-_SIM_KEYS = {"scenarios", "n", "reps", "master_seed"}
 _SIM_DEFAULTS = {"scenarios": list(SCENARIO_NAMES), "n": [50, 100, 500],
                  "reps": 2000, "master_seed": 20260809}
 
 
 def build_sim_section(doc: dict) -> dict:
-    _check_keys(doc, _SIM_KEYS, "sim")
+    _check_keys(doc, set(_SIM_DEFAULTS), "sim")
     sim = dict(_SIM_DEFAULTS)
     sim.update(doc)
-    if not isinstance(sim["scenarios"], list):
-        raise ConfigError("sim.scenarios must be a list of scenario names")
+    if not (isinstance(sim["scenarios"], list) and sim["scenarios"]):
+        raise ConfigError("sim.scenarios must be a nonempty list of scenario "
+                          "names")
     for name in sim["scenarios"]:
         if name not in SCENARIO_NAMES:
             raise ConfigError(f"unknown scenario {name!r} in sim.scenarios")
@@ -270,37 +264,33 @@ def read_data_file(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Flag plumbing
+# Flags and outputs
 # ---------------------------------------------------------------------------
 
-def _apply_test_overrides(args, test_doc: dict) -> dict:
-    out = dict(test_doc)
-    if args.alpha is not None:
-        out["alpha"] = args.alpha
-    if getattr(args, "kmax", None) is not None:
-        out["k_max"] = args.kmax if args.kmax == "auto" else int(args.kmax)
-    if args.calibration is not None:
-        out["calibration"] = args.calibration
-    if getattr(args, "reps", None) is not None and args.command == "test":
-        out["mc_reps"] = args.reps
-    if args.seed is not None and args.command in ("test", "coeffs"):
-        out["mc_seed"] = args.seed
-    return out
+def _config(args) -> dict:
+    """The ``--config`` document with each flag that is set at its key.
+
+    A flag that sets a key has that key, ``section.key``, as its ``dest``.
+    """
+    cfg = load_config(args.config)
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            cfg[section] = {**cfg.get(section, {}), key: value}
+    return cfg
 
 
-def _emit(document: dict, out_path: str | None):
-    text = json.dumps(document, indent=2, sort_keys=True)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _resolved_echo(null: NullSpec, test: TestConfig, sim: dict | None = None) -> dict:
-    echo = {"null": null.config(), "test": test.to_dict()}
-    if sim is not None:
-        echo["sim"] = sim
-    return echo
+def _emit(document: dict | str, path: str | None):
+    """A document as JSON, or a text, to ``path`` or to standard output."""
+    text = (document if isinstance(document, str)
+            else json.dumps(document, indent=2, sort_keys=True) + "\n")
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +298,9 @@ def _resolved_echo(null: NullSpec, test: TestConfig, sim: dict | None = None) ->
 # ---------------------------------------------------------------------------
 
 def cmd_test(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     null = build_null(cfg.get("null", {}))
-    test = build_test_config(_apply_test_overrides(args, cfg.get("test", {})))
+    test = build_test_config(cfg.get("test", {}))
     data = read_data_file(args.data)
     coeffs = None
     if args.coeffs_cache:
@@ -327,7 +317,7 @@ def cmd_test(args) -> int:
             "notes": list(engine.coeffs.notes),
             "cache": args.coeffs_cache,
         },
-        "config": _resolved_echo(null, test),
+        "config": {"null": null.config(), "test": test.to_dict()},
         "config_hash": config_hash(null.config()),
     }, args.out)
     return EXIT_OK
@@ -363,16 +353,13 @@ def _load_coeffs_cache(path: str, null: NullSpec) -> NullCoefficients:
 
 
 def cmd_coeffs(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     null = build_null(cfg.get("null", {}))
     # checked like every command's, though the coefficients use none of it
-    build_test_config(_apply_test_overrides(args, cfg.get("test", {})))
-    if args.kmax is None or args.kmax == "auto":
-        raise ConfigError("coeffs requires an explicit --kmax order")
-    k = int(args.kmax)
-    if k < 1:
-        raise ConfigError("--kmax must be at least 1")
-    coeffs = compute_coefficients(null, k)
+    build_test_config(cfg.get("test", {}))
+    if args.kmax is None or args.kmax < 1:
+        raise ConfigError("coeffs requires --kmax, an order of at least 1")
+    coeffs = compute_coefficients(null, args.kmax)
     lam = eigen_floor_diagnostics(coeffs).lambda_mins
     _emit({
         "schema": COEFFS_SCHEMA,
@@ -386,29 +373,14 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    test_doc = _apply_test_overrides(args, cfg.get("test", {}))
-    test = build_test_config(test_doc)
-    sim_doc = dict(cfg.get("sim", {}))
-    if args.scenarios:
-        sim_doc["scenarios"] = [s.strip() for s in args.scenarios.split(",")
-                                if s.strip()]
-    if args.reps is not None:
-        sim_doc["reps"] = args.reps
-    if args.seed is not None:
-        sim_doc["master_seed"] = args.seed
-    if args.n:
-        sim_doc["n"] = [int(v) for v in args.n.split(",")]
-    sim = build_sim_section(sim_doc)
+    cfg = _config(args)
+    test = build_test_config(cfg.get("test", {}))
+    sim = build_sim_section(cfg.get("sim", {}))
 
     started = time.perf_counter()
-    rows = level_power_table(sim["scenarios"], sim["n"], int(sim["reps"]),
-                             test, int(sim["master_seed"]))
+    rows = level_power_table(sim["scenarios"], sim["n"], sim["reps"], test,
+                             sim["master_seed"])
 
     lines = [CSV_HEADER]
     json_rows = []
@@ -418,28 +390,23 @@ def cmd_simulate(args) -> int:
         # column stays 0 so equal seeds give equal bytes
         lines.append(",".join([
             row.scenario, str(row.n), str(row.reps),
-            _format_float(row.rejection_rate),
-            _format_float(row.ci_low), _format_float(row.ci_high), "0.000",
+            *(repr(float(x)) for x in (row.reject_rate, row.ci_low,
+                                       row.ci_high)), "0.000",
         ]))
         timing[f"{row.scenario}:{row.n}"] = row.seconds
-        doc = row.to_dict()
-        doc["seconds"] = 0.0
-        json_rows.append(doc)
-    csv_text = "\n".join(lines) + "\n"
+        json_rows.append({**row.to_dict(), "seconds": 0.0})
+    _emit("\n".join(lines) + "\n", args.out)
     if not args.out:
-        sys.stdout.write(csv_text)
         return EXIT_OK
     out_csv = Path(args.out)
     out_json = out_csv.with_suffix(".json")
-    out_csv.write_text(csv_text)
-    twin = {
+    _emit({
         "schema": SIM_SCHEMA,
         "rows": json_rows,
         "config": {"test": test.to_dict(), "sim": sim},
         "timing_seconds": timing,
         "total_seconds": time.perf_counter() - started,
-    }
-    out_json.write_text(json.dumps(twin, indent=2, sort_keys=True) + "\n")
+    }, out_json)
     sys.stdout.write(f"wrote {out_csv} and {out_json} ({len(rows)} rows)\n")
     return EXIT_OK
 
@@ -449,40 +416,59 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; a flag that sets a config key has it as its ``dest``."""
+    def auto_or_int(text):
+        return text if text == "auto" else int(text)
+
+    def int_list(text):
+        return [int(v) for v in text.split(",")]
+
+    def name_list(text):
+        return [s.strip() for s in text.split(",") if s.strip()]
+
     parser = argparse.ArgumentParser(
         prog="deconvtest",
         description="Goodness-of-fit testing for the signal component of "
                     "an additive convolution with known noise.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--out", help="output path (default: standard output)")
-    common.add_argument("--seed", type=int,
-                        help="override the relevant seed (calibration seed "
-                             "for 'test', master seed for 'simulate')")
-    common.add_argument("--alpha", type=float, help="nominal test level")
-    common.add_argument("--kmax",
-                        help="number of components ('auto' or an integer)")
-    common.add_argument("--calibration", choices=["asymptotic", "mc"],
-                        help="critical-value mode")
-    common.add_argument("--reps", type=int,
-                        help="replication count (calibration reps for 'test', "
-                             "study reps for 'simulate')")
-
-    p_test = sub.add_parser("test", parents=[common],
-                            help="run the test on a data file")
-    p_test.add_argument("data", help="observations, one per line")
-    p_test.add_argument("--coeffs-cache",
-                        help="coefficient document from 'deconvtest coeffs'")
-
-    sub.add_parser("coeffs", parents=[common],
-                   help="compute null coefficients (requires --kmax)")
-
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="run the level/power study")
-    p_sim.add_argument("--scenarios", help="comma-separated scenario names")
-    p_sim.add_argument("--n", help="comma-separated sample sizes")
+    commands = {name: sub.add_parser(name, help=text) for name, text in [
+        ("test", "run the test on a data file"),
+        ("coeffs", "compute null coefficients (requires --kmax)"),
+        ("simulate", "run the level/power study")]}
+    commands["test"].add_argument("data", help="observations, one per line")
+    commands["test"].add_argument(
+        "--coeffs-cache", help="coefficient document from 'deconvtest coeffs'")
+    commands["coeffs"].add_argument("--kmax", type=int,
+                                    help="number of components")
+    for p in commands.values():
+        p.add_argument("--config", help="JSON configuration file")
+        p.add_argument("--out", help="output path (default: standard output)")
+    # (subcommands, flag, config key it sets, help text, argparse options)
+    for names, flag, key, text, options in [
+        ("test simulate", "--alpha", "test.alpha", "nominal test level",
+         {"type": float}),
+        ("test simulate", "--kmax", "test.k_max",
+         "number of components ('auto' or an integer)", {"type": auto_or_int}),
+        ("test simulate", "--calibration", "test.calibration",
+         "critical-value mode", {"choices": ["asymptotic", "mc"]}),
+        ("test", "--reps", "test.mc_reps",
+         "Monte Carlo calibration replications", {"type": int}),
+        ("test", "--seed", "test.mc_seed", "Monte Carlo calibration seed",
+         {"type": int}),
+        ("simulate", "--reps", "sim.reps", "study replications per cell",
+         {"type": int}),
+        ("simulate", "--seed", "sim.master_seed", "study master seed",
+         {"type": int}),
+        ("simulate", "--scenarios", "sim.scenarios",
+         "comma-separated scenario names", {"type": name_list}),
+        ("simulate", "--n", "sim.n", "comma-separated sample sizes",
+         {"type": int_list}),
+    ]:
+        for name in names.split():
+            commands[name].add_argument(
+                flag, dest=key, help=f"{text} (sets {key})",
+                metavar=None if "choices" in options else flag[2:].upper(),
+                **options)
     return parser
 
 
@@ -492,9 +478,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"test": cmd_test, "coeffs": cmd_coeffs, "simulate": cmd_simulate}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataFileError, DataDomainError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -502,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and any other bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -30,7 +30,7 @@ from .measures import (
     ChiSquared, Distribution, Exponential, Exponential1Ref, Geometric,
     GeometricRef, Mixture, PointMass, Poisson, RngStream, draw_sum,
 )
-from .nullmodel import NullSpec
+from .nullmodel import NullSpec, plain_dict
 from .teststat import TestConfig, TestEngine
 
 _Z95 = 1.959963984540054
@@ -111,20 +111,13 @@ class SimReport:
     reps: int
     rejections: int
     errors: int
-    rejection_rate: float
+    reject_rate: float
     ci_low: float
     ci_high: float
     seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario, "truth_is_null": self.truth_is_null,
-            "n": self.n, "reps": self.reps,
-            "rejections": self.rejections, "errors": self.errors,
-            "reject_rate": self.rejection_rate,
-            "ci_low": self.ci_low, "ci_high": self.ci_high,
-            "seconds": self.seconds,
-        }
+        return plain_dict(self)
 
 
 def run_replications(scenario: ScenarioSpec, n: int, reps: int,
@@ -154,7 +147,7 @@ def run_replications(scenario: ScenarioSpec, n: int, reps: int,
     lo, hi = wilson_interval(rejections, reps)
     return SimReport(
         scenario=scenario.name, truth_is_null=scenario.truth_is_null, n=n,
-        reps=reps, rejections=rejections, errors=errors, rejection_rate=rate,
+        reps=reps, rejections=rejections, errors=errors, reject_rate=rate,
         ci_low=lo, ci_high=hi, seconds=time.perf_counter() - start)
 
 

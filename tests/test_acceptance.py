@@ -59,7 +59,7 @@ def _power(engines, model: str, scenario_name: str, n: int) -> float:
                            STUDY_CONFIG, EVAL_SEED,
                            engine=engines[(model, n)])
     assert rep.errors == 0
-    return rep.rejection_rate
+    return rep.reject_rate
 
 
 def test_criterion_01_orthonormality_certificates():
@@ -268,10 +268,10 @@ def test_criterion_08b_alt4_very_low_power(engines):
                                STUDY_CONFIG, EVAL_SEED, engine=engine)
         assert rep.errors == 0
         floor = oracle["power_t1"] - (rep.ci_high - rep.ci_low)
-        ok &= rep.rejection_rate >= floor
+        ok &= rep.reject_rate >= floor
         if n == 50:
-            ok &= rep.rejection_rate < 0.3
-        parts.append(f"n={n}: {rep.rejection_rate:.4f} (lambda_1 "
+            ok &= rep.reject_rate < 0.3
+        parts.append(f"n={n}: {rep.reject_rate:.4f} (lambda_1 "
                      f"{oracle['lambda_1']:.2f}, need >= {floor:.4f}"
                      + (" and < 0.3)" if n == 50 else ")"))
     report("criterion 08b Alt4 very low power", ok, ", ".join(parts))
@@ -299,15 +299,15 @@ def test_criterion_08c_alt1_power_monotone(engines):
                                STUDY_CONFIG, EVAL_SEED, engine=engine)
         assert rep.errors == 0
         floor = oracle["power_t1"] - (rep.ci_high - rep.ci_low)
-        ok &= rep.rejection_rate >= floor
+        ok &= rep.reject_rate >= floor
         rows[n] = rep
-        parts.append(f"n={n}: {rep.rejection_rate:.4f} (lambda_1 "
+        parts.append(f"n={n}: {rep.reject_rate:.4f} (lambda_1 "
                      f"{oracle['lambda_1']:.2f}, need >= {floor:.4f})")
     for a, b in ((50, 100), (100, 500)):
         half_a = (rows[a].ci_high - rows[a].ci_low) / 2
         half_b = (rows[b].ci_high - rows[b].ci_low) / 2
         slack = 2.0 * max(half_a, half_b)
-        ok &= rows[b].rejection_rate >= rows[a].rejection_rate - slack
+        ok &= rows[b].reject_rate >= rows[a].reject_rate - slack
     report("criterion 08c Alt1 power monotone", ok,
            ", ".join(parts) + " (nondecreasing within 2 CI half-widths)")
     assert ok

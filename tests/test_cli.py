@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, caching, determinism."""
 
+import argparse
 import json
 import warnings
 from dataclasses import fields
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from deconvtest import simlab, teststat
 from deconvtest.cli import (
     CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-    build_distribution, build_null, build_reference, config_hash, main,
-    read_data_file,
+    build_distribution, build_null, build_parser, build_reference,
+    config_hash, main, read_data_file,
 )
 from deconvtest.measures import (
     LAWS, REFERENCES, ChiSquared, Exponential, Exponential1Ref, Gamma,
@@ -185,6 +186,17 @@ class TestCmdTest:
         assert run_cli(["test", FIXTURE, "--config", cfg]) == EXIT_USAGE
         assert "unknown key" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        assert run_cli(["test", FIXTURE, "--calibration", "asymptotic",
+                        "--out", tmp_path]) == EXIT_USAGE
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+    def test_bad_kmax_value_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(["test", FIXTURE, "--kmax", "2.5"])
+        assert exit_.value.code == EXIT_USAGE
+        assert "argument --kmax" in capsys.readouterr().err
+
 
 class TestCmdCoeffs:
     def test_document_round_trip(self, tmp_path):
@@ -268,6 +280,11 @@ class TestCmdCoeffs:
     def test_order_required(self, capsys):
         assert run_cli(["coeffs"]) == EXIT_USAGE
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.json"
+        assert run_cli(["coeffs", "--kmax", "4", "--out", out]) == EXIT_USAGE
+        assert f"cannot write {out}" in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def _config(self, tmp_path):
@@ -349,6 +366,26 @@ class TestCmdSimulate:
                         "--out", tmp_path / "x.csv"]) == EXIT_USAGE
         assert not (tmp_path / "x.csv").exists()
 
+    def test_empty_scenario_list_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {"scenarios": []}}))
+        for args in (["--scenarios", ","], ["--config", cfg]):
+            assert run_cli(["simulate", *args]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert "sim.scenarios" in captured.err and not captured.out
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sim.csv"
+        assert run_cli(["simulate", "--config", self._config(tmp_path),
+                        "--out", out]) == EXIT_USAGE
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+    def test_bad_n_value_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(["simulate", "--n", "50,x"])
+        assert exit_.value.code == EXIT_USAGE
+        assert "argument --n" in capsys.readouterr().err
+
     def test_single_scenario_keeps_default_sizes(self, tmp_path):
         # no sim.n in the config: the default grid is {50, 100, 500}
         cfg = tmp_path / "cfg.json"
@@ -370,6 +407,66 @@ class TestCmdSimulate:
         out = tmp_path / "grid.csv"
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 25
+
+
+class TestFlags:
+    """Every flag of a subcommand acts on what that subcommand emits."""
+
+    # a value per flag, unlike what the base command line gives
+    VALUES = {
+        "test": {"--alpha": "0.2", "--kmax": "3", "--calibration": "mc",
+                 "--reps": "150", "--seed": "5", "--coeffs-cache": None},
+        "coeffs": {"--kmax": "5"},
+        "simulate": {"--alpha": "0.2", "--kmax": "3", "--calibration": "mc",
+                     "--reps": "30", "--seed": "5", "--scenarios": "Mod2",
+                     "--n": "60"},
+    }
+
+    @staticmethod
+    def _flags(command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return [a.option_strings[0] for a in sub.choices[command]._actions
+                if a.option_strings and a.option_strings[0] not in (
+                    "-h", "--config", "--out")]
+
+    @staticmethod
+    def _emitted(tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert run_cli([*argv, "--out", out]) == EXIT_OK
+        if argv[0] != "simulate":
+            return out.read_text()
+        twin = json.loads(out.with_suffix(".json").read_text())
+        return out.read_text(), twin["rows"], twin["config"]
+
+    @pytest.mark.parametrize("command", ["test", "coeffs", "simulate"])
+    def test_no_flag_is_a_no_op(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "test": {"calibration": "asymptotic", "k_max": 4, "mc_reps": 100},
+            "sim": {"scenarios": ["Mod1"], "n": [50], "reps": 20,
+                    "master_seed": 1}}))
+        cache = tmp_path / "coeffs.json"
+        assert run_cli(["coeffs", "--kmax", "4", "--out", cache]) == EXIT_OK
+        base = {"test": ["test", FIXTURE, "--config", cfg],
+                "coeffs": ["coeffs", "--kmax", "4"],
+                "simulate": ["simulate", "--config", cfg]}[command]
+        before = self._emitted(tmp_path, base)
+        flags = self._flags(command)
+        assert sorted(flags) == sorted(self.VALUES[command])
+        for flag in flags:
+            value = self.VALUES[command][flag] or cache
+            assert self._emitted(tmp_path, [*base, flag, value]) != before, \
+                flag
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "3"), ("--alpha", "0.9"), ("--calibration", "mc"),
+        ("--reps", "-7")])
+    def test_coeffs_refuses_flags_without_effect(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(["coeffs", "--kmax", "4", flag, value])
+        assert exit_.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestNumericalFailure:

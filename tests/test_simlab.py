@@ -103,13 +103,13 @@ class TestWilson:
 class TestRunReplications:
     def test_single_replication_rate(self):
         rep = run_replications(build_scenario("Mod1"), 60, 1, FAST, 99)
-        assert rep.rejection_rate in (0.0, 1.0)
+        assert rep.reject_rate in (0.0, 1.0)
         assert rep.reps == 1
 
     def test_rate_and_interval_consistent(self):
         rep = run_replications(build_scenario("Mod1"), 60, 50, FAST, 99)
-        assert rep.rejection_rate == rep.rejections / rep.reps
-        assert rep.ci_low <= rep.rejection_rate <= rep.ci_high
+        assert rep.reject_rate == rep.rejections / rep.reps
+        assert rep.ci_low <= rep.reject_rate <= rep.ci_high
         assert rep.seconds > 0
         assert rep.errors == 0
 
