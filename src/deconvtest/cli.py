@@ -215,15 +215,20 @@ def build_sim_section(doc: dict) -> dict:
     return sim
 
 
+def _read_json(path: str, what: str):
+    """The JSON document at ``path``; ``what`` names it in a ``ConfigError``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    doc = _read_json(path, "config")
     _check_keys(_object(doc, "config document"), {"null", "test", "sim"},
                 "config")
     for section, value in doc.items():
@@ -324,13 +329,7 @@ def cmd_test(args) -> int:
 
 
 def _load_coeffs_cache(path: str, null: NullSpec) -> NullCoefficients:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read coefficient cache {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"coefficient cache {path} is not valid JSON: "
-                          f"{exc}") from None
+    doc = _read_json(path, "coefficient cache")
     if _object(doc, path).get("schema") != COEFFS_SCHEMA:
         raise ConfigError(f"{path} is not a coefficient document")
     expected = config_hash(null.config())
@@ -377,6 +376,9 @@ def cmd_simulate(args) -> int:
     cfg = _config(args)
     test = build_test_config(cfg.get("test", {}))
     sim = build_sim_section(cfg.get("sim", {}))
+    if args.out and Path(args.out).suffix == ".json":
+        raise ConfigError(f"--out {args.out} would be overwritten by its JSON "
+                          "twin; give the table another suffix, such as .csv")
 
     started = time.perf_counter()
     rows = level_power_table(sim["scenarios"], sim["n"], sim["reps"], test,
@@ -400,13 +402,14 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     out_csv = Path(args.out)
     out_json = out_csv.with_suffix(".json")
-    _emit({
-        "schema": SIM_SCHEMA,
-        "rows": json_rows,
-        "config": {"test": test.to_dict(), "sim": sim},
-        "timing_seconds": timing,
-        "total_seconds": time.perf_counter() - started,
-    }, out_json)
+    try:
+        _emit({"schema": SIM_SCHEMA, "rows": json_rows,
+               "config": {"test": test.to_dict(), "sim": sim},
+               "timing_seconds": timing,
+               "total_seconds": time.perf_counter() - started}, out_json)
+    except ConfigError:
+        out_csv.unlink()  # a failed command leaves no half of its output
+        raise
     sys.stdout.write(f"wrote {out_csv} and {out_json} ({len(rows)} rows)\n")
     return EXIT_OK
 

@@ -32,7 +32,7 @@ from math import inf, sqrt
 import numpy as np
 
 from .engines import expectation_rule
-from .measures import Distribution, ReferenceMeasure, draw_sum
+from .measures import Distribution, ReferenceMeasure
 from .orthopoly import PolynomialFamilySpec, certify_orthonormality
 
 CLOSED_FORM = "closed_form"
@@ -96,9 +96,6 @@ class NullSpec:
         if self.ref.discrete and not (self.y.discrete and self.z.discrete):
             raise NullSpecError(
                 "a discrete reference requires integer-supported components")
-
-    def sample_x(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return draw_sum(self.y, self.z, gen, n)
 
     def basis_terms(self, x: np.ndarray, k: int) -> np.ndarray:
         """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows.

@@ -8,32 +8,30 @@ measure used as the reference weight of the fit test:
 * Meixner ``M(n, p)`` -- geometric weight ``p**x * (1 - p)`` on {0, 1, ...}.
 
 This module owns every Gauss rule of the package: Gauss-Laguerre,
-Gauss-Legendre on [0, 1], and the Gauss-Charlier and Gauss-Meixner rules
-built from their Jacobi matrices (Golub & Welsch 1969).  Each law in
-``measures`` gives its Gauss rule, one of these, through its ``rule``
-method; this module imports nothing from the package.  A
+Gauss-Legendre on [0, 1], Gauss-Charlier and Gauss-Meixner, each built by
+one Golub & Welsch (1969) solver from the Jacobi matrix of its probability
+law.  Each law in ``measures`` gives its Gauss rule, one of these, through
+its ``rule`` method; this module imports nothing from the package.  A
 ``PolynomialFamilySpec`` owns all that depends on its kind: its raw table,
 the Gauss rule that certifies it, and its addition split.  Norms are always
-established numerically at table construction, with the Gauss-Laguerre,
-Gauss-Legendre and Gauss-Meixner rules, and the resulting orthonormal
-system is certified against its Gram matrix; printed closed-form norm
-constants are never trusted.  For the Laguerre family (raw scale) and the
-Meixner family (convolution scale) the polynomial of a sum ``y + z``
-splits exactly into weighted products of lower-degree polynomials of ``y``
-and ``z`` at half the family's parameter; those splits are what make
-closed-form convolution coefficients possible.  They are identities of the
-recurrences, not properties of a built table, so certification checks only
-the Gram matrix.
+established numerically at table construction, with the family's own rule at
+``max_degree + 1`` nodes, and the resulting orthonormal system is certified
+against its Gram matrix; printed closed-form norm constants are never
+trusted.  For the Laguerre family (raw scale) and the Meixner family
+(convolution scale) the polynomial of a sum ``y + z`` splits exactly into
+weighted products of lower-degree polynomials of ``y`` and ``z`` at half the
+family's parameter; those splits are what make closed-form convolution
+coefficients possible.  They are identities of the recurrences, not
+properties of a built table, so certification checks only the Gram matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import comb, exp, lgamma, sqrt
+from math import comb, sqrt
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_legendre
 
 HARD_DEGREE_CAP = 30
 GRAM_TOL = 1e-8
@@ -99,18 +97,14 @@ class PolynomialFamilySpec:
         return meixner_scaled_table(k, 1.0, self.shape, x)
 
     def certification_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights exact for the Gram matrix, degree 2 * max_degree.
-
-        Meixner takes ``max_degree + 1`` nodes, the fewest that are exact.
-        Laguerre and Legendre keep ``2 * max_degree + 2``: fewer would move
-        their norms, and so every Mod1 statistic, by rounding.
-        """
-        if self.kind == MEIXNER:
-            return _meixner_rule(self.shape, self.max_degree + 1)
-        n_nodes = 2 * self.max_degree + 2
+        """Gauss rule of the family's weight with ``max_degree + 1`` nodes,
+        the fewest exact for the Gram matrix (degree 2 * max_degree)."""
+        n_nodes = self.max_degree + 1
         if self.kind == LAGUERRE:
             return _gamma_weight_rule(self.shape, n_nodes)
-        return _uniform01_rule(n_nodes)
+        if self.kind == SHIFTED_LEGENDRE:
+            return _uniform01_rule(n_nodes)
+        return _meixner_rule(self.shape, n_nodes)
 
     def addition_split(self, k: int):
         """``(split, table)`` of raw degrees 0..k; None for shifted Legendre.
@@ -213,25 +207,6 @@ def meixner_scaled_table(max_degree: int, b: float, p: float, x) -> np.ndarray:
 # Gauss rules and certification
 # ---------------------------------------------------------------------------
 
-def _gamma_weight_rule(shape: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights integrating polynomials against the Gamma(shape, 1) law.
-
-    Generalized Gauss-Laguerre with the weights renormalized by Gamma(shape),
-    exact for polynomial degree <= 2 * n_nodes - 1.  Past a shape of about
-    170 the raw weights overflow, which raises ``FloatingPointError``.
-    """
-    nodes, weights = roots_genlaguerre(n_nodes, shape - 1.0)
-    if not (np.all(np.isfinite(weights)) and lgamma(shape) < 709.0):
-        raise FloatingPointError(
-            f"the Gauss-Laguerre rule overflows at gamma shape {shape:g}")
-    return nodes, weights / exp(lgamma(shape))
-
-
-def _uniform01_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = roots_legendre(n_nodes)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
 def _jacobi_rule(diag: np.ndarray, off: np.ndarray):
     """Gauss rule of a probability law from its orthonormal three-term
     recurrence ``x q_j = off[j] q_(j+1) + diag[j] q_j + off[j-1] q_(j-1)``.
@@ -259,6 +234,18 @@ def _jacobi_rule(diag: np.ndarray, off: np.ndarray):
             q[j + 1] = step[j] * q[j] - back[j - 1] * q[j - 1]
         weights = (vectors[top, cols] / q[top, cols]) ** 2
     return nodes, np.where(np.isnan(weights), 0.0, weights)
+
+
+def _gamma_weight_rule(shape: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of the Gamma(shape, 1) law (generalized Gauss-Laguerre)."""
+    j = np.arange(n_nodes)
+    return _jacobi_rule(2 * j + shape, np.sqrt(j[1:] * (j[1:] + shape - 1)))
+
+
+def _uniform01_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of the U(0, 1) law (shifted Gauss-Legendre)."""
+    j = np.arange(1, n_nodes)
+    return _jacobi_rule(np.full(n_nodes, 0.5), j / (2 * np.sqrt(4 * j ** 2 - 1)))
 
 
 def _charlier_rule(mu: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincc, gammaincinv
 
-from .measures import RngStream
+from .measures import RngStream, draw_sum
 from .nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
     plain_dict, value_masses,
@@ -435,13 +435,13 @@ class TestEngine:
         return t_seq.T, s_n, t_seq[s_n - 1, np.arange(t_seq.shape[1])]
 
     def sample_null_batch(self, rows: int, stream: RngStream) -> np.ndarray:
-        """rows x n null samples, one ``null.sample_x(gen, rows * n)`` draw.
+        """rows x n null samples, one ``draw_sum(y, z, gen, rows * n)`` draw.
 
         ``gen`` is ``stream.generator()``, and row r holds draws r n to
         (r + 1) n - 1; the calibration draws each block of rows so.
         """
-        return self.null.sample_x(stream.generator(), rows * self.n).reshape(
-            rows, self.n)
+        return draw_sum(self.null.y, self.null.z, stream.generator(),
+                        rows * self.n).reshape(rows, self.n)
 
     def t_stats(self, y, z, reps: int, stream, draw) -> np.ndarray:
         """T_{S_n} of reps rows of Y + Z, NaN where a row leaves the support.

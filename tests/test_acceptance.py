@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from deconvtest.cli import main as cli_main
-from deconvtest.measures import RngStream
+from deconvtest.measures import RngStream, draw_sum
 from deconvtest.nullmodel import compute_coefficients
 from deconvtest.orthopoly import (
     PolynomialFamilySpec, certify_orthonormality, laguerre_table,
@@ -124,7 +124,7 @@ def test_criterion_03_engine_agreement(mod1_null, mod2_null):
         ok &= d_alpha < 1e-8 and d_sigma < 1e-8
 
         draws = 10 ** 6
-        x = null.sample_x(RngStream(424243, 1).generator(), draws)
+        x = draw_sum(null.y, null.z, RngStream(424243, 1).generator(), draws)
         v = null.basis.eval_normalized(x, 8)[1:] * null.ref.density(x)
         mean = v.mean(axis=1)
         se = v.std(axis=1, ddof=1) / math.sqrt(draws)
@@ -318,7 +318,8 @@ def test_criterion_09_basis_scale_invariance(mod1_null):
     rng = np.random.default_rng(909)
     worst = 0.0
     for r in range(20):
-        data = mod1_null.sample_x(RngStream(9090, r).generator(), 200)
+        data = draw_sum(mod1_null.y, mod1_null.z,
+                        RngStream(9090, r).generator(), 200)
         q = mod1_null.basis.eval_normalized(data, 6)[1:]
         v = q * mod1_null.ref.density(data)
         bhat = math.sqrt(200) * (v.mean(axis=1) - coeffs.alphas)

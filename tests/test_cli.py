@@ -380,6 +380,28 @@ class TestCmdSimulate:
                         "--out", out]) == EXIT_USAGE
         assert f"cannot write {out}" in capsys.readouterr().err
 
+    _QUICK = ["simulate", "--scenarios", "Mod2", "--n", "50", "--reps", "5",
+              "--calibration", "asymptotic"]
+
+    def test_out_that_is_its_own_twin_exits_2(self, tmp_path, monkeypatch,
+                                              capsys):
+        # study.json would be overwritten by its twin: refused before the
+        # study runs, and nothing is written
+        def refuse(*args):
+            raise AssertionError("the study ran")
+        monkeypatch.setattr("deconvtest.cli.level_power_table", refuse)
+        out = tmp_path / "study.json"
+        assert run_cli(self._QUICK + ["--out", out]) == EXIT_USAGE
+        assert f"--out {out}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_twin_leaves_no_csv(self, tmp_path, capsys):
+        (tmp_path / "x.json").mkdir()
+        out = tmp_path / "x.csv"
+        assert run_cli(self._QUICK + ["--out", out]) == EXIT_USAGE
+        assert f"cannot write {tmp_path / 'x.json'}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_n_value_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             run_cli(["simulate", "--n", "50,x"])
@@ -492,14 +514,17 @@ class TestNumericalFailure:
                                     "coeff_tol": 1e-30}) == EXIT_USAGE
         assert "unknown key(s) ['coeff_tol'] in test" in capsys.readouterr().err
 
-    def test_gamma_rule_overflow_exits_4(self, tmp_path, capsys):
-        # the Gauss-Laguerre weights overflow past a shape of about 170
+    def test_large_gamma_shape_runs(self, tmp_path, capsys):
+        # Gamma(172) overflows a float, but the Gauss-Laguerre rule of the
+        # probability law never forms it; the Mod1 sample, of mean 2, is
+        # far from a null of mean 345
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
             {"null": {"y": {"kind": "chi_squared", "df": 344}}}))
         assert run_cli(["test", FIXTURE, "--config", cfg,
-                        "--calibration", "asymptotic"]) == EXIT_NUMERIC
-        assert "gamma shape 172" in capsys.readouterr().err
+                        "--calibration", "asymptotic"]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert np.isfinite(result["t_stat"]) and result["reject"] is True
 
     def test_degenerate_covariance_exits_4(self, tmp_path, capsys):
         # X = 1 + 2 is constant under this null, so Sigma = 0 and no

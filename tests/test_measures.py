@@ -245,6 +245,11 @@ _RULE_LAWS = [
     (("gamma", 1.0, 1.5), Exponential(1.5)),
     (("gamma", 0.7, 2.0), Gamma(0.7, 2.0)),
     (("gamma", 1.5, 2.0), ChiSquared(3)),
+    # shapes past 171, where Gamma(shape) itself overflows a float
+    pytest.param((("gamma", 172.0, 2.0), ChiSquared(344)),
+                 id="chi_squared_344"),
+    pytest.param((("gamma", 1000.0, 0.5), Gamma(1000.0, 0.5)),
+                 id="gamma_1000"),
     (("unif",), Uniform01()),
     (("poisson", 2.5), Poisson(2.5)),
     (("geometric", 1.5), Geometric(1.5)),

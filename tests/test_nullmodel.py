@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from deconvtest.cli import EXIT_USAGE, main
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
-    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
+    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref, draw_sum,
 )
 from deconvtest.nullmodel import (
     CONDITION_CAP, EigenDiagnostics, NullCoefficients, NullSpec,
@@ -57,7 +57,7 @@ class TestEngineAgreement:
         closed = request.getfixturevalue(f"{model}_coeffs8")
         draws = 200_000
         gen = RngStream(881, 3).generator()
-        x = null.sample_x(gen, draws)
+        x = draw_sum(null.y, null.z, gen, draws)
         v = null.basis.eval_normalized(x, 8)[1:] * null.ref.density(x)
         stderr = v.std(axis=1, ddof=1) / np.sqrt(draws)
         assert np.all(np.abs(v.mean(axis=1) - closed.alphas) < 4 * stderr)
@@ -179,7 +179,7 @@ class TestGaussRules:
             # X is uniform itself: alpha = 0 and sigma = I
             np.testing.assert_allclose(coeffs.alphas, 0.0, atol=1e-12)
             np.testing.assert_allclose(coeffs.sigma, np.eye(k), atol=1e-12)
-        x = null.sample_x(RngStream(7, n).generator(), n)
+        x = draw_sum(null.y, null.z, RngStream(7, n).generator(), n)
         res = run_test(x, null, TestConfig(calibration="asymptotic"), coeffs)
         assert 0.0 < res.p_value <= 1.0
 

@@ -124,6 +124,17 @@ class TestCertification:
         np.testing.assert_allclose(legendre_table.norms ** 2, 1.0 / (2 * n + 1),
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("degree", [0, 1, 10, 16, HARD_DEGREE_CAP])
+    def test_legendre_rule_exact_at_certification_size(self, degree):
+        # max_degree + 1 nodes integrate x**r exactly against U(0, 1) for
+        # r <= 2 * max_degree + 1, one degree past the Gram matrix
+        x, w = PolynomialFamilySpec("shifted_legendre",
+                                    max_degree=degree).certification_rule()
+        assert x.size == degree + 1
+        r = np.arange(2 * degree + 2)
+        np.testing.assert_allclose(x[None, :] ** r[:, None] @ w,
+                                   1.0 / (r + 1), rtol=1e-12)
+
     def test_generalized_laguerre_certifies(self):
         table = certify_orthonormality(
             PolynomialFamilySpec("laguerre", 2.5, max_degree=8))

@@ -11,7 +11,7 @@ from scipy.special import chdtrc
 
 from deconvtest import teststat
 from deconvtest.measures import (
-    Geometric, GeometricRef, Mixture, Poisson, RngStream,
+    Geometric, GeometricRef, Mixture, Poisson, RngStream, draw_sum,
 )
 from deconvtest.nullmodel import NullCoefficients, NullSpec, value_masses
 from deconvtest.simlab import build_scenario
@@ -60,7 +60,8 @@ class TestComputeBhat:
         base = RngStream(314159, 0)
         vals = np.empty(reps)
         for r in range(reps):
-            data = mod1_null.sample_x(base.child(7, r).generator(), 500)
+            data = draw_sum(mod1_null.y, mod1_null.z,
+                            base.child(7, r).generator(), 500)
             vals[r] = compute_bhat(data, mod1_null, mod1_coeffs8, 1)[0]
         stderr = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean()) < 4 * stderr
@@ -101,7 +102,7 @@ class TestComputeBhat:
         null = build_scenario(model).null
         engine = TestEngine(null, 100, TestConfig(calibration="asymptotic",
                                                   k_max=10))
-        data = null.sample_x(RngStream(5, 1).generator(), 100)
+        data = draw_sum(null.y, null.z, RngStream(5, 1).generator(), 100)
         data[3] = far
         want = engine.run(data).t_sequence
         assert np.all(np.isfinite(want))
@@ -269,7 +270,8 @@ class TestConfigFields:
 
 class TestRunTest:
     def test_null_data_accepts(self, mod1_null):
-        data = mod1_null.sample_x(RngStream(20260809, 4).generator(), 500)
+        data = draw_sum(mod1_null.y, mod1_null.z,
+                        RngStream(20260809, 4).generator(), 500)
         res = run_test(data, mod1_null, TestConfig(mc_reps=500))
         assert not res.reject
         assert res.t_stat == pytest.approx(res.t_sequence[res.s_n - 1])
@@ -286,21 +288,24 @@ class TestRunTest:
             run_test(np.array([]), mod1_null, TestConfig())
 
     def test_deterministic(self, mod1_null, mod1_coeffs8):
-        data = mod1_null.sample_x(RngStream(5150, 1).generator(), 120)
+        data = draw_sum(mod1_null.y, mod1_null.z,
+                        RngStream(5150, 1).generator(), 120)
         cfg = TestConfig(mc_reps=300)
         a = run_test(data, mod1_null, cfg, coeffs=mod1_coeffs8).to_dict()
         b = run_test(data, mod1_null, cfg, coeffs=mod1_coeffs8).to_dict()
         assert a == b
 
     def test_auto_order_respects_eigen_cap(self, mod1_null):
-        data = mod1_null.sample_x(RngStream(42, 2).generator(), 500)
+        data = draw_sum(mod1_null.y, mod1_null.z,
+                        RngStream(42, 2).generator(), 500)
         res = run_test(data, mod1_null, TestConfig(calibration="asymptotic"))
         # the order-13 budget at n=500 is cut to 10 by the condition cap
         assert res.used_k_max == 10
         assert res.lambda_mins.size == 10
 
     def test_fixed_order(self, mod1_null, mod1_coeffs8):
-        data = mod1_null.sample_x(RngStream(42, 3).generator(), 100)
+        data = draw_sum(mod1_null.y, mod1_null.z,
+                        RngStream(42, 3).generator(), 100)
         res = run_test(data, mod1_null,
                        TestConfig(k_max=4, calibration="asymptotic"),
                        coeffs=mod1_coeffs8)
@@ -310,7 +315,8 @@ class TestRunTest:
     def test_fixed_order_capped_at_usable_order(self, mod1_null):
         # Mod1's roots of orders 11..15 drop directions (ranks 10, 11, 11,
         # 12, 12), so a fixed order 15 runs at the usable order 10
-        data = mod1_null.sample_x(RngStream(42, 4).generator(), 500)
+        data = draw_sum(mod1_null.y, mod1_null.z,
+                        RngStream(42, 4).generator(), 500)
         res = run_test(data, mod1_null,
                        TestConfig(k_max=15, calibration="asymptotic"))
         assert res.used_k_max == 10
@@ -329,7 +335,8 @@ class TestRunTest:
         cfg = TestConfig(mc_reps=400, mc_seed=77)
         engine = TestEngine(mod2_null, 100, cfg)
         base = RngStream(2718, 0)
-        samples = np.stack([mod2_null.sample_x(base.child(5, r).generator(), 100)
+        samples = np.stack([draw_sum(mod2_null.y, mod2_null.z,
+                                     base.child(5, r).generator(), 100)
                             for r in range(400)])
         t_stat = engine.statistic_batch(samples)[2]
         rate = float(np.mean(t_stat > engine.critical_value()))
@@ -575,7 +582,8 @@ class TestCountKernel:
         p, k = 0.999, 8
         null = _count_null(p)
         coeffs = _coeffs(np.zeros(k), np.eye(k))
-        data = np.stack([null.sample_x(RngStream(77, r).generator(), 2000)
+        data = np.stack([draw_sum(null.y, null.z,
+                                  RngStream(77, r).generator(), 2000)
                          for r in range(50)])
         for far in (1e5, 1e6):
             data[7, 11] = far
@@ -860,7 +868,7 @@ class TestRouteChoice:
 
 class TestValueRoute:
     # the first calibration values of 100 rows at n = 50 with mc_seed 5
-    PIN = ["1.50571596159917", "0.0018284588872694114", "4.42517464647789"]
+    PIN = ["1.5057159615991869", "0.0018284588872687847", "4.42517464647786"]
 
     def test_continuous_null_draws_values(self, monkeypatch, mod1_null,
                                           mod1_coeffs8):
