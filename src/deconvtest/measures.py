@@ -27,7 +27,10 @@ index) pair reproduces draws bit-exactly:
 Every law and reference measure is a frozen dataclass with a class-level
 ``kind``; its configuration document is ``{"kind": kind}`` plus its fields
 by name, numbers as floats, and ``LAWS`` and ``REFERENCES`` map each kind
-back to its class.
+back to its class.  A law's ``support`` is [0, inf) unless it states its
+own (the uniform law, point masses and mixtures).  A reference's support
+is [0, ``upper``], its integers where ``discrete``, and its ``in_support``
+test derives from that.
 Coefficients need no densities: each law's ``rule`` is an exact Gauss rule
 from ``orthopoly`` for ``E[f(X) exp(-rate X)]`` (Golub & Welsch 1969).  A
 tilt of a gamma-type, Poisson or geometric law is a law of the same kind
@@ -147,7 +150,7 @@ class Distribution:
         raise TypeError(f"no expectation rule for {type(self).__name__}")
 
     def support(self) -> tuple[float, float]:
-        raise NotImplementedError
+        return (0.0, inf)
 
     def config(self) -> dict:
         return _document(self)
@@ -200,9 +203,6 @@ class Exponential(Distribution):
     def rule(self, nodes, rate=0.0):
         return _gamma_rule(1.0, self.mean, nodes, rate)
 
-    def support(self):
-        return (0.0, inf)
-
 
 @dataclass(frozen=True)
 class Gamma(Distribution):
@@ -219,9 +219,6 @@ class Gamma(Distribution):
 
     def rule(self, nodes, rate=0.0):
         return _gamma_rule(self.shape, self.scale, nodes, rate)
-
-    def support(self):
-        return (0.0, inf)
 
 
 @dataclass(frozen=True)
@@ -242,9 +239,6 @@ class ChiSquared(Distribution):
 
     def rule(self, nodes, rate=0.0):
         return _gamma_rule(self.df / 2.0, 2.0, nodes, rate)
-
-    def support(self):
-        return (0.0, inf)
 
 
 @dataclass(frozen=True)
@@ -283,9 +277,6 @@ class Poisson(Distribution):
         x, w = _charlier_rule(self.mean * exp(-rate), nodes)
         return x, w * exp(self.mean * expm1(-rate))
 
-    def support(self):
-        return (0.0, inf)
-
 
 @dataclass(frozen=True)
 class Geometric(Distribution):
@@ -317,9 +308,6 @@ class Geometric(Distribution):
         c = self.q * exp(-rate)
         x, w = _meixner_rule(c, nodes)
         return x, w * ((1 - self.q) / (1 - c))
-
-    def support(self):
-        return (0.0, inf)
 
 
 @dataclass(frozen=True)
@@ -414,8 +402,9 @@ LAWS = {cls.kind: cls for cls in (Exponential, Gamma, ChiSquared, Poisson,
 class ReferenceMeasure:
     """Probability measure whose density m() weights the polynomial basis.
 
-    On its support every reference density is ``m(0) * exp(-rate * x)``;
-    the coefficient engines fold that exponential into their rules.
+    Its support is ``[0, upper]``, its integers where ``discrete``.  On the
+    support every reference density is ``m(0) * exp(-rate * x)``; the
+    coefficient engines fold that exponential into their rules.
     ``family`` is the (kind, shape) of its ``orthopoly`` basis.
     """
 
@@ -423,15 +412,23 @@ class ReferenceMeasure:
     family: tuple[str, float]
     discrete = False
     rate = 0.0
+    upper = inf
 
     def density(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def in_support(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Finite, in ``[0, upper]`` and, where discrete, integer."""
+        x = np.asarray(x, dtype=float)
+        ok = np.isfinite(x) & (x >= 0)
+        if self.upper < inf:
+            ok &= x <= self.upper
+        if self.discrete:
+            ok &= x == np.floor(x)
+        return ok
 
     def support(self) -> tuple[float, float]:
-        raise NotImplementedError
+        return (0.0, self.upper)
 
     def config(self) -> dict:
         return _document(self)
@@ -447,29 +444,16 @@ class Exponential1Ref(ReferenceMeasure):
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, np.exp(-np.clip(x, 0, None)), 0.0)
 
-    def in_support(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.isfinite(x) & (x >= 0)
-
-    def support(self):
-        return (0.0, inf)
-
 
 @dataclass(frozen=True)
 class Uniform01Ref(ReferenceMeasure):
     kind = "uniform01"
     family = (SHIFTED_LEGENDRE, 1.0)
+    upper = 1.0
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
         return np.where((x >= 0) & (x <= 1), 1.0, 0.0)
-
-    def in_support(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x >= 0) & (x <= 1)
-
-    def support(self):
-        return (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -496,13 +480,6 @@ class GeometricRef(ReferenceMeasure):
         out = np.zeros_like(x)
         out[ok] = self.p ** x[ok] * (1.0 - self.p)
         return out
-
-    def in_support(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.isfinite(x) & (x >= 0) & (x == np.floor(x))
-
-    def support(self):
-        return (0.0, inf)
 
 
 REFERENCES = {cls.kind: cls for cls in (Exponential1Ref, Uniform01Ref,

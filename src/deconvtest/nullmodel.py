@@ -243,28 +243,7 @@ def compute_coefficients(null: NullSpec, k: int,
         full_a, full_s = _closed_form(null, k, *split)
     # both paths carry the degree-0 row; drop it
     alphas, sigma = full_a[1:], full_s[1:, 1:]
-    note = _alpha_growth_note(alphas)
-    return NullCoefficients(k=k, alphas=alphas, sigma=sigma, method=method,
-                            notes=(note,) if note else ())
-
-
-def _alpha_growth_note(alphas: np.ndarray) -> str | None:
-    """Flag non-decaying expansion coefficients.
-
-    The expansion of the observable's density is only valid when that
-    density is square integrable against the reference measure; growing
-    tail coefficients are the observable symptom, so they are surfaced
-    instead of silently assumed away.
-    """
-    if alphas.size < 6:
-        return None
-    head = np.max(np.abs(alphas[: alphas.size // 2]))
-    tail = np.max(np.abs(alphas[-(alphas.size // 3):]))
-    if tail > max(head, 1e-12) * 1.5:
-        return (f"alpha-growth: tail coefficient magnitude {tail:.3e} exceeds "
-                f"head {head:.3e}; the density may not be square integrable "
-                "against the reference measure")
-    return None
+    return NullCoefficients(k=k, alphas=alphas, sigma=sigma, method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ _BLOCK_VALUES = 1 << 18  # basis values per block of rows in compute_bhat
 _BLOCK_DRAWS = 1 << 18  # draws per calibration block: the stream contract
 _BINOMIAL_VALUES = 4  # drawn values that cost as much as one binomial draw
 _PRODUCTS_PER_VALUE = 256  # convolution products that cost one drawn value
+_MC_SLACK = 1e-9  # rounding slack of the Monte Carlo level rule
 
 K_MIN, K_CLAMP_MAX = 3, 15
 
@@ -99,6 +100,13 @@ class TestConfig:
             raise ValueError("calibration must be 'mc' or 'asymptotic'")
         if self.calibration == "mc" and self.mc_reps < 100:
             raise ValueError("Monte Carlo calibration needs at least 100 reps")
+        if self.calibration == "mc" and _mc_allowed(self.mc_reps,
+                                                    self.alpha) < 0:
+            need = math.ceil((1.0 - _MC_SLACK) / self.alpha) - 1
+            raise ValueError(
+                f"alpha {self.alpha} with mc_reps {self.mc_reps} can never "
+                "reject: Monte Carlo p-values are at least 1 / (mc_reps + 1); "
+                f"use mc_reps >= {need}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -346,17 +354,16 @@ def default_kmax(n: int) -> int:
     return min(max(math.ceil(2.0 * math.log(n)), K_MIN), K_CLAMP_MAX)
 
 
-def _mc_threshold(values: np.ndarray, alpha: float) -> float:
-    """Rejection threshold matching the exact Monte Carlo p-value rule.
+def _mc_allowed(reps: int, alpha: float) -> int:
+    """The largest m = #{calibration >= observed} at which the test rejects:
+    the p-value (1 + m) / (reps + 1) is at most alpha iff m is at most this."""
+    return math.floor((reps + 1) * alpha - 1.0 + _MC_SLACK)
 
-    With m = #{calibration >= observed}, p = (1 + m) / (reps + 1) and
-    p <= alpha iff the observed statistic exceeds this order statistic.
-    """
+
+def _mc_threshold(values: np.ndarray, alpha: float) -> float:
+    """The calibration order statistic that a rejected statistic exceeds."""
     reps = values.size
-    allowed = math.floor((reps + 1) * alpha - 1.0 + 1e-9)
-    if allowed < 0:
-        return float(np.inf)
-    return float(np.sort(values)[reps - 1 - allowed])
+    return float(np.sort(values)[reps - 1 - _mc_allowed(reps, alpha)])
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,15 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def _loads(text):
+    """``json.loads`` that refuses NaN and Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 # JSON configuration documents: the schema's sections, kinds and keys plus
 # noise, valued by scalars, lists and nested objects
 _WORDS = sorted(set(LAWS) | set(REFERENCES) | {
@@ -98,7 +107,7 @@ class TestCmdTest:
         out = tmp_path / "res.json"
         code = run_cli(["test", FIXTURE, "--out", out, *FAST_TEST])
         assert code == EXIT_OK
-        doc = json.loads(out.read_text())
+        doc = _loads(out.read_text())
         assert doc["result"]["reject"] is False
         assert doc["config"]["null"]["y"]["kind"] == "exponential"
         assert doc["schema"] == "deconvtest-result-v1"
@@ -109,7 +118,7 @@ class TestCmdTest:
         out = tmp_path / "res.json"
         code = run_cli(["test", f, "--calibration", "asymptotic", "--out", out])
         assert code == EXIT_OK
-        assert json.loads(out.read_text())["result"]["reject"] is True
+        assert _loads(out.read_text())["result"]["reject"] is True
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
@@ -176,8 +185,8 @@ class TestCmdTest:
         base = ["test", FIXTURE, "--calibration", "asymptotic"]
         assert run_cli([*base, "--alpha", "0.05", "--out", out_a]) == EXIT_OK
         assert run_cli([*base, "--alpha", "0.5", "--out", out_b]) == EXIT_OK
-        crit_a = json.loads(out_a.read_text())["result"]["critical_value"]
-        crit_b = json.loads(out_b.read_text())["result"]["critical_value"]
+        crit_a = _loads(out_a.read_text())["result"]["critical_value"]
+        crit_b = _loads(out_b.read_text())["result"]["critical_value"]
         assert crit_b < crit_a
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -191,6 +200,18 @@ class TestCmdTest:
                         "--out", tmp_path]) == EXIT_USAGE
         assert f"cannot write {tmp_path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["test", FIXTURE, "--reps", "100"],
+        ["simulate", "--scenarios", "Alt1,Alt3", "--n", "500"],
+    ])
+    def test_calibration_that_cannot_reject_exits_2(self, capsys, command):
+        # p-values of 100 (or 2000) reps are at least 1/101 (1/2001) > alpha
+        assert run_cli([*command, "--alpha", "0.0001"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "alpha 0.0001 with mc_reps" in err
+        assert "use mc_reps >= 9999" in err
+
     def test_bad_kmax_value_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             run_cli(["test", FIXTURE, "--kmax", "2.5"])
@@ -202,7 +223,7 @@ class TestCmdCoeffs:
     def test_document_round_trip(self, tmp_path):
         coef = tmp_path / "c.json"
         assert run_cli(["coeffs", "--kmax", "6", "--out", coef]) == EXIT_OK
-        doc = json.loads(coef.read_text())
+        doc = _loads(coef.read_text())
         sigma = np.asarray(doc["sigma"])
         assert sigma.shape == (6, 6)
         np.testing.assert_allclose(sigma, sigma.T)
@@ -216,8 +237,8 @@ class TestCmdCoeffs:
         assert run_cli([*base, "--coeffs-cache", coef,
                         "--out", out_cached]) == EXIT_OK
         assert run_cli([*base, "--out", out_fresh]) == EXIT_OK
-        res_cached = json.loads(out_cached.read_text())["result"]
-        res_fresh = json.loads(out_fresh.read_text())["result"]
+        res_cached = _loads(out_cached.read_text())["result"]
+        res_fresh = _loads(out_fresh.read_text())["result"]
         assert res_cached == res_fresh
 
     def test_stale_cache_rejected(self, tmp_path, capsys):
@@ -246,7 +267,7 @@ class TestCmdCoeffs:
     def test_malformed_cache_exits_2(self, tmp_path, capsys, edit):
         coef = tmp_path / "c.json"
         assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
-        coef.write_text(json.dumps(edit(json.loads(coef.read_text()))))
+        coef.write_text(json.dumps(edit(_loads(coef.read_text()))))
         capsys.readouterr()
         code = run_cli(["test", FIXTURE, "--coeffs-cache", coef,
                         "--calibration", "asymptotic"])
@@ -260,7 +281,7 @@ class TestCmdCoeffs:
         # any arithmetic on it, so no NumPy warning reaches stderr
         coef = tmp_path / "c.json"
         assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
-        doc = json.loads(coef.read_text())
+        doc = _loads(coef.read_text())
         if entry == "alphas":
             doc["alphas"][0] = float("inf")
         else:
@@ -317,7 +338,7 @@ class TestCmdSimulate:
         cfg = self._config(tmp_path)
         out = tmp_path / "sim.csv"
         run_cli(["simulate", "--config", cfg, "--out", out])
-        twin = json.loads((tmp_path / "sim.json").read_text())
+        twin = _loads((tmp_path / "sim.json").read_text())
         assert len(twin["rows"]) == 1
         row = twin["rows"][0]
         cells = out.read_text().splitlines()[1].split(",")
@@ -333,7 +354,7 @@ class TestCmdSimulate:
                     "master_seed": 8}}))
         out = tmp_path / "sim.csv"
         run_cli(["simulate", "--config", cfg, "--out", out])
-        twin = json.loads((tmp_path / "sim.json").read_text())
+        twin = _loads((tmp_path / "sim.json").read_text())
         assert [(r["scenario"], r["truth_is_null"]) for r in twin["rows"]] == [
             ("Mod1", True), ("Alt2", False)]
         # the CSV keeps its columns
@@ -458,7 +479,7 @@ class TestFlags:
         assert run_cli([*argv, "--out", out]) == EXIT_OK
         if argv[0] != "simulate":
             return out.read_text()
-        twin = json.loads(out.with_suffix(".json").read_text())
+        twin = _loads(out.with_suffix(".json").read_text())
         return out.read_text(), twin["rows"], twin["config"]
 
     @pytest.mark.parametrize("command", ["test", "coeffs", "simulate"])
@@ -523,7 +544,7 @@ class TestNumericalFailure:
             {"null": {"y": {"kind": "chi_squared", "df": 344}}}))
         assert run_cli(["test", FIXTURE, "--config", cfg,
                         "--calibration", "asymptotic"]) == EXIT_OK
-        result = json.loads(capsys.readouterr().out)["result"]
+        result = _loads(capsys.readouterr().out)["result"]
         assert np.isfinite(result["t_stat"]) and result["reject"] is True
 
     def test_degenerate_covariance_exits_4(self, tmp_path, capsys):
@@ -563,11 +584,11 @@ class TestConfigHelpers:
         ]
         assert {d.kind for d in laws} == set(LAWS)
         for d in laws:
-            assert build_distribution(json.loads(json.dumps(d.config()))) == d
+            assert build_distribution(_loads(json.dumps(d.config()))) == d
         refs = [Exponential1Ref(), Uniform01Ref(), GeometricRef(0.3)]
         assert {r.kind for r in refs} == set(REFERENCES)
         for r in refs:
-            assert build_reference(json.loads(json.dumps(r.config()))) == r
+            assert build_reference(_loads(json.dumps(r.config()))) == r
 
     def test_default_null_hash_is_pinned(self):
         # coefficient caches are stamped with this hash; a change in the
@@ -583,7 +604,7 @@ class TestConfigHelpers:
 
     def test_config_hash_is_stable_and_sensitive(self):
         a = {"y": {"kind": "exponential", "mean": 1.0}}
-        assert config_hash(a) == config_hash(json.loads(json.dumps(a)))
+        assert config_hash(a) == config_hash(_loads(json.dumps(a)))
         assert config_hash(a) != config_hash(
             {"y": {"kind": "exponential", "mean": 2.0}})
 
@@ -693,7 +714,7 @@ class TestConfigBoundary:
         first, again = tmp_path / "r1.json", tmp_path / "r2.json"
         assert run_cli(["test", counts, "--config", cfg, "--kmax", "3",
                         *FAST_TEST, "--out", first]) == EXIT_OK
-        echo = json.loads(first.read_text())["config"]
+        echo = _loads(first.read_text())["config"]
         assert echo["null"]["basis"] == {"kind": "meixner", "shape": 0.4}
         cfg.write_text(json.dumps({"null": echo["null"],
                                    "test": echo["test"]}))
@@ -705,7 +726,7 @@ class TestConfigBoundary:
         first, again = tmp_path / "c1.json", tmp_path / "c2.json"
         assert run_cli(["coeffs", "--kmax", "5", "--out", first]) == EXIT_OK
         cfg = tmp_path / "cfg.json"
-        null = json.loads(first.read_text())["null"]
+        null = _loads(first.read_text())["null"]
         cfg.write_text(json.dumps({"null": null}))
         assert run_cli(["coeffs", "--kmax", "5", "--config", cfg,
                         "--out", again]) == EXIT_OK
@@ -729,7 +750,7 @@ class TestConfigBoundary:
         cfg.write_text(json.dumps({"test": {"k_max": 4.0, "mc_reps": 100.0}}))
         out = tmp_path / "r.json"
         assert run_cli(["test", FIXTURE, "--config", cfg, "--out", out]) == EXIT_OK
-        echo = json.loads(out.read_text())["config"]["test"]
+        echo = _loads(out.read_text())["config"]["test"]
         assert (echo["k_max"], echo["mc_reps"]) == (4, 100)
 
     @settings(max_examples=100, deadline=None,
@@ -746,3 +767,53 @@ class TestConfigBoundary:
                 else ["coeffs", "--kmax", "4"])
         assert run_cli([*args, "--config", cfg]) in (
             EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+
+
+def _config_argv(doc, command="test"):
+    """argv that runs ``command`` on the configuration document ``doc``."""
+    def argv(tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        head = ["test", FIXTURE] if command == "test" else [command]
+        return [*head, "--config", cfg, "--calibration", "asymptotic"]
+    return argv
+
+
+def _schemaless_cache_argv(tmp_path):
+    coef = tmp_path / "c.json"
+    assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
+    doc = _loads(coef.read_text())
+    del doc["schema"]
+    coef.write_text(json.dumps(doc))
+    return ["test", FIXTURE, "--coeffs-cache", coef,
+            "--calibration", "asymptotic"]
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (_config_argv({"null": {"y": {"kind": "gamma"}}}), EXIT_USAGE,
+     "missing key 'shape' in null.y"),
+    (_config_argv({"null": {"y": {"kind": "gamma", "shape": -1}}}),
+     EXIT_USAGE, "null.y: gamma shape and scale must be positive"),
+    (lambda tmp_path: ["test", FIXTURE, "--config", tmp_path], EXIT_USAGE,
+     "cannot read config"),
+    (_config_argv("{not json"), EXIT_USAGE, "is not valid JSON"),
+    (_schemaless_cache_argv, EXIT_USAGE, "is not a coefficient document"),
+    (_config_argv({"sim": {"n": "50"}}, "simulate"), EXIT_USAGE,
+     "sim.n must be a list of sample sizes"),
+    (_config_argv({"null": {"reference": {"kind": "geometric", "p": 1.5}}}),
+     EXIT_USAGE, "null.reference: geometric reference parameter"),
+    (_config_argv({"null": {"reference": {"kind": "uniform01"}}}),
+     EXIT_USAGE, "not contained in the reference support [0.0, 1.0]"),
+    (lambda tmp_path: ["test", tmp_path, "--calibration", "asymptotic"],
+     EXIT_DATA, "cannot read data file"),
+], ids=["gamma-without-shape", "negative-gamma-shape", "config-directory",
+        "config-not-json", "cache-without-schema", "sim-n-string",
+        "geometric-p-above-1", "exponential-on-uniform01", "data-directory"])
+def test_refusals_exit_with_their_code_and_name_the_cause(tmp_path, capsys,
+                                                         argv, code, named):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert run_cli(args) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import deconvtest
 from deconvtest.engines import expectation_rule
@@ -41,6 +42,53 @@ class TestDensityM:
         assert Uniform01Ref().density(1.5) == 0.0
         assert GeometricRef(0.5).density(2.5) == 0.0
         assert GeometricRef(0.5).density(-3) == 0.0
+
+
+# negatives, fractions, signed zeros, far values, infinities and NaN
+_SUPPORT_GRID = np.array([
+    -np.inf, -1e300, -5.0, -1.0, -0.5, -1e-300, -0.0, 0.0, 1e-300, 0.25, 0.5,
+    1.0, 1.5, 2.0, 3.0, 7.0, 50.0, 700.0, 745.0, 800.0, 1e6, 2.0 ** 53,
+    2.0 ** 53 + 2, 1e300, np.inf, np.nan])
+_REFS = [Exponential1Ref(), Uniform01Ref(), GeometricRef(0.5),
+         GeometricRef(0.97)]
+
+
+class TestReferenceSupport:
+    @pytest.mark.parametrize("ref", _REFS, ids=str)
+    def test_membership_is_the_stated_support(self, ref):
+        lo, hi = ref.support()
+        expected = [math.isfinite(v) and lo <= v <= hi
+                    and (not ref.discrete or float(v).is_integer())
+                    for v in _SUPPORT_GRID]
+        np.testing.assert_array_equal(ref.in_support(_SUPPORT_GRID), expected)
+        np.testing.assert_array_equal(
+            ref.in_support(_SUPPORT_GRID.reshape(2, -1)),
+            np.reshape(expected, (2, -1)))
+        assert [bool(ref.in_support(v)) for v in _SUPPORT_GRID] == expected
+
+    @pytest.mark.parametrize("ref", _REFS, ids=str)
+    def test_density_is_zero_off_the_support(self, ref):
+        off = ~ref.in_support(_SUPPORT_GRID)
+        assert (ref.density(_SUPPORT_GRID)[off] == 0.0).all()
+
+    @pytest.mark.parametrize("ref", _REFS, ids=str)
+    def test_density_is_m0_times_the_exponential_tilt(self, ref):
+        # the form that the coefficient rules fold in: m(x) = m(0) e^(-rate x)
+        x = _SUPPORT_GRID[ref.in_support(_SUPPORT_GRID)]
+        m, form = ref.density(x), ref.density(0.0) * np.exp(-ref.rate * x)
+        live = m >= np.finfo(float).tiny
+        np.testing.assert_allclose(m[live], form[live], rtol=1e-12)
+        assert (form[~live] < np.finfo(float).tiny).all()
+        assert live.sum() >= 2
+
+    @pytest.mark.parametrize("ref", _REFS, ids=str)
+    def test_density_has_mass_one(self, ref):
+        # pins m(0), which the form above takes from the density itself
+        if ref.discrete:
+            total = ref.density(np.arange(4000.0)).sum()
+        else:
+            total = quad(lambda t: float(ref.density(t)), *ref.support())[0]
+        assert total == pytest.approx(1.0, rel=1e-12)
 
 
 class TestRngStream:

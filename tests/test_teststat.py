@@ -14,6 +14,7 @@ from deconvtest.measures import (
     Geometric, GeometricRef, Mixture, Poisson, RngStream, draw_sum,
 )
 from deconvtest.nullmodel import NullCoefficients, NullSpec, value_masses
+from deconvtest.orthopoly import DegreeOverflowError
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
     _BLOCK_DRAWS, _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError,
@@ -266,6 +267,43 @@ class TestConfigFields:
         cfg = TestConfig(k_max=np.int64(4), mc_reps=np.int64(300),
                          mc_seed=np.uint64(7))
         assert (cfg.k_max, cfg.mc_reps, cfg.mc_seed) == (4, 300, 7)
+
+    @pytest.mark.parametrize("alpha", [1e-4, 0.003, 1 / 3000, 0.0049])
+    def test_calibration_that_cannot_reject_is_refused(self, alpha):
+        # Monte Carlo p-values are at least 1 / (mc_reps + 1), so a level
+        # below that rejects nothing; the message gives the smallest reps
+        need = math.ceil(1.0 / alpha - 1e-6) - 1
+        with pytest.raises(ValueError, match=rf"alpha {alpha} with mc_reps "
+                           rf"{need - 1} .* mc_reps >= {need}$"):
+            TestConfig(alpha=alpha, mc_reps=need - 1)
+        assert TestConfig(alpha=alpha, mc_reps=need).mc_reps == need
+        TestConfig(alpha=alpha, mc_reps=need - 1, calibration="asymptotic")
+
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda null, c: TestConfig(alpha=0.0), ValueError, "alpha"),
+    (lambda null, c: TestConfig(alpha=1.0), ValueError, "alpha"),
+    (lambda null, c: TestConfig(calibration="bootstrap"), ValueError,
+     "calibration"),
+    (lambda null, c: TestConfig(mc_reps=99), ValueError, "100 reps"),
+    (lambda null, c: chi2_quantile(1.0, 1), ValueError, "quantile level"),
+    (lambda null, c: chi2_quantile(-0.1, 1), ValueError, "quantile level"),
+    (lambda null, c: compute_bhat(np.array([]), null, c, 3), ValueError,
+     "data must be nonempty"),
+    (lambda null, c: compute_bhat(np.ones(5), null, c, 9), ValueError,
+     r"order 9 exceeds coefficients \(8\)"),
+    (lambda null, c: _asymptotic_engine(null, c).run(np.ones(50)),
+     ValueError, "prepared for n=100, got 50"),
+    (lambda null, c: null.basis.eval_normalized(
+        np.ones(3), null.basis.family.max_degree + 1),
+     DegreeOverflowError, "exceeds table max"),
+], ids=["alpha-0", "alpha-1", "unknown-calibration", "mc-reps-99",
+        "quantile-level-1", "negative-quantile-level", "empty-bhat-data",
+        "bhat-order-past-coeffs", "run-wrong-n", "eval-past-table"])
+def test_library_refusals_name_the_cause(mod1_null, mod1_coeffs8, call,
+                                         error, named):
+    with pytest.raises(error, match=named):
+        call(mod1_null, mod1_coeffs8)
 
 
 class TestRunTest:
