@@ -5,15 +5,13 @@ Subcommands
 ``deconvtest test DATA``
     Run the goodness-of-fit test on a plain-text sample (one observation
     per line; blank lines and ``#`` comments ignored) and emit a JSON
-    result document.  Flags: ``--config``, ``--out``, ``--coeffs-cache``,
-    ``--alpha``, ``--kmax``, ``--calibration``, ``--reps`` (the calibration
-    replications, ``test.mc_reps``) and ``--seed`` (the calibration seed,
-    ``test.mc_seed``).
+    result document.  Flags: ``--config``, ``--out``, ``--alpha``,
+    ``--kmax``, ``--calibration``, ``--reps`` (the calibration replications,
+    ``test.mc_reps``) and ``--seed`` (the calibration seed, ``test.mc_seed``).
 
 ``deconvtest coeffs``
-    Compute and dump null coefficients for inspection or caching; the
-    document round-trips into ``test --coeffs-cache``.  Flags:
-    ``--config``, ``--out`` and ``--kmax``, a required integer order.
+    Compute and dump null coefficients for inspection.  Flags: ``--config``,
+    ``--out`` and ``--kmax``, a required integer order.
 
 ``deconvtest simulate``
     Run the level/power study and write a CSV table, to standard output or,
@@ -46,9 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .measures import LAWS, REFERENCES, Distribution, ReferenceMeasure
-from .nullmodel import (
-    NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
-)
+from .nullmodel import NullSpec, compute_coefficients, eigen_floor_diagnostics
 from .orthopoly import BasisInconsistencyError
 from .simlab import SCENARIO_NAMES, level_power_table
 from .teststat import DataDomainError, TestConfig, TestEngine
@@ -59,7 +55,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 COEFFS_SCHEMA = "deconvtest-coeffs-v1"
-RESULT_SCHEMA = "deconvtest-result-v1"
+RESULT_SCHEMA = "deconvtest-result-v2"
 SIM_SCHEMA = "deconvtest-simulation-v1"
 
 CSV_HEADER = "scenario,n,reps,reject_rate,ci_low,ci_high,seconds"
@@ -215,20 +211,15 @@ def build_sim_section(doc: dict) -> dict:
     return sim
 
 
-def _read_json(path: str, what: str):
-    """The JSON document at ``path``; ``what`` names it in a ``ConfigError``."""
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
-
-
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    doc = _read_json(path, "config")
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     _check_keys(_object(doc, "config document"), {"null", "test", "sim"},
                 "config")
     for section, value in doc.items():
@@ -237,7 +228,8 @@ def load_config(path: str | None) -> dict:
 
 
 def config_hash(null_config: dict) -> str:
-    """Content hash of a resolved null section; guards coefficient caches."""
+    """Content hash of a resolved null section; identifies the null in every
+    document."""
     canon = json.dumps(null_config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -307,10 +299,7 @@ def cmd_test(args) -> int:
     null = build_null(cfg.get("null", {}))
     test = build_test_config(cfg.get("test", {}))
     data = read_data_file(args.data)
-    coeffs = None
-    if args.coeffs_cache:
-        coeffs = _load_coeffs_cache(args.coeffs_cache, null)
-    engine = TestEngine(null, data.size, test, coeffs)
+    engine = TestEngine(null, data.size, test)
     result = engine.run(data)
     _emit({
         "schema": RESULT_SCHEMA,
@@ -320,35 +309,11 @@ def cmd_test(args) -> int:
             "method": engine.coeffs.method,
             "lambda_trace": engine.diagnostics.lambda_mins.tolist(),
             "notes": list(engine.coeffs.notes),
-            "cache": args.coeffs_cache,
         },
         "config": {"null": null.config(), "test": test.to_dict()},
         "config_hash": config_hash(null.config()),
     }, args.out)
     return EXIT_OK
-
-
-def _load_coeffs_cache(path: str, null: NullSpec) -> NullCoefficients:
-    doc = _read_json(path, "coefficient cache")
-    if _object(doc, path).get("schema") != COEFFS_SCHEMA:
-        raise ConfigError(f"{path} is not a coefficient document")
-    expected = config_hash(null.config())
-    if doc.get("config_hash") != expected:
-        raise ConfigError(
-            f"coefficient cache {path} is stale: its null configuration hash "
-            f"{doc.get('config_hash')!r} does not match {expected!r};"
-            " recompute with 'deconvtest coeffs'")
-    notes = doc.get("notes", [])
-    if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
-        raise ConfigError(f"coefficient cache {path}: notes must be a list "
-                          f"of strings, got {notes!r}")
-    try:
-        return NullCoefficients.from_dict(doc)
-    except np.linalg.LinAlgError:
-        raise  # a sigma that is not positive semidefinite is numerical
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed coefficient cache {path}: "
-                          f"{type(exc).__name__}: {exc}") from None
 
 
 def cmd_coeffs(args) -> int:
@@ -439,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("coeffs", "compute null coefficients (requires --kmax)"),
         ("simulate", "run the level/power study")]}
     commands["test"].add_argument("data", help="observations, one per line")
-    commands["test"].add_argument(
-        "--coeffs-cache", help="coefficient document from 'deconvtest coeffs'")
     commands["coeffs"].add_argument("--kmax", type=int,
                                     help="number of components")
     for p in commands.values():

@@ -158,11 +158,6 @@ class NullCoefficients:
     def to_dict(self) -> dict:
         return plain_dict(self)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NullCoefficients":
-        return cls(doc["k"], doc["alphas"], doc["sigma"], doc["method"],
-                   tuple(doc.get("notes", ())))
-
 
 # ---------------------------------------------------------------------------
 # Deterministic paths

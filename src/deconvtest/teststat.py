@@ -98,6 +98,10 @@ class TestConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.calibration not in ("mc", "asymptotic"):
             raise ValueError("calibration must be 'mc' or 'asymptotic'")
+        if self.calibration == "asymptotic" and 1.0 - self.alpha == 1.0:
+            raise ValueError(
+                f"alpha {self.alpha} is below the asymptotic calibration's "
+                "resolution: 1 - alpha rounds to 1")
         if self.calibration == "mc" and self.mc_reps < 100:
             raise ValueError("Monte Carlo calibration needs at least 100 reps")
         if self.calibration == "mc" and _mc_allowed(self.mc_reps,
@@ -396,7 +400,7 @@ class TestEngine:
             coeffs = compute_coefficients(null, policy_k)
         self.coeffs = coeffs
         self.diagnostics = eigen_floor_diagnostics(coeffs)
-        # usable_k_max <= coeffs.k, so a shorter cached set also caps here
+        # usable_k_max <= coeffs.k, so a shorter supplied set also caps here
         self.used_k_max = min(policy_k, self.diagnostics.usable_k_max)
         self.notes = tuple(coeffs.notes)
         if config.k_max != "auto" and self.used_k_max < config.k_max:

@@ -1,7 +1,8 @@
-"""Command-line interface: formats, exit codes, caching, determinism."""
+"""Command-line interface: formats, exit codes, determinism."""
 
 import argparse
 import json
+import re
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -110,7 +111,7 @@ class TestCmdTest:
         doc = _loads(out.read_text())
         assert doc["result"]["reject"] is False
         assert doc["config"]["null"]["y"]["kind"] == "exponential"
-        assert doc["schema"] == "deconvtest-result-v1"
+        assert doc["schema"] == "deconvtest-result-v2"
 
     def test_exit_zero_even_when_rejecting(self, tmp_path):
         f = tmp_path / "far.txt"
@@ -229,71 +230,6 @@ class TestCmdCoeffs:
         np.testing.assert_allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma)[0] > -1e-10
         assert doc["config_hash"]
-
-        # cached and recomputed coefficients give identical results
-        out_cached = tmp_path / "r1.json"
-        out_fresh = tmp_path / "r2.json"
-        base = ["test", FIXTURE, "--calibration", "asymptotic", "--kmax", "6"]
-        assert run_cli([*base, "--coeffs-cache", coef,
-                        "--out", out_cached]) == EXIT_OK
-        assert run_cli([*base, "--out", out_fresh]) == EXIT_OK
-        res_cached = _loads(out_cached.read_text())["result"]
-        res_fresh = _loads(out_fresh.read_text())["result"]
-        assert res_cached == res_fresh
-
-    def test_stale_cache_rejected(self, tmp_path, capsys):
-        coef = tmp_path / "c.json"
-        assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
-        cfg = tmp_path / "other.json"
-        cfg.write_text(json.dumps({"null": {"z": {"kind": "chi_squared",
-                                                  "df": 2}}}))
-        code = run_cli(["test", FIXTURE, "--config", cfg,
-                        "--coeffs-cache", coef, "--calibration", "asymptotic"])
-        assert code == EXIT_USAGE
-        assert "stale" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("edit", [
-        lambda doc: [doc],
-        lambda doc: {key: v for key, v in doc.items() if key != "k"},
-        lambda doc: {key: v for key, v in doc.items() if key != "method"},
-        lambda doc: {**doc, "k": None},
-        lambda doc: {**doc, "notes": "abc"},
-        lambda doc: {**doc, "method": 5},
-        # a bool is not an order, even where the shapes fit k = 1
-        lambda doc: {**doc, "k": True, "alphas": doc["alphas"][:1],
-                     "sigma": [doc["sigma"][0][:1]]},
-    ], ids=["array", "no-k", "no-method", "null-k", "string-notes",
-            "number-method", "bool-k"])
-    def test_malformed_cache_exits_2(self, tmp_path, capsys, edit):
-        coef = tmp_path / "c.json"
-        assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
-        coef.write_text(json.dumps(edit(_loads(coef.read_text()))))
-        capsys.readouterr()
-        code = run_cli(["test", FIXTURE, "--coeffs-cache", coef,
-                        "--calibration", "asymptotic"])
-        assert code == EXIT_USAGE
-        assert str(coef) in capsys.readouterr().err
-
-    @pytest.mark.parametrize("entry", ["alphas", "sigma"])
-    def test_non_finite_cache_exits_4_without_warnings(self, tmp_path, capsys,
-                                                       entry):
-        # JSON reads Infinity as a float; the coefficients refuse it before
-        # any arithmetic on it, so no NumPy warning reaches stderr
-        coef = tmp_path / "c.json"
-        assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
-        doc = _loads(coef.read_text())
-        if entry == "alphas":
-            doc["alphas"][0] = float("inf")
-        else:
-            doc["sigma"][1][1] = float("inf")
-        coef.write_text(json.dumps(doc))
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run_cli(["test", FIXTURE, "--coeffs-cache", coef,
-                            "--calibration", "asymptotic"])
-        assert code == EXIT_NUMERIC
-        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_order_zero_rejected(self, capsys):
         assert run_cli(["coeffs", "--kmax", "0"]) == EXIT_USAGE
@@ -458,7 +394,7 @@ class TestFlags:
     # a value per flag, unlike what the base command line gives
     VALUES = {
         "test": {"--alpha": "0.2", "--kmax": "3", "--calibration": "mc",
-                 "--reps": "150", "--seed": "5", "--coeffs-cache": None},
+                 "--reps": "150", "--seed": "5"},
         "coeffs": {"--kmax": "5"},
         "simulate": {"--alpha": "0.2", "--kmax": "3", "--calibration": "mc",
                      "--reps": "30", "--seed": "5", "--scenarios": "Mod2",
@@ -466,12 +402,33 @@ class TestFlags:
     }
 
     @staticmethod
-    def _flags(command):
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        return [a.option_strings[0] for a in sub.choices[command]._actions
+    def _subparsers():
+        return next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    @classmethod
+    def _flags(cls, command):
+        actions = cls._subparsers()[command]._actions
+        return [a.option_strings[0] for a in actions
                 if a.option_strings and a.option_strings[0] not in (
                     "-h", "--config", "--out")]
+
+    def test_readme_flag_table_matches_parser(self):
+        # each row of the README's table lists exactly the subcommand's flags
+        readme = Path(__file__).parents[1] / "README.md"
+        rows = {}
+        for line in readme.read_text().splitlines():
+            cells = line.split("|")
+            if len(cells) == 4 and cells[1].strip().startswith("`"):
+                command = cells[1].strip().strip("`").split()[0]
+                rows[command] = set(re.findall(r"`(--[a-z-]+)`", cells[2]))
+        subparsers = self._subparsers()
+        assert set(rows) == set(subparsers)
+        for command, parser in subparsers.items():
+            options = {flag for a in parser._actions
+                       for flag in a.option_strings
+                       if "-h" not in a.option_strings}
+            assert rows[command] == options, command
 
     @staticmethod
     def _emitted(tmp_path, argv):
@@ -489,8 +446,6 @@ class TestFlags:
             "test": {"calibration": "asymptotic", "k_max": 4, "mc_reps": 100},
             "sim": {"scenarios": ["Mod1"], "n": [50], "reps": 20,
                     "master_seed": 1}}))
-        cache = tmp_path / "coeffs.json"
-        assert run_cli(["coeffs", "--kmax", "4", "--out", cache]) == EXIT_OK
         base = {"test": ["test", FIXTURE, "--config", cfg],
                 "coeffs": ["coeffs", "--kmax", "4"],
                 "simulate": ["simulate", "--config", cfg]}[command]
@@ -498,7 +453,7 @@ class TestFlags:
         flags = self._flags(command)
         assert sorted(flags) == sorted(self.VALUES[command])
         for flag in flags:
-            value = self.VALUES[command][flag] or cache
+            value = self.VALUES[command][flag]
             assert self._emitted(tmp_path, [*base, flag, value]) != before, \
                 flag
 
@@ -591,8 +546,8 @@ class TestConfigHelpers:
             assert build_reference(_loads(json.dumps(r.config()))) == r
 
     def test_default_null_hash_is_pinned(self):
-        # coefficient caches are stamped with this hash; a change in the
-        # document form of a law would orphan every cache written before it
+        # every document is stamped with this hash; a change in the document
+        # form of a law would change it for documents written before it
         assert config_hash(build_null({}).config()) == (
             "e313149d105d5aa8d3c25811f83964023a153ebd7f97b6a082a14f9aa290207a")
 
@@ -779,16 +734,6 @@ def _config_argv(doc, command="test"):
     return argv
 
 
-def _schemaless_cache_argv(tmp_path):
-    coef = tmp_path / "c.json"
-    assert run_cli(["coeffs", "--kmax", "4", "--out", coef]) == EXIT_OK
-    doc = _loads(coef.read_text())
-    del doc["schema"]
-    coef.write_text(json.dumps(doc))
-    return ["test", FIXTURE, "--coeffs-cache", coef,
-            "--calibration", "asymptotic"]
-
-
 @pytest.mark.parametrize("argv, code, named", [
     (_config_argv({"null": {"y": {"kind": "gamma"}}}), EXIT_USAGE,
      "missing key 'shape' in null.y"),
@@ -797,7 +742,8 @@ def _schemaless_cache_argv(tmp_path):
     (lambda tmp_path: ["test", FIXTURE, "--config", tmp_path], EXIT_USAGE,
      "cannot read config"),
     (_config_argv("{not json"), EXIT_USAGE, "is not valid JSON"),
-    (_schemaless_cache_argv, EXIT_USAGE, "is not a coefficient document"),
+    (_config_argv({"test": {"alpha": 1e-17}}), EXIT_USAGE,
+     "alpha 1e-17 is below the asymptotic calibration"),
     (_config_argv({"sim": {"n": "50"}}, "simulate"), EXIT_USAGE,
      "sim.n must be a list of sample sizes"),
     (_config_argv({"null": {"reference": {"kind": "geometric", "p": 1.5}}}),
@@ -807,7 +753,7 @@ def _schemaless_cache_argv(tmp_path):
     (lambda tmp_path: ["test", tmp_path, "--calibration", "asymptotic"],
      EXIT_DATA, "cannot read data file"),
 ], ids=["gamma-without-shape", "negative-gamma-shape", "config-directory",
-        "config-not-json", "cache-without-schema", "sim-n-string",
+        "config-not-json", "asymptotic-alpha-1e-17", "sim-n-string",
         "geometric-p-above-1", "exponential-on-uniform01", "data-directory"])
 def test_refusals_exit_with_their_code_and_name_the_cause(tmp_path, capsys,
                                                          argv, code, named):

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,35 @@ class TestStructure:
             NullCoefficients(k=2, alphas=np.zeros(2),
                              sigma=np.array([[1.0, 0.2], [0.1, 1.0]]),
                              method="closed_form")
+
+    @pytest.mark.parametrize("k, alphas, sigma, method, error, named", [
+        (2, [np.inf, 0.0], np.eye(2), "closed_form", FloatingPointError,
+         "non-finite"),
+        (2, np.zeros(2), [[1.0, 0.0], [0.0, np.inf]], "closed_form",
+         FloatingPointError, "non-finite"),
+        # a bool is not an order, even where the shapes fit k = 1
+        (True, np.zeros(1), np.eye(1), "closed_form", ValueError,
+         "k must be an integer"),
+        (2.5, np.zeros(2), np.eye(2), "closed_form", ValueError,
+         "k must be an integer"),
+        (2, np.zeros(2), np.eye(2), "monte_carlo", ValueError,
+         "unknown coefficient method"),
+        (2, np.zeros(2), np.eye(2), 5, ValueError,
+         "unknown coefficient method"),
+        (3, np.zeros(2), np.eye(3), "closed_form", ValueError,
+         "shapes do not match k"),
+        (2, np.zeros(2), np.eye(3), "closed_form", ValueError,
+         "shapes do not match k"),
+    ], ids=["non-finite-alphas", "non-finite-sigma", "bool-k", "fractional-k",
+            "unknown-method", "number-method", "alphas-shape", "sigma-shape"])
+    def test_malformed_coefficients_refused(self, k, alphas, sigma, method,
+                                            error, named):
+        # refused before any arithmetic on them, so no NumPy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=named):
+                NullCoefficients(k=k, alphas=alphas, sigma=sigma,
+                                 method=method)
 
     def test_psd_violation_rejected(self):
         bad = np.diag([1.0, -1e-6])

@@ -13,7 +13,9 @@ from deconvtest import teststat
 from deconvtest.measures import (
     Geometric, GeometricRef, Mixture, Poisson, RngStream, draw_sum,
 )
-from deconvtest.nullmodel import NullCoefficients, NullSpec, value_masses
+from deconvtest.nullmodel import (
+    NullCoefficients, NullSpec, compute_coefficients, value_masses,
+)
 from deconvtest.orthopoly import DegreeOverflowError
 from deconvtest.simlab import build_scenario
 from deconvtest.teststat import (
@@ -286,6 +288,8 @@ class TestConfigFields:
     (lambda null, c: TestConfig(calibration="bootstrap"), ValueError,
      "calibration"),
     (lambda null, c: TestConfig(mc_reps=99), ValueError, "100 reps"),
+    (lambda null, c: TestConfig(alpha=1e-17, calibration="asymptotic"),
+     ValueError, "alpha 1e-17 is below the asymptotic calibration"),
     (lambda null, c: chi2_quantile(1.0, 1), ValueError, "quantile level"),
     (lambda null, c: chi2_quantile(-0.1, 1), ValueError, "quantile level"),
     (lambda null, c: compute_bhat(np.array([]), null, c, 3), ValueError,
@@ -298,6 +302,7 @@ class TestConfigFields:
         np.ones(3), null.basis.family.max_degree + 1),
      DegreeOverflowError, "exceeds table max"),
 ], ids=["alpha-0", "alpha-1", "unknown-calibration", "mc-reps-99",
+        "asymptotic-alpha-1e-17",
         "quantile-level-1", "negative-quantile-level", "empty-bhat-data",
         "bhat-order-past-coeffs", "run-wrong-n", "eval-past-table"])
 def test_library_refusals_name_the_cause(mod1_null, mod1_coeffs8, call,
@@ -324,6 +329,18 @@ class TestRunTest:
     def test_empty_data(self, mod1_null):
         with pytest.raises(ValueError, match="nonempty"):
             run_test(np.array([]), mod1_null, TestConfig())
+
+    @pytest.mark.parametrize("calibration", ["mc", "asymptotic"])
+    @pytest.mark.parametrize("scenario", ["Mod1", "Mod2"])
+    def test_supplied_coefficients_give_the_fresh_result(self, scenario,
+                                                         calibration):
+        # the coefficients that a caller computes once and hands in
+        null, n = build_scenario(scenario).null, 100
+        x = draw_sum(null.y, null.z, RngStream(11, n).generator(), n)
+        cfg = TestConfig(calibration=calibration, mc_reps=300)
+        coeffs = compute_coefficients(null, default_kmax(n))
+        assert (run_test(x, null, cfg, coeffs=coeffs).to_dict()
+                == run_test(x, null, cfg).to_dict())
 
     def test_deterministic(self, mod1_null, mod1_coeffs8):
         data = draw_sum(mod1_null.y, mod1_null.z,
