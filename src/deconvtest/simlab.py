@@ -11,11 +11,11 @@ mixture, Alt5/Alt6 are confusions).  A mixture is Y with Z a point mass at
 bit for bit.  Alternatives are always tested against the corresponding
 model's null.
 
-A cell's replications are T of the scenario's rows through the engine's
-one block loop (``TestEngine.t_stats``), as calibration rows are; block b
-draws from stream index b of the master seed, so every cell of a grid
-shares the block streams and reports are reproducible bit for bit in any
-cell order.
+A cell runs on the engine it is given, which fixes the null, n and config.
+Its replications are T of the scenario's rows through the engine's one
+block loop (``TestEngine.t_stats``), as calibration rows are; block b
+draws from stream index b of the master seed, so the cells of a grid
+share the block streams and reproduce bit for bit in any order.
 """
 
 from __future__ import annotations
@@ -120,23 +120,22 @@ class SimReport:
         return plain_dict(self)
 
 
-def run_replications(scenario: ScenarioSpec, n: int, reps: int,
-                     config: TestConfig, master_seed: int,
-                     engine: TestEngine | None = None) -> SimReport:
+def run_replications(engine: TestEngine, scenario: ScenarioSpec, reps: int,
+                     master_seed: int) -> SimReport:
     """Rejection rate of the test over blocks of replications.
 
-    The replications are ``engine.t_stats`` of the scenario's rows, block
-    b from stream index b of ``master_seed``, drawn as values by one
-    ``scenario.sample(gen, rows * n)`` call.  A replication whose data
-    violates the reference support counts as an error, not a rejection.
-    ``engine`` lets callers share one prepared null (coefficients +
-    calibration) across scenarios of the same model.
+    The engine fixes the null, n and config; a scenario with another null
+    is refused.  The replications are ``engine.t_stats`` of the scenario's
+    rows, block b from stream index b of ``master_seed``, drawn as values
+    by one ``scenario.sample(gen, rows * n)`` call.  A replication whose
+    data leaves the reference support counts as an error, not a rejection.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    start = time.perf_counter()
-    if engine is None:
-        engine = TestEngine(scenario.null, n, config)
+    if scenario.null != engine.null:
+        raise ValueError(f"scenario {scenario.name} is tested against "
+                         "another null than the engine's")
+    start, n = time.perf_counter(), engine.n
     t_stat = engine.t_stats(
         scenario.y, scenario.z, reps, lambda b: RngStream(master_seed, b),
         lambda rows, stream: scenario.sample(stream.generator(), rows * n))
@@ -166,6 +165,6 @@ def level_power_table(scenarios, n_grid, reps: int, config: TestConfig,
             key = (spec.null, int(n))
             if key not in engines:
                 engines[key] = TestEngine(spec.null, int(n), config)
-            rows.append(run_replications(spec, int(n), reps, config,
-                                         master_seed, engine=engines[key]))
+            rows.append(run_replications(engines[key], spec, reps,
+                                         master_seed))
     return rows

@@ -416,11 +416,14 @@ class TestEngine:
     def statistic_batch(self, samples: np.ndarray):
         """T sequences, selected orders, and T_{S_n} for rows of samples.
 
-        ``samples`` has shape (reps, n).  Returns (t_seq[reps, k], s_n[reps],
-        t_stat[reps]).
+        ``samples`` has shape (reps, n) for the engine's n.  Returns
+        (t_seq[reps, k], s_n[reps], t_stat[reps]).
         """
+        if np.shape(samples)[-1] != self.n:
+            raise ValueError(f"engine prepared for n={self.n}, "
+                             f"got {np.shape(samples)[-1]}")
         bhat = compute_bhat(samples, self.null, self.coeffs, self.used_k_max)
-        return self._select(bhat, np.shape(samples)[1])
+        return self._select(bhat)
 
     def statistic_counts(self, values: np.ndarray, counts: np.ndarray):
         """``statistic_batch`` of count rows given by their value counts.
@@ -431,18 +434,25 @@ class TestEngine:
         sums are those of ``_count_means``, so a row gives the same bits as
         its n values do in ``statistic_batch``.
         """
-        counts = np.asarray(counts)
-        if np.any(counts.sum(axis=1) != self.n):
-            raise ValueError(f"each count row must hold n={self.n} values")
+        values, counts = np.asarray(values, dtype=float), np.asarray(counts)
+        if counts.shape[1:] != values.shape:
+            raise ValueError("counts need one column per value")
+        if np.any(counts < 0) or np.any(counts.sum(axis=1) != self.n):
+            raise ValueError(f"each count row must hold n={self.n} values "
+                             "in nonnegative counts")
+        ok = self.null.ref.in_support(values)
+        if not ok.all():
+            raise DataDomainError(np.flatnonzero(~ok).tolist(), "values "
+                                  "outside the reference support", what="value")
         k = self.used_k_max
         means = _means_from_counts(values, counts, self.null, k, self.n)
         bhat = np.sqrt(self.n) * (means - self.coeffs.alphas[:k, None])
-        return self._select(bhat, self.n)
+        return self._select(bhat)
 
-    def _select(self, bhat: np.ndarray, n: int):
+    def _select(self, bhat: np.ndarray):
         k = self.used_k_max
         t_seq = t_sequence(bhat, self.coeffs.sigma[:k, :k])
-        s_n = select_order(t_seq, n)
+        s_n = select_order(t_seq, self.n)
         return t_seq.T, s_n, t_seq[s_n - 1, np.arange(t_seq.shape[1])]
 
     def sample_null_batch(self, rows: int, stream: RngStream) -> np.ndarray:
@@ -520,8 +530,6 @@ class TestEngine:
         data = np.asarray(data, dtype=float)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("data must be a nonempty vector")
-        if data.size != self.n:
-            raise ValueError(f"engine prepared for n={self.n}, got {data.size}")
         t_seq, s_n, t_stat = self.statistic_batch(data[None, :])
         crit = self.critical_value()
         t0 = float(t_stat[0])

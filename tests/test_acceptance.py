@@ -55,9 +55,8 @@ def engines():
 
 
 def _power(engines, model: str, scenario_name: str, n: int) -> float:
-    rep = run_replications(build_scenario(scenario_name), n, STUDY_REPS,
-                           STUDY_CONFIG, EVAL_SEED,
-                           engine=engines[(model, n)])
+    rep = run_replications(engines[(model, n)], build_scenario(scenario_name),
+                           STUDY_REPS, EVAL_SEED)
     assert rep.errors == 0
     return rep.reject_rate
 
@@ -264,8 +263,8 @@ def test_criterion_08b_alt4_very_low_power(engines):
         ok &= abs(abs(engine.coeffs.alphas[0])
                   - abs(oracle["alpha_null"])) < 1e-9
         ok &= abs(engine.coeffs.sigma[0, 0] - oracle["sigma_11"]) < 1e-9
-        rep = run_replications(build_scenario("Alt4"), n, STUDY_REPS,
-                               STUDY_CONFIG, EVAL_SEED, engine=engine)
+        rep = run_replications(engine, build_scenario("Alt4"), STUDY_REPS,
+                               EVAL_SEED)
         assert rep.errors == 0
         floor = oracle["power_t1"] - (rep.ci_high - rep.ci_low)
         ok &= rep.reject_rate >= floor
@@ -295,8 +294,8 @@ def test_criterion_08c_alt1_power_monotone(engines):
         ok &= abs(abs(engine.coeffs.alphas[0])
                   - abs(oracle["alpha_null"])) < 1e-9
         ok &= abs(engine.coeffs.sigma[0, 0] - oracle["sigma_11"]) < 1e-9
-        rep = run_replications(build_scenario("Alt1"), n, STUDY_REPS,
-                               STUDY_CONFIG, EVAL_SEED, engine=engine)
+        rep = run_replications(engine, build_scenario("Alt1"), STUDY_REPS,
+                               EVAL_SEED)
         assert rep.errors == 0
         floor = oracle["power_t1"] - (rep.ci_high - rep.ci_low)
         ok &= rep.reject_rate >= floor

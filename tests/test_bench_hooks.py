@@ -93,9 +93,9 @@ def test_study_value_cells_sample_once_per_block(monkeypatch):
     # value cell draws each block of replications by one call of it; a
     # count cell draws counts and calls it not at all
     from deconvtest.simlab import ScenarioSpec, build_scenario, run_replications
-    from deconvtest.teststat import TestConfig
+    from deconvtest.teststat import TestConfig, TestEngine
 
-    calls = Counter()
+    calls, config = Counter(), TestConfig(calibration="asymptotic")
 
     def counted(spec, gen, size, method=ScenarioSpec.sample):
         calls[spec.name] += 1
@@ -103,8 +103,8 @@ def test_study_value_cells_sample_once_per_block(monkeypatch):
     monkeypatch.setattr(ScenarioSpec, "sample", counted)
     # 2000 replications of 500 draws are four blocks
     for name in ("Mod1", "Alt1", "Mod2"):
-        run_replications(build_scenario(name), 500, 2000,
-                         TestConfig(calibration="asymptotic"), 9)
+        spec = build_scenario(name)
+        run_replications(TestEngine(spec.null, 500, config), spec, 2000, 9)
     assert calls == {"Mod1": 4, "Alt1": 4}
 
 

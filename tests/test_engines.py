@@ -33,8 +33,8 @@ class BudgetExhausted(RuntimeError):
 
 
 def _refine(estimate, tol, max_doublings):
-    """Estimates at 40, 80, ... nodes until two agree within ``tol``; 320
-    nodes stay below the count where SciPy's Gauss-Laguerre rule fails."""
+    """Estimates at 40, 80, ... nodes until two agree within ``tol``; the
+    default three doublings stop at 320 nodes to bound test time."""
     prev, delta = None, np.inf
     for nodes in 40 * 2 ** np.arange(max_doublings + 1):
         est = estimate(int(nodes))

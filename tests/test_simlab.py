@@ -102,20 +102,23 @@ class TestWilson:
 
 class TestRunReplications:
     def test_single_replication_rate(self):
-        rep = run_replications(build_scenario("Mod1"), 60, 1, FAST, 99)
+        sc = build_scenario("Mod1")
+        rep = run_replications(TestEngine(sc.null, 60, FAST), sc, 1, 99)
         assert rep.reject_rate in (0.0, 1.0)
         assert rep.reps == 1
 
     def test_rate_and_interval_consistent(self):
-        rep = run_replications(build_scenario("Mod1"), 60, 50, FAST, 99)
+        sc = build_scenario("Mod1")
+        rep = run_replications(TestEngine(sc.null, 60, FAST), sc, 50, 99)
         assert rep.reject_rate == rep.rejections / rep.reps
         assert rep.ci_low <= rep.reject_rate <= rep.ci_high
         assert rep.seconds > 0
         assert rep.errors == 0
 
     def test_reports_are_reproducible(self):
-        a = run_replications(build_scenario("Mod2"), 50, 40, FAST, 123)
-        b = run_replications(build_scenario("Mod2"), 50, 40, FAST, 123)
+        sc = build_scenario("Mod2")
+        a = run_replications(TestEngine(sc.null, 50, FAST), sc, 40, 123)
+        b = run_replications(TestEngine(sc.null, 50, FAST), sc, 40, 123)
         assert a.rejections == b.rejections
 
     def test_replication_streams_do_not_depend_on_order(self, monkeypatch):
@@ -129,9 +132,9 @@ class TestRunReplications:
         cell, drawn = [], {}
         run = simlab.run_replications
 
-        def tracked(scenario, n, *args, **kwargs):
-            cell[:] = [(scenario.name, n)]
-            return run(scenario, n, *args, **kwargs)
+        def tracked(engine, scenario, *args):
+            cell[:] = [(scenario.name, engine.n)]
+            return run(engine, scenario, *args)
 
         def recorded(name):
             method = getattr(TestEngine, name)
@@ -170,13 +173,14 @@ class TestRunReplications:
     def test_out_of_support_counts_errors_not_rejections(self):
         null = NullSpec(y=Uniform01(), z=PointMass(0.0), ref=Uniform01Ref())
         bad = ScenarioSpec("Custom", null, Exponential(1.0), PointMass(0.0))
-        rep = run_replications(bad, 40, 10, FAST, 7)
+        rep = run_replications(TestEngine(null, 40, FAST), bad, 10, 7)
         assert rep.errors == 10
         assert rep.rejections == 0
 
     def test_bad_reps(self):
-        with pytest.raises(ValueError):
-            run_replications(build_scenario("Mod1"), 50, 0, FAST, 1)
+        sc = build_scenario("Mod1")
+        with pytest.raises(ValueError, match="reps must be at least 1"):
+            run_replications(TestEngine(sc.null, 50, FAST), sc, 0, 1)
 
     def test_continuous_law_on_count_null_draws_values(self, monkeypatch):
         # Exponential(1) is not a count law, so the Mod2 cell draws values,
@@ -186,7 +190,7 @@ class TestRunReplications:
         monkeypatch.setattr(teststat, "sample_counts", refuse)
         odd = ScenarioSpec("Custom", build_scenario("Mod2").null,
                            Exponential(1.0), PointMass(0.0))
-        rep = run_replications(odd, 50, 30, FAST, 7)
+        rep = run_replications(TestEngine(odd.null, 50, FAST), odd, 30, 7)
         assert rep.errors == 30
         assert rep.rejections == 0
 

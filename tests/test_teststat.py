@@ -17,7 +17,7 @@ from deconvtest.nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, value_masses,
 )
 from deconvtest.orthopoly import DegreeOverflowError
-from deconvtest.simlab import build_scenario
+from deconvtest.simlab import build_scenario, run_replications
 from deconvtest.teststat import (
     _BLOCK_DRAWS, _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError,
     TestConfig, TestEngine, _reach, _zero_from, chi2_quantile, compute_bhat,
@@ -188,6 +188,11 @@ def _asymptotic_engine(null, coeffs, alpha=0.05):
                       coeffs=coeffs)
 
 
+def _model_engine(model, n):
+    return TestEngine(build_scenario(model).null, n,
+                      TestConfig(calibration="asymptotic"))
+
+
 class TestChi2:
     def test_zero(self):
         assert chi2_quantile(0.0, 1) == 0.0
@@ -298,13 +303,34 @@ class TestConfigFields:
      r"order 9 exceeds coefficients \(8\)"),
     (lambda null, c: _asymptotic_engine(null, c).run(np.ones(50)),
      ValueError, "prepared for n=100, got 50"),
+    (lambda null, c: _model_engine("Mod1", 500).statistic_batch(
+        np.ones((2, 100))), ValueError, "prepared for n=500, got 100"),
+    # the engine fixes the null and n of a study cell
+    (lambda null, c: run_replications(_model_engine("Mod2", 50),
+                                      build_scenario("Alt1"), 200, 7),
+     ValueError, "scenario Alt1 is tested against another null"),
+    (lambda null, c: run_replications(_model_engine("Mod2", 500),
+                                      build_scenario("Mod2"), 400, 7, n=50),
+     TypeError, "unexpected keyword argument 'n'"),
+    # count rows that no sample of n = 10 could give
+    (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
+        np.array([0.0]), np.array([[4, 3, 3]])), ValueError,
+     "one column per value"),
+    (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
+        np.arange(3), np.array([[12, -1, -1]])), ValueError,
+     "nonnegative counts"),
+    (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
+        np.array([0.5, 1.0, 2.0]), np.array([[4, 3, 3]])), DataDomainError,
+     r"values outside the reference support: offending value indices \[0\]"),
     (lambda null, c: null.basis.eval_normalized(
         np.ones(3), null.basis.family.max_degree + 1),
      DegreeOverflowError, "exceeds table max"),
 ], ids=["alpha-0", "alpha-1", "unknown-calibration", "mc-reps-99",
         "asymptotic-alpha-1e-17",
         "quantile-level-1", "negative-quantile-level", "empty-bhat-data",
-        "bhat-order-past-coeffs", "run-wrong-n", "eval-past-table"])
+        "bhat-order-past-coeffs", "run-wrong-n", "batch-wrong-width",
+        "study-foreign-null", "study-n-from-engine", "counts-broadcast",
+        "counts-negative", "counts-off-support", "eval-past-table"])
 def test_library_refusals_name_the_cause(mod1_null, mod1_coeffs8, call,
                                          error, named):
     with pytest.raises(error, match=named):
