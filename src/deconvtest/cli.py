@@ -4,10 +4,11 @@ Subcommands
 -----------
 ``deconvtest test DATA``
     Run the goodness-of-fit test on a plain-text sample (one observation
-    per line; blank lines and ``#`` comments ignored) and emit a JSON
-    result document.  Flags: ``--config``, ``--out``, ``--alpha``,
-    ``--kmax``, ``--calibration``, ``--reps`` (the calibration replications,
-    ``test.mc_reps``) and ``--seed`` (the calibration seed, ``test.mc_seed``).
+    per line; blank lines and ``#`` comments ignored) and emit its result,
+    the resolved configuration and the null's hash as JSON.  Flags:
+    ``--config``, ``--out``, ``--alpha``, ``--kmax``, ``--calibration``,
+    ``--reps`` (the calibration replications, ``test.mc_reps``) and
+    ``--seed`` (the calibration seed, ``test.mc_seed``).
 
 ``deconvtest coeffs``
     Compute and dump null coefficients for inspection.  Flags: ``--config``,
@@ -47,16 +48,16 @@ from .measures import LAWS, REFERENCES, Distribution, ReferenceMeasure
 from .nullmodel import NullSpec, compute_coefficients, eigen_floor_diagnostics
 from .orthopoly import BasisInconsistencyError
 from .simlab import SCENARIO_NAMES, level_power_table
-from .teststat import DataDomainError, TestConfig, TestEngine
+from .teststat import DataDomainError, TestConfig, run_test
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-COEFFS_SCHEMA = "deconvtest-coeffs-v1"
-RESULT_SCHEMA = "deconvtest-result-v2"
-SIM_SCHEMA = "deconvtest-simulation-v1"
+COEFFS_SCHEMA = "deconvtest-coeffs-v2"
+RESULT_SCHEMA = "deconvtest-result-v3"
+SIM_SCHEMA = "deconvtest-simulation-v2"
 
 CSV_HEADER = "scenario,n,reps,reject_rate,ci_low,ci_high,seconds"
 
@@ -298,18 +299,10 @@ def cmd_test(args) -> int:
     cfg = _config(args)
     null = build_null(cfg.get("null", {}))
     test = build_test_config(cfg.get("test", {}))
-    data = read_data_file(args.data)
-    engine = TestEngine(null, data.size, test)
-    result = engine.run(data)
+    result = run_test(read_data_file(args.data), null, test)
     _emit({
         "schema": RESULT_SCHEMA,
         "result": result.to_dict(),
-        "coefficients": {
-            "k": engine.coeffs.k,
-            "method": engine.coeffs.method,
-            "lambda_trace": engine.diagnostics.lambda_mins.tolist(),
-            "notes": list(engine.coeffs.notes),
-        },
         "config": {"null": null.config(), "test": test.to_dict()},
         "config_hash": config_hash(null.config()),
     }, args.out)
@@ -324,14 +317,12 @@ def cmd_coeffs(args) -> int:
     if args.kmax is None or args.kmax < 1:
         raise ConfigError("coeffs requires --kmax, an order of at least 1")
     coeffs = compute_coefficients(null, args.kmax)
-    lam = eigen_floor_diagnostics(coeffs).lambda_mins
     _emit({
         "schema": COEFFS_SCHEMA,
         "config_hash": config_hash(null.config()),
         "null": null.config(),
         **coeffs.to_dict(),
-        "min_eigen": float(lam[-1]),
-        "lambda_trace": lam.tolist(),
+        "lambda_trace": eigen_floor_diagnostics(coeffs).lambda_mins.tolist(),
         "basis": {"gram_residual": null.basis.gram_residual},
     }, args.out)
     return EXIT_OK
@@ -349,28 +340,20 @@ def cmd_simulate(args) -> int:
     rows = level_power_table(sim["scenarios"], sim["n"], sim["reps"], test,
                              sim["master_seed"])
 
-    lines = [CSV_HEADER]
-    json_rows = []
-    timing = {}
-    for row in rows:
-        # measured wall time goes to the timing map; the tabulated seconds
-        # column stays 0 so equal seeds give equal bytes
-        lines.append(",".join([
-            row.scenario, str(row.n), str(row.reps),
-            *(repr(float(x)) for x in (row.reject_rate, row.ci_low,
-                                       row.ci_high)), "0.000",
-        ]))
-        timing[f"{row.scenario}:{row.n}"] = row.seconds
-        json_rows.append({**row.to_dict(), "seconds": 0.0})
+    # the tabulated seconds column stays 0 so equal seeds give equal bytes;
+    # each row of the JSON twin carries its cell's measured time
+    lines = [CSV_HEADER] + [",".join([
+        row.scenario, str(row.n), str(row.reps),
+        *(repr(float(x)) for x in (row.reject_rate, row.ci_low, row.ci_high)),
+        "0.000"]) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
     if not args.out:
         return EXIT_OK
     out_csv = Path(args.out)
     out_json = out_csv.with_suffix(".json")
     try:
-        _emit({"schema": SIM_SCHEMA, "rows": json_rows,
+        _emit({"schema": SIM_SCHEMA, "rows": [row.to_dict() for row in rows],
                "config": {"test": test.to_dict(), "sim": sim},
-               "timing_seconds": timing,
                "total_seconds": time.perf_counter() - started}, out_json)
     except ConfigError:
         out_csv.unlink()  # a failed command leaves no half of its output

@@ -194,8 +194,8 @@ class Exponential(Distribution):
     mean: float = 1.0
 
     def __post_init__(self):
-        if not self.mean > 0:
-            raise ValueError("exponential mean must be positive")
+        if not 0 < self.mean < inf:
+            raise ValueError("exponential mean must be positive and finite")
 
     def draw(self, gen, size):
         return -self.mean * np.log1p(-gen.random(size))
@@ -211,8 +211,9 @@ class Gamma(Distribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("gamma shape and scale must be positive")
+        if not (0 < self.shape < inf and 0 < self.scale < inf):
+            raise ValueError("gamma shape and scale must be positive and "
+                             "finite")
 
     def draw(self, gen, size):
         return gen.gamma(self.shape, self.scale, size)
@@ -229,8 +230,8 @@ class ChiSquared(Distribution):
     df: float
 
     def __post_init__(self):
-        if not self.df > 0:
-            raise ValueError("degrees of freedom must be positive")
+        if not 0 < self.df < inf:
+            raise ValueError("degrees of freedom must be positive and finite")
 
     def draw(self, gen, size):
         if self.df == 1:
@@ -248,8 +249,8 @@ class Poisson(Distribution):
     mean: float = 1.0
 
     def __post_init__(self):
-        if not self.mean > 0:
-            raise ValueError("Poisson mean must be positive")
+        if not 0 < self.mean < inf:
+            raise ValueError("Poisson mean must be positive and finite")
 
     @cached_property
     def _cdf_table(self) -> tuple[int, np.ndarray]:
@@ -291,8 +292,9 @@ class Geometric(Distribution):
     mean: float = 1.0
 
     def __post_init__(self):
-        if not self.mean > 0:
-            raise ValueError("geometric mean must be positive")
+        if not (self.mean > 0 and self.q < 1):  # q is NaN at an infinite mean
+            raise ValueError("geometric mean must be positive, with q = "
+                             f"mean / (1 + mean) below 1; got {self.mean!r}")
 
     @property
     def q(self) -> float:
@@ -329,6 +331,10 @@ class Uniform01(Distribution):
 class PointMass(Distribution):
     kind = "point_mass"
     value: float = 0.0
+
+    def __post_init__(self):
+        if not -inf < self.value < inf:
+            raise ValueError("point mass value must be finite")
 
     @property
     def discrete(self):  # type: ignore[override]

@@ -134,18 +134,19 @@ class NullCoefficients:
     def __post_init__(self):
         if self.method not in (CLOSED_FORM, QUADRATURE):
             raise ValueError(f"unknown coefficient method {self.method!r}")
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if (not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool)
+                or self.k < 1):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         self.alphas = np.asarray(self.alphas, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         if self.alphas.shape != (self.k,) or self.sigma.shape != (self.k, self.k):
             raise ValueError("coefficient shapes do not match k")
         if not (np.isfinite(self.alphas).all() and np.isfinite(self.sigma).all()):
             raise FloatingPointError("coefficients hold non-finite values")
-        asym = float(np.max(np.abs(self.sigma - self.sigma.T))) if self.k else 0.0
+        asym = float(np.max(np.abs(self.sigma - self.sigma.T)))
         if asym > 1e-12:
             raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
-        min_eigen = float(np.linalg.eigvalsh(self.sigma)[0]) if self.k else 0.0
+        min_eigen = float(np.linalg.eigvalsh(self.sigma)[0])
         if min_eigen < -PSD_SLACK:
             raise np.linalg.LinAlgError(
                 f"sigma has eigenvalue {min_eigen:.3e} below the "

@@ -291,22 +291,26 @@ def _gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
     """Numerically certify a family and return its orthonormal table.
 
-    Norms come from the family's ``certification_rule``.  The
-    Gram matrix of the normalized system must match the identity within
-    1e-8, otherwise ``BasisInconsistencyError`` names the worst entry.
+    Norms come from the family's ``certification_rule``.  Every squared
+    norm must be finite and positive, and the Gram matrix of the normalized
+    system must match the identity within 1e-8, otherwise
+    ``BasisInconsistencyError`` names the worst entry.  A table that
+    overflows shows as a non-finite norm or residual, so it is refused
+    without a warning.
     """
     x, weights = family.certification_rule()
-    values = family.raw_table(family.max_degree, x)
-    norms_sq = np.einsum("in,n->i", values ** 2, weights)
-    if np.any(norms_sq <= 0):
-        bad = int(np.argmin(norms_sq))
-        raise BasisInconsistencyError(family.kind, (bad, bad),
-                                      float(norms_sq[bad]))
-    norms = np.sqrt(norms_sq)
-    gram = _gram(values / norms[:, None], weights)
-    resid = np.abs(gram - np.eye(len(norms)))
+    with np.errstate(all="ignore"):
+        values = family.raw_table(family.max_degree, x)
+        norms_sq = np.einsum("in,n->i", values ** 2, weights)
+        norms = np.sqrt(norms_sq)
+        resid = np.abs(_gram(values / norms[:, None], weights)
+                       - np.eye(len(norms)))
+    bad = np.flatnonzero(~(np.isfinite(norms_sq) & (norms_sq > 0)))
+    if bad.size:
+        raise BasisInconsistencyError(family.kind, (int(bad[0]),) * 2,
+                                      float(norms_sq[bad[0]]))
     i, j = np.unravel_index(np.argmax(resid), resid.shape)
     worst = float(resid[i, j])
-    if worst >= GRAM_TOL:
+    if not worst < GRAM_TOL:
         raise BasisInconsistencyError(family.kind, (int(i), int(j)), worst)
     return BasisTable(family=family, norms=norms, gram_residual=worst)

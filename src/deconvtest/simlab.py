@@ -87,6 +87,9 @@ def wilson_interval(successes: int, trials: int,
     """Score-based binomial confidence interval (stable at extreme rates)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes {successes} must lie in [0, trials] "
+                         f"with trials {trials}")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

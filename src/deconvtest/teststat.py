@@ -437,6 +437,9 @@ class TestEngine:
         values, counts = np.asarray(values, dtype=float), np.asarray(counts)
         if counts.shape[1:] != values.shape:
             raise ValueError("counts need one column per value")
+        # an integer array, as ``sample_counts`` gives, skips this pass
+        if counts.dtype.kind not in "iu" and np.any(counts != np.trunc(counts)):
+            raise ValueError("counts must be whole numbers")
         if np.any(counts < 0) or np.any(counts.sum(axis=1) != self.n):
             raise ValueError(f"each count row must hold n={self.n} values "
                              "in nonnegative counts")
@@ -543,8 +546,6 @@ class TestEngine:
             reject=bool(t0 > crit),
             lambda_mins=self.diagnostics.lambda_mins[: self.used_k_max].copy(),
             used_k_max=self.used_k_max,
-            alpha=self.config.alpha,
-            calibration=self.config.calibration,
             coefficient_method=self.coeffs.method,
             notes=self.notes,
         )
@@ -552,7 +553,8 @@ class TestEngine:
 
 @dataclass
 class TestResult:
-    """Everything the decision rests on, in selection order."""
+    """Everything the decision rests on, in selection order; the level and
+    the calibration mode it was taken at are the config's."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -565,8 +567,6 @@ class TestResult:
     reject: bool
     lambda_mins: np.ndarray
     used_k_max: int
-    alpha: float
-    calibration: str
     coefficient_method: str
     notes: tuple[str, ...] = ()
 

@@ -111,7 +111,10 @@ class TestCmdTest:
         doc = _loads(out.read_text())
         assert doc["result"]["reject"] is False
         assert doc["config"]["null"]["y"]["kind"] == "exponential"
-        assert doc["schema"] == "deconvtest-result-v2"
+        # each fact once: the level and calibration mode are the config's
+        assert doc["schema"] == "deconvtest-result-v3"
+        assert set(doc) == {"schema", "result", "config", "config_hash"}
+        assert not {"alpha", "calibration"} & set(doc["result"])
 
     def test_exit_zero_even_when_rejecting(self, tmp_path):
         f = tmp_path / "far.txt"
@@ -230,6 +233,9 @@ class TestCmdCoeffs:
         np.testing.assert_allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma)[0] > -1e-10
         assert doc["config_hash"]
+        assert doc["schema"] == "deconvtest-coeffs-v2"
+        # the last entry of lambda_trace is the smallest eigenvalue
+        assert "min_eigen" not in doc and len(doc["lambda_trace"]) == 6
 
     def test_order_zero_rejected(self, capsys):
         assert run_cli(["coeffs", "--kmax", "0"]) == EXIT_USAGE
@@ -280,7 +286,9 @@ class TestCmdSimulate:
         cells = out.read_text().splitlines()[1].split(",")
         assert row["scenario"] == cells[0]
         assert row["reject_rate"] == float(cells[3])
-        assert "Mod1:50" in twin["timing_seconds"]
+        # the row carries its cell's measured time; the CSV keeps 0.000
+        assert row["seconds"] > 0 and cells[6] == "0.000"
+        assert "timing_seconds" not in twin
 
     def test_json_twin_says_level_or_power(self, tmp_path):
         cfg = tmp_path / "sim.json"
@@ -730,8 +738,17 @@ def _config_argv(doc, command="test"):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         head = ["test", FIXTURE] if command == "test" else [command]
+        if command == "coeffs":  # which takes an order, not a calibration
+            return [*head, "--config", cfg, "--kmax", "3"]
         return [*head, "--config", cfg, "--calibration", "asymptotic"]
     return argv
+
+
+# the Meixner table of geometric(1e-20) overflows, so its Gram matrix is
+# not finite
+_OVERFLOWING_BASIS = {"null": {"y": {"kind": "poisson"},
+                               "z": {"kind": "geometric"},
+                               "reference": {"kind": "geometric", "p": 1e-20}}}
 
 
 @pytest.mark.parametrize("argv, code, named", [
@@ -752,9 +769,17 @@ def _config_argv(doc, command="test"):
      EXIT_USAGE, "not contained in the reference support [0.0, 1.0]"),
     (lambda tmp_path: ["test", tmp_path, "--calibration", "asymptotic"],
      EXIT_DATA, "cannot read data file"),
+    (_config_argv({"null": {"y": {"kind": "geometric", "mean": 1e17}}}),
+     EXIT_USAGE, "null.y: geometric mean must be positive, with q"),
+    (_config_argv(_OVERFLOWING_BASIS), EXIT_NUMERIC,
+     "meixner basis failed orthonormality certification"),
+    (_config_argv(_OVERFLOWING_BASIS, "coeffs"), EXIT_NUMERIC,
+     "meixner basis failed orthonormality certification"),
 ], ids=["gamma-without-shape", "negative-gamma-shape", "config-directory",
         "config-not-json", "asymptotic-alpha-1e-17", "sim-n-string",
-        "geometric-p-above-1", "exponential-on-uniform01", "data-directory"])
+        "geometric-p-above-1", "exponential-on-uniform01", "data-directory",
+        "geometric-mean-1e17", "overflowing-basis-test",
+        "overflowing-basis-coeffs"])
 def test_refusals_exit_with_their_code_and_name_the_cause(tmp_path, capsys,
                                                          argv, code, named):
     args = argv(tmp_path)

@@ -449,9 +449,15 @@ class TestPoissonTable:
 
 class TestValidation:
     def test_positive_parameters(self):
+        # an infinite or NaN parameter, or a geometric mean whose
+        # q = mean / (1 + mean) rounds to 1, is refused at construction
         for bad in (lambda: Exponential(0.0), lambda: Gamma(-1.0, 1.0),
                     lambda: Poisson(-2.0), lambda: Geometric(0.0),
-                    lambda: ChiSquared(0.0)):
+                    lambda: ChiSquared(0.0), lambda: Exponential(math.inf),
+                    lambda: Gamma(math.inf), lambda: Gamma(1.0, math.inf),
+                    lambda: ChiSquared(math.inf), lambda: Poisson(math.inf),
+                    lambda: Geometric(1e17), lambda: Geometric(math.inf),
+                    lambda: PointMass(math.nan), lambda: PointMass(math.inf)):
             with pytest.raises(ValueError):
                 bad()
 

@@ -1,5 +1,7 @@
 """Polynomial family values, certification, and addition splits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,15 @@ class TestCertification:
                 assert _meixner_summed_gram_error(table) < 1e-8, (p, degree)
         assert (0.01, HARD_DEGREE_CAP) in refused
         assert (0.01, 8) not in refused
+
+    def test_overflowing_table_is_refused_without_warning(self):
+        # at p = 1e-20 the Meixner recurrence overflows, so the norms and
+        # the Gram matrix are not finite: refused, never certified as NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BasisInconsistencyError) as err:
+                certify_orthonormality(PolynomialFamilySpec("meixner", 1e-20))
+        assert not np.isfinite(err.value.residual)
 
     def test_failure_names_offending_pair(self, monkeypatch):
         # shifting the degree-1 polynomial by a constant breaks only its

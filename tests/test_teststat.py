@@ -17,7 +17,7 @@ from deconvtest.nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, value_masses,
 )
 from deconvtest.orthopoly import DegreeOverflowError
-from deconvtest.simlab import build_scenario, run_replications
+from deconvtest.simlab import build_scenario, run_replications, wilson_interval
 from deconvtest.teststat import (
     _BLOCK_DRAWS, _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError,
     TestConfig, TestEngine, _reach, _zero_from, chi2_quantile, compute_bhat,
@@ -322,6 +322,15 @@ class TestConfigFields:
     (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
         np.array([0.5, 1.0, 2.0]), np.array([[4, 3, 3]])), DataDomainError,
      r"values outside the reference support: offending value indices \[0\]"),
+    (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
+        np.arange(3), np.array([[3.5, 3.5, 3.0]])), ValueError,
+     "counts must be whole numbers"),
+    (lambda null, c: NullCoefficients(k=0, alphas=np.zeros(0),
+                                      sigma=np.zeros((0, 0)),
+                                      method="closed_form"),
+     ValueError, "k must be an integer >= 1, got 0"),
+    (lambda null, c: wilson_interval(5, 3), ValueError,
+     r"successes 5 must lie in \[0, trials\] with trials 3"),
     (lambda null, c: null.basis.eval_normalized(
         np.ones(3), null.basis.family.max_degree + 1),
      DegreeOverflowError, "exceeds table max"),
@@ -330,7 +339,8 @@ class TestConfigFields:
         "quantile-level-1", "negative-quantile-level", "empty-bhat-data",
         "bhat-order-past-coeffs", "run-wrong-n", "batch-wrong-width",
         "study-foreign-null", "study-n-from-engine", "counts-broadcast",
-        "counts-negative", "counts-off-support", "eval-past-table"])
+        "counts-negative", "counts-off-support", "counts-fractional",
+        "coeffs-order-0", "wilson-successes-past-trials", "eval-past-table"])
 def test_library_refusals_name_the_cause(mod1_null, mod1_coeffs8, call,
                                          error, named):
     with pytest.raises(error, match=named):
