@@ -52,7 +52,6 @@ from functools import cached_property
 from math import ceil, exp, expm1, floor, inf, log, sqrt
 
 import numpy as np
-from scipy.special import gammaln, pdtr, xlogy
 
 from .orthopoly import (
     LAGUERRE, MEIXNER, SHIFTED_LEGENDRE, _charlier_rule, _gamma_weight_rule,
@@ -262,6 +261,7 @@ class Poisson(Distribution):
         log_tail = -log(_TABLE_TAIL)
         t = log_tail / 3.0 + sqrt(log_tail ** 2 / 9.0 + 2.0 * log_tail * self.mean)
         lo = max(0, floor(self.mean - t))
+        from scipy.special import pdtr
         return lo, pdtr(np.arange(lo, ceil(self.mean + t) + 2), self.mean)
 
     def draw(self, gen, size):
@@ -272,6 +272,7 @@ class Poisson(Distribution):
                                      side="left")).astype(float)
 
     def mass(self, x):
+        from scipy.special import gammaln, xlogy
         return np.exp(xlogy(x, self.mean) - self.mean - gammaln(x + 1.0))
 
     def rule(self, nodes, rate=0.0):

@@ -52,16 +52,19 @@ class DomainError(ValueError):
 
 
 class BasisInconsistencyError(RuntimeError):
-    """Orthonormality certification failed; carries the worst entry."""
+    """Orthonormality certification failed; carries the worst entry, or
+    with ``norm`` a degree d, as ``pair`` (d, d), and its squared norm."""
 
-    def __init__(self, kind: str, pair: tuple[int, int], residual: float):
+    def __init__(self, kind: str, pair: tuple[int, int], residual: float,
+                 norm: bool = False):
         self.kind = kind
         self.pair = pair
         self.residual = residual
         super().__init__(
-            f"{kind} basis failed orthonormality certification at entry "
-            f"{pair}: |Gram - I| = {residual:.3e} (tolerance {GRAM_TOL:.0e})"
-        )
+            f"{kind} basis failed orthonormality certification: "
+            + (f"squared norm of degree {pair[0]} is {residual:.3e}; it must "
+               "be finite and positive" if norm else f"entry {pair}: "
+               f"|Gram - I| = {residual:.3e} (tolerance {GRAM_TOL:.0e})"))
 
 
 @dataclass(frozen=True)
@@ -294,9 +297,9 @@ def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
     Norms come from the family's ``certification_rule``.  Every squared
     norm must be finite and positive, and the Gram matrix of the normalized
     system must match the identity within 1e-8, otherwise
-    ``BasisInconsistencyError`` names the worst entry.  A table that
-    overflows shows as a non-finite norm or residual, so it is refused
-    without a warning.
+    ``BasisInconsistencyError`` names the first bad norm or the worst
+    entry.  A table that overflows shows as a non-finite norm or residual,
+    so it is refused without a warning.
     """
     x, weights = family.certification_rule()
     with np.errstate(all="ignore"):
@@ -308,7 +311,7 @@ def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
     bad = np.flatnonzero(~(np.isfinite(norms_sq) & (norms_sq > 0)))
     if bad.size:
         raise BasisInconsistencyError(family.kind, (int(bad[0]),) * 2,
-                                      float(norms_sq[bad[0]]))
+                                      float(norms_sq[bad[0]]), norm=True)
     i, j = np.unravel_index(np.argmax(resid), resid.shape)
     worst = float(resid[i, j])
     if not worst < GRAM_TOL:

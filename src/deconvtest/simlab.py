@@ -31,7 +31,7 @@ from .measures import (
     GeometricRef, Mixture, PointMass, Poisson, RngStream, draw_sum,
 )
 from .nullmodel import NullSpec, plain_dict
-from .teststat import TestConfig, TestEngine
+from .teststat import TestConfig, TestEngine, prepared_engine
 
 _Z95 = 1.959963984540054
 
@@ -157,17 +157,14 @@ def level_power_table(scenarios, n_grid, reps: int, config: TestConfig,
                       master_seed: int) -> list[SimReport]:
     """Rejection-rate grid over scenario names x sample size.
 
-    Scenarios sharing a null (a model and its alternatives) reuse one
-    prepared engine per sample size, so each calibration runs once.
+    Each (null, n) has one engine from ``teststat.prepared_engine``, held
+    for the call and calibrated before the first cell, so a row's
+    ``seconds`` time its replications alone.
     """
     specs = [build_scenario(s) for s in scenarios]
-    engines: dict[tuple[NullSpec, int], TestEngine] = {}
-    rows: list[SimReport] = []
-    for spec in specs:
-        for n in n_grid:
-            key = (spec.null, int(n))
-            if key not in engines:
-                engines[key] = TestEngine(spec.null, int(n), config)
-            rows.append(run_replications(engines[key], spec, reps,
-                                         master_seed))
-    return rows
+    engines = {key: prepared_engine(*key, config) for key in dict.fromkeys(
+        (spec.null, int(n)) for spec in specs for n in n_grid)}
+    for engine in engines.values():
+        engine.critical_value()
+    return [run_replications(engines[spec.null, int(n)], spec, reps,
+                             master_seed) for spec in specs for n in n_grid]

@@ -9,7 +9,9 @@ to get T_k, select the order S_n as the smallest maximizer of the
 Schwarz-penalized sequence T_k - k*log(n), and reject for large T_{S_n}.
 Critical values come either from the limiting chi-squared(1) law or from a
 Monte Carlo calibration under the null (the default, exact to resampling
-noise at finite n).
+noise at finite n).  That critical value depends on the null, n and the
+config alone, so ``run_test`` and study grids take their engines from one
+bounded memo per process, ``prepared_engine``, and calibrate each once.
 
 One block loop, ``TestEngine.t_stats``, takes T_{S_n} of rows of Y + Z for
 the calibration and for study cells alike.  It draws blocks of ``max(1,
@@ -29,13 +31,13 @@ block, as continuous references do.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc, gammaincinv
 
 from .measures import RngStream, draw_sum
 from .nullmodel import (
@@ -51,6 +53,7 @@ _BLOCK_DRAWS = 1 << 18  # draws per calibration block: the stream contract
 _BINOMIAL_VALUES = 4  # drawn values that cost as much as one binomial draw
 _PRODUCTS_PER_VALUE = 256  # convolution products that cost one drawn value
 _MC_SLACK = 1e-9  # rounding slack of the Monte Carlo level rule
+_PREPARED_ENGINES = 32  # engines the process keeps (``prepared_engine``)
 
 K_MIN, K_CLAMP_MAX = 3, 15
 
@@ -129,6 +132,7 @@ def chi2_quantile(p: float, df: int) -> float:
     """
     if not 0 <= p < 1:
         raise ValueError("quantile level must lie in [0, 1)")
+    from scipy.special import gammaincinv
     return float(2.0 * gammaincinv(df / 2.0, p))
 
 
@@ -371,7 +375,7 @@ def _mc_threshold(values: np.ndarray, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Engine: cached machinery shared by single tests and batch simulation
+# Engine: one (null, n, config) prepared once, for single tests and studies
 # ---------------------------------------------------------------------------
 
 class TestEngine:
@@ -511,6 +515,7 @@ class TestEngine:
             if bad:
                 raise DataDomainError(bad, "null draws outside the reference "
                                       "support", what="calibration row")
+            out.setflags(write=False)  # shared by every caller of the engine
             self._calibration_values = out
         return self._calibration_values
 
@@ -525,8 +530,10 @@ class TestEngine:
 
     def p_value(self, t_stat: float) -> float:
         if self.config.calibration == "asymptotic":
+            from scipy.special import gammaincc
             return float(gammaincc(0.5, t_stat / 2.0))
-        cal = self.calibration_values()
+        self.critical_value()  # calibrates on first use only
+        cal = self._calibration_values
         return (1.0 + int(np.sum(cal >= t_stat))) / (cal.size + 1.0)
 
     def run(self, data: np.ndarray) -> "TestResult":
@@ -578,11 +585,21 @@ class TestResult:
         return plain_dict(self)
 
 
+@functools.lru_cache(maxsize=_PREPARED_ENGINES)
+def prepared_engine(null: NullSpec, n: int, config: TestConfig) -> TestEngine:
+    """The process's shared ``TestEngine(null, n, config)``: nulls and
+    configs hash by value and fix the calibration, so it has a fresh one's
+    bits.  The ``_PREPARED_ENGINES`` most recently used are kept."""
+    return TestEngine(null, n, config)
+
+
 def run_test(data, null: NullSpec, config: TestConfig = TestConfig(),
              coeffs: NullCoefficients | None = None) -> TestResult:
-    """Run the full data-driven test on one sample."""
+    """Run the full data-driven test on one sample, on ``prepared_engine``
+    unless ``coeffs``, which do not hash, are supplied."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 1 or data.size == 0:
         raise ValueError("data must be a nonempty vector")
-    engine = TestEngine(null, data.size, config, coeffs)
+    engine = (prepared_engine(null, int(data.size), config) if coeffs is None
+              else TestEngine(null, data.size, config, coeffs))
     return engine.run(data)

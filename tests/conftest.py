@@ -16,6 +16,14 @@ from deconvtest import (
     NullSpec, PolynomialFamilySpec, Poisson, certify_orthonormality,
     compute_coefficients,
 )
+from deconvtest.teststat import prepared_engine
+
+
+@pytest.fixture(autouse=True)
+def cold_engine_memo():
+    # every test starts with no prepared engine, so one that patches the
+    # engine or its samplers never meets an engine another test built
+    prepared_engine.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -646,7 +646,11 @@ class TestConfigBoundary:
     def test_unallocatable_study_exits_2(self, capsys, monkeypatch):
         # --reps 10**9: a study cell allocates its T values before it draws
         # the first block, and here that allocation raises without asking
-        # the machine for it
+        # the machine for it; the grid calibrates its engines before its
+        # first cell, so they are calibrated here before the patches
+        for name in ("Mod1", "Mod2"):
+            teststat.prepared_engine(build_scenario(name).null, 500,
+                                     TestConfig()).critical_value()
         full = np.full
 
         def refuse_reps(shape, *args, **kwargs):
@@ -772,9 +776,11 @@ _OVERFLOWING_BASIS = {"null": {"y": {"kind": "poisson"},
     (_config_argv({"null": {"y": {"kind": "geometric", "mean": 1e17}}}),
      EXIT_USAGE, "null.y: geometric mean must be positive, with q"),
     (_config_argv(_OVERFLOWING_BASIS), EXIT_NUMERIC,
-     "meixner basis failed orthonormality certification"),
+     "meixner basis failed orthonormality certification: squared norm of "
+     "degree 8 is inf"),
     (_config_argv(_OVERFLOWING_BASIS, "coeffs"), EXIT_NUMERIC,
-     "meixner basis failed orthonormality certification"),
+     "meixner basis failed orthonormality certification: squared norm of "
+     "degree 8 is inf"),
 ], ids=["gamma-without-shape", "negative-gamma-shape", "config-directory",
         "config-not-json", "asymptotic-alpha-1e-17", "sim-n-string",
         "geometric-p-above-1", "exponential-on-uniform01", "data-directory",

@@ -183,12 +183,17 @@ class TestCertification:
 
     def test_overflowing_table_is_refused_without_warning(self):
         # at p = 1e-20 the Meixner recurrence overflows, so the norms and
-        # the Gram matrix are not finite: refused, never certified as NaN
+        # the Gram matrix are not finite: refused, never certified as NaN,
+        # and the message names the first bad norm as a norm
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BasisInconsistencyError) as err:
                 certify_orthonormality(PolynomialFamilySpec("meixner", 1e-20))
         assert not np.isfinite(err.value.residual)
+        assert err.value.pair == (8, 8)
+        assert str(err.value) == (
+            "meixner basis failed orthonormality certification: squared "
+            "norm of degree 8 is inf; it must be finite and positive")
 
     def test_failure_names_offending_pair(self, monkeypatch):
         # shifting the degree-1 polynomial by a constant breaks only its

@@ -237,11 +237,36 @@ class TestLevelPowerTable:
             built.append((null.ref.kind, n))
             init(engine, null, n, config)
         monkeypatch.setattr(TestEngine, "__init__", counted)
-        level_power_table(["Mod1", "Alt2", "Mod2", "Alt5", "Alt1"], [30, 40],
-                          5, FAST, 3)
+        names = ["Mod1", "Alt2", "Mod2", "Alt5", "Alt1"]
+        level_power_table(names, [30, 40], 5, FAST, 3)
         assert built == [("exponential1", 30), ("exponential1", 40),
                          ("geometric", 30), ("geometric", 40)]
         assert build_scenario("Mod1") == build_scenario("Mod1")
+        # a later grid with the same config, under another seed, reuses them
+        built.clear()
+        level_power_table(names, [40, 30], 5, FAST, 4)
+        assert built == []
+
+    def test_rows_time_only_their_replications(self, monkeypatch):
+        # every engine is calibrated before the first cell, so no row's
+        # seconds carry a calibration
+        order = []
+
+        def calibration(engine, method=TestEngine.calibration_values):
+            order.append(("calibration", engine.null.ref.kind, engine.n))
+            return method(engine)
+
+        def cell(engine, spec, *args, run=run_replications):
+            order.append(("cell", spec.name, engine.n))
+            return run(engine, spec, *args)
+        monkeypatch.setattr(TestEngine, "calibration_values", calibration)
+        monkeypatch.setattr(simlab, "run_replications", cell)
+        level_power_table(["Mod1", "Alt2", "Mod2"], [30, 40], 5, FAST, 3)
+        assert order[:4] == [("calibration", "exponential1", 30),
+                             ("calibration", "exponential1", 40),
+                             ("calibration", "geometric", 30),
+                             ("calibration", "geometric", 40)]
+        assert [step[0] for step in order[4:]] == ["cell"] * 6
 
     def test_grid_shape_and_row_order(self):
         rows = level_power_table(["Mod1", "Alt2"], [50, 80], 20, FAST, 11)

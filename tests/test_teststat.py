@@ -1,7 +1,12 @@
 """Statistic assembly, order selection, calibration, and the full test."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,8 @@ from scipy.special import chdtrc
 
 from deconvtest import teststat
 from deconvtest.measures import (
-    Geometric, GeometricRef, Mixture, Poisson, RngStream, draw_sum,
+    ChiSquared, Exponential, Exponential1Ref, Geometric, GeometricRef,
+    Mixture, Poisson, RngStream, draw_sum,
 )
 from deconvtest.nullmodel import (
     NullCoefficients, NullSpec, compute_coefficients, value_masses,
@@ -432,6 +438,102 @@ class TestRunTest:
         t_stat = engine.statistic_batch(samples)[2]
         rate = float(np.mean(t_stat > engine.critical_value()))
         assert 0.01 <= rate <= 0.12
+
+
+def _bits(result):
+    # repr gives each float's shortest round trip, so equal reprs are
+    # equal bits
+    return repr(result.to_dict())
+
+
+class TestPreparedEngines:
+    """``run_test`` shares one engine per (null, n, config) in a process."""
+
+    def test_shared_engine_gives_the_fresh_bits(self):
+        nulls = {"Mod1": [NullSpec(Exponential(m), ChiSquared(d),
+                                   Exponential1Ref())
+                          for m, d in ((1, 1), (1.0, 1.0))],
+                 "Mod2": [NullSpec(Poisson(m), Geometric(m), GeometricRef(0.5))
+                          for m in (1, 1.0)]}
+        calls = [(null, calibration, n) for spelled in nulls.values()
+                 for null in spelled for calibration in ("mc", "asymptotic")
+                 for n in (50, 500)]
+        random.Random(39).shuffle(calls)
+        for null, calibration, n in calls:
+            config = TestConfig(calibration=calibration)
+            x = draw_sum(null.y, null.z, RngStream(39, n).generator(), n)
+            fresh = TestEngine(null, n, config).run(x)
+            assert _bits(run_test(x, null, config)) == _bits(fresh)
+        # the int and float spellings of a law are one key
+        info = teststat.prepared_engine.cache_info()
+        assert (info.misses, info.hits) == (8, 8)
+
+    def test_memo_stays_within_its_bound(self, mod2_null):
+        bound = teststat._PREPARED_ENGINES
+        x = np.arange(20.0) % 3
+        for seed in range(bound + 5):
+            run_test(x, mod2_null, TestConfig(calibration="asymptotic",
+                                              mc_seed=seed))
+            assert teststat.prepared_engine.cache_info().currsize <= bound
+        assert teststat.prepared_engine.cache_info().currsize == bound
+
+    def test_supplied_coefficients_bypass_the_memo(self, mod1_null,
+                                                   mod1_coeffs8):
+        x = draw_sum(mod1_null.y, mod1_null.z, RngStream(3, 0).generator(),
+                     100)
+        for calibration in ("mc", "asymptotic"):
+            run_test(x, mod1_null, TestConfig(calibration=calibration,
+                                              mc_reps=200),
+                     coeffs=mod1_coeffs8)
+        info = teststat.prepared_engine.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_shared_calibration_is_read_only(self, mod2_null):
+        engine = teststat.prepared_engine(mod2_null, 100,
+                                          TestConfig(mc_reps=200))
+        values = engine.calibration_values()
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+        assert engine.calibration_values() is values
+
+    def test_failed_calibration_fails_again(self, monkeypatch):
+        # a tenth of Y has mean 1e308, so some null draws overflow to inf
+        null = NullSpec(Mixture(0.9, Exponential(1.0), Exponential(1e308)),
+                        ChiSquared(1), Exponential1Ref())
+        config = TestConfig(k_max=3, mc_reps=200)
+        x = np.array([0.5, 1.0, 2.0, 3.0])
+        for _ in range(2):
+            with pytest.raises(DataDomainError, match="calibration row"):
+                run_test(x, null, config)
+        # mc_reps = 10**9: the T values are refused before any block
+        full = np.full
+
+        def refuse_reps(shape, *args, **kwargs):
+            if isinstance(shape, int) and shape >= 10 ** 9:
+                raise MemoryError(f"Unable to allocate a ({shape},) array")
+            return full(shape, *args, **kwargs)
+        monkeypatch.setattr(np, "full", refuse_reps)
+        huge = TestConfig(mc_reps=10 ** 9)
+        for _ in range(2):
+            with pytest.raises(MemoryError):
+                run_test(x, null, huge)
+        assert teststat.prepared_engine.cache_info().hits == 2
+        for config in (config, huge):
+            engine = teststat.prepared_engine(null, x.size, config)
+            assert engine._critical is None
+            assert engine._calibration_values is None
+
+    def test_mod1_mc_test_loads_no_scipy(self):
+        # scipy.special serves only Poisson laws and the asymptotic mode
+        code = ("import sys; import deconvtest as dt; "
+                "null = dt.build_scenario('Mod1').null; "
+                "dt.run_test([0.5, 1.0, 2.5, 4.0] * 25, null); "
+                "print('scipy.special' in sys.modules)")
+        src = Path(teststat.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestScaleInvariance:
