@@ -28,8 +28,8 @@ rejected and the fully resolved configuration is echoed into every output.
 The keys of a law or reference document are ``kind`` plus the fields of its
 class in ``measures``, and those of the ``test`` section are the fields of
 ``TestConfig``.  Exit codes: 0 success, 2 usage or configuration error
-(also an ``--out`` path that cannot be written), 3 data error, 4 numerical
-failure.
+(also an ``--out`` that cannot be written or is an input), 3 data error,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def load_config(path: str | None) -> dict:
         return {}
     try:
         doc = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
@@ -243,7 +243,7 @@ def read_data_file(path: str) -> np.ndarray:
     """One numeric observation per line; '#' comments and blanks ignored."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFileError(f"cannot read data file {path}: {exc}") from None
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -269,7 +269,18 @@ def _config(args) -> dict:
     """The ``--config`` document with each flag that is set at its key.
 
     A flag that sets a key has that key, ``section.key``, as its ``dest``.
+    Every command calls this first, so an ``--out``, or its ``simulate``
+    JSON twin, that is an input (by any path or link) is refused before
+    any work.
     """
+    outputs = [Path(args.out)] if args.out else []
+    if outputs and args.command == "simulate":
+        outputs.append(outputs[0].with_suffix(".json"))
+    for given in filter(None, (getattr(args, "data", None), args.config)):
+        for path in outputs:
+            if path.exists() and Path(given).exists() and path.samefile(given):
+                raise ConfigError(f"--out {args.out} would write {path} over "
+                                  f"the input {given}")
     cfg = load_config(args.config)
     for dest, value in vars(args).items():
         if "." in dest and value is not None:

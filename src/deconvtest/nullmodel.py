@@ -27,13 +27,14 @@ module never asks which family it has.  Two computation paths exist:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from math import inf, sqrt
 
 import numpy as np
 
 from .engines import expectation_rule
 from .measures import Distribution, ReferenceMeasure
-from .orthopoly import PolynomialFamilySpec, certify_orthonormality
+from .orthopoly import BasisTable, PolynomialFamilySpec, certify_orthonormality
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -72,8 +73,8 @@ def value_masses(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NullSpec:
     """The convolution null: independent component laws and a reference.
 
-    The reference fixes ``basis``, its family's certified table, which is
-    no field: nulls compare and hash by their laws and reference.
+    The reference fixes ``basis``, its family's table, certified on first
+    use; it is no field: nulls compare and hash by their laws and reference.
     """
 
     y: Distribution
@@ -84,8 +85,6 @@ class NullSpec:
     independent = True
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", certify_orthonormality(
-            PolynomialFamilySpec(*self.ref.family)))
         lo_y, hi_y = self.y.support()
         lo_z, hi_z = self.z.support()
         lo_r, hi_r = self.ref.support()
@@ -96,6 +95,10 @@ class NullSpec:
         if self.ref.discrete and not (self.y.discrete and self.z.discrete):
             raise NullSpecError(
                 "a discrete reference requires integer-supported components")
+
+    @cached_property
+    def basis(self) -> BasisTable:
+        return certify_orthonormality(PolynomialFamilySpec(*self.ref.family))
 
     def basis_terms(self, x: np.ndarray, k: int) -> np.ndarray:
         """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows.
@@ -116,8 +119,8 @@ class NullSpec:
             "z": self.z.config(),
             "reference": self.ref.config(),
             "dependence": "independent",
-            "basis": {"kind": self.basis.family.kind,
-                      "shape": self.basis.family.shape},
+            "basis": {"kind": self.ref.family[0],
+                      "shape": self.ref.family[1]},
         }
 
 

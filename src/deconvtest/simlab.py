@@ -143,8 +143,7 @@ def run_replications(engine: TestEngine, scenario: ScenarioSpec, reps: int,
         scenario.y, scenario.z, reps, lambda b: RngStream(master_seed, b),
         lambda rows, stream: scenario.sample(stream.generator(), rows * n))
     errors = int(np.count_nonzero(np.isnan(t_stat)))
-    rejections = (int(np.sum(t_stat > engine.critical_value()))
-                  if errors < reps else 0)
+    rejections = int(np.sum(t_stat > engine.critical_value))
     rate = rejections / reps
     lo, hi = wilson_interval(rejections, reps)
     return SimReport(
@@ -158,13 +157,11 @@ def level_power_table(scenarios, n_grid, reps: int, config: TestConfig,
     """Rejection-rate grid over scenario names x sample size.
 
     Each (null, n) has one engine from ``teststat.prepared_engine``, held
-    for the call and calibrated before the first cell, so a row's
-    ``seconds`` time its replications alone.
+    for the call; an engine calibrates as it is built, before the first
+    cell, so a row's ``seconds`` time its replications alone.
     """
     specs = [build_scenario(s) for s in scenarios]
     engines = {key: prepared_engine(*key, config) for key in dict.fromkeys(
         (spec.null, int(n)) for spec in specs for n in n_grid)}
-    for engine in engines.values():
-        engine.critical_value()
     return [run_replications(engines[spec.null, int(n)], spec, reps,
                              master_seed) for spec in specs for n in n_grid]

@@ -10,8 +10,8 @@ Schwarz-penalized sequence T_k - k*log(n), and reject for large T_{S_n}.
 Critical values come either from the limiting chi-squared(1) law or from a
 Monte Carlo calibration under the null (the default, exact to resampling
 noise at finite n).  That critical value depends on the null, n and the
-config alone, so ``run_test`` and study grids take their engines from one
-bounded memo per process, ``prepared_engine``, and calibrate each once.
+config alone, so an engine calibrates when it is built, and ``run_test``
+and study grids share engines through one bounded memo, ``prepared_engine``.
 
 One block loop, ``TestEngine.t_stats``, takes T_{S_n} of rows of Y + Z for
 the calibration and for study cells alike.  It draws blocks of ``max(1,
@@ -381,12 +381,13 @@ def _mc_threshold(values: np.ndarray, alpha: float) -> float:
 class TestEngine:
     """Null coefficients, order cap, and calibration for one (null, n).
 
-    Preparing an engine is the expensive step; evaluating the statistic on
-    a batch of samples is a few vectorized passes, which keeps Monte Carlo
-    calibration and power studies fast.  The coefficients take the
-    closed form unless ``coeffs`` are given.  Both order policies
-    are capped at ``usable_k_max``, beyond which a block falls below the
-    condition floor; a fixed order that is cut leaves a note in ``notes``.
+    An engine is built ready, with its ``critical_value`` and read-only
+    ``calibration`` values (``None`` under ``"asymptotic"``); that is the
+    expensive step, and the statistic of a batch is a few vectorized
+    passes.  The coefficients take the closed form unless ``coeffs`` are
+    given.  Both order policies are capped at ``usable_k_max``, beyond which
+    a block falls below the condition floor; a fixed order that is cut
+    leaves a note in ``notes``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -412,8 +413,10 @@ class TestEngine:
                 f"order-cut: fixed k_max {config.k_max} requested, "
                 f"{self.used_k_max} used (usable order "
                 f"{self.diagnostics.usable_k_max})",)
-        self._critical = None
-        self._calibration_values = None
+        mc = config.calibration == "mc"
+        self.calibration = self.calibration_values() if mc else None
+        self.critical_value = (_mc_threshold(self.calibration, config.alpha)
+                               if mc else chi2_quantile(1.0 - config.alpha, 1))
 
     # -- statistic -----------------------------------------------------
 
@@ -506,34 +509,21 @@ class TestEngine:
         calibration seed, drawn as values by ``sample_null_batch``.  A null
         row outside the reference support raises ``DataDomainError``.
         """
-        if self._calibration_values is None:
-            base = RngStream(self.config.mc_seed, 0).child(_CALIBRATION_TAG,
-                                                           self.n)
-            out = self.t_stats(self.null.y, self.null.z, self.config.mc_reps,
-                               base.child, self.sample_null_batch)
-            bad = np.flatnonzero(np.isnan(out)).tolist()
-            if bad:
-                raise DataDomainError(bad, "null draws outside the reference "
-                                      "support", what="calibration row")
-            out.setflags(write=False)  # shared by every caller of the engine
-            self._calibration_values = out
-        return self._calibration_values
-
-    def critical_value(self) -> float:
-        if self._critical is None:
-            if self.config.calibration == "asymptotic":
-                self._critical = chi2_quantile(1.0 - self.config.alpha, 1)
-            else:
-                self._critical = _mc_threshold(self.calibration_values(),
-                                               self.config.alpha)
-        return self._critical
+        base = RngStream(self.config.mc_seed, 0).child(_CALIBRATION_TAG, self.n)
+        out = self.t_stats(self.null.y, self.null.z, self.config.mc_reps,
+                           base.child, self.sample_null_batch)
+        bad = np.flatnonzero(np.isnan(out)).tolist()
+        if bad:
+            raise DataDomainError(bad, "null draws outside the reference "
+                                  "support", what="calibration row")
+        out.setflags(write=False)  # shared by every caller of the engine
+        return out
 
     def p_value(self, t_stat: float) -> float:
-        if self.config.calibration == "asymptotic":
+        cal = self.calibration
+        if cal is None:
             from scipy.special import gammaincc
             return float(gammaincc(0.5, t_stat / 2.0))
-        self.critical_value()  # calibrates on first use only
-        cal = self._calibration_values
         return (1.0 + int(np.sum(cal >= t_stat))) / (cal.size + 1.0)
 
     def run(self, data: np.ndarray) -> "TestResult":
@@ -541,16 +531,15 @@ class TestEngine:
         if data.ndim != 1 or data.size == 0:
             raise ValueError("data must be a nonempty vector")
         t_seq, s_n, t_stat = self.statistic_batch(data[None, :])
-        crit = self.critical_value()
         t0 = float(t_stat[0])
         return TestResult(
             n=self.n,
             t_sequence=t_seq[0].copy(),
             s_n=int(s_n[0]),
             t_stat=t0,
-            critical_value=crit,
+            critical_value=self.critical_value,
             p_value=self.p_value(t0),
-            reject=bool(t0 > crit),
+            reject=bool(t0 > self.critical_value),
             lambda_mins=self.diagnostics.lambda_mins[: self.used_k_max].copy(),
             used_k_max=self.used_k_max,
             coefficient_method=self.coeffs.method,

@@ -197,7 +197,7 @@ def test_criterion_05_chi_squared_cdf(mod1_null, mod1_coeffs8):
     worst_p = max(abs(engine.p_value(float(t))
                       - (1.0 - chi2_cdf_by_quadrature(float(t), 1)))
                   for t in np.linspace(0.25, 40.0, 100))
-    q95 = engine.critical_value()
+    q95 = engine.critical_value
     ok = worst < 1e-6 and worst_p < 1e-6 and abs(q95 - 3.8415) < 1e-3
     report("criterion 05 chi-squared quantile and p-value", ok,
            f"max |cdf(quantile(level)) - level| = {worst:.2e} over 100 points "
@@ -258,7 +258,7 @@ def test_criterion_08b_alt4_very_low_power(engines):
     parts = []
     for n in (50, 100, 500):
         engine = engines[("Mod2", n)]
-        oracle = alt4_first_order_power(n, engine.critical_value())
+        oracle = alt4_first_order_power(n, engine.critical_value)
         ok &= engine.used_k_max <= engine.diagnostics.usable_k_max
         ok &= abs(abs(engine.coeffs.alphas[0])
                   - abs(oracle["alpha_null"])) < 1e-9
@@ -290,7 +290,7 @@ def test_criterion_08c_alt1_power_monotone(engines):
     parts = []
     for n in (50, 100, 500):
         engine = engines[("Mod1", n)]
-        oracle = alt1_first_order_power(n, engine.critical_value())
+        oracle = alt1_first_order_power(n, engine.critical_value)
         ok &= abs(abs(engine.coeffs.alphas[0])
                   - abs(oracle["alpha_null"])) < 1e-9
         ok &= abs(engine.coeffs.sigma[0, 0] - oracle["sigma_11"]) < 1e-9

@@ -78,13 +78,12 @@ def test_calibration_draws_through_the_spanned_methods(monkeypatch):
         return function(*args)
     monkeypatch.setattr(TestEngine, "sample_null_batch", counted)
     monkeypatch.setattr(teststat, "sample_counts", counted_counts)
-    # 2000 rows of 500 draws are four blocks, by values on Mod1 and by
-    # counts on Mod2
+    # an engine calibrates as it is built: 2000 rows of 500 draws are four
+    # blocks, by values on Mod1 and by counts on Mod2
     for model, route in (("Mod1", "sample_null_batch"),
                          ("Mod2", "sample_counts")):
         calls.clear()
-        TestEngine(build_scenario(model).null, 500,
-                   TestConfig()).calibration_values()
+        TestEngine(build_scenario(model).null, 500, TestConfig())
         assert calls == {route: 4}
 
 

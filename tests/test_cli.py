@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from deconvtest import simlab, teststat
 from deconvtest.cli import (
-    CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-    build_distribution, build_null, build_parser, build_reference,
-    config_hash, main, read_data_file,
+    CSV_HEADER, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, ConfigError,
+    DataFileError, build_distribution, build_null, build_parser,
+    build_reference, config_hash, load_config, main, read_data_file,
 )
 from deconvtest.measures import (
     LAWS, REFERENCES, ChiSquared, Exponential, Exponential1Ref, Gamma,
@@ -101,6 +101,16 @@ class TestDataFile:
         f.write_text("1.0\n2.0\nabc\n4.0\n")
         with pytest.raises(Exception, match=":3:"):
             read_data_file(str(f))
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_bytes(b"1.0\n\xff\n2.0\n")
+        with pytest.raises(DataFileError, match=f"cannot read data file {f}"):
+            read_data_file(str(f))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"test": {}}\xff')
+        with pytest.raises(ConfigError, match=f"cannot read config {cfg}"):
+            load_config(str(cfg))
 
 
 class TestCmdTest:
@@ -251,7 +261,8 @@ class TestCmdCoeffs:
 
 class TestCmdSimulate:
     def _config(self, tmp_path):
-        cfg = tmp_path / "sim.json"
+        # not sim.json, the twin of the sim.csv these tests write
+        cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "test": {"mc_reps": 150, "mc_seed": 31},
             "sim": {"scenarios": ["Mod1"], "n": [50], "reps": 40,
@@ -271,7 +282,7 @@ class TestCmdSimulate:
         cfg = self._config(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert run_cli(["simulate", "--config", cfg]) == EXIT_OK
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2 and lines[1].startswith("Mod1,50,40,")
@@ -291,7 +302,7 @@ class TestCmdSimulate:
         assert "timing_seconds" not in twin
 
     def test_json_twin_says_level_or_power(self, tmp_path):
-        cfg = tmp_path / "sim.json"
+        cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "test": {"mc_reps": 150, "mc_seed": 31},
             "sim": {"scenarios": ["Mod1", "Alt2"], "n": [50], "reps": 20,
@@ -646,11 +657,12 @@ class TestConfigBoundary:
     def test_unallocatable_study_exits_2(self, capsys, monkeypatch):
         # --reps 10**9: a study cell allocates its T values before it draws
         # the first block, and here that allocation raises without asking
-        # the machine for it; the grid calibrates its engines before its
-        # first cell, so they are calibrated here before the patches
+        # the machine for it; the grid's engines calibrate as they are
+        # built, before its first cell, so they are built here before the
+        # patches
         for name in ("Mod1", "Mod2"):
             teststat.prepared_engine(build_scenario(name).null, 500,
-                                     TestConfig()).critical_value()
+                                     TestConfig())
         full = np.full
 
         def refuse_reps(shape, *args, **kwargs):
@@ -736,6 +748,15 @@ class TestConfigBoundary:
             EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
 
 
+def _bytes_argv(head, data, tail=()):
+    """argv of ``head``, a file of the bytes ``data`` and ``tail``."""
+    def argv(tmp_path):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(data)
+        return [*head, path, *tail]
+    return argv
+
+
 def _config_argv(doc, command="test"):
     """argv that runs ``command`` on the configuration document ``doc``."""
     def argv(tmp_path):
@@ -781,11 +802,19 @@ _OVERFLOWING_BASIS = {"null": {"y": {"kind": "poisson"},
     (_config_argv(_OVERFLOWING_BASIS, "coeffs"), EXIT_NUMERIC,
      "meixner basis failed orthonormality certification: squared norm of "
      "degree 8 is inf"),
+    # a 0xff byte is no UTF-8: the reader names the file it cannot read
+    (_bytes_argv(["test"], b"1.0\n\xff\n2.0\n"), EXIT_DATA,
+     "cannot read data file"),
+    (_bytes_argv(["test", FIXTURE, "--config"], b'{"test": {}}\xff'),
+     EXIT_USAGE, "cannot read config"),
+    (_bytes_argv(["coeffs", "--kmax", "3", "--config"], b"\xff"), EXIT_USAGE,
+     "cannot read config"),
 ], ids=["gamma-without-shape", "negative-gamma-shape", "config-directory",
         "config-not-json", "asymptotic-alpha-1e-17", "sim-n-string",
         "geometric-p-above-1", "exponential-on-uniform01", "data-directory",
         "geometric-mean-1e17", "overflowing-basis-test",
-        "overflowing-basis-coeffs"])
+        "overflowing-basis-coeffs", "data-not-utf8", "config-not-utf8",
+        "coeffs-config-not-utf8"])
 def test_refusals_exit_with_their_code_and_name_the_cause(tmp_path, capsys,
                                                          argv, code, named):
     args = argv(tmp_path)
@@ -794,3 +823,49 @@ def test_refusals_exit_with_their_code_and_name_the_cause(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert named in err
+
+
+# each case: argv with the placeholders DATA and CONFIG, the --out path
+# and the input path it would overwrite, both relative to a scratch folder
+_OVERWRITES = {
+    "test-out-is-data": (["test", "DATA", "--config", "CONFIG"], "d.txt",
+                         "d.txt"),
+    "test-out-is-config": (["test", "DATA", "--config", "CONFIG"], "c.json",
+                           "c.json"),
+    "test-out-spelled-otherwise": (["test", "DATA"], "sub/../d.txt", "d.txt"),
+    "test-out-is-a-link": (["test", "DATA"], "sym.txt", "d.txt"),
+    "test-out-is-a-hard-link": (["test", "DATA"], "hard.txt", "d.txt"),
+    "coeffs-out-is-config": (["coeffs", "--kmax", "3", "--config", "CONFIG"],
+                             "c.json", "c.json"),
+    "simulate-out-is-config": (["simulate", "--config", "CONFIG"], "c.cfg",
+                               "c.cfg"),
+    "simulate-twin-is-config": (["simulate", "--config", "CONFIG"],
+                                "c.csv", "c.json"),
+}
+
+
+@pytest.mark.parametrize("argv, out, given", _OVERWRITES.values(),
+                         ids=list(_OVERWRITES))
+def test_output_that_is_an_input_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                         out, given):
+    # refused before any work, naming both paths; the input keeps its bytes
+    # and nothing is written
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+    for name in ("run_test", "compute_coefficients", "level_power_table"):
+        monkeypatch.setattr(f"deconvtest.cli.{name}", no_work)
+    (tmp_path / "sub").mkdir()
+    data = tmp_path / "d.txt"
+    data.write_bytes(FIXTURE.read_bytes())
+    (tmp_path / "sym.txt").symlink_to(data)
+    (tmp_path / "hard.txt").hardlink_to(data)
+    config = tmp_path / ("c.cfg" if "c.cfg" == given else "c.json")
+    config.write_text(json.dumps({"test": {"calibration": "asymptotic"}}))
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    args = [{"DATA": data, "CONFIG": config}.get(a, a) for a in argv]
+    assert run_cli(args + ["--out", tmp_path / out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--out {tmp_path / out}" in err
+    assert f"input {tmp_path / given}" in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()
+            if p.is_file()} == before

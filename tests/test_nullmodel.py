@@ -18,7 +18,7 @@ from deconvtest.nullmodel import (
     CONDITION_CAP, EigenDiagnostics, NullCoefficients, NullSpec,
     NullSpecError, compute_coefficients, eigen_floor_diagnostics, value_masses,
 )
-from deconvtest.orthopoly import HARD_DEGREE_CAP
+from deconvtest.orthopoly import HARD_DEGREE_CAP, BasisInconsistencyError
 from deconvtest.teststat import (
     TestConfig, default_kmax, run_test, t_sequence,
 )
@@ -350,6 +350,20 @@ class TestValidation:
         assert {twin: 1}[mod1_null] == 1
         assert NullSpec(Poisson(1.0), Geometric(1.0), GeometricRef(0.3)) \
             != NullSpec(Poisson(1.0), Geometric(1.0), GeometricRef(0.5))
+
+    def test_config_needs_no_certified_basis(self, mod1_null):
+        # the basis is certified on first use: the document of a null whose
+        # Meixner table overflows is still its document, and its basis
+        # refuses only when asked for
+        assert mod1_null.config()["basis"] == {"kind": "laguerre",
+                                               "shape": 1.0}
+        null = NullSpec(Poisson(1.0), Geometric(1.0), GeometricRef(1e-20))
+        assert null.config()["basis"] == {"kind": "meixner", "shape": 1e-20}
+        with pytest.raises(BasisInconsistencyError, match="degree 8 is inf"):
+            null.basis
+        with pytest.raises(BasisInconsistencyError, match="degree 8 is inf"):
+            run_test(np.arange(20.0) % 3, null,
+                     TestConfig(calibration="asymptotic"))
 
     def test_support_containment(self):
         with pytest.raises(NullSpecError, match="support"):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
-from deconvtest import teststat
+from deconvtest import nullmodel, teststat
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Geometric, GeometricRef,
     Mixture, Poisson, RngStream, draw_sum,
@@ -240,21 +240,38 @@ class TestChi2:
 class TestCriticalValue:
     def test_asymptotic_level(self, mod1_null, mod1_coeffs8):
         engine = _asymptotic_engine(mod1_null, mod1_coeffs8)
-        assert engine.critical_value() == pytest.approx(3.841458820694124,
-                                                        abs=1e-9)
+        assert engine.critical_value == pytest.approx(3.841458820694124,
+                                                      abs=1e-9)
+        assert engine.calibration is None
 
     def test_alpha_monotonicity(self, mod1_null, mod1_coeffs8):
-        lo = _asymptotic_engine(mod1_null, mod1_coeffs8, 0.5).critical_value()
-        hi = _asymptotic_engine(mod1_null, mod1_coeffs8, 0.05).critical_value()
+        lo = _asymptotic_engine(mod1_null, mod1_coeffs8, 0.5).critical_value
+        hi = _asymptotic_engine(mod1_null, mod1_coeffs8, 0.05).critical_value
         assert lo < hi
 
     def test_mc_threshold_is_calibration_quantile(self, mod1_null, mod1_coeffs8):
         cfg = TestConfig(mc_reps=400, mc_seed=11)
         engine = TestEngine(mod1_null, 100, cfg, coeffs=mod1_coeffs8)
-        cal = engine.calibration_values()
-        crit = engine.critical_value()
+        cal, crit = engine.calibration, engine.critical_value
         # the exceedance count at the threshold matches the exact rule
         assert np.sum(cal > crit) <= math.floor(401 * 0.05 - 1.0 + 1e-9)
+
+    def test_mc_engine_is_built_ready(self, monkeypatch, mod1_null,
+                                      mod1_coeffs8):
+        # the calibration and the critical value exist before any run, and
+        # a run draws nothing more
+        engine = TestEngine(mod1_null, 100, TestConfig(mc_reps=400, mc_seed=11),
+                            coeffs=mod1_coeffs8)
+        cal = engine.calibration
+        assert cal.shape == (400,) and not cal.flags.writeable
+        assert engine.critical_value == teststat._mc_threshold(cal, 0.05)
+
+        def refuse(*args):
+            raise AssertionError("a run drew calibration values")
+        monkeypatch.setattr(TestEngine, "calibration_values", refuse)
+        result = engine.run(np.full(100, 2.0))
+        assert result.critical_value == engine.critical_value
+        assert result.p_value == (1.0 + np.sum(cal >= result.t_stat)) / 401.0
 
 
 class TestConfigFields:
@@ -340,13 +357,25 @@ class TestConfigFields:
     (lambda null, c: null.basis.eval_normalized(
         np.ones(3), null.basis.family.max_degree + 1),
      DegreeOverflowError, "exceeds table max"),
+    (lambda null, c: TestEngine(null, 1, TestConfig(), coeffs=c), ValueError,
+     "sample size must be at least 2"),
+    (lambda null, c: default_kmax(1), ValueError,
+     "sample size must be at least 2"),
+    (lambda null, c: _asymptotic_engine(null, c).run(np.array([])),
+     ValueError, "data must be a nonempty vector"),
+    (lambda null, c: _asymptotic_engine(null, c).run(np.ones((2, 100))),
+     ValueError, "data must be a nonempty vector"),
+    (lambda null, c: run_test(np.array([1.0]), null), ValueError,
+     "sample size must be at least 2"),
 ], ids=["alpha-0", "alpha-1", "unknown-calibration", "mc-reps-99",
         "asymptotic-alpha-1e-17",
         "quantile-level-1", "negative-quantile-level", "empty-bhat-data",
         "bhat-order-past-coeffs", "run-wrong-n", "batch-wrong-width",
         "study-foreign-null", "study-n-from-engine", "counts-broadcast",
         "counts-negative", "counts-off-support", "counts-fractional",
-        "coeffs-order-0", "wilson-successes-past-trials", "eval-past-table"])
+        "coeffs-order-0", "wilson-successes-past-trials", "eval-past-table",
+        "engine-n-1", "kmax-n-1", "run-empty", "run-2d",
+        "run-test-one-observation"])
 def test_library_refusals_name_the_cause(mod1_null, mod1_coeffs8, call,
                                          error, named):
     with pytest.raises(error, match=named):
@@ -436,7 +465,7 @@ class TestRunTest:
                                      base.child(5, r).generator(), 100)
                             for r in range(400)])
         t_stat = engine.statistic_batch(samples)[2]
-        rate = float(np.mean(t_stat > engine.critical_value()))
+        rate = float(np.mean(t_stat > engine.critical_value))
         assert 0.01 <= rate <= 0.12
 
 
@@ -491,10 +520,12 @@ class TestPreparedEngines:
     def test_shared_calibration_is_read_only(self, mod2_null):
         engine = teststat.prepared_engine(mod2_null, 100,
                                           TestConfig(mc_reps=200))
-        values = engine.calibration_values()
+        values = engine.calibration
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.0
-        assert engine.calibration_values() is values
+        assert teststat.prepared_engine(mod2_null, 100,
+                                        TestConfig(mc_reps=200)) is engine
+        assert engine.calibration is values
 
     def test_failed_calibration_fails_again(self, monkeypatch):
         # a tenth of Y has mean 1e308, so some null draws overflow to inf
@@ -517,11 +548,26 @@ class TestPreparedEngines:
         for _ in range(2):
             with pytest.raises(MemoryError):
                 run_test(x, null, huge)
+        # an engine that fails to calibrate is never built, so the memo
+        # keeps none, and each call tries again
+        info = teststat.prepared_engine.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+    def test_memo_hit_certifies_nothing(self, monkeypatch):
+        # a fresh null equal to the memo's runs on the engine's own null,
+        # whose basis is certified already
+        certify, families = nullmodel.certify_orthonormality, []
+
+        def counted(family):
+            families.append(family)
+            return certify(family)
+        monkeypatch.setattr(nullmodel, "certify_orthonormality", counted)
+        config, x = TestConfig(mc_reps=200), np.arange(20.0) % 3
+        for calls in (1, 1, 1):
+            run_test(x, NullSpec(Poisson(1.0), Geometric(1.0),
+                                 GeometricRef(0.5)), config)
+            assert len(families) == calls
         assert teststat.prepared_engine.cache_info().hits == 2
-        for config in (config, huge):
-            engine = teststat.prepared_engine(null, x.size, config)
-            assert engine._critical is None
-            assert engine._calibration_values is None
 
     def test_mod1_mc_test_loads_no_scipy(self):
         # scipy.special serves only Poisson laws and the asymptotic mode
@@ -716,13 +762,13 @@ class TestRowBlocks:
     def test_calibration_memory_bounded_by_block(self, mod1_null):
         # each block's statistic is taken before the next block is drawn,
         # so four times the reps leave the peak where it was; a (reps, n)
-        # sample matrix would make it four times as large
+        # sample matrix would make it four times as large.  An engine
+        # calibrates as it is built, so the build is what is measured
         peaks = []
         for reps in (2000, 8000):
-            engine = TestEngine(mod1_null, 2000, TestConfig(mc_reps=reps))
             tracemalloc.start()
             try:
-                engine.calibration_values()
+                TestEngine(mod1_null, 2000, TestConfig(mc_reps=reps))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
