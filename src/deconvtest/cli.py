@@ -334,7 +334,7 @@ def cmd_coeffs(args) -> int:
         "null": null.config(),
         **coeffs.to_dict(),
         "lambda_trace": eigen_floor_diagnostics(coeffs).lambda_mins.tolist(),
-        "basis": {"gram_residual": null.basis.gram_residual},
+        "basis": {"gram_residual": null.ref.basis.gram_residual},
     }, args.out)
     return EXIT_OK
 

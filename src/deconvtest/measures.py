@@ -37,9 +37,9 @@ tilt of a gamma-type, Poisson or geometric law is a law of the same kind
 times a constant, and its rule that law's Gauss-Laguerre, -Charlier or
 -Meixner rule (Koekoek & Swarttouw, sections 1.9 and 1.12); on the unit
 interval, where the tilt is no polynomial, Gauss-Legendre takes extra
-nodes (``_taylor_nodes``).  Each reference names the (kind, shape)
-``family`` of its basis; the Meixner basis of the geometric reference is
-certified with the same Gauss-Meixner rule.  Count laws
+nodes (``_taylor_nodes``).  Each reference owns its basis ``family`` and
+its ``basis``; the Meixner basis of the geometric reference is certified
+with the same Gauss-Meixner rule.  Count laws
 (Poisson, geometric, integer point masses and their mixtures) carry a
 probability mass function, ``mass``, from which count-reference
 calibrations and study cells draw value counts.
@@ -54,8 +54,9 @@ from math import ceil, exp, expm1, floor, inf, log, sqrt
 import numpy as np
 
 from .orthopoly import (
-    LAGUERRE, MEIXNER, SHIFTED_LEGENDRE, _charlier_rule, _gamma_weight_rule,
-    _meixner_rule, _uniform01_rule,
+    LAGUERRE, MEIXNER, SHIFTED_LEGENDRE, BasisTable, PolynomialFamilySpec,
+    _charlier_rule, _gamma_weight_rule, _meixner_rule, _uniform01_rule,
+    certified_basis,
 )
 
 __all__ = [
@@ -412,11 +413,11 @@ class ReferenceMeasure:
     Its support is ``[0, upper]``, its integers where ``discrete``.  On the
     support every reference density is ``m(0) * exp(-rate * x)``; the
     coefficient engines fold that exponential into their rules.
-    ``family`` is the (kind, shape) of its ``orthopoly`` basis.
+    ``family`` is its basis family and ``basis`` its shared certified table.
     """
 
     kind = ""
-    family: tuple[str, float]
+    family: PolynomialFamilySpec
     discrete = False
     rate = 0.0
     upper = inf
@@ -437,6 +438,23 @@ class ReferenceMeasure:
     def support(self) -> tuple[float, float]:
         return (0.0, self.upper)
 
+    @property
+    def basis(self) -> BasisTable:
+        return certified_basis(self.family)
+
+    def basis_terms(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows.
+
+        Where m(x) is 0 the basis is evaluated at 0 instead of at an x where
+        it may overflow, so a far value gives 0, not inf * 0.
+        """
+        m = self.density(x)
+        if not m.all():
+            x = np.where(m > 0, x, 0.0)
+        v = self.basis.eval_normalized(x, k)[1:]
+        v *= m
+        return v
+
     def config(self) -> dict:
         return _document(self)
 
@@ -444,7 +462,7 @@ class ReferenceMeasure:
 @dataclass(frozen=True)
 class Exponential1Ref(ReferenceMeasure):
     kind = "exponential1"
-    family = (LAGUERRE, 1.0)
+    family = PolynomialFamilySpec(LAGUERRE, 1.0)
     rate = 1.0
 
     def density(self, x):
@@ -455,7 +473,7 @@ class Exponential1Ref(ReferenceMeasure):
 @dataclass(frozen=True)
 class Uniform01Ref(ReferenceMeasure):
     kind = "uniform01"
-    family = (SHIFTED_LEGENDRE, 1.0)
+    family = PolynomialFamilySpec(SHIFTED_LEGENDRE)
     upper = 1.0
 
     def density(self, x):
@@ -474,8 +492,8 @@ class GeometricRef(ReferenceMeasure):
             raise ValueError("geometric reference parameter must lie in (0, 1)")
 
     @property
-    def family(self) -> tuple[str, float]:  # type: ignore[override]
-        return (MEIXNER, self.p)
+    def family(self) -> PolynomialFamilySpec:  # type: ignore[override]
+        return PolynomialFamilySpec(MEIXNER, self.p)
 
     @property
     def rate(self) -> float:  # type: ignore[override]

@@ -27,14 +27,12 @@ module never asks which family it has.  Two computation paths exist:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from math import inf, sqrt
 
 import numpy as np
 
 from .engines import expectation_rule
 from .measures import Distribution, ReferenceMeasure
-from .orthopoly import BasisTable, PolynomialFamilySpec, certify_orthonormality
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -73,8 +71,8 @@ def value_masses(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NullSpec:
     """The convolution null: independent component laws and a reference.
 
-    The reference fixes ``basis``, its family's table, certified on first
-    use; it is no field: nulls compare and hash by their laws and reference.
+    The reference owns the basis (``ref.basis``), so a null holds nothing
+    else and compares and hashes by its laws and reference.
     """
 
     y: Distribution
@@ -96,31 +94,14 @@ class NullSpec:
             raise NullSpecError(
                 "a discrete reference requires integer-supported components")
 
-    @cached_property
-    def basis(self) -> BasisTable:
-        return certify_orthonormality(PolynomialFamilySpec(*self.ref.family))
-
-    def basis_terms(self, x: np.ndarray, k: int) -> np.ndarray:
-        """Q_1..Q_k(x) m(x), shape (k,) + x.shape; 0 where m(x) underflows.
-
-        Where m(x) is 0 the basis is evaluated at 0 instead of at an x where
-        it may overflow, so a far value gives 0, not inf * 0.
-        """
-        m = self.ref.density(x)
-        if not m.all():
-            x = np.where(m > 0, x, 0.0)
-        v = self.basis.eval_normalized(x, k)[1:]
-        v *= m
-        return v
-
     def config(self) -> dict:
         return {
             "y": self.y.config(),
             "z": self.z.config(),
             "reference": self.ref.config(),
             "dependence": "independent",
-            "basis": {"kind": self.ref.family[0],
-                      "shape": self.ref.family[1]},
+            "basis": {"kind": self.ref.family.kind,
+                      "shape": self.ref.family.shape},
         }
 
 
@@ -193,7 +174,7 @@ def _closed_form(null: NullSpec, k: int, split: np.ndarray, table):
     """
     a1, a2 = _split_pieces(null.y, table, null.ref, k)
     b1, b2 = _split_pieces(null.z, table, null.ref, k)
-    norms = null.basis.norms[: k + 1]
+    norms = null.ref.basis.norms[: k + 1]
     alphas = np.einsum("isr,s,r->i", split, a1, b1) / norms
     m2 = np.einsum("isr,jtq,st,rq->ij", split, split, a2, b2, optimize=True)
     return alphas, m2 / np.outer(norms, norms) - np.outer(alphas, alphas)
@@ -203,7 +184,7 @@ def _tensor_rule(null: NullSpec, k: int, rate: float):
     """Values q = Q(y + z) and weights of the product rule at ``rate``."""
     y, wy = expectation_rule(null.y, k + 1, rate)
     z, wz = expectation_rule(null.z, k + 1, rate)
-    return (null.basis.eval_normalized(y[:, None] + z[None, :], k),
+    return (null.ref.basis.eval_normalized(y[:, None] + z[None, :], k),
             wy[:, None] * wz[None, :])
 
 
@@ -228,13 +209,13 @@ def compute_coefficients(null: NullSpec, k: int,
     """
     if k < 1:
         raise ValueError("order k must be at least 1")
-    if k > null.basis.family.max_degree:
+    family = null.ref.family
+    if k > family.max_degree:
         raise ValueError(
-            f"order {k} exceeds the basis degree {null.basis.family.max_degree}")
+            f"order {k} exceeds the basis degree {family.max_degree}")
     if method not in (CLOSED_FORM, QUADRATURE):
         raise ValueError(f"unknown coefficient method {method!r}")
-    split = (null.basis.family.addition_split(k) if method == CLOSED_FORM
-             else None)
+    split = family.addition_split(k) if method == CLOSED_FORM else None
     if split is None:
         method = QUADRATURE
         full_a, full_s = _quadrature(null, k)

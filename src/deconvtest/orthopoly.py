@@ -16,25 +16,26 @@ its ``rule`` method; this module imports nothing from the package.  A
 the Gauss rule that certifies it, and its addition split.  Norms are always
 established numerically at table construction, with the family's own rule at
 ``max_degree + 1`` nodes, and the resulting orthonormal system is certified
-against its Gram matrix; printed closed-form norm constants are never
-trusted.  For the Laguerre family (raw scale) and the Meixner family
-(convolution scale) the polynomial of a sum ``y + z`` splits exactly into
-weighted products of lower-degree polynomials of ``y`` and ``z`` at half the
-family's parameter; those splits are what make closed-form convolution
-coefficients possible.  They are identities of the recurrences, not
+against its Gram matrix, once per family per process (``certified_basis``);
+closed-form norm constants are never trusted.  For the Laguerre family (raw
+scale) and the Meixner family (convolution scale) the polynomial of a sum
+``y + z`` splits exactly into weighted products of lower-degree polynomials
+of ``y`` and ``z`` at half the family's parameter, which makes closed-form
+convolution coefficients possible.  They are recurrence identities, not
 properties of a built table, so certification checks only the Gram matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, sqrt
 
 import numpy as np
 
 HARD_DEGREE_CAP = 30
 GRAM_TOL = 1e-8
+_CERTIFIED_BASES = 32  # families the process keeps (``certified_basis``)
 
 LAGUERRE = "laguerre"
 SHIFTED_LEGENDRE = "shifted_legendre"
@@ -82,10 +83,7 @@ class PolynomialFamilySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown polynomial family {self.kind!r}")
-        if not 0 <= self.max_degree <= HARD_DEGREE_CAP:
-            raise DegreeOverflowError(
-                f"max_degree {self.max_degree} outside [0, {HARD_DEGREE_CAP}]"
-            )
+        _check_degree(self.max_degree)
         if self.kind == LAGUERRE and not self.shape > 0:
             raise DomainError("Laguerre shape must be positive")
         if self.kind == MEIXNER and not 0 < self.shape < 1:
@@ -264,12 +262,12 @@ def _meixner_rule(c: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
                         j[1:] * (sqrt(c) / (1 - c)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisTable:
     """Certified orthonormal polynomial system for one family.
 
     ``norms`` are the numerically computed L2 norms of the raw family under
-    its weight; normalized evaluations divide by them.
+    its weight, read-only; normalized evaluations divide by them.
     """
 
     family: PolynomialFamilySpec
@@ -287,10 +285,6 @@ class BasisTable:
         return raw
 
 
-def _gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.einsum("in,jn,n->ij", values, values, weights)
-
-
 def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
     """Numerically certify a family and return its orthonormal table.
 
@@ -306,7 +300,8 @@ def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
         values = family.raw_table(family.max_degree, x)
         norms_sq = np.einsum("in,n->i", values ** 2, weights)
         norms = np.sqrt(norms_sq)
-        resid = np.abs(_gram(values / norms[:, None], weights)
+        q = values / norms[:, None]
+        resid = np.abs(np.einsum("in,jn,n->ij", q, q, weights)
                        - np.eye(len(norms)))
     bad = np.flatnonzero(~(np.isfinite(norms_sq) & (norms_sq > 0)))
     if bad.size:
@@ -316,4 +311,13 @@ def certify_orthonormality(family: PolynomialFamilySpec) -> BasisTable:
     worst = float(resid[i, j])
     if not worst < GRAM_TOL:
         raise BasisInconsistencyError(family.kind, (int(i), int(j)), worst)
+    norms.flags.writeable = False
     return BasisTable(family=family, norms=norms, gram_residual=worst)
+
+
+@lru_cache(maxsize=_CERTIFIED_BASES)
+def certified_basis(family: PolynomialFamilySpec) -> BasisTable:
+    """The process's shared table of ``family``; a failure is not kept, so
+    it raises on every use.  ``certify_orthonormality`` is called by its
+    module name, so a rebinding of that name runs on each miss."""
+    return certify_orthonormality(family)

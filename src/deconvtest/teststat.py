@@ -145,7 +145,7 @@ def compute_bhat(data: np.ndarray, null: NullSpec,
     mean zero under the null.  Data outside the reference support, non-finite
     values included, raise ``DataDomainError`` with flat indices.  Where the
     density m(x) underflows to 0 the product Q_j(x) m(x) is 0
-    (``NullSpec.basis_terms``).
+    (``ReferenceMeasure.basis_terms``).
 
     Rows are taken in blocks of about ``_BLOCK_VALUES`` values, so memory
     stays bounded for any number of rows and any observation.  On a count
@@ -175,7 +175,7 @@ def _point_means(rows: np.ndarray, null: NullSpec, k: int) -> np.ndarray:
     step = max(1, _BLOCK_VALUES // (n * (k + 1)))
     means = np.empty((k, reps))
     for lo in range(0, reps, step):
-        means[:, lo:lo + step] = null.basis_terms(
+        means[:, lo:lo + step] = null.ref.basis_terms(
             rows[lo:lo + step], k).mean(axis=-1)
     return means
 
@@ -221,7 +221,7 @@ def _means_from_counts(values: np.ndarray, counts: np.ndarray, null: NullSpec,
     exact zero, so a row's sum does not depend on the rows beside it, nor
     on whether its values came counted or one by one.
     """
-    terms = null.basis_terms(np.asarray(values, dtype=float), k)[:, :, None]
+    terms = null.ref.basis_terms(np.asarray(values, dtype=float), k)[:, :, None]
     reps, width = counts.shape
     step = max(1, _BLOCK_VALUES // (k * width))
     means = np.empty((k, reps))
@@ -400,7 +400,7 @@ class TestEngine:
         self.n = n
         self.config = config
         policy_k = default_kmax(n) if config.k_max == "auto" else config.k_max
-        policy_k = min(policy_k, null.basis.family.max_degree)
+        policy_k = min(policy_k, null.ref.family.max_degree)
         if coeffs is None:
             coeffs = compute_coefficients(null, policy_k)
         self.coeffs = coeffs

@@ -250,6 +250,20 @@ class TestCmdCoeffs:
     def test_order_zero_rejected(self, capsys):
         assert run_cli(["coeffs", "--kmax", "0"]) == EXIT_USAGE
 
+    def test_order_past_the_basis_rejected(self, tmp_path, capsys):
+        # the order is checked against the family's degree before the
+        # basis is certified, so a family that fails certification (exit 4)
+        # still reports the order
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"null": {
+            "y": {"kind": "poisson", "mean": 1.0},
+            "z": {"kind": "geometric", "mean": 1.0},
+            "reference": {"kind": "geometric", "p": 1e-20}}}))
+        assert run_cli(["coeffs", "--kmax", "40", "--config", cfg]) \
+            == EXIT_USAGE
+        assert "order 40 exceeds the basis degree 16" \
+            in capsys.readouterr().err
+
     def test_order_required(self, capsys):
         assert run_cli(["coeffs"]) == EXIT_USAGE
 

@@ -18,7 +18,11 @@ from deconvtest.nullmodel import (
     CONDITION_CAP, EigenDiagnostics, NullCoefficients, NullSpec,
     NullSpecError, compute_coefficients, eigen_floor_diagnostics, value_masses,
 )
-from deconvtest.orthopoly import HARD_DEGREE_CAP, BasisInconsistencyError
+from deconvtest import orthopoly
+from deconvtest.orthopoly import (
+    HARD_DEGREE_CAP, BasisInconsistencyError, PolynomialFamilySpec,
+    certified_basis,
+)
 from deconvtest.teststat import (
     TestConfig, default_kmax, run_test, t_sequence,
 )
@@ -59,7 +63,7 @@ class TestEngineAgreement:
         draws = 200_000
         gen = RngStream(881, 3).generator()
         x = draw_sum(null.y, null.z, gen, draws)
-        v = null.basis.eval_normalized(x, 8)[1:] * null.ref.density(x)
+        v = null.ref.basis.eval_normalized(x, 8)[1:] * null.ref.density(x)
         stderr = v.std(axis=1, ddof=1) / np.sqrt(draws)
         assert np.all(np.abs(v.mean(axis=1) - closed.alphas) < 4 * stderr)
 
@@ -337,11 +341,15 @@ class TestEigenDiagnostics:
 
 class TestValidation:
     def test_reference_fixes_the_basis(self, mod1_null):
-        # a null takes no basis, so it compares and hashes by its laws and
-        # reference
+        # a null takes no basis and holds none: it is a plain value of its
+        # laws and reference, and compares and hashes by them
         with pytest.raises(TypeError, match="basis"):
             NullSpec(y=Exponential(1.0), z=ChiSquared(1), ref=Exponential1Ref(),
-                     basis=mod1_null.basis)
+                     basis=mod1_null.ref.basis)
+        assert not hasattr(mod1_null, "basis")
+        assert not hasattr(mod1_null, "basis_terms")
+        assert set(vars(mod1_null)) == {"y", "z", "ref"}
+        assert isinstance(mod1_null.ref.family, PolynomialFamilySpec)
         twin = NullSpec(y=Exponential(1.0), z=ChiSquared(1.0),
                         ref=Exponential1Ref())
         assert twin == mod1_null and hash(twin) == hash(mod1_null)
@@ -354,16 +362,21 @@ class TestValidation:
     def test_config_needs_no_certified_basis(self, mod1_null):
         # the basis is certified on first use: the document of a null whose
         # Meixner table overflows is still its document, and its basis
-        # refuses only when asked for
+        # refuses each time it is asked for; the failure is never kept
         assert mod1_null.config()["basis"] == {"kind": "laguerre",
                                                "shape": 1.0}
         null = NullSpec(Poisson(1.0), Geometric(1.0), GeometricRef(1e-20))
         assert null.config()["basis"] == {"kind": "meixner", "shape": 1e-20}
-        with pytest.raises(BasisInconsistencyError, match="degree 8 is inf"):
-            null.basis
-        with pytest.raises(BasisInconsistencyError, match="degree 8 is inf"):
-            run_test(np.arange(20.0) % 3, null,
-                     TestConfig(calibration="asymptotic"))
+        size = certified_basis.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(BasisInconsistencyError,
+                               match="degree 8 is inf"):
+                null.ref.basis
+            with pytest.raises(BasisInconsistencyError,
+                               match="degree 8 is inf"):
+                run_test(np.arange(20.0) % 3, null,
+                         TestConfig(calibration="asymptotic"))
+        assert certified_basis.cache_info().currsize == size
 
     def test_support_containment(self):
         with pytest.raises(NullSpecError, match="support"):
@@ -388,11 +401,20 @@ class TestValidation:
         assert code == EXIT_USAGE
         assert "null.dependence" in capsys.readouterr().err
 
-    def test_order_bounds(self, mod1_null):
+    def test_order_bounds(self, mod1_null, monkeypatch):
         with pytest.raises(ValueError):
             compute_coefficients(mod1_null, 0)
         with pytest.raises(ValueError):
             compute_coefficients(mod1_null, 40)
+        # the order is checked against the family's degree, before and
+        # without certification: a family that fails it reports the order
+        def refuse(family):
+            raise AssertionError(f"{family} certified")
+        monkeypatch.setattr(orthopoly, "certify_orthonormality", refuse)
+        null = NullSpec(Poisson(1.0), Geometric(1.0), GeometricRef(1e-20))
+        with pytest.raises(ValueError, match="order 40 exceeds the basis "
+                           "degree 16"):
+            compute_coefficients(null, 40)
 
 
 class TestFarDraws:
@@ -407,7 +429,7 @@ class TestFarDraws:
         moments = []
         for far in (1e25, 800.0):
             x[:3] = far
-            v = null.basis_terms(x, k)
+            v = null.ref.basis_terms(x, k)
             moments.append((v.mean(axis=1), np.cov(v, ddof=1)))
         (far_a, far_s), (near_a, near_s) = moments
         assert np.all(np.isfinite(far_a)) and np.all(np.isfinite(far_s))

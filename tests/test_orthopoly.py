@@ -1,14 +1,17 @@
 """Polynomial family values, certification, and addition splits."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from deconvtest.measures import GeometricRef
 from deconvtest.orthopoly import (
     HARD_DEGREE_CAP, BasisInconsistencyError, DegreeOverflowError,
-    DomainError, PolynomialFamilySpec, certify_orthonormality,
-    laguerre_table, meixner_scaled_table, shifted_legendre_table,
+    DomainError, PolynomialFamilySpec, certified_basis,
+    certify_orthonormality, laguerre_table, meixner_scaled_table,
+    shifted_legendre_table,
 )
 
 from .oracles import (
@@ -136,6 +139,17 @@ class TestCertification:
         r = np.arange(2 * degree + 2)
         np.testing.assert_allclose(x[None, :] ** r[:, None] @ w,
                                    1.0 / (r + 1), rtol=1e-12)
+
+    def test_shared_table_is_read_only(self):
+        # equal references share one certified table, so none may change it
+        table = GeometricRef(0.3).basis
+        assert GeometricRef(0.3).basis is table
+        assert table is certified_basis(PolynomialFamilySpec("meixner", 0.3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.norms = np.ones(table.norms.size)
+        with pytest.raises(ValueError, match="read-only"):
+            table.norms[0] = 2.0
+        assert table.norms[0] == certify_orthonormality(table.family).norms[0]
 
     def test_generalized_laguerre_certifies(self):
         table = certify_orthonormality(

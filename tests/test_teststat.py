@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
-from deconvtest import nullmodel, teststat
+from deconvtest import nullmodel, orthopoly, teststat
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Geometric, GeometricRef,
     Mixture, Poisson, RngStream, draw_sum,
@@ -47,7 +47,7 @@ class TestComputeBhat:
     def test_exactly_centered_point_data(self, mod1_null):
         x_star = 1.3
         k = 4
-        q = mod1_null.basis.eval_normalized(np.array([x_star]), k)[1:, 0]
+        q = mod1_null.ref.basis.eval_normalized(np.array([x_star]), k)[1:, 0]
         alphas = q * float(mod1_null.ref.density(np.array([x_star]))[0])
         coeffs = _coeffs(alphas, np.eye(k))
         data = np.full(50, x_star)
@@ -57,7 +57,7 @@ class TestComputeBhat:
     def test_single_observation_formula(self, mod1_null, mod1_coeffs8):
         x = 2.2
         got = compute_bhat(np.array([x]), mod1_null, mod1_coeffs8, 1)
-        q1 = mod1_null.basis.eval_normalized(np.array([x]), 1)[1, 0]
+        q1 = mod1_null.ref.basis.eval_normalized(np.array([x]), 1)[1, 0]
         m = float(mod1_null.ref.density(np.array([x]))[0])
         assert got[0] == pytest.approx(q1 * m - mod1_coeffs8.alphas[0])
 
@@ -354,8 +354,8 @@ class TestConfigFields:
      ValueError, "k must be an integer >= 1, got 0"),
     (lambda null, c: wilson_interval(5, 3), ValueError,
      r"successes 5 must lie in \[0, trials\] with trials 3"),
-    (lambda null, c: null.basis.eval_normalized(
-        np.ones(3), null.basis.family.max_degree + 1),
+    (lambda null, c: null.ref.basis.eval_normalized(
+        np.ones(3), null.ref.family.max_degree + 1),
      DegreeOverflowError, "exceeds table max"),
     (lambda null, c: TestEngine(null, 1, TestConfig(), coeffs=c), ValueError,
      "sample size must be at least 2"),
@@ -554,19 +554,20 @@ class TestPreparedEngines:
         assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
 
     def test_memo_hit_certifies_nothing(self, monkeypatch):
-        # a fresh null equal to the memo's runs on the engine's own null,
-        # whose basis is certified already
-        certify, families = nullmodel.certify_orthonormality, []
+        # the reference owns the basis, certified once per family per
+        # process: fresh equal nulls, and a null with other laws on an equal
+        # reference, certify it once in all
+        certify, families = orthopoly.certify_orthonormality, []
 
         def counted(family):
             families.append(family)
             return certify(family)
-        monkeypatch.setattr(nullmodel, "certify_orthonormality", counted)
+        monkeypatch.setattr(orthopoly, "certify_orthonormality", counted)
+        orthopoly.certified_basis.cache_clear()
         config, x = TestConfig(mc_reps=200), np.arange(20.0) % 3
-        for calls in (1, 1, 1):
-            run_test(x, NullSpec(Poisson(1.0), Geometric(1.0),
-                                 GeometricRef(0.5)), config)
-            assert len(families) == calls
+        for y in (Poisson(1.0), Poisson(1.0), Poisson(1.0), Geometric(2.0)):
+            run_test(x, NullSpec(y, Geometric(1.0), GeometricRef(0.5)), config)
+            assert families == [GeometricRef(0.5).family]
         assert teststat.prepared_engine.cache_info().hits == 2
 
     def test_mod1_mc_test_loads_no_scipy(self):
@@ -674,7 +675,8 @@ class TestStatisticProperties:
         lam_min = engine.diagnostics.lambda_mins[:k]
         frob = np.sqrt(np.cumsum(np.diag(engine.coeffs.sigma)[:k]))
         for r, row in enumerate(samples):
-            v = null.basis.eval_normalized(row, k)[1:] * null.ref.density(row)
+            v = (null.ref.basis.eval_normalized(row, k)[1:]
+                 * null.ref.density(row))
             b = compute_bhat(row, null, engine.coeffs, k)
             # A mean of n terms, summed in any order, is within
             # (n + 1) * eps * mean|v_j| of the exact one, and bhat_j adds

@@ -9,7 +9,12 @@ that checkout's ``src`` and prints one JSON line,
   of 2000 rows of each of the eight study scenarios at n = 100 and 500,
 * ``coefficients``: the closed-form and quadrature alphas and sigma of
   Mod1 and Mod2 at order 10,
-* ``simulate``: the CSV of ``simulate --n 50,100 --reps 200 --seed 99``.
+* ``simulate``: the CSV of ``simulate --n 50,100 --reps 200 --seed 99``,
+* ``references``: the density, support test, support and basis document of
+  Exponential1Ref, Uniform01Ref and GeometricRef at p = 0.3, 0.5 and 0.97
+  on a grid of in- and off-support points, each basis's certified norms,
+  Gram residual and values at the in-support points, and the order-6
+  coefficients of a uniform signal without noise on Uniform01Ref.
 
 Two checkouts compute the same bits where their lines are equal, so a
 change that should move no number is checked by running both and
@@ -18,6 +23,7 @@ each of the files A and B, prints the components that differ and exits 1
 if any does.  ``--quick`` digests smaller sizes (n = 50 and 100, 200
 calibration reps, 100-row batches, a two-scenario study) in about a
 second; its line is comparable only with another ``--quick`` line.
+``references`` is the same in both.
 """
 
 from __future__ import annotations
@@ -35,14 +41,27 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from deconvtest import cli  # noqa: E402
-from deconvtest.measures import RngStream  # noqa: E402
-from deconvtest.nullmodel import compute_coefficients  # noqa: E402
+from deconvtest.measures import (  # noqa: E402
+    Exponential1Ref, GeometricRef, PointMass, RngStream, Uniform01,
+    Uniform01Ref,
+)
+from deconvtest.nullmodel import NullSpec, compute_coefficients  # noqa: E402
+from deconvtest.orthopoly import (  # noqa: E402
+    PolynomialFamilySpec, certify_orthonormality,
+)
 from deconvtest.simlab import SCENARIO_NAMES, build_scenario  # noqa: E402
 from deconvtest.teststat import (  # noqa: E402
     TestConfig, TestEngine, prepared_engine, run_test,
 )
 
 BATCH_SEED = 20261020
+
+# negatives, fractions, signed zeros, far values, infinities and NaN: the
+# support grid of tests/test_measures.py
+SUPPORT_GRID = np.array([
+    -np.inf, -1e300, -5.0, -1.0, -0.5, -1e-300, -0.0, 0.0, 1e-300, 0.25, 0.5,
+    1.0, 1.5, 2.0, 3.0, 7.0, 50.0, 700.0, 745.0, 800.0, 1e6, 2.0 ** 53,
+    2.0 ** 53 + 2, 1e300, np.inf, np.nan])
 
 
 class Hasher:
@@ -100,6 +119,33 @@ def coefficients(k: int = 10) -> str:
     return h.hexdigest()
 
 
+def references() -> str:
+    """Reference measures on ``SUPPORT_GRID`` and their certified bases.
+
+    The basis document is a null's (point masses at 0 fit every reference),
+    and each table is certified afresh from it, so the component reads only
+    what every version of the package has.
+    """
+    h = Hasher()
+    for ref in (Exponential1Ref(), Uniform01Ref(), GeometricRef(0.3),
+                GeometricRef(0.5), GeometricRef(0.97)):
+        inside = ref.in_support(SUPPORT_GRID)
+        basis = NullSpec(PointMass(0.0), PointMass(0.0), ref).config()["basis"]
+        table = certify_orthonormality(
+            PolynomialFamilySpec(basis["kind"], basis["shape"]))
+        with np.errstate(all="ignore"):  # far points overflow the basis
+            for value in (ref.density(SUPPORT_GRID), inside, ref.support(),
+                          json.dumps(basis, sort_keys=True), table.norms,
+                          table.gram_residual,
+                          table.eval_normalized(SUPPORT_GRID[inside])):
+                h.add(value)
+    coeffs = compute_coefficients(
+        NullSpec(Uniform01(), PointMass(0.0), Uniform01Ref()), 6)
+    h.add(coeffs.alphas)
+    h.add(coeffs.sigma)
+    return h.hexdigest()
+
+
 def simulate(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -117,6 +163,7 @@ def digest(quick: bool = False) -> dict:
             "coefficients": coefficients(),
             "simulate": simulate(["--scenarios", "Mod1,Mod2", "--n", "50",
                                   "--reps", "100", "--seed", "99"]),
+            "references": references(),
             "quick": True,
         }
     return {
@@ -125,6 +172,7 @@ def digest(quick: bool = False) -> dict:
         "coefficients": coefficients(),
         "simulate": simulate(["--n", "50,100", "--reps", "200",
                               "--seed", "99"]),
+        "references": references(),
         "quick": False,
     }
 
