@@ -176,7 +176,9 @@ def _closed_form(null: NullSpec, k: int, split: np.ndarray, table):
     b1, b2 = _split_pieces(null.z, table, null.ref, k)
     norms = null.ref.basis.norms[: k + 1]
     alphas = np.einsum("isr,s,r->i", split, a1, b1) / norms
-    m2 = np.einsum("isr,jtq,st,rq->ij", split, split, a2, b2, optimize=True)
+    # the order ``optimize=True`` finds for every k to 30, without the search
+    m2 = np.einsum("isr,jtq,st,rq->ij", split, split, a2, b2,
+                   optimize=["einsum_path", (0, 2), (0, 1), (0, 1)])
     return alphas, m2 / np.outer(norms, norms) - np.outer(alphas, alphas)
 
 

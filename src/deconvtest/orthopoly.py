@@ -36,6 +36,8 @@ import numpy as np
 HARD_DEGREE_CAP = 30
 GRAM_TOL = 1e-8
 _CERTIFIED_BASES = 32  # families the process keeps (``certified_basis``)
+_SHARED_RULES = 64  # shape-only Gauss rules the process keeps, per memo
+_SHARED_SPLITS = 16  # addition splits the process keeps
 
 LAGUERRE = "laguerre"
 SHIFTED_LEGENDRE = "shifted_legendre"
@@ -107,23 +109,26 @@ class PolynomialFamilySpec:
             return _uniform01_rule(n_nodes)
         return _meixner_rule(self.shape, n_nodes)
 
+    @lru_cache(maxsize=_SHARED_SPLITS)
     def addition_split(self, k: int):
         """``(split, table)`` of raw degrees 0..k; None for shifted Legendre.
 
         ``P_i(y + z) = sum_s split[i, s, i - s] table(y)[s] table(z)[i - s]``
         where ``table`` is the family at half its order parameter (Laguerre
         ``shape / 2``, Meixner ``b = 1/2``).  The weights are 1 for Laguerre,
-        for any division of the shape, and ``C(i, s)`` for Meixner.
+        for any division of the shape, and ``C(i, s)`` for Meixner.  The
+        process keeps the ``_SHARED_SPLITS`` most recent, ``split`` read-only.
         """
         _check_degree(k)
         if self.kind == SHIFTED_LEGENDRE:
             return None
         i, s = np.tril_indices(k + 1)
         split = np.zeros((k + 1,) * 3)
+        split[i, s, i - s] = (1.0 if self.kind == LAGUERRE else
+                              [comb(a, b) for a, b in zip(i, s)])
+        split.flags.writeable = False  # every caller shares it
         if self.kind == LAGUERRE:
-            split[i, s, i - s] = 1.0
             return split, partial(laguerre_table, k, self.shape / 2)
-        split[i, s, i - s] = [comb(a, b) for a, b in zip(i, s)]
         return split, partial(meixner_scaled_table, k, 0.5, self.shape)
 
 
@@ -143,19 +148,22 @@ def laguerre_table(max_degree: int, shape: float, x) -> np.ndarray:
 
     Recurrence: L0 = 1, L1 = shape - x,
     (i+1) L_{i+1} = (2i + shape - x) L_i - (i + shape - 1) L_{i-1}.
-    Returns an array of shape ``(max_degree + 1,) + x.shape``.
+    Returns an array of shape ``(max_degree + 1,) + x.shape``.  Each step
+    writes in place through ``out[i + 1, ...]``, a view even for a 0-d x.
     """
     _check_degree(max_degree)
     if not shape > 0:
         raise DomainError("Laguerre shape must be positive")
     x = np.asarray(x, dtype=float)
-    out = np.empty((max_degree + 1,) + x.shape)
+    out, tmp = np.empty((max_degree + 1,) + x.shape), np.empty(x.shape)
     out[0] = 1.0
     if max_degree >= 1:
         out[1] = shape - x
     for i in range(1, max_degree):
-        out[i + 1] = ((2 * i + shape - x) * out[i]
-                      - (i + shape - 1) * out[i - 1]) / (i + 1)
+        row = np.subtract(2 * i + shape, x, out=out[i + 1, ...])
+        row *= out[i]
+        row -= np.multiply(i + shape - 1, out[i - 1], out=tmp)
+        row /= i + 1
     return out
 
 
@@ -171,12 +179,15 @@ def shifted_legendre_table(max_degree: int, x) -> np.ndarray:
     if np.any(x < 0) or np.any(x > 1):
         raise DomainError("shifted Legendre argument must lie in [0, 1]")
     t = 2.0 * x - 1.0
-    out = np.empty((max_degree + 1,) + x.shape)
+    out, tmp = np.empty((max_degree + 1,) + x.shape), np.empty(x.shape)
     out[0] = 1.0
     if max_degree >= 1:
         out[1] = t
     for n in range(1, max_degree):
-        out[n + 1] = ((2 * n + 1) * t * out[n] - n * out[n - 1]) / (n + 1)
+        row = np.multiply(2 * n + 1, t, out=out[n + 1, ...])
+        row *= out[n]
+        row -= np.multiply(n, out[n - 1], out=tmp)
+        row /= n + 1
     return out
 
 
@@ -194,13 +205,18 @@ def meixner_scaled_table(max_degree: int, b: float, p: float, x) -> np.ndarray:
     if not b > 0:
         raise DomainError("Meixner order parameter b must be positive")
     x = np.asarray(x, dtype=float)
-    out = np.empty((max_degree + 1,) + x.shape)
+    out, tmp = np.empty((max_degree + 1,) + x.shape), np.empty(x.shape)
     out[0] = 1.0
     if max_degree >= 1:
         out[1] = b * (1 - p) - x * (1 - p) ** 2 / p
+    px = (p - 1) * x
     for n in range(1, max_degree):
-        out[n + 1] = (((p - 1) * x + n + (n + b) * p) * out[n]
-                      - (1 - p) * n * (b + n - 1) * out[n - 1]) * (1 - p) / p
+        row = np.add(px, n, out=out[n + 1, ...])
+        row += (n + b) * p
+        row *= out[n]
+        row -= np.multiply((1 - p) * n * (b + n - 1), out[n - 1], out=tmp)
+        row *= 1 - p
+        row /= p
     return out
 
 
@@ -227,22 +243,29 @@ def _jacobi_rule(diag: np.ndarray, off: np.ndarray):
         # sum_j q_j(x)**2 = 1 / w, so a row overflows (or a vanishing
         # off-diagonal divides by 0) only where w is below the float range
         step = (nodes - diag[:-1, None]) / off[:, None]
-        back = off[:-1] / off[1:]
-        q = np.empty_like(vectors)
+        back = (off[:-1] / off[1:]).tolist()
+        q, tmp = np.empty_like(vectors), np.empty(nodes.size)
         q[0] = 1.0
         q[1:2] = step[:1]
         for j in range(1, len(off)):
-            q[j + 1] = step[j] * q[j] - back[j - 1] * q[j - 1]
+            row = np.multiply(step[j], q[j], out=q[j + 1])
+            row -= np.multiply(back[j - 1], q[j - 1], out=tmp)
         weights = (vectors[top, cols] / q[top, cols]) ** 2
-    return nodes, np.where(np.isnan(weights), 0.0, weights)
+    weights = np.where(np.isnan(weights), 0.0, weights)
+    nodes.flags.writeable = weights.flags.writeable = False  # may be shared
+    return nodes, weights
 
 
+# Shape-only rules: the process keeps the ``_SHARED_RULES`` most recent of
+# each; Charlier and Meixner rules take a law's own parameter, so are not.
+@lru_cache(maxsize=_SHARED_RULES)
 def _gamma_weight_rule(shape: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule of the Gamma(shape, 1) law (generalized Gauss-Laguerre)."""
     j = np.arange(n_nodes)
     return _jacobi_rule(2 * j + shape, np.sqrt(j[1:] * (j[1:] + shape - 1)))
 
 
+@lru_cache(maxsize=_SHARED_RULES)
 def _uniform01_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule of the U(0, 1) law (shifted Gauss-Legendre)."""
     j = np.arange(1, n_nodes)

@@ -54,6 +54,7 @@ _BINOMIAL_VALUES = 4  # drawn values that cost as much as one binomial draw
 _PRODUCTS_PER_VALUE = 256  # convolution products that cost one drawn value
 _MC_SLACK = 1e-9  # rounding slack of the Monte Carlo level rule
 _PREPARED_ENGINES = 32  # engines the process keeps (``prepared_engine``)
+_ZERO_FROM_REFS = 32  # references whose ``_zero_from`` the process keeps
 
 K_MIN, K_CLAMP_MAX = 3, 15
 
@@ -231,6 +232,7 @@ def _means_from_counts(values: np.ndarray, counts: np.ndarray, null: NullSpec,
     return means
 
 
+@functools.lru_cache(maxsize=_ZERO_FROM_REFS)
 def _zero_from(ref) -> float:
     """An integer at and beyond which the count reference's m(x) is 0.
 
@@ -313,9 +315,11 @@ def t_sequence(bhat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
     Shaped like ``bhat``, (k,) or (k, reps).  With ``sigma = L L'`` the
     innovations ``e = L^-1 bhat`` give T_j = e_1**2 + ... + e_j**2, so T
-    never decreases; forward substitution sums each inner product in
-    ascending order (``cumsum``), so a column's bits do not depend on the
-    batch.  A ``sigma`` that is not positive definite raises ``LinAlgError``.
+    never decreases.  Forward substitution is right-looking: once ``e_j``
+    is known, ``acc`` adds ``L_ij e_j`` to the sum of every later row i, so
+    each inner product is summed in ascending order and a column's bits do
+    not depend on the batch.  A ``sigma`` that is not positive definite
+    raises ``LinAlgError``.
     """
     bhat = np.asarray(bhat, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -324,10 +328,10 @@ def t_sequence(bhat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         raise ValueError("bhat and sigma dimensions disagree")
     low = np.linalg.cholesky(sigma)
     b = bhat.reshape(k, -1)
-    e = np.empty(b.shape)
+    e, acc = np.empty(b.shape), np.zeros(b.shape)
     for j in range(k):
-        dot = np.cumsum(low[j, :j, None] * e[:j], axis=0)[-1] if j else 0.0
-        e[j] = (b[j] - dot) / low[j, j]
+        np.divide(b[j] - acc[j], low[j, j], out=e[j])
+        acc[j + 1:] += low[j + 1:, j, None] * e[j]
     return np.cumsum(e * e, axis=0).reshape(bhat.shape)
 
 

@@ -16,14 +16,26 @@ from deconvtest import (
     NullSpec, PolynomialFamilySpec, Poisson, certify_orthonormality,
     compute_coefficients,
 )
-from deconvtest.teststat import prepared_engine
+from deconvtest import orthopoly, teststat
+
+# every memo the process keeps
+PROCESS_MEMOS = (
+    teststat.prepared_engine, teststat._zero_from, orthopoly.certified_basis,
+    orthopoly._gamma_weight_rule, orthopoly._uniform01_rule,
+    orthopoly.PolynomialFamilySpec.addition_split,
+)
 
 
 @pytest.fixture(autouse=True)
-def cold_engine_memo():
-    # every test starts with no prepared engine, so one that patches the
-    # engine or its samplers never meets an engine another test built
-    prepared_engine.cache_clear()
+def cold_memos():
+    """Every test starts with every process memo empty, so one that patches
+    an engine, a sampler or a rule never meets what another test kept; a
+    test that needs them cold again calls the function this returns."""
+    def clear():
+        for memo in PROCESS_MEMOS:
+            memo.cache_clear()
+    clear()
+    return clear
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,16 @@
 """Polynomial family values, certification, and addition splits."""
 
 import dataclasses
+import random
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deconvtest.measures import GeometricRef
+from deconvtest import orthopoly
+from deconvtest.measures import ChiSquared, Exponential, Gamma, GeometricRef
 from deconvtest.orthopoly import (
     HARD_DEGREE_CAP, BasisInconsistencyError, DegreeOverflowError,
     DomainError, PolynomialFamilySpec, certified_basis,
@@ -332,3 +336,119 @@ class TestRecurrenceStability:
         x = np.linspace(0.0, 1.0, 11)
         vals = shifted_legendre_table(HARD_DEGREE_CAP, x)
         assert np.all(np.isfinite(vals))
+
+
+_TABLES = {
+    "laguerre": lambda d, x: laguerre_table(d, 2.5, x),
+    "shifted_legendre": shifted_legendre_table,
+    "meixner": lambda d, x: meixner_scaled_table(d, 0.5, 0.3, x),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_TABLES)),
+       degree=st.integers(0, HARD_DEGREE_CAP),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       scale=st.sampled_from([1.0, 40.0]))
+def test_raw_tables_give_each_point_its_bits_at_any_rank(kind, degree, xs,
+                                                         scale):
+    # each step writes its row in place; for a 0-d x the row must be a
+    # view, or the table keeps the bits of np.empty
+    table = _TABLES[kind]
+    if kind != "shifted_legendre":
+        xs = [scale * v for v in xs]
+    flat = table(degree, np.array(xs))
+    square = table(degree, np.array(xs)[:, None] * np.ones(2))
+    for i, v in enumerate(xs):
+        for x in (v, np.float64(v), np.array(v)):
+            assert table(degree, x).tobytes() == flat[:, i].tobytes()
+        assert square[:, i, 1].tobytes() == flat[:, i].tobytes()
+
+
+_SPLIT_GRID = np.array([0.0, 0.5, 1.0, 3.0, 7.0, 20.0])
+
+
+def _bits(value):
+    """Bytes of every array in a memo's value; a split's table at a grid."""
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if callable(value):
+        return _bits(value(_SPLIT_GRID))
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+def _arrays(value):
+    return [v for v in (value or ()) if isinstance(v, np.ndarray)]
+
+
+# each memo, a few of its keys, and its bound with enough keys to pass it
+_MEMOS = {
+    "gamma_rule": (
+        orthopoly._gamma_weight_rule,
+        [(shape, n) for shape in (0.5, 1.0, 2.5, 3) for n in (1, 2, 11, 17, 31)],
+        orthopoly._SHARED_RULES,
+        [(0.5 + i, 3) for i in range(orthopoly._SHARED_RULES + 5)]),
+    "uniform01_rule": (
+        orthopoly._uniform01_rule,
+        [(n,) for n in (1, 2, 3, 11, 17, 31, 40)],
+        orthopoly._SHARED_RULES,
+        [(n,) for n in range(1, orthopoly._SHARED_RULES + 6)]),
+    "addition_split": (
+        PolynomialFamilySpec.addition_split,
+        [(PolynomialFamilySpec(kind, shape), k)
+         for kind, shape in (("laguerre", 1.0), ("laguerre", 2.5),
+                             ("meixner", 0.3), ("meixner", 0.97),
+                             ("shifted_legendre", 1.0))
+         for k in (0, 1, 16)],
+        orthopoly._SHARED_SPLITS,
+        [(PolynomialFamilySpec("laguerre", 1.0 + i), 3)
+         for i in range(orthopoly._SHARED_SPLITS + 5)]),
+}
+
+
+class TestSharedPieces:
+    """The shape-only Gauss rules and the addition splits are kept per
+    process: a kept value has a fresh call's bits, callers cannot write to
+    it, and each memo holds at most its bound."""
+
+    @pytest.mark.parametrize("name", sorted(_MEMOS))
+    def test_kept_values_have_fresh_bits(self, name):
+        memo, keys, bound, _ = _MEMOS[name]
+        assert len(keys) <= bound
+        keys = list(keys)
+        random.Random(43).shuffle(keys)
+        for _ in range(2):  # the first call fills the memo, the second hits
+            for key in keys:
+                assert _bits(memo(*key)) == _bits(memo.__wrapped__(*key))
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (len(keys), len(keys))
+
+    @pytest.mark.parametrize("name", sorted(_MEMOS))
+    def test_shared_arrays_are_read_only(self, name):
+        memo, keys, _, _ = _MEMOS[name]
+        value = memo(*keys[0])
+        assert _arrays(value)
+        for arr in _arrays(value):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+        assert _bits(memo(*keys[0])) == _bits(memo.__wrapped__(*keys[0]))
+
+    @pytest.mark.parametrize("name", sorted(_MEMOS))
+    def test_memo_stays_within_its_bound(self, name):
+        memo, _, bound, keys = _MEMOS[name]
+        assert len(set(keys)) > bound
+        for key in keys:
+            memo(*key)
+            assert memo.cache_info().currsize <= bound
+        assert memo.cache_info().currsize == bound
+
+    def test_laws_share_the_rules_of_their_shape(self):
+        # the rule at rate and at 2 * rate, and every law of one shape,
+        # take one eigen-solve
+        for law in (Exponential(0.5), Gamma(1.0, 3.0), ChiSquared(2)):
+            for rate in (1.0, 2.0):
+                law.rule(11, rate)
+        info = orthopoly._gamma_weight_rule.cache_info()
+        assert (info.misses, info.hits) == (1, 5)

@@ -32,7 +32,8 @@ from deconvtest.teststat import (
 )
 
 from .oracles import (
-    chi2_cdf_by_quadrature, count_bhat, geometric_masses, poisson_masses,
+    chi2_cdf_by_quadrature, count_bhat, exact_t_sequence, geometric_masses,
+    poisson_masses,
 )
 
 
@@ -120,6 +121,22 @@ class TestComputeBhat:
             np.testing.assert_array_equal(engine.run(data).t_sequence, want)
 
 
+@st.composite
+def _whitening_cases(draw):
+    """A (k, reps) bhat with exact zeros of both signs, and sigma = b b' +
+    I / 2 as in criterion 04."""
+    k, reps = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.standard_normal((k, k))
+    bhat = rng.standard_normal((k, reps))
+    zeros = draw(st.lists(st.sampled_from([None, 0.0, -0.0]),
+                          min_size=bhat.size, max_size=bhat.size))
+    for i, zero in enumerate(zeros):
+        if zero is not None:
+            bhat.flat[i] = zero
+    return bhat, b @ b.T + 0.5 * np.eye(k)
+
+
 class TestTSequence:
     def test_zero_vector(self):
         np.testing.assert_allclose(t_sequence(np.zeros(3), np.eye(3)), 0.0)
@@ -144,6 +161,25 @@ class TestTSequence:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             t_sequence(np.zeros(2), np.eye(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_whitening_cases())
+    def test_batch_columns_have_their_own_bits(self, case):
+        bhat, sigma = case
+        whole = t_sequence(bhat, sigma)
+        for c in range(bhat.shape[1]):
+            alone = t_sequence(bhat[:, c], sigma)
+            assert alone.tobytes() == whole[:, c].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_whitening_cases())
+    def test_within_criterion_04_of_the_exact_whitening(self, case):
+        # criterion 04's oracle gap on b b' + I / 2
+        bhat, sigma = case
+        whole = t_sequence(bhat, sigma)
+        for c in range(bhat.shape[1]):
+            exact = exact_t_sequence(bhat[:, c], sigma)
+            assert np.max(np.abs(whole[:, c] - exact)) < 1e-7
 
 
 class TestSelectOrder:
@@ -552,6 +588,22 @@ class TestPreparedEngines:
         # keeps none, and each call tries again
         info = teststat.prepared_engine.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+    def test_zero_from_keeps_fresh_bits_per_reference(self):
+        refs = [GeometricRef(p) for p in (0.05, 0.3, 0.5, 0.7, 0.97)]
+        random.Random(43).shuffle(refs)
+        for _ in range(2):
+            for ref in refs:
+                assert _zero_from(ref) == _zero_from.__wrapped__(ref)
+        info = _zero_from.cache_info()
+        assert (info.misses, info.hits) == (len(refs), len(refs))
+
+    def test_zero_from_stays_within_its_bound(self):
+        bound = teststat._ZERO_FROM_REFS
+        for i in range(bound + 5):
+            _zero_from(GeometricRef(0.1 + 0.8 * i / (bound + 5)))
+            assert _zero_from.cache_info().currsize <= bound
+        assert _zero_from.cache_info().currsize == bound
 
     def test_memo_hit_certifies_nothing(self, monkeypatch):
         # the reference owns the basis, certified once per family per

@@ -6,7 +6,8 @@ that checkout's ``src`` and prints one JSON line,
 * ``calibration``: the default config's calibration values and critical
   values of Mod1 and Mod2 at n = 50, 100, 500 and 2000,
 * ``statistic``: the T sequences and selected orders S_n of a fixed batch
-  of 2000 rows of each of the eight study scenarios at n = 100 and 500,
+  of 2000 rows of each of the eight study scenarios at n = 50, 100, 500
+  and 2000,
 * ``coefficients``: the closed-form and quadrature alphas and sigma of
   Mod1 and Mod2 at order 10,
 * ``simulate``: the CSV of ``simulate --n 50,100 --reps 200 --seed 99``,
@@ -14,7 +15,13 @@ that checkout's ``src`` and prints one JSON line,
   Exponential1Ref, Uniform01Ref and GeometricRef at p = 0.3, 0.5 and 0.97
   on a grid of in- and off-support points, each basis's certified norms,
   Gram residual and values at the in-support points, and the order-6
-  coefficients of a uniform signal without noise on Uniform01Ref.
+  coefficients of a uniform signal without noise on Uniform01Ref,
+* ``rules``: the nodes and weights of ``rule(nodes, rate)`` of every law
+  kind (a non-integer gamma shape, chi-squared with 1 and 3 degrees of
+  freedom, a mixture and a point mass among them) at 1 to 17 nodes and
+  rates 0, 1, 2, ln 2 and 2 ln 2, and the addition split of Laguerre 1.0
+  and Meixner 0.3, 0.5 and 0.97 at orders 1 to 16, with its table on
+  ``SPLIT_GRID``.
 
 Two checkouts compute the same bits where their lines are equal, so a
 change that should move no number is checked by running both and
@@ -23,7 +30,7 @@ each of the files A and B, prints the components that differ and exits 1
 if any does.  ``--quick`` digests smaller sizes (n = 50 and 100, 200
 calibration reps, 100-row batches, a two-scenario study) in about a
 second; its line is comparable only with another ``--quick`` line.
-``references`` is the same in both.
+``references`` and ``rules`` are the same in both.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from deconvtest import cli  # noqa: E402
 from deconvtest.measures import (  # noqa: E402
-    Exponential1Ref, GeometricRef, PointMass, RngStream, Uniform01,
-    Uniform01Ref,
+    ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
+    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
 )
 from deconvtest.nullmodel import NullSpec, compute_coefficients  # noqa: E402
 from deconvtest.orthopoly import (  # noqa: E402
@@ -62,6 +69,15 @@ SUPPORT_GRID = np.array([
     -np.inf, -1e300, -5.0, -1.0, -0.5, -1e-300, -0.0, 0.0, 1e-300, 0.25, 0.5,
     1.0, 1.5, 2.0, 3.0, 7.0, 50.0, 700.0, 745.0, 800.0, 1e6, 2.0 ** 53,
     2.0 ** 53 + 2, 1e300, np.inf, np.nan])
+
+# one law of each kind, and several gamma-type shapes: the process keeps one
+# rule per shape and node count
+RULE_LAWS = (
+    Exponential(1.0), Exponential(0.7), Gamma(2.5, 0.8), Gamma(0.5, 1.0),
+    ChiSquared(1), ChiSquared(3), Poisson(1.3), Geometric(0.8), Uniform01(),
+    PointMass(0.5), Mixture(0.3, Exponential(0.5), Gamma(1.7, 2.0)))
+RULE_RATES = (0.0, 1.0, 2.0, float(np.log(2.0)), float(2.0 * np.log(2.0)))
+SPLIT_GRID = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 7.0, 20.0])
 
 
 class Hasher:
@@ -146,6 +162,24 @@ def references() -> str:
     return h.hexdigest()
 
 
+def rules() -> str:
+    """Every law's Gauss rule and the families' addition splits."""
+    h = Hasher()
+    for law in RULE_LAWS:
+        for nodes in range(1, 18):
+            for rate in RULE_RATES:
+                for value in law.rule(nodes, rate):
+                    h.add(value)
+    for kind, shape in (("laguerre", 1.0), ("meixner", 0.3),
+                        ("meixner", 0.5), ("meixner", 0.97)):
+        family = PolynomialFamilySpec(kind, shape)
+        for k in range(1, 17):
+            split, table = family.addition_split(k)
+            h.add(split)
+            h.add(table(SPLIT_GRID))
+    return h.hexdigest()
+
+
 def simulate(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -164,15 +198,17 @@ def digest(quick: bool = False) -> dict:
             "simulate": simulate(["--scenarios", "Mod1,Mod2", "--n", "50",
                                   "--reps", "100", "--seed", "99"]),
             "references": references(),
+            "rules": rules(),
             "quick": True,
         }
     return {
         "calibration": calibration((50, 100, 500, 2000), TestConfig()),
-        "statistic": statistic((100, 500), 2000),
+        "statistic": statistic((50, 100, 500, 2000), 2000),
         "coefficients": coefficients(),
         "simulate": simulate(["--n", "50,100", "--reps", "200",
                               "--seed", "99"]),
         "references": references(),
+        "rules": rules(),
         "quick": False,
     }
 
