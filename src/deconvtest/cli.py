@@ -55,7 +55,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-COEFFS_SCHEMA = "deconvtest-coeffs-v2"
+COEFFS_SCHEMA = "deconvtest-coeffs-v3"
 RESULT_SCHEMA = "deconvtest-result-v3"
 SIM_SCHEMA = "deconvtest-simulation-v2"
 
@@ -216,7 +216,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -242,7 +242,7 @@ def config_hash(null_config: dict) -> str:
 def read_data_file(path: str) -> np.ndarray:
     """One numeric observation per line; '#' comments and blanks ignored."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFileError(f"cannot read data file {path}: {exc}") from None
     values = []

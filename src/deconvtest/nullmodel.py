@@ -113,7 +113,6 @@ class NullCoefficients:
     alphas: np.ndarray
     sigma: np.ndarray
     method: str
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.method not in (CLOSED_FORM, QUADRATURE):
@@ -135,10 +134,6 @@ class NullCoefficients:
             raise np.linalg.LinAlgError(
                 f"sigma has eigenvalue {min_eigen:.3e} below the "
                 f"-{PSD_SLACK:.0e} positive-semidefiniteness slack")
-        if min_eigen < 0 and "psd-clip" not in " ".join(self.notes):
-            self.notes = self.notes + (
-                f"psd-clip: eigenvalue {min_eigen:.3e} in "
-                f"(-{PSD_SLACK:.0e}, 0) treated as zero",)
 
     def to_dict(self) -> dict:
         return plain_dict(self)
@@ -242,7 +237,6 @@ class EigenDiagnostics:
     """
 
     lambda_mins: np.ndarray
-    lambda_maxs: np.ndarray
     condition_numbers: np.ndarray
     usable_k_max: int
 
@@ -250,7 +244,7 @@ class EigenDiagnostics:
 def eigen_floor_diagnostics(coeffs: NullCoefficients) -> EigenDiagnostics:
     """One symmetric eigenvalue solve per leading block of ``coeffs.sigma``.
 
-    It gives each order's extreme eigenvalues and condition number, and the
+    It gives each order's smallest eigenvalue and condition number, and the
     usable cap: beyond it a block has an eigenvalue at or below the floor
     ``lambda_max / CONDITION_CAP``.  Raises ``LinAlgError`` if sigma_11 <= 0.
 
@@ -272,6 +266,5 @@ def eigen_floor_diagnostics(coeffs: NullCoefficients) -> EigenDiagnostics:
     usable = int(np.argmin(np.append(full_rank, False)))  # first False
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(lam_min > 0, lam_max / np.maximum(lam_min, 1e-300), inf)
-    return EigenDiagnostics(lambda_mins=lam_min, lambda_maxs=lam_max,
-                            condition_numbers=cond,
+    return EigenDiagnostics(lambda_mins=lam_min, condition_numbers=cond,
                             usable_k_max=usable)

@@ -411,9 +411,9 @@ class TestEngine:
         self.diagnostics = eigen_floor_diagnostics(coeffs)
         # usable_k_max <= coeffs.k, so a shorter supplied set also caps here
         self.used_k_max = min(policy_k, self.diagnostics.usable_k_max)
-        self.notes = tuple(coeffs.notes)
+        self.notes = ()
         if config.k_max != "auto" and self.used_k_max < config.k_max:
-            self.notes += (
+            self.notes = (
                 f"order-cut: fixed k_max {config.k_max} requested, "
                 f"{self.used_k_max} used (usable order "
                 f"{self.diagnostics.usable_k_max})",)
@@ -436,28 +436,10 @@ class TestEngine:
         bhat = compute_bhat(samples, self.null, self.coeffs, self.used_k_max)
         return self._select(bhat)
 
-    def statistic_counts(self, values: np.ndarray, counts: np.ndarray):
-        """``statistic_batch`` of count rows given by their value counts.
-
-        ``values`` holds ascending integers and ``counts`` (reps, values)
-        how often each row holds each value, n values in all; a value at or
-        beyond ``_zero_from(ref)`` adds 0, as in ``statistic_batch``.  The
-        sums are those of ``_count_means``, so a row gives the same bits as
-        its n values do in ``statistic_batch``.
-        """
-        values, counts = np.asarray(values, dtype=float), np.asarray(counts)
-        if counts.shape[1:] != values.shape:
-            raise ValueError("counts need one column per value")
-        # an integer array, as ``sample_counts`` gives, skips this pass
-        if counts.dtype.kind not in "iu" and np.any(counts != np.trunc(counts)):
-            raise ValueError("counts must be whole numbers")
-        if np.any(counts < 0) or np.any(counts.sum(axis=1) != self.n):
-            raise ValueError(f"each count row must hold n={self.n} values "
-                             "in nonnegative counts")
-        ok = self.null.ref.in_support(values)
-        if not ok.all():
-            raise DataDomainError(np.flatnonzero(~ok).tolist(), "values "
-                                  "outside the reference support", what="value")
+    def _counted(self, values: np.ndarray, counts: np.ndarray):
+        """``statistic_batch`` of count rows as ``sample_counts`` gives them
+        (one column per support value, n values a row), by ``_count_means``'s
+        sums: a counted row keeps the bits of its values."""
         k = self.used_k_max
         means = _means_from_counts(values, counts, self.null, k, self.n)
         bhat = np.sqrt(self.n) * (means - self.coeffs.alphas[:k, None])
@@ -493,7 +475,7 @@ class TestEngine:
         for b, lo in enumerate(range(0, reps, step)):
             rows, block = min(step, reps - lo), stream(b)
             if masses is not None:
-                out[lo:lo + rows] = self.statistic_counts(*sample_counts(
+                out[lo:lo + rows] = self._counted(*sample_counts(
                     *masses, rows, n, block.generator()))[2]
                 continue
             data = draw(rows, block).reshape(rows, n)

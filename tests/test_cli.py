@@ -243,9 +243,11 @@ class TestCmdCoeffs:
         np.testing.assert_allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma)[0] > -1e-10
         assert doc["config_hash"]
-        assert doc["schema"] == "deconvtest-coeffs-v2"
+        assert doc["schema"] == "deconvtest-coeffs-v3"
+        assert {"k", "alphas", "sigma", "method"} <= doc.keys()
         # the last entry of lambda_trace is the smallest eigenvalue
-        assert "min_eigen" not in doc and len(doc["lambda_trace"]) == 6
+        assert "min_eigen" not in doc and "notes" not in doc
+        assert len(doc["lambda_trace"]) == 6
 
     def test_order_zero_rejected(self, capsys):
         assert run_cli(["coeffs", "--kmax", "0"]) == EXIT_USAGE
@@ -837,6 +839,23 @@ def test_refusals_exit_with_their_code_and_name_the_cause(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert named in err
+
+
+@pytest.mark.parametrize("text, argv", [
+    (FIXTURE.read_bytes(),
+     lambda path: ["test", path, "--calibration", "asymptotic"]),
+    (b'{"test": {"alpha": 0.1, "calibration": "asymptotic"}}',
+     lambda path: ["test", FIXTURE, "--config", path]),
+], ids=["data", "config"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, text, argv):
+    # Notepad and Excel often start a UTF-8 file with the mark EF BB BF
+    outputs = []
+    for name, data in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run_cli(argv(path)) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 # each case: argv with the placeholders DATA and CONFIG, the --out path

@@ -26,7 +26,7 @@ def test_two_quick_runs_agree(tmp_path, capsys, cold_memos):
     assert time.perf_counter() - start < 2.0
     assert first == second
     assert set(first) == {"calibration", "statistic", "coefficients",
-                          "simulate", "references", "rules", "quick"}
+                          "simulate", "references", "rules", "draws", "quick"}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(first))
     b.write_text(json.dumps({**first, "statistic": "0" * 64}))

@@ -24,7 +24,7 @@ from deconvtest.orthopoly import (
     certified_basis,
 )
 from deconvtest.teststat import (
-    TestConfig, default_kmax, run_test, t_sequence,
+    TestConfig, TestEngine, default_kmax, run_test, t_sequence,
 )
 
 from .oracles import (
@@ -255,11 +255,32 @@ class TestStructure:
             NullCoefficients(k=2, alphas=np.zeros(2), sigma=bad,
                              method="closed_form")
 
-    def test_tiny_negative_eigenvalue_noted(self):
-        coeffs = NullCoefficients(k=2, alphas=np.zeros(2),
-                                  sigma=np.diag([1.0, -5e-11]),
+    def test_tiny_negative_eigenvalue_noted(self, mod1_null):
+        # an eigenvalue in (-PSD_SLACK, 0) is rounding: it builds, the
+        # diagnostics show it and stop the usable order before it, and
+        # only a cut fixed order leaves a note
+        rot = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))[0]
+        sigma = np.eye(6)
+        sigma[:5, :5] = rot @ np.diag([0.5, 1.0, 2.0, 3.0, 4.0]) @ rot.T
+        sigma[5, 5] = -1e-12
+        coeffs = NullCoefficients(k=6, alphas=np.zeros(6), sigma=sigma,
                                   method="closed_form")
-        assert any("psd-clip" in note for note in coeffs.notes)
+        diag = eigen_floor_diagnostics(coeffs)
+        assert diag.usable_k_max == 5
+        assert diag.lambda_mins[5] == -1e-12
+        x = np.arange(1.0, 101.0) / 25.0
+        asymptotic = TestConfig(calibration="asymptotic")
+        result = TestEngine(mod1_null, 100, asymptotic, coeffs).run(x)
+        assert (result.used_k_max, result.notes) == (5, ())
+        fixed = TestEngine(mod1_null, 100, TestConfig(
+            k_max=6, calibration="asymptotic"), coeffs)
+        assert fixed.used_k_max == 5
+        assert fixed.notes == ("order-cut: fixed k_max 6 requested, 5 used "
+                               "(usable order 5)",)
+        sigma[5, 5] = -1e-9
+        with pytest.raises(np.linalg.LinAlgError, match="semidefiniteness"):
+            NullCoefficients(k=6, alphas=np.zeros(6), sigma=sigma,
+                             method="closed_form")
 
 
 class TestEigenDiagnostics:

@@ -145,7 +145,7 @@ class TestRunReplications:
             return wrapper
 
         monkeypatch.setattr(simlab, "run_replications", tracked)
-        for name in ("statistic_batch", "statistic_counts"):
+        for name in ("statistic_batch", "_counted"):
             monkeypatch.setattr(TestEngine, name, recorded(name))
         grids = []
         for names, sizes in ((["Mod1", "Alt4"], [60, 5000]),
@@ -219,7 +219,7 @@ class TestCountedRows:
         # and so does T, by the two-sample Kolmogorov-Smirnov bound at
         # level 0.001
         engine = TestEngine(sc.null, n, TestConfig(calibration="asymptotic"))
-        counted = engine.statistic_counts(values, counts)[2]
+        counted = engine._counted(values, counts)[2]
         drawn = engine.statistic_batch(points.reshape(rows, n))[2]
         assert _ks_distance(counted, drawn) < 1.95 * math.sqrt(2 / rows)
 

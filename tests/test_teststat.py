@@ -1,7 +1,9 @@
 """Statistic assembly, order selection, calibration, and the full test."""
 
+import importlib
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
+import deconvtest
 from deconvtest import nullmodel, orthopoly, teststat
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Geometric, GeometricRef,
@@ -31,6 +34,7 @@ from deconvtest.teststat import (
     t_sequence,
 )
 
+from .conftest import PROCESS_MEMOS
 from .oracles import (
     chi2_cdf_by_quadrature, count_bhat, exact_t_sequence, geometric_masses,
     poisson_masses,
@@ -371,19 +375,6 @@ class TestConfigFields:
     (lambda null, c: run_replications(_model_engine("Mod2", 500),
                                       build_scenario("Mod2"), 400, 7, n=50),
      TypeError, "unexpected keyword argument 'n'"),
-    # count rows that no sample of n = 10 could give
-    (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
-        np.array([0.0]), np.array([[4, 3, 3]])), ValueError,
-     "one column per value"),
-    (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
-        np.arange(3), np.array([[12, -1, -1]])), ValueError,
-     "nonnegative counts"),
-    (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
-        np.array([0.5, 1.0, 2.0]), np.array([[4, 3, 3]])), DataDomainError,
-     r"values outside the reference support: offending value indices \[0\]"),
-    (lambda null, c: _model_engine("Mod2", 10).statistic_counts(
-        np.arange(3), np.array([[3.5, 3.5, 3.0]])), ValueError,
-     "counts must be whole numbers"),
     (lambda null, c: NullCoefficients(k=0, alphas=np.zeros(0),
                                       sigma=np.zeros((0, 0)),
                                       method="closed_form"),
@@ -407,11 +398,9 @@ class TestConfigFields:
         "asymptotic-alpha-1e-17",
         "quantile-level-1", "negative-quantile-level", "empty-bhat-data",
         "bhat-order-past-coeffs", "run-wrong-n", "batch-wrong-width",
-        "study-foreign-null", "study-n-from-engine", "counts-broadcast",
-        "counts-negative", "counts-off-support", "counts-fractional",
-        "coeffs-order-0", "wilson-successes-past-trials", "eval-past-table",
-        "engine-n-1", "kmax-n-1", "run-empty", "run-2d",
-        "run-test-one-observation"])
+        "study-foreign-null", "study-n-from-engine", "coeffs-order-0",
+        "wilson-successes-past-trials", "eval-past-table", "engine-n-1",
+        "kmax-n-1", "run-empty", "run-2d", "run-test-one-observation"])
 def test_library_refusals_name_the_cause(mod1_null, mod1_coeffs8, call,
                                          error, named):
     with pytest.raises(error, match=named):
@@ -621,6 +610,22 @@ class TestPreparedEngines:
             run_test(x, NullSpec(y, Geometric(1.0), GeometricRef(0.5)), config)
             assert families == [GeometricRef(0.5).family]
         assert teststat.prepared_engine.cache_info().hits == 2
+
+    def test_cold_fixture_knows_every_memo(self):
+        # a process memo that the autouse fixture does not clear would
+        # carry one test's engines, samplers or rules into the next
+        found = set()
+        for info in pkgutil.iter_modules(deconvtest.__path__):
+            if info.name == "__main__":  # importing it runs the CLI
+                continue
+            module = importlib.import_module(f"deconvtest.{info.name}")
+            spaces = [vars(module)] + [
+                vars(obj) for obj in vars(module).values()
+                if isinstance(obj, type) and obj.__module__ == module.__name__]
+            found |= {id(obj) for space in spaces for obj in space.values()
+                      if hasattr(obj, "cache_clear")}
+        assert found == {id(memo) for memo in PROCESS_MEMOS}
+        assert len(PROCESS_MEMOS) == 6
 
     def test_mod1_mc_test_loads_no_scipy(self):
         # scipy.special serves only Poisson laws and the asymptotic mode
@@ -968,14 +973,9 @@ class TestCountRoute:
         values = values[:counts.shape[1]]
         rows = rng.permuted(np.stack([
             np.repeat(values.astype(float), c) for c in counts]), axis=1)
-        for got, want in zip(engine.statistic_counts(values, counts),
+        for got, want in zip(engine._counted(values, counts),
                              engine.statistic_batch(rows)):
             assert np.array_equal(got, want)
-
-    def test_rows_must_hold_n_values(self, batch_engines):
-        engine = batch_engines[("Mod2", 20)]
-        with pytest.raises(ValueError, match="n=20"):
-            engine.statistic_counts(np.arange(3), np.array([[10, 9, 0]]))
 
     def test_rows_are_fresh_multinomial_draws(self, batch_engines):
         # a block is one multinomial over the cells its draws are expected
@@ -1052,7 +1052,7 @@ class TestCountRoute:
         assert values[-1] == _zero_from(null.ref) and values.size < 360
         assert np.array_equal(values[:-1], np.arange(values.size - 1))
         assert p[-1] == pytest.approx(0.5, abs=1e-12)
-        counted = engine.statistic_counts(
+        counted = engine._counted(
             *sample_counts(values, p, 300, 50, RngStream(3, 0).generator()))[2]
         drawn = engine.statistic_batch(
             engine.sample_null_batch(300, RngStream(4, 0)))[2]
@@ -1078,7 +1078,7 @@ def _calibration_blocks(engine, seed):
     for b, lo in enumerate(range(0, reps, step)):
         rows, stream = min(step, reps - lo), base.child(b)
         if masses is not None:
-            stats = engine.statistic_counts(
+            stats = engine._counted(
                 *sample_counts(*masses, rows, n, stream.generator()))
         else:
             stats = engine.statistic_batch(

@@ -21,7 +21,11 @@ that checkout's ``src`` and prints one JSON line,
   freedom, a mixture and a point mass among them) at 1 to 17 nodes and
   rates 0, 1, 2, ln 2 and 2 ln 2, and the addition split of Laguerre 1.0
   and Meixner 0.3, 0.5 and 0.97 at orders 1 to 16, with its table on
-  ``SPLIT_GRID``.
+  ``SPLIT_GRID``,
+* ``draws``: 1000 draws of every law of ``rules``, of a Poisson law of mean
+  2e8 (numpy's sampler) and of a Poisson-geometric mixture, each from its
+  own stream; 1000 draws of Y + Z of Mod1 and Mod2; and the value counts of
+  2000 rows of Mod2 at n = 50 and 500, drawn from its masses.
 
 Two checkouts compute the same bits where their lines are equal, so a
 change that should move no number is checked by running both and
@@ -30,7 +34,7 @@ each of the files A and B, prints the components that differ and exits 1
 if any does.  ``--quick`` digests smaller sizes (n = 50 and 100, 200
 calibration reps, 100-row batches, a two-scenario study) in about a
 second; its line is comparable only with another ``--quick`` line.
-``references`` and ``rules`` are the same in both.
+``references``, ``rules`` and ``draws`` are the same in both.
 """
 
 from __future__ import annotations
@@ -50,15 +54,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from deconvtest import cli  # noqa: E402
 from deconvtest.measures import (  # noqa: E402
     ChiSquared, Exponential, Exponential1Ref, Gamma, Geometric, GeometricRef,
-    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref,
+    Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref, draw_sum,
 )
-from deconvtest.nullmodel import NullSpec, compute_coefficients  # noqa: E402
+from deconvtest.nullmodel import (  # noqa: E402
+    NullSpec, compute_coefficients, value_masses,
+)
 from deconvtest.orthopoly import (  # noqa: E402
     PolynomialFamilySpec, certify_orthonormality,
 )
 from deconvtest.simlab import SCENARIO_NAMES, build_scenario  # noqa: E402
 from deconvtest.teststat import (  # noqa: E402
-    TestConfig, TestEngine, prepared_engine, run_test,
+    TestConfig, TestEngine, _zero_from, prepared_engine, run_test,
+    sample_counts,
 )
 
 BATCH_SEED = 20261020
@@ -101,7 +108,7 @@ def calibration(sizes, config: TestConfig) -> str:
     for model in ("Mod1", "Mod2"):
         null = build_scenario(model).null
         for n in sizes:
-            h.add(prepared_engine(null, n, config).calibration_values())
+            h.add(prepared_engine(null, n, config).calibration)
             # the critical value does not depend on the data; the test
             # runs on the engine above
             h.add(run_test(np.arange(n) % 3.0, null, config).critical_value)
@@ -180,6 +187,28 @@ def rules() -> str:
     return h.hexdigest()
 
 
+def draws() -> str:
+    """Golden draws of every law, of the models' sums and of count rows."""
+    h = Hasher()
+    laws = RULE_LAWS + (Poisson(2e8),
+                        Mixture(0.5, Poisson(2.0), Geometric(2.0)))
+    for i, law in enumerate(laws):
+        h.add(law.draw(RngStream(BATCH_SEED, i).generator(), 1000))
+    for i, model in enumerate(("Mod1", "Mod2")):
+        null = build_scenario(model).null
+        gen = RngStream(BATCH_SEED, len(laws) + i).generator()
+        h.add(draw_sum(null.y, null.z, gen, 1000))
+    # the masses that the calibration's count route draws from
+    null = build_scenario("Mod2").null
+    cells = np.arange(_zero_from(null.ref))
+    masses = value_masses(null.y.mass(cells), null.z.mass(cells))
+    for n in (50, 500):
+        gen = RngStream(BATCH_SEED, n).generator()
+        for value in sample_counts(*masses, 2000, n, gen):
+            h.add(value)
+    return h.hexdigest()
+
+
 def simulate(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -199,6 +228,7 @@ def digest(quick: bool = False) -> dict:
                                   "--reps", "100", "--seed", "99"]),
             "references": references(),
             "rules": rules(),
+            "draws": draws(),
             "quick": True,
         }
     return {
@@ -209,6 +239,7 @@ def digest(quick: bool = False) -> dict:
                               "--seed", "99"]),
         "references": references(),
         "rules": rules(),
+        "draws": draws(),
         "quick": False,
     }
 
