@@ -143,32 +143,41 @@ class NullCoefficients:
 # Deterministic paths
 # ---------------------------------------------------------------------------
 
-def _split_pieces(dist: Distribution, table, ref: ReferenceMeasure, k: int):
-    """One-dimensional expectations of one axis's split factors.
+def _one_pass(evaluate, points) -> list[np.ndarray]:
+    """``evaluate`` at every array of ``points`` in one call.
 
-    With ``P = table(x)`` and m(x) = m(0) exp(-rate x),
-    a1[s] = sqrt(m(0)) E[P_s(X) e^(-rate X)] and
-    a2[s, t] = m(0) E[P_s(X) P_t(X) e^(-2 rate X)]; products of the pieces
-    of Y and Z then carry m(Y + Z) and m(Y + Z)**2.  Each is a polynomial of
-    degree at most 2k under a tilted law, so k + 1 nodes are exact.
+    ``evaluate`` maps a flat array to rows of values at it.  This returns
+    one contiguous block per array x, of shape ``(rows,) + x.shape``, with
+    the bits that a call on x alone gives.
     """
-    m0 = float(ref.density(0.0))
-    x, w = expectation_rule(dist, k + 1, ref.rate)
-    a1 = sqrt(m0) * (table(x) @ w)
-    x, w = expectation_rule(dist, k + 1, 2.0 * ref.rate)
-    values = table(x)
-    a2 = m0 * np.einsum("sn,tn,n->st", values, values, w)
-    return a1, a2
+    values, blocks, start = evaluate(np.concatenate(points, axis=None)), [], 0
+    for x in points:
+        part = np.ascontiguousarray(values[:, start:start + x.size])
+        blocks.append(part.reshape(part.shape[:1] + x.shape))
+        start += x.size
+    return blocks
 
 
 def _closed_form(null: NullSpec, k: int, split: np.ndarray, table):
     """Coefficients through the family's addition split.
 
     ``split[i, s, r]`` is the weight of P_s(y) P_r(z) in P_i(y + z), where
-    ``table`` evaluates P at half the family's parameter.
+    ``table`` evaluates P at half the family's parameter.  With m(x) =
+    m(0) exp(-rate x), each axis gives the pieces a1[s] = sqrt(m(0))
+    E[P_s(X) e^(-rate X)] and a2[s, t] = m(0) E[P_s(X) P_t(X) e^(-2 rate
+    X)]; products of the pieces of Y and Z then carry m(Y + Z) and
+    m(Y + Z)**2.  Each is a polynomial of degree at most 2k under a tilted
+    law, so k + 1 nodes are exact.  One ``table`` pass covers the nodes of
+    all four rules.
     """
-    a1, a2 = _split_pieces(null.y, table, null.ref, k)
-    b1, b2 = _split_pieces(null.z, table, null.ref, k)
+    m0, rate = float(null.ref.density(0.0)), null.ref.rate
+    nodes, weights = zip(*[expectation_rule(dist, k + 1, tilt)
+                           for dist in (null.y, null.z)
+                           for tilt in (rate, 2.0 * rate)])
+    v = _one_pass(table, nodes)
+    a1, b1 = (sqrt(m0) * (v[i] @ weights[i]) for i in (0, 2))
+    a2, b2 = (m0 * np.einsum("sn,tn,n->st", v[i], v[i], weights[i])
+              for i in (1, 3))
     norms = null.ref.basis.norms[: k + 1]
     alphas = np.einsum("isr,s,r->i", split, a1, b1) / norms
     # the order ``optimize=True`` finds for every k to 30, without the search
@@ -177,22 +186,20 @@ def _closed_form(null: NullSpec, k: int, split: np.ndarray, table):
     return alphas, m2 / np.outer(norms, norms) - np.outer(alphas, alphas)
 
 
-def _tensor_rule(null: NullSpec, k: int, rate: float):
-    """Values q = Q(y + z) and weights of the product rule at ``rate``."""
-    y, wy = expectation_rule(null.y, k + 1, rate)
-    z, wz = expectation_rule(null.z, k + 1, rate)
-    return (null.ref.basis.eval_normalized(y[:, None] + z[None, :], k),
-            wy[:, None] * wz[None, :])
-
-
 def _quadrature(null: NullSpec, k: int):
     """Tensor rule: alpha = m(0) sum(w q) at ``rate``, and the second
-    moment m(0)**2 sum(w q q) at ``2 * rate``, both at x = y + z."""
-    m0 = float(null.ref.density(0.0))
-    q, w = _tensor_rule(null, k, null.ref.rate)
-    alphas = m0 * np.tensordot(q, w, axes=([1, 2], [0, 1]))
-    q, w = _tensor_rule(null, k, 2.0 * null.ref.rate)
-    m2 = m0 ** 2 * np.einsum("iab,jab,ab->ij", q, q, w)
+    moment m(0)**2 sum(w q q) at ``2 * rate``, both at q = Q(y + z).  One
+    basis pass covers both tilts' grids."""
+    m0, rate = float(null.ref.density(0.0)), null.ref.rate
+    grids, weights = [], []
+    for tilt in (rate, 2.0 * rate):
+        y, wy = expectation_rule(null.y, k + 1, tilt)
+        z, wz = expectation_rule(null.z, k + 1, tilt)
+        grids.append(y[:, None] + z[None, :])
+        weights.append(wy[:, None] * wz[None, :])
+    q1, q2 = _one_pass(lambda x: null.ref.basis.eval_normalized(x, k), grids)
+    alphas = m0 * np.tensordot(q1, weights[0], axes=([1, 2], [0, 1]))
+    m2 = m0 ** 2 * np.einsum("iab,jab,ab->ij", q2, q2, weights[1])
     return alphas, m2 - np.outer(alphas, alphas)
 
 

@@ -72,7 +72,9 @@ class DataDomainError(ValueError):
 
 def _is_integer(value) -> bool:
     """An integral type that is not ``bool`` (a flag is not a count)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # an int first: the check against the abstract class costs 0.5 us
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -124,17 +126,110 @@ class TestConfig:
 # Building blocks
 # ---------------------------------------------------------------------------
 
+def _chi2_term(c: float, t: float) -> float:
+    """``t**c exp(-t) / Gamma(c + 1)``: one term of the chi-squared laws."""
+    return math.exp(c * math.log(t) - t - math.lgamma(c + 1.0))
+
+
+def _chi2_law(x: float, df: int) -> tuple[float, float, float]:
+    """The chi-squared(df) CDF, upper tail and density at x > 0.
+
+    With t = x / 2 and a = df / 2, the upper tail of an integer df is the
+    finite sum of ``_chi2_term(c, t)`` over c = a - 1, a - 2, ... >= 0,
+    plus ``erfc(sqrt(t))`` for odd df (for df = 1, erfc alone, and the CDF
+    erf).  Below t = a + 1 the CDF comes instead from the positive series
+    ``_chi2_term(a, t) * (1 + t / (a + 1) + t**2 / ((a + 1)(a + 2)) +
+    ...)``, so neither side cancels where it is small: each is one minus
+    the other only where it is at least 0.13 (the least, at df = 2).  The
+    density is ``_chi2_term(a - 1, t) / 2``, a term both forms hold.
+    """
+    t, a = 0.5 * x, 0.5 * df
+    if df == 1:
+        s = math.sqrt(t)
+        return (math.erf(s), math.erfc(s),
+                math.exp(-t) / (2.0 * math.sqrt(math.pi) * s))
+    if t < a + 1.0:
+        c, term, total = a, 1.0, 1.0
+        while term > 1e-17 * total:  # ratios t / c below 1 and falling
+            c += 1.0
+            term *= t / c
+            total += term
+        top = _chi2_term(a, t)
+        lower = top * total
+        return lower, 1.0 - lower, 0.5 * top * a / t
+    c, term, upper = a - 1.0, _chi2_term(a - 1.0, t), 0.0
+    density = 0.5 * term
+    while c >= 0.0:  # from the largest term down
+        upper += term
+        term *= c / t
+        c -= 1.0
+    if df % 2:
+        upper += math.erfc(math.sqrt(t))
+    return 1.0 - upper, upper, density
+
+
 def chi2_quantile(p: float, df: int) -> float:
     """The p-quantile of the chi-squared law with df degrees of freedom.
 
-    It inverts the regularized lower incomplete gamma ``P(df / 2, x / 2)``,
-    the chi-squared CDF; the asymptotic critical value is
-    ``chi2_quantile(1 - alpha, 1)``.
+    The asymptotic critical value is ``chi2_quantile(1 - alpha, 1)``.  An
+    integer df gives the law the closed form of ``_chi2_law``, which this
+    inverts with the standard library's ``math`` alone.  Halley steps act
+    on the log of the side that p names: the CDF for p <= 1/2, else the
+    upper tail 1 - p, which is exact in floats, so levels near 0 and 1
+    keep their relative accuracy.  They start from the Wilson-Hilferty
+    cube; for p <= 1/2, from ``2 (p Gamma(df / 2 + 1))**(2 / df)`` where
+    that is larger, a point below the quantile since the CDF is below
+    ``(x / 2)**(df / 2) / Gamma(df / 2 + 1)``.  A step that would leave the
+    bracket of the points seen so far bisects it instead.  Two or three
+    evaluations of the law suffice; the result is within 4 ulps of the
+    quantile at df = 1, 16 at df = 2 and 1e-13 relative to df = 100.
+
+    ``p = 0`` gives 0.0.  A level outside [0, 1), or a df that is not an
+    int >= 1, raises ``ValueError``.
     """
     if not 0 <= p < 1:
         raise ValueError("quantile level must lie in [0, 1)")
-    from scipy.special import gammaincinv
-    return float(2.0 * gammaincinv(df / 2.0, p))
+    if not (_is_integer(df) and df >= 1):
+        raise ValueError(f"degrees of freedom must be an integer >= 1, "
+                         f"got {df!r}")
+    if p == 0:
+        return 0.0
+    a, use_upper = 0.5 * df, p > 0.5
+    target = 1.0 - p if use_upper else p
+    # the normal quantile of the level within 4.5e-4 (Abramowitz & Stegun
+    # 26.2.23) gives the Wilson-Hilferty cube
+    s = math.sqrt(-2.0 * math.log(target))
+    z = s - ((2.515517 + s * (0.802853 + s * 0.010328))
+             / (1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308))))
+    w = math.sqrt(2.0 / (9 * df))
+    x = df * (1.0 - w * w + (z if use_upper else -z) * w) ** 3
+    if not use_upper:  # below the quantile, as P(a, t) < t**a / Gamma(a + 1)
+        x = max(x, 2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
+    lo, hi = 0.0, math.inf
+    for _ in range(100):
+        t = 0.5 * x
+        if t == 0.0:  # the quantile is at the foot of the subnormals
+            return x
+        lower, upper, pdf = _chi2_law(x, df)
+        side, new = (upper if use_upper else lower), math.nan
+        if (side > target) == use_upper:
+            lo = x
+        else:
+            hi = x
+        # a Halley step on log(side), whose slope is the density over side
+        if side > 0.0 < pdf:
+            slope = (-pdf if use_upper else pdf) / side
+            step = math.log(side / target) / slope
+            step /= max(0.5, 1.0 - 0.5 * step * ((a - 1.0) / x - 0.5 - slope))
+            new = x - step
+            if lo <= new <= hi and abs(step) <= 1e-6 * new:
+                return new  # the error left is of order step**3
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+        if new == x:
+            return x
+        x = new
+    return x
 
 
 def compute_bhat(data: np.ndarray, null: NullSpec,
@@ -507,9 +602,8 @@ class TestEngine:
 
     def p_value(self, t_stat: float) -> float:
         cal = self.calibration
-        if cal is None:
-            from scipy.special import gammaincc
-            return float(gammaincc(0.5, t_stat / 2.0))
+        if cal is None:  # the chi-squared(1) upper tail
+            return math.erfc(math.sqrt(t_stat / 2.0))
         return (1.0 + int(np.sum(cal >= t_stat))) / (cal.size + 1.0)
 
     def run(self, data: np.ndarray) -> "TestResult":

@@ -1,10 +1,13 @@
 """``tools/digest.py``: equal code gives equal digests, and a comparison
-names the components that differ."""
+names the components that differ, those only one line has, and a numpy
+version difference."""
 
 import importlib.util
 import json
 import time
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 
@@ -26,11 +29,26 @@ def test_two_quick_runs_agree(tmp_path, capsys, cold_memos):
     assert time.perf_counter() - start < 2.0
     assert first == second
     assert set(first) == {"calibration", "statistic", "coefficients",
-                          "simulate", "references", "rules", "draws", "quick"}
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps(first))
-    b.write_text(json.dumps({**first, "statistic": "0" * 64}))
-    assert tool.main(["--compare", str(a), str(a)]) == 0
-    assert capsys.readouterr().out == "equal\n"
-    assert tool.main(["--compare", str(a), str(b)]) == 1
-    assert capsys.readouterr().out == "statistic\n"
+                          "simulate", "references", "rules", "draws",
+                          "asymptotic", "numpy", "quick"}
+    assert first["numpy"] == np.__version__
+    lines = {"same": first,
+             "statistic": {**first, "statistic": "0" * 64},
+             "older": {key: value for key, value in first.items()
+                       if key not in ("asymptotic", "numpy")},
+             "numpy": {**first, "numpy": "1.0.0"}}
+    for name, line in lines.items():
+        (tmp_path / name).write_text(json.dumps(line))
+
+    def compare(name):
+        code = tool.main(["--compare", str(tmp_path / "same"),
+                          str(tmp_path / name)])
+        return code, capsys.readouterr().out
+    assert compare("same") == (0, "equal\n")
+    assert compare("statistic") == (1, "statistic\n")
+    # a line from before the asymptotic component and the version
+    assert compare("older") == (1, "asymptotic (only in A)\nnumpy "
+                                   f"{np.__version__} in A, unknown in B\n")
+    # equal bits on two numpy versions are equal, and say so
+    assert compare("numpy") == (0, f"equal\nnumpy {np.__version__} in A, "
+                                   "1.0.0 in B\n")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import chdtrc
+from scipy.special import chdtrc, gammainc, gammaincc, gammaincinv
 
 import deconvtest
 from deconvtest import nullmodel, orthopoly, teststat
@@ -239,6 +239,18 @@ def _model_engine(model, n):
                       TestConfig(calibration="asymptotic"))
 
 
+# the df of criterion 05 and three larger ones; levels from 0 to 1 - 1e-12,
+# dense in the middle and geometric towards both ends; T from 1e-8 to 1500,
+# 2.5 apart above 1400, where the upper tail leaves the normal doubles
+_ORACLE_DFS = list(range(1, 11)) + [20, 30, 50]
+_ORACLE_LEVELS = np.concatenate([
+    [0.0, 1e-300, 1e-100, 1e-20], np.logspace(-12, -2, 11),
+    np.linspace(0.02, 0.98, 49), 0.5 + np.array([-1e-9, 1e-9]),
+    1.0 - np.logspace(-2, -12, 11)])
+_ORACLE_T = np.concatenate([np.logspace(-8, math.log10(1400.0), 400),
+                            np.linspace(1400.0, 1500.0, 41)])
+
+
 class TestChi2:
     def test_zero(self):
         assert chi2_quantile(0.0, 1) == 0.0
@@ -275,6 +287,61 @@ class TestChi2:
         p = engine.p_value(80.0)
         assert p > 0.0
         assert p == pytest.approx(math.erfc(math.sqrt(40.0)), rel=1e-12)
+
+    # scipy.special stays in the test extra as an independent oracle.  The
+    # closed form rounds each of its terms through exp(c log t - t -
+    # lgamma(c + 1)), whose argument stays below 1000 here, so both sides
+    # of the law are good to about 1e-13 relative; the quantile, below
+    # x = 200 for these df, to about 2e-14, as its inversion stops within
+    # a few ulps of that law's root
+
+    def test_quantile_against_scipy(self):
+        for df in _ORACLE_DFS:
+            for p in _ORACLE_LEVELS:
+                want = 2.0 * gammaincinv(df / 2.0, p)
+                assert chi2_quantile(float(p), df) == pytest.approx(
+                    want, rel=1e-13, abs=0.0), (df, p)
+
+    def test_tails_against_scipy(self):
+        # T from 1e-8 to 1500; on the upper side far out both fall below the
+        # normal doubles, where scipy may flush a value that the closed
+        # form keeps as a subnormal: there both lie below ``tiny``
+        tiny = np.finfo(float).tiny
+        for df in _ORACLE_DFS:
+            for x in _ORACLE_T:
+                *got, _ = teststat._chi2_law(float(x), df)
+                want = (gammainc(df / 2.0, x / 2.0),
+                        gammaincc(df / 2.0, x / 2.0))
+                for side, ref in zip(got, want):
+                    if ref < tiny:
+                        assert 0.0 <= side < tiny, (df, x)
+                    else:
+                        assert side == pytest.approx(ref, rel=1e-12), (df, x)
+
+    def test_asymptotic_p_value_against_scipy(self, mod1_null, mod1_coeffs8):
+        # erfc(sqrt(T / 2)) is the chi-squared(1) tail.  Both leave the
+        # normal doubles at T = 1409.5; SciPy's gammaincc (1.17) returns 0
+        # from T = 1425 on, where erfc gives subnormals up to T = 1482.5
+        engine = _asymptotic_engine(mod1_null, mod1_coeffs8)
+        tiny = np.finfo(float).tiny
+        subnormal = 0
+        for t in np.append(0.0, _ORACLE_T):
+            got, want = engine.p_value(float(t)), gammaincc(0.5, t / 2.0)
+            if want < tiny:
+                assert 0.0 <= got < tiny, t
+                subnormal += got > 0.0
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), t
+        assert subnormal > 0 and engine.p_value(1500.0) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(df=st.sampled_from(_ORACLE_DFS),
+           levels=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                           min_size=2, max_size=2))
+    def test_quantile_monotone_in_level(self, df, levels):
+        # monotone up to the quantile's accuracy (1e-13 relative)
+        low, high = sorted(levels)
+        assert chi2_quantile(low, df) <= chi2_quantile(high, df) * (1 + 1e-13)
 
 
 class TestCriticalValue:
@@ -360,6 +427,15 @@ class TestConfigFields:
      ValueError, "alpha 1e-17 is below the asymptotic calibration"),
     (lambda null, c: chi2_quantile(1.0, 1), ValueError, "quantile level"),
     (lambda null, c: chi2_quantile(-0.1, 1), ValueError, "quantile level"),
+    (lambda null, c: chi2_quantile(math.nan, 1), ValueError, "quantile level"),
+    (lambda null, c: chi2_quantile(0.5, 0), ValueError,
+     "degrees of freedom must be an integer >= 1, got 0"),
+    (lambda null, c: chi2_quantile(0.5, 2.5), ValueError,
+     "degrees of freedom must be an integer >= 1, got 2.5"),
+    (lambda null, c: chi2_quantile(0.5, 1.0), ValueError,
+     "degrees of freedom must be an integer >= 1, got 1.0"),
+    (lambda null, c: chi2_quantile(0.5, True), ValueError,
+     "degrees of freedom must be an integer >= 1, got True"),
     (lambda null, c: compute_bhat(np.array([]), null, c, 3), ValueError,
      "data must be nonempty"),
     (lambda null, c: compute_bhat(np.ones(5), null, c, 9), ValueError,
@@ -396,7 +472,8 @@ class TestConfigFields:
      "sample size must be at least 2"),
 ], ids=["alpha-0", "alpha-1", "unknown-calibration", "mc-reps-99",
         "asymptotic-alpha-1e-17",
-        "quantile-level-1", "negative-quantile-level", "empty-bhat-data",
+        "quantile-level-1", "negative-quantile-level", "quantile-level-nan",
+        "df-0", "df-fraction", "df-float", "df-bool", "empty-bhat-data",
         "bhat-order-past-coeffs", "run-wrong-n", "batch-wrong-width",
         "study-foreign-null", "study-n-from-engine", "coeffs-order-0",
         "wilson-successes-past-trials", "eval-past-table", "engine-n-1",
@@ -628,16 +705,33 @@ class TestPreparedEngines:
         assert len(PROCESS_MEMOS) == 6
 
     def test_mod1_mc_test_loads_no_scipy(self):
-        # scipy.special serves only Poisson laws and the asymptotic mode
-        code = ("import sys; import deconvtest as dt; "
-                "null = dt.build_scenario('Mod1').null; "
-                "dt.run_test([0.5, 1.0, 2.5, 4.0] * 25, null); "
-                "print('scipy.special' in sys.modules)")
+        # scipy.special serves only Poisson masses (Poisson.mass and its
+        # count tables), which none of these runs reads: the asymptotic
+        # p-value is erfc and its critical value inverts the closed-form law
         src = Path(teststat.__file__).resolve().parents[1]
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)})
-        assert out.stdout.strip() == "False"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = ("import sys, deconvtest as dt; "
+               "dt.run_test({} * 25, dt.build_scenario({!r}).null, "
+               "dt.TestConfig(calibration={!r})); "
+               "print('scipy.special' in sys.modules)")
+        for data, model, mode in (([0.5, 1.0, 2.5, 4.0], "Mod1", "mc"),
+                                  ([0.5, 1.0, 2.5, 4.0], "Mod1", "asymptotic"),
+                                  ([0, 1, 2, 5], "Mod2", "asymptotic")):
+            out = subprocess.run(
+                [sys.executable, "-c", run.format(data, model, mode)],
+                check=True, capture_output=True, text=True, env=env)
+            assert out.stdout.strip() == "False", (model, mode)
+        # the CLI in its own process; -X importtime names every import
+        fixture = Path(__file__).parent / "data" / "mod1_h0_n500.txt"
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "deconvtest", "test",
+             str(fixture), "--calibration", "asymptotic"],
+            check=True, capture_output=True, text=True, env=env)
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in out.stderr.splitlines()}
+        assert '"calibration": "asymptotic"' in out.stdout
+        assert "deconvtest.teststat" in imported
+        assert "scipy.special" not in imported
 
 
 class TestScaleInvariance:
@@ -774,11 +868,11 @@ class TestStatisticProperties:
         engine = batch_engines[key]
         for t in engine.statistic_batch(samples)[2]:
             assert 0.0 < mc_engines[key].p_value(t) <= 1.0
-            # the chi-squared(1) tail is erfc(sqrt(T/2)); SciPy's gammaincc
-            # returns 0 once the tail leaves the normal doubles (T > ~1416)
+            # the chi-squared(1) tail against SciPy's gammaincc, which
+            # leaves the normal doubles at T = 1409.5 and returns 0 from
+            # T = 1425 on
             assert engine.p_value(t) == pytest.approx(
-                math.erfc(math.sqrt(t / 2.0)), rel=1e-12,
-                abs=np.finfo(float).tiny)
+                gammaincc(0.5, t / 2.0), rel=1e-12, abs=np.finfo(float).tiny)
 
 
 @pytest.fixture(scope="module")

@@ -25,16 +25,26 @@ that checkout's ``src`` and prints one JSON line,
 * ``draws``: 1000 draws of every law of ``rules``, of a Poisson law of mean
   2e8 (numpy's sampler) and of a Poisson-geometric mixture, each from its
   own stream; 1000 draws of Y + Z of Mod1 and Mod2; and the value counts of
-  2000 rows of Mod2 at n = 50 and 500, drawn from its masses.
+  2000 rows of Mod2 at n = 50 and 500, drawn from its masses,
+* ``asymptotic``: the asymptotic critical values at alpha 0.5, 0.1, 0.05,
+  0.01 and 0.001, and the asymptotic p-values on ``T_GRID``, 0 to 1500.
+
+Each line also names the numpy version that computed it: numpy keeps a
+bit generator's stream fixed across releases, but not the algorithms of
+``Generator`` methods (NEP 19), so equal bits are promised on one numpy
+version only.
 
 Two checkouts compute the same bits where their lines are equal, so a
 change that should move no number is checked by running both and
 comparing: ``python tools/digest.py --compare A B`` reads one line from
-each of the files A and B, prints the components that differ and exits 1
-if any does.  ``--quick`` digests smaller sizes (n = 50 and 100, 200
-calibration reps, 100-row batches, a two-scenario study) in about a
-second; its line is comparable only with another ``--quick`` line.
-``references``, ``rules`` and ``draws`` are the same in both.
+each of the files A and B and prints the components that differ, each
+marked ``(only in A)`` or ``(only in B)`` where one line lacks it, or
+``equal``; a numpy version difference follows on a line of its own.  It
+exits 1 if a component differs.  ``--quick`` digests smaller sizes (n =
+50 and 100, 200 calibration reps, 100-row batches, a two-scenario study)
+in about a second; its line is comparable only with another ``--quick``
+line.  ``references``, ``rules``, ``draws`` and ``asymptotic`` are the
+same in both.
 """
 
 from __future__ import annotations
@@ -85,6 +95,10 @@ RULE_LAWS = (
     PointMass(0.5), Mixture(0.3, Exponential(0.5), Gamma(1.7, 2.0)))
 RULE_RATES = (0.0, 1.0, 2.0, float(np.log(2.0)), float(2.0 * np.log(2.0)))
 SPLIT_GRID = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 7.0, 20.0])
+ASYMPTOTIC_ALPHAS = (0.5, 0.1, 0.05, 0.01, 0.001)
+# through the chi-squared(1) tail's last normal doubles (T = 1409.5) and
+# its last subnormals (T = 1482.5)
+T_GRID = np.linspace(0.0, 1500.0, 6001)
 
 
 class Hasher:
@@ -209,6 +223,18 @@ def draws() -> str:
     return h.hexdigest()
 
 
+def asymptotic() -> str:
+    """The chi-squared(1) limit: critical values and p-values."""
+    h = Hasher()
+    null = build_scenario("Mod1").null
+    for alpha in ASYMPTOTIC_ALPHAS:
+        config = TestConfig(alpha=alpha, calibration="asymptotic")
+        engine = TestEngine(null, 100, config)
+        h.add(engine.critical_value)
+    h.add([engine.p_value(float(t)) for t in T_GRID])
+    return h.hexdigest()
+
+
 def simulate(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -229,6 +255,8 @@ def digest(quick: bool = False) -> dict:
             "references": references(),
             "rules": rules(),
             "draws": draws(),
+            "asymptotic": asymptotic(),
+            "numpy": np.__version__,
             "quick": True,
         }
     return {
@@ -240,14 +268,25 @@ def digest(quick: bool = False) -> dict:
         "references": references(),
         "rules": rules(),
         "draws": draws(),
+        "asymptotic": asymptotic(),
+        "numpy": np.__version__,
         "quick": False,
     }
 
 
-def compare(a: dict, b: dict) -> list[str]:
-    """The components whose digests differ, or that one line lacks."""
-    return sorted(key for key in a.keys() | b.keys()
-                  if a.get(key) != b.get(key))
+def compare(a: dict, b: dict) -> tuple[list[str], str | None]:
+    """The components whose digests differ, each marked where one line
+    lacks it, and a note of a numpy version difference, if any."""
+    differ = []
+    for key in sorted((a.keys() | b.keys()) - {"numpy"}):
+        if key not in b or key not in a:
+            differ.append(f"{key} (only in {'A' if key in a else 'B'})")
+        elif a[key] != b[key]:
+            differ.append(key)
+    versions = [line.get("numpy", "unknown") for line in (a, b)]
+    note = ("numpy {} in A, {} in B".format(*versions)
+            if versions[0] != versions[1] else None)
+    return differ, note
 
 
 def main(argv=None) -> int:
@@ -259,8 +298,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         lines = [json.loads(Path(p).read_text()) for p in args.compare]
-        differ = compare(*lines)
-        print("\n".join(differ) if differ else "equal")
+        differ, versions = compare(*lines)
+        print("\n".join(differ or ["equal"]))
+        if versions:
+            print(versions)
         return 1 if differ else 0
     print(json.dumps(digest(args.quick), sort_keys=True))
     return 0
