@@ -129,11 +129,6 @@ class NullCoefficients:
         asym = float(np.max(np.abs(self.sigma - self.sigma.T)))
         if asym > 1e-12:
             raise ValueError(f"sigma is not symmetric (max asymmetry {asym:.3e})")
-        min_eigen = float(np.linalg.eigvalsh(self.sigma)[0])
-        if min_eigen < -PSD_SLACK:
-            raise np.linalg.LinAlgError(
-                f"sigma has eigenvalue {min_eigen:.3e} below the "
-                f"-{PSD_SLACK:.0e} positive-semidefiniteness slack")
 
     def to_dict(self) -> dict:
         return plain_dict(self)
@@ -180,9 +175,9 @@ def _closed_form(null: NullSpec, k: int, split: np.ndarray, table):
               for i in (1, 3))
     norms = null.ref.basis.norms[: k + 1]
     alphas = np.einsum("isr,s,r->i", split, a1, b1) / norms
-    # the order ``optimize=True`` finds for every k to 30, without the search
-    m2 = np.einsum("isr,jtq,st,rq->ij", split, split, a2, b2,
-                   optimize=["einsum_path", (0, 2), (0, 1), (0, 1)])
+    # the sum of split[i, s, r] split[j, t, q] a2[s, t] b2[r, q], by pairs
+    m2 = np.tensordot(np.tensordot(b2, split, ([1], [2])),
+                      np.tensordot(a2, split, ([0], [1])), ([0, 2], [2, 0])).T
     return alphas, m2 / np.outer(norms, norms) - np.outer(alphas, alphas)
 
 
@@ -253,7 +248,8 @@ def eigen_floor_diagnostics(coeffs: NullCoefficients) -> EigenDiagnostics:
 
     It gives each order's smallest eigenvalue and condition number, and the
     usable cap: beyond it a block has an eigenvalue at or below the floor
-    ``lambda_max / CONDITION_CAP``.  Raises ``LinAlgError`` if sigma_11 <= 0.
+    ``lambda_max / CONDITION_CAP``.  Raises ``LinAlgError`` if sigma has an
+    eigenvalue below ``-PSD_SLACK``, and then if sigma_11 <= 0.
 
     A usable block of order up to ``orthopoly.HARD_DEGREE_CAP`` has a
     Cholesky factor: scaled to a unit diagonal, its smallest eigenvalue
@@ -262,16 +258,17 @@ def eigen_floor_diagnostics(coeffs: NullCoefficients) -> EigenDiagnostics:
     Stability of Numerical Algorithms*, ch. 10).
     """
     sigma = 0.5 * (coeffs.sigma + coeffs.sigma.T)
-    spectra = [np.linalg.eigvalsh(sigma[:j, :j])
-               for j in range(1, coeffs.k + 1)]
-    lam_min = np.array([w[0] for w in spectra])
-    lam_max = np.array([w[-1] for w in spectra])
+    lam_min, lam_max = np.array([np.linalg.eigvalsh(sigma[:j, :j])[[0, -1]]
+                                 for j in range(1, coeffs.k + 1)]).T
+    if lam_min[-1] < -PSD_SLACK:
+        raise np.linalg.LinAlgError(
+            f"sigma has eigenvalue {lam_min[-1]:.3e} below the "
+            f"-{PSD_SLACK:.0e} positive-semidefiniteness slack")
     full_rank = lam_min > np.maximum(lam_max / CONDITION_CAP, 0.0)
     if not full_rank[0]:
         raise np.linalg.LinAlgError(
             "all eigenvalues fall below the condition floor")
     usable = int(np.argmin(np.append(full_rank, False)))  # first False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(lam_min > 0, lam_max / np.maximum(lam_min, 1e-300), inf)
+    cond = np.where(lam_min > 0, lam_max / np.maximum(lam_min, 1e-300), inf)
     return EigenDiagnostics(lambda_mins=lam_min, condition_numbers=cond,
                             usable_k_max=usable)

@@ -41,8 +41,8 @@ import numpy as np
 
 from .measures import RngStream, draw_sum
 from .nullmodel import (
-    NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
-    plain_dict, value_masses,
+    CONDITION_CAP, NullCoefficients, NullSpec, compute_coefficients,
+    eigen_floor_diagnostics, plain_dict, value_masses,
 )
 
 DEFAULT_MC_SEED = 202608
@@ -406,25 +406,26 @@ def sample_counts(values: np.ndarray, p: np.ndarray, rows: int, n: int,
 
 
 def t_sequence(bhat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Whitened squared norms T_1..T_k over nested prefixes.
-
-    Shaped like ``bhat``, (k,) or (k, reps).  With ``sigma = L L'`` the
-    innovations ``e = L^-1 bhat`` give T_j = e_1**2 + ... + e_j**2, so T
-    never decreases.  Forward substitution is right-looking: once ``e_j``
-    is known, ``acc`` adds ``L_ij e_j`` to the sum of every later row i, so
-    each inner product is summed in ascending order and a column's bits do
-    not depend on the batch.  A ``sigma`` that is not positive definite
-    raises ``LinAlgError``.
-    """
+    """Whitened squared norms T_1..T_k over nested prefixes, shaped like
+    ``bhat``, (k,) or (k, reps): ``_whitened`` by the Cholesky factor of
+    ``sigma``, taken on each call (``LinAlgError`` if it has none)."""
     bhat = np.asarray(bhat, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     k = bhat.shape[0]
     if sigma.shape != (k, k):
         raise ValueError("bhat and sigma dimensions disagree")
-    low = np.linalg.cholesky(sigma)
-    b = bhat.reshape(k, -1)
+    return _whitened(bhat, np.linalg.cholesky(sigma))
+
+
+def _whitened(bhat: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """With ``sigma = low low'``, the innovations ``e = low^-1 bhat`` give
+    T_j = e_1**2 + ... + e_j**2, so T never decreases.  Forward substitution
+    is right-looking: once ``e_j`` is known, ``acc`` adds ``low_ij e_j`` to
+    the sum of every later row i, so each inner product is summed in
+    ascending order and a column's bits do not depend on the batch."""
+    b = bhat.reshape(len(low), -1)
     e, acc = np.empty(b.shape), np.zeros(b.shape)
-    for j in range(k):
+    for j in range(len(low)):
         np.divide(b[j] - acc[j], low[j, j], out=e[j])
         acc[j + 1:] += low[j + 1:, j, None] * e[j]
     return np.cumsum(e * e, axis=0).reshape(bhat.shape)
@@ -478,15 +479,17 @@ def _mc_threshold(values: np.ndarray, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 class TestEngine:
-    """Null coefficients, order cap, and calibration for one (null, n).
+    """Null coefficients, order cap, whitening and calibration for (null, n).
 
-    An engine is built ready, with its ``critical_value`` and read-only
-    ``calibration`` values (``None`` under ``"asymptotic"``); that is the
-    expensive step, and the statistic of a batch is a few vectorized
-    passes.  The coefficients take the closed form unless ``coeffs`` are
-    given.  Both order policies are capped at ``usable_k_max``, beyond which
-    a block falls below the condition floor; a fixed order that is cut
-    leaves a note in ``notes``.
+    An engine is built ready, with the Cholesky factor of its used block of
+    sigma, its ``critical_value`` and read-only ``calibration`` values
+    (``None`` under ``"asymptotic"``); that is the expensive step, and the
+    statistic of a batch is a few vectorized passes.  The coefficients take
+    the closed form unless ``coeffs`` are given.  Both order policies are
+    capped at ``usable_k_max``, beyond which a block falls below the
+    condition floor, and before the first order whose pivot is cancellation
+    (``LinAlgError`` at order 1); a fixed order that is cut, and a cancelled
+    order, leave a note in ``notes``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -505,13 +508,31 @@ class TestEngine:
         self.coeffs = coeffs
         self.diagnostics = eigen_floor_diagnostics(coeffs)
         # usable_k_max <= coeffs.k, so a shorter supplied set also caps here
-        self.used_k_max = min(policy_k, self.diagnostics.usable_k_max)
+        k = min(policy_k, self.diagnostics.usable_k_max)
+        low = np.linalg.cholesky(coeffs.sigma[:k, :k])
+        # order j whitens variance only while its pivot L_jj**2 exceeds
+        # 1 / CONDITION_CAP of its second moment sigma_jj + alpha_j**2;
+        # below that, sigma_jj is what cancellation left of the moment
+        pivots = low.diagonal() ** 2
+        moments = coeffs.sigma.diagonal()[:k] + coeffs.alphas[:k] ** 2
+        kept = pivots * CONDITION_CAP > moments
+        used = k if kept.all() else int(kept.argmin())
+        cancelled = used < k and (
+            f"order {used + 1} is cancellation: its Cholesky pivot "
+            f"{pivots[used]:.3e} is at most its second moment "
+            f"{moments[used]:.3e} / {CONDITION_CAP:.0e}")
+        if used == 0:
+            raise np.linalg.LinAlgError(cancelled)
+        self.used_k_max, self._factor = used, low[:used, :used]
+        self._factor.setflags(write=False)  # read-only, like ``calibration``
         self.notes = ()
-        if config.k_max != "auto" and self.used_k_max < config.k_max:
+        if config.k_max != "auto" and used < config.k_max:
             self.notes = (
                 f"order-cut: fixed k_max {config.k_max} requested, "
-                f"{self.used_k_max} used (usable order "
+                f"{used} used (usable order "
                 f"{self.diagnostics.usable_k_max})",)
+        if cancelled:
+            self.notes += (f"order-cut: {cancelled}",)
         mc = config.calibration == "mc"
         self.calibration = self.calibration_values() if mc else None
         self.critical_value = (_mc_threshold(self.calibration, config.alpha)
@@ -541,8 +562,7 @@ class TestEngine:
         return self._select(bhat)
 
     def _select(self, bhat: np.ndarray):
-        k = self.used_k_max
-        t_seq = t_sequence(bhat, self.coeffs.sigma[:k, :k])
+        t_seq = _whitened(bhat, self._factor)
         s_n = select_order(t_seq, self.n)
         return t_seq.T, s_n, t_seq[s_n - 1, np.arange(t_seq.shape[1])]
 

@@ -551,6 +551,21 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERIC
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("calibration", ["mc", "asymptotic"])
+    def test_cancelled_covariance_exits_4(self, tmp_path, capsys, calibration):
+        # X = 40 + 0 is constant, and the closed form's sigma_11 is what
+        # cancellation leaves of its second moment, so order 1 is refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "null": {"y": {"kind": "point_mass", "value": 40},
+                     "z": {"kind": "point_mass", "value": 0}}}))
+        f = tmp_path / "d.txt"
+        f.write_text("40.000000001\n" * 50)
+        code = run_cli(["test", f, "--config", cfg, "--calibration",
+                        calibration])
+        assert code == EXIT_NUMERIC
+        assert "order 1 is cancellation" in capsys.readouterr().err
+
 
 class TestConfigHelpers:
     def test_distribution_builder_rejects_unknown_keys(self):

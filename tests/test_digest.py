@@ -30,7 +30,7 @@ def test_two_quick_runs_agree(tmp_path, capsys, cold_memos):
     assert first == second
     assert set(first) == {"calibration", "statistic", "coefficients",
                           "simulate", "references", "rules", "draws",
-                          "asymptotic", "numpy", "quick"}
+                          "asymptotic", "orders", "numpy", "quick"}
     assert first["numpy"] == np.__version__
     lines = {"same": first,
              "statistic": {**first, "statistic": "0" * 64},

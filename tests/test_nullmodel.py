@@ -249,11 +249,21 @@ class TestStructure:
                 NullCoefficients(k=k, alphas=alphas, sigma=sigma,
                                  method=method)
 
-    def test_psd_violation_rejected(self):
-        bad = np.diag([1.0, -1e-6])
-        with pytest.raises(np.linalg.LinAlgError, match="semidefiniteness"):
-            NullCoefficients(k=2, alphas=np.zeros(2), sigma=bad,
-                             method="closed_form")
+    def test_psd_violation_rejected(self, mod1_null):
+        # the coefficients are a plain record; the diagnostics, which read
+        # sigma's spectrum, refuse it, before the sigma_11 floor, and so
+        # does an engine built on it
+        asymptotic = TestConfig(calibration="asymptotic")
+        for sigma_11 in (1.0, 0.0):
+            coeffs = NullCoefficients(k=2, alphas=np.zeros(2),
+                                      sigma=np.diag([sigma_11, -1e-6]),
+                                      method="closed_form")
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="semidefiniteness"):
+                eigen_floor_diagnostics(coeffs)
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="semidefiniteness"):
+                TestEngine(mod1_null, 100, asymptotic, coeffs)
 
     def test_tiny_negative_eigenvalue_noted(self, mod1_null):
         # an eigenvalue in (-PSD_SLACK, 0) is rounding: it builds, the
@@ -278,9 +288,12 @@ class TestStructure:
         assert fixed.notes == ("order-cut: fixed k_max 6 requested, 5 used "
                                "(usable order 5)",)
         sigma[5, 5] = -1e-9
+        coeffs = NullCoefficients(k=6, alphas=np.zeros(6), sigma=sigma,
+                                  method="closed_form")
         with pytest.raises(np.linalg.LinAlgError, match="semidefiniteness"):
-            NullCoefficients(k=6, alphas=np.zeros(6), sigma=sigma,
-                             method="closed_form")
+            eigen_floor_diagnostics(coeffs)
+        with pytest.raises(np.linalg.LinAlgError, match="semidefiniteness"):
+            TestEngine(mod1_null, 100, asymptotic, coeffs)
 
 
 class TestEigenDiagnostics:

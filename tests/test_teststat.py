@@ -20,10 +20,11 @@ import deconvtest
 from deconvtest import nullmodel, orthopoly, teststat
 from deconvtest.measures import (
     ChiSquared, Exponential, Exponential1Ref, Geometric, GeometricRef,
-    Mixture, Poisson, RngStream, draw_sum,
+    Mixture, PointMass, Poisson, RngStream, draw_sum,
 )
 from deconvtest.nullmodel import (
-    NullCoefficients, NullSpec, compute_coefficients, value_masses,
+    NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
+    value_masses,
 )
 from deconvtest.orthopoly import DegreeOverflowError
 from deconvtest.simlab import build_scenario, run_replications, wilson_interval
@@ -569,6 +570,89 @@ class TestRunTest:
         t_stat = engine.statistic_batch(samples)[2]
         rate = float(np.mean(t_stat > engine.critical_value))
         assert 0.01 <= rate <= 0.12
+
+
+# X = 40 + 0 is a constant, so sigma is all cancellation: the closed form
+# leaves sigma_11 = 1.1e-47 of a second moment of 2.7e-32
+POINT_MASS_NULL = NullSpec(PointMass(40.0), PointMass(0.0), Exponential1Ref())
+# nulls whose whitened orders the cancellation cut must leave alone
+KEPT_NULLS = [build_scenario("Mod1").null, build_scenario("Mod2").null] + [
+    NullSpec(y, z, GeometricRef(p)) for p in (0.3, 0.5, 0.7)
+    for y, z in ((Geometric(1.0), PointMass(2.0)),
+                 (Poisson(0.6), Poisson(1.4)))]
+
+
+class TestWhitening:
+    """An engine factors the used block of sigma once, when it is built."""
+
+    def test_engine_factors_once(self, monkeypatch, mod1_null):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        engine = TestEngine(mod1_null, 100, TestConfig(mc_reps=200))
+        x = draw_sum(mod1_null.y, mod1_null.z, RngStream(48, 1).generator(),
+                     300).reshape(3, 100)
+        results = [engine.run(row) for row in x]
+        t_seq, _, _ = engine.statistic_batch(x)
+        k = engine.used_k_max
+        assert calls == [(k, k)]
+        assert not engine._factor.flags.writeable
+        monkeypatch.undo()
+        # the factor of exactly the used block, and t_sequence's bits
+        sigma = engine.coeffs.sigma[:k, :k]
+        np.testing.assert_array_equal(engine._factor, np.linalg.cholesky(sigma))
+        bhat = compute_bhat(x, mod1_null, engine.coeffs, k)
+        np.testing.assert_array_equal(t_seq, t_sequence(bhat, sigma).T)
+        for result, row in zip(results, t_seq):
+            np.testing.assert_array_equal(result.t_sequence, row)
+
+    @pytest.mark.parametrize("calibration", ["mc", "asymptotic"])
+    @pytest.mark.parametrize("method, named", [
+        ("closed_form", "order 1 is cancellation"),
+        # its sigma_11 is exactly 0, so the diagnostics' floor refuses first
+        ("quadrature", "condition floor")], ids=["closed_form", "quadrature"])
+    def test_point_mass_null_refused(self, calibration, method, named):
+        null, config = POINT_MASS_NULL, TestConfig(calibration=calibration)
+        coeffs = compute_coefficients(null, default_kmax(50), method)
+        with pytest.raises(np.linalg.LinAlgError, match=named):
+            TestEngine(null, 50, config, coeffs)
+        if method == "closed_form":  # the default path
+            with pytest.raises(np.linalg.LinAlgError, match=named):
+                run_test(np.full(50, 40.0 + 1e-9), null, config)
+
+    def test_cancelled_order_is_cut_with_a_note(self, mod1_null):
+        # order 2's pivot 1 is 1e-14 of its second moment 1 + 1e14
+        coeffs = _coeffs([0.0, 1e7, 0.0], np.eye(3))
+        cut = ("order-cut: order 2 is cancellation: its Cholesky pivot "
+               "1.000e+00 is at most its second moment 1.000e+14 / 1e+12")
+        auto = TestEngine(mod1_null, 100, TestConfig(calibration="asymptotic"),
+                          coeffs)
+        assert (auto.diagnostics.usable_k_max, auto.used_k_max) == (3, 1)
+        assert auto.notes == (cut,)
+        assert auto._factor.shape == (1, 1)
+        fixed = TestEngine(mod1_null, 100, TestConfig(
+            k_max=3, calibration="asymptotic"), coeffs)
+        assert fixed.notes == ("order-cut: fixed k_max 3 requested, 1 used "
+                               "(usable order 3)", cut)
+        assert fixed.run(np.linspace(0.1, 3.0, 100)).t_sequence.size == 1
+
+    @pytest.mark.parametrize("null", KEPT_NULLS,
+                             ids=["Mod1", "Mod2"] + [
+                                 f"{name}@{p}" for p in (0.3, 0.5, 0.7)
+                                 for name in ("geom+point", "pois+pois")])
+    def test_cut_keeps_usable_orders(self, null):
+        config = TestConfig(calibration="asymptotic")
+        for n in (50, 100, 500, 2000):
+            for method in ("closed_form", "quadrature"):
+                coeffs = compute_coefficients(null, default_kmax(n), method)
+                engine = TestEngine(null, n, config, coeffs)
+                usable = eigen_floor_diagnostics(coeffs).usable_k_max
+                assert engine.used_k_max == min(default_kmax(n), usable)
+                assert engine.notes == ()
 
 
 def _bits(result):

@@ -27,7 +27,11 @@ that checkout's ``src`` and prints one JSON line,
   own stream; 1000 draws of Y + Z of Mod1 and Mod2; and the value counts of
   2000 rows of Mod2 at n = 50 and 500, drawn from its masses,
 * ``asymptotic``: the asymptotic critical values at alpha 0.5, 0.1, 0.05,
-  0.01 and 0.001, and the asymptotic p-values on ``T_GRID``, 0 to 1500.
+  0.01 and 0.001, and the asymptotic p-values on ``T_GRID``, 0 to 1500,
+* ``orders``: for each of ``order_nulls()`` under both coefficient methods
+  at n = 50, 100, 500 and 2000 (``order_entry``), the diagnostics'
+  ``lambda_mins`` and ``usable_k_max`` and the asymptotic engine's
+  ``used_k_max`` and ``notes``, or the name of the exception raised.
 
 Each line also names the numpy version that computed it: numpy keeps a
 bit generator's stream fixed across releases, but not the algorithms of
@@ -41,8 +45,8 @@ each of the files A and B and prints the components that differ, each
 marked ``(only in A)`` or ``(only in B)`` where one line lacks it, or
 ``equal``; a numpy version difference follows on a line of its own.  It
 exits 1 if a component differs.  ``--quick`` digests smaller sizes (n =
-50 and 100, 200 calibration reps, 100-row batches, a two-scenario study)
-in about a second; its line is comparable only with another ``--quick``
+50 and 100, 200 calibration reps, 100-row batches, a two-scenario study,
+``orders`` at n = 50 and 100) in about a second; its line is comparable only with another ``--quick``
 line.  ``references``, ``rules``, ``draws`` and ``asymptotic`` are the
 same in both.
 """
@@ -67,15 +71,15 @@ from deconvtest.measures import (  # noqa: E402
     Mixture, PointMass, Poisson, RngStream, Uniform01, Uniform01Ref, draw_sum,
 )
 from deconvtest.nullmodel import (  # noqa: E402
-    NullSpec, compute_coefficients, value_masses,
+    NullSpec, compute_coefficients, eigen_floor_diagnostics, value_masses,
 )
 from deconvtest.orthopoly import (  # noqa: E402
     PolynomialFamilySpec, certify_orthonormality,
 )
 from deconvtest.simlab import SCENARIO_NAMES, build_scenario  # noqa: E402
 from deconvtest.teststat import (  # noqa: E402
-    TestConfig, TestEngine, _zero_from, prepared_engine, run_test,
-    sample_counts,
+    TestConfig, TestEngine, _zero_from, default_kmax, prepared_engine,
+    run_test, sample_counts,
 )
 
 BATCH_SEED = 20261020
@@ -235,6 +239,43 @@ def asymptotic() -> str:
     return h.hexdigest()
 
 
+def order_nulls() -> dict:
+    """Mod1, Mod2, a geometric + point-mass and a Poisson + Poisson null on
+    geometric(0.3 / 0.5 / 0.7), and a constant X on exponential1."""
+    nulls = {model: build_scenario(model).null for model in ("Mod1", "Mod2")}
+    for p in (0.3, 0.5, 0.7):
+        ref = GeometricRef(p)
+        nulls[f"geom+point@{p}"] = NullSpec(Geometric(1.0), PointMass(2.0), ref)
+        nulls[f"pois+pois@{p}"] = NullSpec(Poisson(0.6), Poisson(1.4), ref)
+    nulls["point+point"] = NullSpec(PointMass(40.0), PointMass(0.0),
+                                    Exponential1Ref())
+    return nulls
+
+
+def order_entry(null: NullSpec, n: int, method: str) -> list:
+    """The orders an asymptotic engine at n whitens, on ``method``'s
+    coefficients, or the name of the exception that refuses them."""
+    try:
+        coeffs = compute_coefficients(null, default_kmax(n), method)
+        diag = eigen_floor_diagnostics(coeffs)
+        engine = TestEngine(null, n, TestConfig(calibration="asymptotic"),
+                            coeffs)
+    except Exception as exc:  # the entry records what was raised
+        return [type(exc).__name__]
+    return [diag.lambda_mins, diag.usable_k_max, engine.used_k_max,
+            json.dumps(engine.notes)]
+
+
+def orders(sizes) -> str:
+    h = Hasher()
+    for null in order_nulls().values():
+        for method in ("closed_form", "quadrature"):
+            for n in sizes:
+                for value in order_entry(null, n, method):
+                    h.add(value)
+    return h.hexdigest()
+
+
 def simulate(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -256,6 +297,7 @@ def digest(quick: bool = False) -> dict:
             "rules": rules(),
             "draws": draws(),
             "asymptotic": asymptotic(),
+            "orders": orders((50, 100)),
             "numpy": np.__version__,
             "quick": True,
         }
@@ -269,6 +311,7 @@ def digest(quick: bool = False) -> dict:
         "rules": rules(),
         "draws": draws(),
         "asymptotic": asymptotic(),
+        "orders": orders((50, 100, 500, 2000)),
         "numpy": np.__version__,
         "quick": False,
     }
