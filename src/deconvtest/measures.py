@@ -42,14 +42,18 @@ its ``basis``; the Meixner basis of the geometric reference is certified
 with the same Gauss-Meixner rule.  Count laws
 (Poisson, geometric, integer point masses and their mixtures) carry a
 probability mass function, ``mass``, from which count-reference
-calibrations and study cells draw value counts.
+calibrations and study cells draw value counts.  Poisson masses and
+sampling tables come from one table of ``log p(x) - log p(m)``, sums of
+``log(mean / j)`` outward from the mode m: a mass adds ``log p(m)`` (one
+``math.lgamma`` call), and a sampling table is the running sum of the
+ratios ``p(x) / p(m)``, divided by its last entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from math import ceil, exp, expm1, floor, inf, log, sqrt
+from math import ceil, exp, expm1, floor, inf, lgamma, log, sqrt
 
 import numpy as np
 
@@ -252,6 +256,20 @@ class Poisson(Distribution):
         if not 0 < self.mean < inf:
             raise ValueError("Poisson mean must be positive and finite")
 
+    def _log_ratios(self, lo: int, hi: int) -> tuple[int, np.ndarray]:
+        """The mode m of lo..hi, floor(mean) clamped, and ``log p(x) - log
+        p(m)`` at x = lo..hi: sums of ``log(mean / j)`` outward from m.
+
+        Every sum is at most 0, so none overflows; a ``mean / j`` that
+        underflows above m gives -inf, a mass of 0.
+        """
+        m = min(max(floor(self.mean), lo), hi)
+        with np.errstate(divide="ignore"):
+            step = np.log(self.mean / np.arange(lo + 1, hi + 1, dtype=float))
+        down = np.cumsum(step[:m - lo][::-1])
+        return m, np.concatenate((-down[::-1], [0.0],
+                                  np.cumsum(step[m - lo:])))
+
     @cached_property
     def _cdf_table(self) -> tuple[int, np.ndarray]:
         """First count and the CDF from there, both tails below _TABLE_TAIL.
@@ -262,8 +280,10 @@ class Poisson(Distribution):
         log_tail = -log(_TABLE_TAIL)
         t = log_tail / 3.0 + sqrt(log_tail ** 2 / 9.0 + 2.0 * log_tail * self.mean)
         lo = max(0, floor(self.mean - t))
-        from scipy.special import pdtr
-        return lo, pdtr(np.arange(lo, ceil(self.mean + t) + 2), self.mean)
+        _, ratios = self._log_ratios(lo, ceil(self.mean + t) + 1)
+        table = np.cumsum(np.exp(ratios))
+        table /= table[-1]
+        return lo, table
 
     def draw(self, gen, size):
         if self.mean > _TABLE_MEAN_MAX:
@@ -273,8 +293,12 @@ class Poisson(Distribution):
                                      side="left")).astype(float)
 
     def mass(self, x):
-        from scipy.special import gammaln, xlogy
-        return np.exp(xlogy(x, self.mean) - self.mean - gammaln(x + 1.0))
+        x = np.asarray(x, dtype=float)
+        hi = int(x.max(initial=0))
+        lo = int(x.min(initial=hi))
+        m, ratios = self._log_ratios(lo, hi)
+        log_mode = m * log(self.mean) - self.mean - lgamma(m + 1)
+        return np.exp(log_mode + ratios)[(x - lo).astype(np.intp)]
 
     def rule(self, nodes, rate=0.0):
         x, w = _charlier_rule(self.mean * exp(-rate), nodes)

@@ -269,6 +269,7 @@ def eigen_floor_diagnostics(coeffs: NullCoefficients) -> EigenDiagnostics:
         raise np.linalg.LinAlgError(
             "all eigenvalues fall below the condition floor")
     usable = int(np.argmin(np.append(full_rank, False)))  # first False
-    cond = np.where(lam_min > 0, lam_max / np.maximum(lam_min, 1e-300), inf)
+    cond = np.divide(lam_max, np.maximum(lam_min, 1e-300),
+                     out=np.full(coeffs.k, inf), where=lam_min > 0)
     return EigenDiagnostics(lambda_mins=lam_min, condition_numbers=cond,
                             usable_k_max=usable)

@@ -1,17 +1,15 @@
 """Distribution zoo, reference measures, and RNG stream reproducibility."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import pdtr
 
-import deconvtest
 from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
     LAWS, ChiSquared, Distribution, Exponential, Exponential1Ref, Gamma,
@@ -397,6 +395,28 @@ class TestCountMasses:
                                    _count_masses(law[0], self.X),
                                    rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("mean", [0.2, 1.0, 2.0, 50.0, 800.0])
+    def test_poisson_against_mpmath(self, mean):
+        # 40-digit masses exp(x log(mean) - mean - log x!) on 0..1074,
+        # where they exceed 1e-300; scipy's own formula reads 7e-14 to
+        # 2.1e-12 here
+        with mpmath.workdps(40):
+            mu = mpmath.mpf(mean)
+            want = np.array([float(mpmath.exp(x * mpmath.log(mu) - mu
+                                              - mpmath.loggamma(x + 1)))
+                             for x in range(1075)])
+        keep = want > 1e-300
+        got = Poisson(mean).mass(np.arange(1075.0))
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
+        assert np.all(got[~keep] < 1e-299)
+
+    def test_poisson_subnormal_mean_warns_nothing(self):
+        # mean / 2 underflows to 0, a log of 0 and a mass of 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Poisson(5e-324).mass(np.arange(3.0))
+        assert got.tolist() == [1.0, 5e-324, 0.0]
+
     @pytest.mark.parametrize("law", [Exponential(1.0), ChiSquared(1),
                                      Uniform01(),
                                      Mixture(0.5, Exponential(2.0),
@@ -405,16 +425,6 @@ class TestCountMasses:
     def test_continuous_laws_have_no_mass(self, law):
         with pytest.raises(TypeError, match="not a count law"):
             law.mass(self.X)
-
-
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats adds about 0.7 s to the import; scipy.special is enough
-    src = str(Path(deconvtest.__file__).resolve().parents[1])
-    code = ("import sys, deconvtest, deconvtest.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code],
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert done.returncode == 0
 
 
 class TestPoissonTable:
@@ -440,11 +450,29 @@ class TestPoissonTable:
 
     @pytest.mark.parametrize("mean", [0.2, 1.0, 800.0, 2e5])
     def test_table_covers_the_mass(self, mean):
-        from scipy.special import pdtr
         lo, table = Poisson(mean)._cdf_table
         assert (pdtr(lo - 1, mean) if lo else 0.0) < 1e-15
         assert table[-1] > 1.0 - 1e-15
         assert table.size < 20 * math.sqrt(mean) + 40
+
+    @pytest.mark.parametrize("mean", [0.2, 1.0, 800.0, 2e5])
+    def test_table_matches_pdtr(self, mean):
+        lo, table = Poisson(mean)._cdf_table
+        np.testing.assert_allclose(
+            table, pdtr(np.arange(lo, lo + table.size), mean), rtol=0,
+            atol=1e-13)
+
+    def test_large_mean_table_against_mpmath(self):
+        # far from a mean of 1e7, scipy's pdtr is off by 1.4e-7 at
+        # mean + 14,240; P(X <= k) is the regularized upper gamma Q(k + 1)
+        mean = 1e7
+        lo, table = Poisson(mean)._cdf_table
+        for k in (10_000_000, 10_000_000 - 14_240, 10_000_000 + 14_240,
+                  10_000_000 + 20_000):
+            with mpmath.workdps(30):
+                want = float(mpmath.gammainc(k + 1, mean, mpmath.inf,
+                                             regularized=True))
+            assert abs(table[k - lo] - want) < 1e-13, k
 
 
 class TestValidation:

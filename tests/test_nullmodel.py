@@ -1,6 +1,7 @@
 """Null coefficient computation and covariance diagnostics."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -371,6 +372,16 @@ class TestEigenDiagnostics:
     def test_no_usable_order_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="floor"):
             eigen_floor_diagnostics(self._coeffs_with_sigma(np.zeros((2, 2))))
+
+    def test_singular_block_beside_a_large_one_warns_nothing(self):
+        # lambda_max / 1e-300 overflows above about 1.8e8; a block with
+        # lambda_min <= 0 is never divided, its condition number is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = eigen_floor_diagnostics(
+                self._coeffs_with_sigma(np.diag([1e9, 0.0])))
+        assert diag.condition_numbers.tolist() == [1.0, math.inf]
+        assert diag.usable_k_max == 1
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Statistic assembly, order selection, calibration, and the full test."""
 
 import importlib
+import json
 import math
 import os
 import pkgutil
@@ -788,34 +789,65 @@ class TestPreparedEngines:
         assert found == {id(memo) for memo in PROCESS_MEMOS}
         assert len(PROCESS_MEMOS) == 6
 
-    def test_mod1_mc_test_loads_no_scipy(self):
-        # scipy.special serves only Poisson masses (Poisson.mass and its
-        # count tables), which none of these runs reads: the asymptotic
-        # p-value is erfc and its critical value inverts the closed-form law
+
+class TestNumpyOnlyRuntime:
+    """The package runs on numpy and the standard library alone."""
+
+    @staticmethod
+    def _scipy(modules) -> list:
+        return sorted(m for m in modules
+                      if m == "scipy" or m.startswith("scipy."))
+
+    def test_runs_load_no_scipy(self):
+        # the asymptotic p-value is erfc, its critical value inverts the
+        # closed-form law, and Poisson masses and sampling tables come
+        # from a numpy ratio table; Mod2's Monte Carlo test reads the
+        # masses, and its study cells draw from the tables
         src = Path(teststat.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        run = ("import sys, deconvtest as dt; "
-               "dt.run_test({} * 25, dt.build_scenario({!r}).null, "
-               "dt.TestConfig(calibration={!r})); "
-               "print('scipy.special' in sys.modules)")
-        for data, model, mode in (([0.5, 1.0, 2.5, 4.0], "Mod1", "mc"),
-                                  ([0.5, 1.0, 2.5, 4.0], "Mod1", "asymptotic"),
-                                  ([0, 1, 2, 5], "Mod2", "asymptotic")):
-            out = subprocess.run(
-                [sys.executable, "-c", run.format(data, model, mode)],
-                check=True, capture_output=True, text=True, env=env)
-            assert out.stdout.strip() == "False", (model, mode)
-        # the CLI in its own process; -X importtime names every import
-        fixture = Path(__file__).parent / "data" / "mod1_h0_n500.txt"
+        run = (
+            "import json, sys\n"
+            "import deconvtest as dt, deconvtest.cli\n"
+            "seen = {'import': sorted(sys.modules)}\n"
+            "for model, data in (('Mod1', [0.5, 1.0, 2.5, 4.0]),\n"
+            "                    ('Mod2', [0, 1, 2, 5])):\n"
+            "    for mode in ('mc', 'asymptotic'):\n"
+            "        dt.run_test(data * 25, dt.build_scenario(model).null,\n"
+            "                    dt.TestConfig(calibration=mode))\n"
+            "        seen[model + ' ' + mode] = sorted(sys.modules)\n"
+            "dt.level_power_table(('Mod2', 'Alt4', 'Alt5', 'Alt6'), (50,),\n"
+            "                     100, dt.TestConfig(mc_reps=200), 7)\n"
+            "seen['Mod2 study'] = sorted(sys.modules)\n"
+            "print(json.dumps(seen))\n")
+        out = subprocess.run([sys.executable, "-c", run], check=True,
+                             capture_output=True, text=True, env=env)
+        seen = json.loads(out.stdout)
+        assert len(seen) == 6
+        for step, modules in seen.items():
+            assert "deconvtest.teststat" in modules
+            assert self._scipy(modules) == [], step
+        # the CLI on count data in its own process; -X importtime names
+        # every import
+        data = Path(__file__).parent / "data"
+        fixture = data / "mod2_h0_n500.txt"
+        cfg = data / "mod2_h0_n500.json"
         out = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "deconvtest", "test",
-             str(fixture), "--calibration", "asymptotic"],
+             str(fixture), "--config", str(cfg)],
             check=True, capture_output=True, text=True, env=env)
         imported = {line.rsplit("|", 1)[-1].strip()
                     for line in out.stderr.splitlines()}
-        assert '"calibration": "asymptotic"' in out.stdout
+        assert json.loads(out.stdout)["config"]["null"]["y"]["kind"] \
+            == "poisson"
         assert "deconvtest.teststat" in imported
-        assert "scipy.special" not in imported
+        assert self._scipy(imported) == []
+
+    def test_runtime_dependencies_are_numpy_alone(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert [dep.split(">")[0] for dep in project["dependencies"]] \
+            == ["numpy"]
 
 
 class TestScaleInvariance:
