@@ -1,8 +1,12 @@
 """Distribution zoo, reference measures, and RNG stream reproducibility."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import pdtr
 
+import deconvtest
 from deconvtest.engines import expectation_rule
 from deconvtest.measures import (
     LAWS, ChiSquared, Distribution, Exponential, Exponential1Ref, Gamma,
@@ -425,6 +430,18 @@ class TestCountMasses:
     def test_continuous_laws_have_no_mass(self, law):
         with pytest.raises(TypeError, match="not a count law"):
             law.mass(self.X)
+
+
+def test_import_leaves_scipy_stats_out():
+    # Poisson masses and tables come from a numpy ratio table, so importing
+    # the package and its CLI loads no scipy module, scipy.stats included
+    src = str(Path(deconvtest.__file__).resolve().parents[1])
+    code = ("import sys, deconvtest, deconvtest.cli; "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0
 
 
 class TestPoissonTable:

@@ -789,32 +789,59 @@ class TestPreparedEngines:
         assert found == {id(memo) for memo in PROCESS_MEMOS}
         assert len(PROCESS_MEMOS) == 6
 
+    def test_mod1_mc_test_loads_no_scipy(self):
+        # the asymptotic p-value is erfc and its critical value inverts the
+        # closed-form law, so no Mod1 run reads scipy
+        src = Path(teststat.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = ("import json, sys, deconvtest as dt; "
+               "dt.run_test([0.5, 1.0, 2.5, 4.0] * 25, "
+               "dt.build_scenario('Mod1').null, "
+               "dt.TestConfig(calibration={!r})); "
+               "print(json.dumps(sorted(sys.modules)))")
+        for mode in ("mc", "asymptotic"):
+            out = subprocess.run(
+                [sys.executable, "-c", run.format(mode)],
+                check=True, capture_output=True, text=True, env=env)
+            modules = json.loads(out.stdout)
+            assert "deconvtest.teststat" in modules
+            assert _scipy_modules(modules) == [], mode
+        # the CLI in its own process; -X importtime names every import
+        fixture = Path(__file__).parent / "data" / "mod1_h0_n500.txt"
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "deconvtest", "test",
+             str(fixture), "--calibration", "asymptotic"],
+            check=True, capture_output=True, text=True, env=env)
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in out.stderr.splitlines()}
+        assert '"calibration": "asymptotic"' in out.stdout
+        assert "deconvtest.teststat" in imported
+        assert _scipy_modules(imported) == []
+
+
+def _scipy_modules(modules) -> list:
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
 
 class TestNumpyOnlyRuntime:
     """The package runs on numpy and the standard library alone."""
 
-    @staticmethod
-    def _scipy(modules) -> list:
-        return sorted(m for m in modules
-                      if m == "scipy" or m.startswith("scipy."))
-
     def test_runs_load_no_scipy(self):
-        # the asymptotic p-value is erfc, its critical value inverts the
-        # closed-form law, and Poisson masses and sampling tables come
-        # from a numpy ratio table; Mod2's Monte Carlo test reads the
-        # masses, and its study cells draw from the tables
+        # Poisson masses and sampling tables come from a numpy ratio
+        # table: Mod2's Monte Carlo test reads the masses, and its study
+        # cells draw from the tables.  Mod1 runs and the bare import are
+        # checked in TestPreparedEngines and test_measures.
         src = Path(teststat.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         run = (
             "import json, sys\n"
-            "import deconvtest as dt, deconvtest.cli\n"
-            "seen = {'import': sorted(sys.modules)}\n"
-            "for model, data in (('Mod1', [0.5, 1.0, 2.5, 4.0]),\n"
-            "                    ('Mod2', [0, 1, 2, 5])):\n"
-            "    for mode in ('mc', 'asymptotic'):\n"
-            "        dt.run_test(data * 25, dt.build_scenario(model).null,\n"
-            "                    dt.TestConfig(calibration=mode))\n"
-            "        seen[model + ' ' + mode] = sorted(sys.modules)\n"
+            "import deconvtest as dt\n"
+            "seen = {}\n"
+            "for mode in ('mc', 'asymptotic'):\n"
+            "    dt.run_test([0, 1, 2, 5] * 25,\n"
+            "                dt.build_scenario('Mod2').null,\n"
+            "                dt.TestConfig(calibration=mode))\n"
+            "    seen['Mod2 ' + mode] = sorted(sys.modules)\n"
             "dt.level_power_table(('Mod2', 'Alt4', 'Alt5', 'Alt6'), (50,),\n"
             "                     100, dt.TestConfig(mc_reps=200), 7)\n"
             "seen['Mod2 study'] = sorted(sys.modules)\n"
@@ -822,10 +849,10 @@ class TestNumpyOnlyRuntime:
         out = subprocess.run([sys.executable, "-c", run], check=True,
                              capture_output=True, text=True, env=env)
         seen = json.loads(out.stdout)
-        assert len(seen) == 6
+        assert len(seen) == 3
         for step, modules in seen.items():
             assert "deconvtest.teststat" in modules
-            assert self._scipy(modules) == [], step
+            assert _scipy_modules(modules) == [], step
         # the CLI on count data in its own process; -X importtime names
         # every import
         data = Path(__file__).parent / "data"
@@ -840,7 +867,7 @@ class TestNumpyOnlyRuntime:
         assert json.loads(out.stdout)["config"]["null"]["y"]["kind"] \
             == "poisson"
         assert "deconvtest.teststat" in imported
-        assert self._scipy(imported) == []
+        assert _scipy_modules(imported) == []
 
     def test_runtime_dependencies_are_numpy_alone(self):
         tomllib = pytest.importorskip("tomllib")
