@@ -11,16 +11,18 @@ Subcommands
     ``--seed`` (the calibration seed, ``test.mc_seed``).
 
 ``deconvtest coeffs``
-    Compute and dump null coefficients for inspection.  Flags: ``--config``,
-    ``--out`` and ``--kmax``, a required integer order.
+    Compute and dump null coefficients for inspection, with the usable
+    order that ``test`` would whiten to.  Flags: ``--config``, ``--out``
+    and ``--kmax``, a required integer order.
 
 ``deconvtest simulate``
-    Run the level/power study and write a CSV table, to standard output or,
-    with ``--out``, to that file plus a JSON twin beside it.  Flags:
-    ``--config``, ``--out``, ``--alpha``, ``--kmax``, ``--calibration``,
-    ``--reps`` (the study replications per cell, ``sim.reps``), ``--seed``
-    (``sim.master_seed``), ``--scenarios`` and ``--n``, both
-    comma-separated.
+    Run the level/power study of the built-in scenarios and write a CSV
+    table, to standard output or, with ``--out``, to that file plus a JSON
+    twin beside it.  A config ``null`` section is refused (exit 2), since
+    no study reads it.  Flags: ``--config``, ``--out``, ``--alpha``,
+    ``--kmax``, ``--calibration``, ``--reps`` (the study replications per
+    cell, ``sim.reps``), ``--seed`` (``sim.master_seed``), ``--scenarios``
+    and ``--n``, both comma-separated.
 
 Configuration is a JSON document with optional ``null``, ``test``, and
 ``sim`` sections; a flag that is set overrides its key, unknown keys are
@@ -55,7 +57,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-COEFFS_SCHEMA = "deconvtest-coeffs-v3"
+COEFFS_SCHEMA = "deconvtest-coeffs-v4"
 RESULT_SCHEMA = "deconvtest-result-v3"
 SIM_SCHEMA = "deconvtest-simulation-v2"
 
@@ -328,12 +330,14 @@ def cmd_coeffs(args) -> int:
     if args.kmax is None or args.kmax < 1:
         raise ConfigError("coeffs requires --kmax, an order of at least 1")
     coeffs = compute_coefficients(null, args.kmax)
+    diag = eigen_floor_diagnostics(coeffs)  # refuses what ``test`` refuses
     _emit({
         "schema": COEFFS_SCHEMA,
         "config_hash": config_hash(null.config()),
         "null": null.config(),
         **coeffs.to_dict(),
-        "lambda_trace": eigen_floor_diagnostics(coeffs).lambda_mins.tolist(),
+        "lambda_trace": diag.lambda_mins.tolist(),
+        "usable_k_max": diag.usable_k_max,
         "basis": {"gram_residual": null.ref.basis.gram_residual},
     }, args.out)
     return EXIT_OK
@@ -341,6 +345,9 @@ def cmd_coeffs(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config(args)
+    if "null" in cfg:
+        raise ConfigError("simulate does not read the config's null section: "
+                          "studies run the built-in scenarios")
     test = build_test_config(cfg.get("test", {}))
     sim = build_sim_section(cfg.get("sim", {}))
     if args.out and Path(args.out).suffix == ".json":

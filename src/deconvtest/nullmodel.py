@@ -233,29 +233,35 @@ def compute_coefficients(null: NullSpec, k: int,
 class EigenDiagnostics:
     """Spectral health of the nested covariance blocks.
 
-    Entry j - 1 of each field describes the leading block sigma[:j, :j].
-    ``usable_k_max`` is the longest run of blocks whose every eigenvalue
-    lies above ``lambda_max / CONDITION_CAP`` (full rank under the cap).
+    Entry j - 1 of each array describes the leading block sigma[:j, :j].
+    ``usable_k_max`` is the one usable order, which ``eigen_floor_diagnostics``
+    decides; ``cut`` names the cancelled order that ended it, if one did.
     """
 
     lambda_mins: np.ndarray
     condition_numbers: np.ndarray
     usable_k_max: int
+    cut: str = ""
 
 
 def eigen_floor_diagnostics(coeffs: NullCoefficients) -> EigenDiagnostics:
-    """One symmetric eigenvalue solve per leading block of ``coeffs.sigma``.
+    """One symmetric eigenvalue solve per leading block of ``coeffs.sigma``,
+    and one Cholesky factor, of the longest run of blocks above the floor.
 
     It gives each order's smallest eigenvalue and condition number, and the
-    usable cap: beyond it a block has an eigenvalue at or below the floor
-    ``lambda_max / CONDITION_CAP``.  Raises ``LinAlgError`` if sigma has an
-    eigenvalue below ``-PSD_SLACK``, and then if sigma_11 <= 0.
+    usable order: the run stops before a block with an eigenvalue at or
+    below ``lambda_max / CONDITION_CAP``, and before an order j whose pivot
+    ``L_jj**2`` is at most 1 / CONDITION_CAP of its second moment
+    ``sigma_jj + alpha_j**2``, where sigma_jj is only what cancellation left
+    of the moment.  Raises ``LinAlgError`` if sigma has an eigenvalue below
+    ``-PSD_SLACK``, and then if order 1 is not usable, naming the
+    cancellation or the floor.
 
-    A usable block of order up to ``orthopoly.HARD_DEGREE_CAP`` has a
-    Cholesky factor: scaled to a unit diagonal, its smallest eigenvalue
-    still exceeds 1 / CONDITION_CAP, ten times the 1.0e-13 that Demmel's
-    sufficient condition asks for at order 30 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 10).
+    A block of order up to ``orthopoly.HARD_DEGREE_CAP`` above the floor
+    has a Cholesky factor: scaled to a unit diagonal, its smallest
+    eigenvalue still exceeds 1 / CONDITION_CAP, ten times the 1.0e-13 that
+    Demmel's sufficient condition asks for at order 30 (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 10).
     """
     sigma = 0.5 * (coeffs.sigma + coeffs.sigma.T)
     lam_min, lam_max = np.array([np.linalg.eigvalsh(sigma[:j, :j])[[0, -1]]
@@ -265,11 +271,18 @@ def eigen_floor_diagnostics(coeffs: NullCoefficients) -> EigenDiagnostics:
             f"sigma has eigenvalue {lam_min[-1]:.3e} below the "
             f"-{PSD_SLACK:.0e} positive-semidefiniteness slack")
     full_rank = lam_min > np.maximum(lam_max / CONDITION_CAP, 0.0)
-    if not full_rank[0]:
+    floor = int(np.argmin(np.append(full_rank, False)))  # first False
+    pivots = np.linalg.cholesky(coeffs.sigma[:floor, :floor]).diagonal() ** 2
+    moments = coeffs.sigma.diagonal()[:floor] + coeffs.alphas[:floor] ** 2
+    usable = int(np.argmin(np.append(pivots * CONDITION_CAP > moments, False)))
+    cut = "" if usable == floor else (
+        f"order {usable + 1} is cancellation: its Cholesky pivot "
+        f"{pivots[usable]:.3e} is at most its second moment "
+        f"{moments[usable]:.3e} / {CONDITION_CAP:.0e}")
+    if usable == 0:
         raise np.linalg.LinAlgError(
-            "all eigenvalues fall below the condition floor")
-    usable = int(np.argmin(np.append(full_rank, False)))  # first False
+            cut or "all eigenvalues fall below the condition floor")
     cond = np.divide(lam_max, np.maximum(lam_min, 1e-300),
                      out=np.full(coeffs.k, inf), where=lam_min > 0)
     return EigenDiagnostics(lambda_mins=lam_min, condition_numbers=cond,
-                            usable_k_max=usable)
+                            usable_k_max=usable, cut=cut)

@@ -41,8 +41,8 @@ import numpy as np
 
 from .measures import RngStream, draw_sum
 from .nullmodel import (
-    CONDITION_CAP, NullCoefficients, NullSpec, compute_coefficients,
-    eigen_floor_diagnostics, plain_dict, value_masses,
+    NullCoefficients, NullSpec, compute_coefficients, eigen_floor_diagnostics,
+    plain_dict, value_masses,
 )
 
 DEFAULT_MC_SEED = 202608
@@ -82,7 +82,7 @@ class TestConfig:
     """Level, order policy and calibration mode.
 
     The coefficient method is chosen per null (``compute_coefficients``),
-    and the whitened orders stop at ``nullmodel.CONDITION_CAP``.
+    and the whitened orders stop at ``EigenDiagnostics.usable_k_max``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -486,10 +486,10 @@ class TestEngine:
     (``None`` under ``"asymptotic"``); that is the expensive step, and the
     statistic of a batch is a few vectorized passes.  The coefficients take
     the closed form unless ``coeffs`` are given.  Both order policies are
-    capped at ``usable_k_max``, beyond which a block falls below the
-    condition floor, and before the first order whose pivot is cancellation
-    (``LinAlgError`` at order 1); a fixed order that is cut, and a cancelled
-    order, leave a note in ``notes``.
+    capped at the ``usable_k_max`` that ``eigen_floor_diagnostics``
+    decides, and it raises ``LinAlgError`` when no order is usable; a fixed
+    order that is cut, and a cancelled order that cuts the policy, leave a
+    note in ``notes``.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -507,32 +507,17 @@ class TestEngine:
             coeffs = compute_coefficients(null, policy_k)
         self.coeffs = coeffs
         self.diagnostics = eigen_floor_diagnostics(coeffs)
+        usable, cut = self.diagnostics.usable_k_max, self.diagnostics.cut
         # usable_k_max <= coeffs.k, so a shorter supplied set also caps here
-        k = min(policy_k, self.diagnostics.usable_k_max)
-        low = np.linalg.cholesky(coeffs.sigma[:k, :k])
-        # order j whitens variance only while its pivot L_jj**2 exceeds
-        # 1 / CONDITION_CAP of its second moment sigma_jj + alpha_j**2;
-        # below that, sigma_jj is what cancellation left of the moment
-        pivots = low.diagonal() ** 2
-        moments = coeffs.sigma.diagonal()[:k] + coeffs.alphas[:k] ** 2
-        kept = pivots * CONDITION_CAP > moments
-        used = k if kept.all() else int(kept.argmin())
-        cancelled = used < k and (
-            f"order {used + 1} is cancellation: its Cholesky pivot "
-            f"{pivots[used]:.3e} is at most its second moment "
-            f"{moments[used]:.3e} / {CONDITION_CAP:.0e}")
-        if used == 0:
-            raise np.linalg.LinAlgError(cancelled)
-        self.used_k_max, self._factor = used, low[:used, :used]
+        self.used_k_max = used = min(policy_k, usable)
+        self._factor = np.linalg.cholesky(coeffs.sigma[:used, :used])
         self._factor.setflags(write=False)  # read-only, like ``calibration``
         self.notes = ()
         if config.k_max != "auto" and used < config.k_max:
-            self.notes = (
-                f"order-cut: fixed k_max {config.k_max} requested, "
-                f"{used} used (usable order "
-                f"{self.diagnostics.usable_k_max})",)
-        if cancelled:
-            self.notes += (f"order-cut: {cancelled}",)
+            self.notes = (f"order-cut: fixed k_max {config.k_max} requested, "
+                          f"{used} used (usable order {usable})",)
+        if cut and used < policy_k:
+            self.notes += (f"order-cut: {cut}",)
         mc = config.calibration == "mc"
         self.calibration = self.calibration_values() if mc else None
         self.critical_value = (_mc_threshold(self.calibration, config.alpha)

@@ -243,11 +243,46 @@ class TestCmdCoeffs:
         np.testing.assert_allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma)[0] > -1e-10
         assert doc["config_hash"]
-        assert doc["schema"] == "deconvtest-coeffs-v3"
+        assert doc["schema"] == "deconvtest-coeffs-v4"
         assert {"k", "alphas", "sigma", "method"} <= doc.keys()
         # the last entry of lambda_trace is the smallest eigenvalue
         assert "min_eigen" not in doc and "notes" not in doc
         assert len(doc["lambda_trace"]) == 6
+        assert doc["usable_k_max"] == 6
+
+    @pytest.mark.parametrize("config, usable", [
+        (None, 10), (FIXTURE.with_name("mod2_h0_n500.json"), 9)],
+        ids=["Mod1", "Mod2"])
+    def test_usable_order_is_the_tests(self, tmp_path, config, usable):
+        # coeffs reports the order that a test at the same order whitens
+        coef = tmp_path / "c.json"
+        argv = ["coeffs", "--kmax", "13", "--out", coef]
+        assert run_cli(argv + (["--config", config] if config else [])) == 0
+        assert _loads(coef.read_text())["usable_k_max"] == usable
+        null = build_null(load_config(config).get("null", {}))
+        data = read_data_file(config.with_suffix(".txt") if config else FIXTURE)
+        result = teststat.run_test(data, null, TestConfig(
+            k_max=13, calibration="asymptotic"))
+        assert result.used_k_max == usable
+
+    def test_cancelled_covariance_exits_4_like_test(self, tmp_path, capsys):
+        # the point-mass null that every test refuses as cancellation:
+        # coeffs refuses it with the same message
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "null": {"y": {"kind": "point_mass", "value": 40},
+                     "z": {"kind": "point_mass", "value": 0}}}))
+        f = tmp_path / "d.txt"
+        f.write_text("40.000000001\n" * 50)
+        errors = []
+        for argv in (["coeffs", "--kmax", "13"],
+                     ["test", f, "--calibration", "asymptotic"]):
+            assert run_cli(argv + ["--config", cfg]) == EXIT_NUMERIC
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert "order 1 is cancellation" in errors[0]
 
     def test_order_zero_rejected(self, capsys):
         assert run_cli(["coeffs", "--kmax", "0"]) == EXIT_USAGE
@@ -819,6 +854,11 @@ _OVERFLOWING_BASIS = {"null": {"y": {"kind": "poisson"},
      "alpha 1e-17 is below the asymptotic calibration"),
     (_config_argv({"sim": {"n": "50"}}, "simulate"), EXIT_USAGE,
      "sim.n must be a list of sample sizes"),
+    # studies run the built-in scenarios, so a null section is not read
+    (_config_argv({"null": {"y": {"kind": "poisson"}},
+                   "sim": {"scenarios": ["Mod1"], "n": [50], "reps": 5}},
+                  "simulate"), EXIT_USAGE,
+     "simulate does not read the config's null section"),
     (_config_argv({"null": {"reference": {"kind": "geometric", "p": 1.5}}}),
      EXIT_USAGE, "null.reference: geometric reference parameter"),
     (_config_argv({"null": {"reference": {"kind": "uniform01"}}}),
@@ -842,6 +882,7 @@ _OVERFLOWING_BASIS = {"null": {"y": {"kind": "poisson"},
      "cannot read config"),
 ], ids=["gamma-without-shape", "negative-gamma-shape", "config-directory",
         "config-not-json", "asymptotic-alpha-1e-17", "sim-n-string",
+        "simulate-null-section",
         "geometric-p-above-1", "exponential-on-uniform01", "data-directory",
         "geometric-mean-1e17", "overflowing-basis-test",
         "overflowing-basis-coeffs", "data-not-utf8", "config-not-utf8",

@@ -109,6 +109,11 @@ class TestEvalMeixner:
         with pytest.raises(DomainError):
             meixner_scaled_table(1, 1.0, 0.0, 0)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, float("nan")])
+    def test_order_parameter_must_be_positive(self, b):
+        with pytest.raises(DomainError, match="order parameter b"):
+            meixner_scaled_table(3, b, 0.5, np.arange(4.0))
+
     def test_certified_degree_two_matches_gram_schmidt(self, meixner_table):
         nodes, weights = geometric_nodes(0.5)
         oracle = gram_schmidt_polynomials(3, nodes, weights)
@@ -236,6 +241,11 @@ class TestCertification:
             PolynomialFamilySpec("laguerre", 1.0, HARD_DEGREE_CAP + 1)
         with pytest.raises(DomainError):
             PolynomialFamilySpec("hermite", 1.0, 5)
+
+    @pytest.mark.parametrize("shape", [0.0, -1.0, float("nan")])
+    def test_laguerre_shape_must_be_positive(self, shape):
+        with pytest.raises(DomainError, match="Laguerre shape"):
+            PolynomialFamilySpec("laguerre", shape)
 
 
 def _split(kind, shape, k):

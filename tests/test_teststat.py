@@ -31,9 +31,9 @@ from deconvtest.orthopoly import DegreeOverflowError
 from deconvtest.simlab import build_scenario, run_replications, wilson_interval
 from deconvtest.teststat import (
     _BLOCK_DRAWS, _BLOCK_VALUES, _CALIBRATION_TAG, DataDomainError,
-    TestConfig, TestEngine, _reach, _zero_from, chi2_quantile, compute_bhat,
-    count_masses, default_kmax, run_test, sample_counts, select_order,
-    t_sequence,
+    TestConfig, TestEngine, TestResult, _reach, _zero_from, chi2_quantile,
+    compute_bhat, count_masses, default_kmax, run_test, sample_counts,
+    select_order, t_sequence,
 )
 
 from .conftest import PROCESS_MEMOS
@@ -584,7 +584,8 @@ KEPT_NULLS = [build_scenario("Mod1").null, build_scenario("Mod2").null] + [
 
 
 class TestWhitening:
-    """An engine factors the used block of sigma once, when it is built."""
+    """An engine factors the used block of sigma once, when it is built,
+    after the diagnostics factor their usable block once to cut orders."""
 
     def test_engine_factors_once(self, monkeypatch, mod1_null):
         calls = []
@@ -599,8 +600,8 @@ class TestWhitening:
                      300).reshape(3, 100)
         results = [engine.run(row) for row in x]
         t_seq, _, _ = engine.statistic_batch(x)
-        k = engine.used_k_max
-        assert calls == [(k, k)]
+        k, usable = engine.used_k_max, engine.diagnostics.usable_k_max
+        assert calls == [(usable, usable), (k, k)] == [(10, 10), (10, 10)]
         assert not engine._factor.flags.writeable
         monkeypatch.undo()
         # the factor of exactly the used block, and t_sequence's bits
@@ -632,13 +633,15 @@ class TestWhitening:
                "1.000e+00 is at most its second moment 1.000e+14 / 1e+12")
         auto = TestEngine(mod1_null, 100, TestConfig(calibration="asymptotic"),
                           coeffs)
-        assert (auto.diagnostics.usable_k_max, auto.used_k_max) == (3, 1)
+        # the diagnostics own the cut: their usable order is the engine's
+        assert (auto.diagnostics.usable_k_max, auto.used_k_max) == (1, 1)
+        assert auto.diagnostics.cut == cut.removeprefix("order-cut: ")
         assert auto.notes == (cut,)
         assert auto._factor.shape == (1, 1)
         fixed = TestEngine(mod1_null, 100, TestConfig(
             k_max=3, calibration="asymptotic"), coeffs)
         assert fixed.notes == ("order-cut: fixed k_max 3 requested, 1 used "
-                               "(usable order 3)", cut)
+                               "(usable order 1)", cut)
         assert fixed.run(np.linspace(0.1, 3.0, 100)).t_sequence.size == 1
 
     @pytest.mark.parametrize("null", KEPT_NULLS,
@@ -654,6 +657,16 @@ class TestWhitening:
                 usable = eigen_floor_diagnostics(coeffs).usable_k_max
                 assert engine.used_k_max == min(default_kmax(n), usable)
                 assert engine.notes == ()
+
+
+@pytest.mark.parametrize("s_n", [0, 4])
+def test_result_refuses_an_order_outside_the_used_ones(s_n):
+    fields = dict(n=100, t_sequence=np.array([1.0, 2.0, 3.0]), s_n=s_n,
+                  t_stat=3.0, critical_value=3.84, p_value=0.08, reject=False,
+                  lambda_mins=np.ones(3), used_k_max=3,
+                  coefficient_method="closed_form")
+    with pytest.raises(ValueError, match=r"outside \[1, used_k_max\]"):
+        TestResult(**fields)
 
 
 def _bits(result):
